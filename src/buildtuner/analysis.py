@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .surrogate import FactorModel, ei_from_ratio
+from .surrogate import FactorModel
 
 __all__ = [
     "CompatibilityMatrix",
@@ -130,10 +130,8 @@ def pair_compatibility(model: FactorModel, edge: tuple[str, str]) -> Compatibili
     good = model.good.edge_weights[j]
     bad = model.bad.edge_weights[j]
     prior = model.success_prior
-    cells = np.empty_like(good)
-    for u in range(good.shape[0]):
-        for w in range(good.shape[1]):
-            cells[u, w] = ei_from_ratio(bad[u, w] / good[u, w], prior)
+    # surrogate.ei_from_ratio, applied to every cell at once.
+    cells = 1.0 / (prior + (bad / good) * (1.0 - prior))
     return CompatibilityMatrix(
         parent=parent_name,
         child=child_name,

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .configspace import (
+    EXHAUSTIVE_LIMIT,
     Configuration,
     DependencyGraph,
     check_configuration,
@@ -572,7 +573,7 @@ def generate_benchmark(
 
 def _rate_matrix(graph: DependencyGraph, rng: np.random.Generator) -> np.ndarray:
     """Rows used to measure the success rate: the space, or a large sample."""
-    if space_size(graph) <= 10**6:
+    if space_size(graph) <= EXHAUSTIVE_LIMIT:
         return full_space_matrix(graph)
     return np.column_stack(
         [rng.integers(m, size=20000) for m in graph.domain_sizes]

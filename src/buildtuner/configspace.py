@@ -2,8 +2,9 @@
 
 A configuration space is a rooted DAG of packages, each with a finite domain
 of version labels.  A configuration assigns one version index to every
-package, the root included.  Configurations are identified across runs,
-files, and machines by a canonical content digest.
+package, the root included.  In memory a configuration is identified by
+its tuple; in files and traces, across runs and machines, by a canonical
+content digest.
 """
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
 """Labeled build outcome datasets.
 
 A dataset pairs a dependency graph with a list of (configuration, outcome)
-records, deduplicated by config digest.  On disk a dataset is JSONL: the
-first line is a header naming the graph file, each following line is one
-record keyed by version labels.
+records, each configuration at most once.  In memory a configuration is its
+tuple; digests identify configurations only in files, traces and messages.
+On disk a dataset is JSONL: the first line is a header naming the graph
+file, each following line is one record keyed by version labels.
 """
 from __future__ import annotations
 
@@ -70,21 +71,26 @@ class DatasetSummary:
 
 
 class Dataset:
-    """An immutable set of build records over one graph, unique by digest."""
+    """An immutable set of build records over one graph, unique by configuration.
+
+    Records are keyed by their configuration tuples; ``digests`` derives the
+    canonical digests that name the same configurations in files and traces.
+    """
 
     def __init__(self, graph: DependencyGraph, records: list[BuildRecord] | tuple):
         self.graph = graph
         self.records: tuple[BuildRecord, ...] = tuple(records)
-        digests = []
-        seen: set[str] = set()
+        seen: set[Configuration] = set()
         for record in self.records:
             check_configuration(graph, record.config)
-            d = config_digest(graph, record.config)
-            if d in seen:
-                raise DatasetError(f"duplicate configuration with digest {d}")
-            seen.add(d)
-            digests.append(d)
-        self.digests: tuple[str, ...] = tuple(digests)
+            if record.config in seen:
+                raise DatasetError(_duplicate(graph, record.config))
+            seen.add(record.config)
+
+    @property
+    def digests(self) -> tuple[str, ...]:
+        """Canonical digest of each record's configuration, in record order."""
+        return tuple(config_digest(self.graph, r.config) for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -102,6 +108,10 @@ class Dataset:
     @property
     def good_count(self) -> int:
         return sum(1 for r in self.records if r.outcome)
+
+
+def _duplicate(graph: DependencyGraph, config: Configuration) -> str:
+    return f"duplicate configuration with digest {config_digest(graph, config)}"
 
 
 def summarize(dataset: Dataset) -> DatasetSummary:
@@ -134,7 +144,7 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
         graph_path = os.path.join(os.path.dirname(os.path.abspath(path)), header["graph"])
         graph = load_graph(graph_path)
     records = []
-    seen: set[str] = set()
+    seen: set[Configuration] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -148,11 +158,14 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
             config = config_from_labels(graph, payload["versions"])
         except GraphError as exc:
             raise DatasetError(str(exc), line=lineno) from exc
-        digest = config_digest(graph, config)
-        if digest in seen:
-            raise DatasetError(f"duplicate configuration with digest {digest}", line=lineno)
-        seen.add(digest)
-        records.append(BuildRecord(config=config, outcome=bool(payload["built"])))
+        if config in seen:
+            raise DatasetError(_duplicate(graph, config), line=lineno)
+        seen.add(config)
+        built = payload["built"]
+        if not isinstance(built, bool):
+            raise DatasetError(f"'built' must be true or false, not {built!r}",
+                               line=lineno)
+        records.append(BuildRecord(config=config, outcome=built))
     return Dataset(graph, records)
 
 
@@ -196,10 +209,7 @@ class DatasetOracle:
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        self._outcomes = {
-            digest: record.outcome
-            for digest, record in zip(dataset.digests, dataset.records)
-        }
+        self._outcomes = {record.config: record.outcome for record in dataset.records}
 
     @property
     def graph(self) -> DependencyGraph:
@@ -209,10 +219,10 @@ class DatasetOracle:
         return tuple(r.config for r in self._dataset.records)
 
     def evaluate(self, config: Configuration) -> bool:
-        digest = config_digest(self._dataset.graph, config)
         try:
-            return self._outcomes[digest]
+            return self._outcomes[tuple(config)]
         except KeyError:
+            digest = config_digest(self._dataset.graph, config)
             raise ValueError(
                 f"configuration {digest} not present in the replay dataset"
             ) from None

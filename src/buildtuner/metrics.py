@@ -219,6 +219,7 @@ def auprc_experiment(
         scores = crowd_score_many(result.model, matrix)
     else:
         scores = substream(seed, "rank").random(len(test))
-    order = sorted(range(len(test)), key=lambda i: (-scores[i], test.digests[i]))
+    digests = test.digests
+    order = sorted(range(len(test)), key=lambda i: (-scores[i], digests[i]))
     ranked = [(float(scores[i]), test.records[i].outcome) for i in order]
     return auprc(ranked)

@@ -16,6 +16,8 @@ import numpy as np
 from .configspace import (
     Configuration,
     DependencyGraph,
+    GraphError,
+    check_configuration,
     config_digest,
     full_space_matrix,
     random_configuration,
@@ -61,7 +63,8 @@ class BuildOracle(Protocol):
     def evaluate(self, config: Configuration) -> bool: ...
 
     def candidate_configurations(self) -> Sequence[Configuration] | None:
-        """Fixed candidate set, or None when the space is generative."""
+        """Fixed candidate list (a repeat counts once), or None when the
+        space is generative."""
         ...
 
 
@@ -104,26 +107,27 @@ class TraceEntry:
 
 
 class ObservationHistory:
-    """Evaluated records in evaluation order, unique by config digest."""
+    """Evaluated records in evaluation order, unique by configuration.
+
+    Configurations are keyed by their tuples; ``digests`` derives the
+    canonical digests that name them in files and traces.
+    """
 
     def __init__(self, graph: DependencyGraph):
         self.graph = graph
         self._entries: list[BuildRecord] = []
-        self._digests: list[str] = []
-        self._seen: set[str] = set()
+        self._seen: set[Configuration] = set()
 
-    def add(self, record: BuildRecord, digest: str | None = None) -> str:
-        if digest is None:
+    def add(self, record: BuildRecord) -> None:
+        check_configuration(self.graph, record.config)
+        if record.config in self._seen:
             digest = config_digest(self.graph, record.config)
-        if digest in self._seen:
             raise ValueError(f"configuration {digest} already evaluated")
-        self._seen.add(digest)
+        self._seen.add(record.config)
         self._entries.append(record)
-        self._digests.append(digest)
-        return digest
 
-    def contains_digest(self, digest: str) -> bool:
-        return digest in self._seen
+    def __contains__(self, config: Configuration) -> bool:
+        return config in self._seen
 
     @property
     def entries(self) -> tuple[BuildRecord, ...]:
@@ -131,7 +135,8 @@ class ObservationHistory:
 
     @property
     def digests(self) -> tuple[str, ...]:
-        return tuple(self._digests)
+        """Canonical digest of each evaluated configuration, in order."""
+        return tuple(config_digest(self.graph, r.config) for r in self._entries)
 
     @property
     def good_count(self) -> int:
@@ -151,21 +156,116 @@ class RunResult:
     model: FactorModel
 
 
-def _strategy_scores(
-    model: FactorModel, matrix: np.ndarray, strategy: str, crowd_floor: float
-) -> np.ndarray:
+class _Candidates:
+    """Where a run's candidates come from.
+
+    Either a fixed matrix of distinct rows with a mask of rows still open, or
+    uniform draws: one configuration per bootstrap draw and a fresh pool per
+    selection.  One source serves one history, from its first draw on.
+    """
+
+    def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, pool_size: int):
+        self.graph = graph
+        self.rows = rows
+        self.pool_size = pool_size
+        self.size = space_size(graph) if rows is None else rows.shape[0]
+        self._open = None if rows is None else np.ones(self.size, dtype=bool)
+        self._offered: np.ndarray | None = None  # row indices of the last offer
+
+    def draw(self, rng: np.random.Generator) -> Configuration:
+        """One uniform bootstrap draw; a drawn fixed row closes."""
+        if self.rows is None:
+            return random_configuration(self.graph, rng)
+        index = int(rng.integers(self.size))
+        self._open[index] = False
+        return tuple(self.rows[index].tolist())
+
+    def offer(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
+        """Unevaluated rows for the next selection, or None when none is left."""
+        if self.rows is not None:
+            self._offered = np.flatnonzero(self._open)
+            return self.rows[self._offered] if self._offered.size else None
+        for _ in range(_POOL_RETRIES):
+            drawn = np.column_stack(
+                [rng.integers(m, size=self.pool_size) for m in self.graph.domain_sizes]
+            )
+            fresh = [c for c in dict.fromkeys(map(tuple, drawn.tolist())) if c not in history]
+            if fresh:
+                return np.asarray(fresh, dtype=np.int64)
+        return None
+
+    def close(self, pick: int) -> None:
+        """Keep row pick of the last offer out of later offers."""
+        if self.rows is not None:
+            self._open[self._offered[pick]] = False
+
+
+def _candidates(
+    oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig, exhaustive: bool
+) -> _Candidates:
+    """The oracle's candidates without repeats (first occurrence kept), the
+    whole space when exhaustive, or uniform draws."""
+    listed = oracle.candidate_configurations()
+    if listed is not None:
+        configs = list(dict.fromkeys(map(tuple, listed)))
+        rows = np.asarray(configs, dtype=np.int64)
+        sizes = np.asarray(graph.domain_sizes)
+        if configs and (rows.shape[1:] != sizes.shape or ((rows < 0) | (rows >= sizes)).any()):
+            raise GraphError("a candidate configuration does not fit the graph")
+    elif exhaustive:
+        rows = full_space_matrix(graph).astype(np.int64)
+    else:
+        rows = None
+    return _Candidates(graph, rows, config.pool_size)
+
+
+def _evaluate(
+    oracle: BuildOracle, history: ObservationHistory, config: Configuration, where: str
+) -> BuildRecord:
+    try:
+        outcome = oracle.evaluate(config)
+    except Exception as exc:
+        raise RuntimeError(f"oracle evaluation failed at {where}: {exc}") from exc
+    record = BuildRecord(config, outcome)
+    history.add(record)
+    return record
+
+
+def _bootstrap(
+    source: _Candidates, oracle: BuildOracle, size: int, rng: np.random.Generator
+) -> ObservationHistory:
+    if source.size < size:
+        raise NoCandidatesError(
+            f"{source.size} distinct configurations cannot seed a bootstrap of {size}"
+        )
+    history = ObservationHistory(source.graph)
+    while len(history) < size:
+        cand = source.draw(rng)
+        if cand not in history:
+            _evaluate(oracle, history, cand, f"bootstrap draw {len(history) + 1}")
+    return history
+
+
+def _choose(
+    model: FactorModel,
+    rows: np.ndarray,
+    strategy: str,
+    rng: np.random.Generator,
+    crowd_floor: float,
+) -> tuple[int, float | None]:
+    """Row index of the best score, and the score; exact ties break uniformly.
+
+    The random strategy treats every row as tied and has no score.
+    """
+    if strategy == "random":
+        return int(rng.integers(rows.shape[0])), None
     if strategy == "bayesian":
-        return expected_improvement_many(model, matrix)
-    if strategy == "crowd":
-        return crowd_score_many(model, matrix, floor=crowd_floor)
-    raise ValueError(f"strategy {strategy!r} has no score function")
-
-
-def _pick_argmax(scores: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the maximum score; exact ties are broken uniformly."""
-    best = scores.max()
-    tied = np.flatnonzero(scores == best)
-    return int(tied[rng.integers(tied.size)])
+        scores = expected_improvement_many(model, rows)
+    else:
+        scores = crowd_score_many(model, rows, floor=crowd_floor)
+    tied = np.flatnonzero(scores == scores.max())
+    pick = int(tied[rng.integers(tied.size)])
+    return pick, float(scores[pick])
 
 
 def bootstrap(
@@ -176,27 +276,13 @@ def bootstrap(
 ) -> ObservationHistory:
     """Evaluate bootstrap_size distinct uniform draws.
 
-    Draws that collide with an already-evaluated digest are rejected and
-    redrawn.  Raises NoCandidatesError when the space holds fewer distinct
-    configurations than requested.
+    Draws from the oracle's candidates when it lists them, else from the
+    whole space; a draw already evaluated is rejected and redrawn.  Raises
+    NoCandidatesError when fewer distinct configurations than requested
+    exist.
     """
-    candidates = oracle.candidate_configurations()
-    if candidates is not None:
-        universe = _CandidateUniverse(graph, candidates)
-        return universe.bootstrap(oracle, config.bootstrap_size, rng)
-    if space_size(graph) < config.bootstrap_size:
-        raise NoCandidatesError(
-            f"space of {space_size(graph)} configurations cannot seed a "
-            f"bootstrap of {config.bootstrap_size}"
-        )
-    history = ObservationHistory(graph)
-    while len(history) < config.bootstrap_size:
-        cand = random_configuration(graph, rng)
-        digest = config_digest(graph, cand)
-        if history.contains_digest(digest):
-            continue
-        history.add(BuildRecord(cand, oracle.evaluate(cand)), digest)
-    return history
+    source = _candidates(oracle, graph, config, exhaustive=False)
+    return _bootstrap(source, oracle, config.bootstrap_size, rng)
 
 
 def select_next(
@@ -214,64 +300,11 @@ def select_next(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    unevaluated = [
-        c for c in candidates
-        if not history.contains_digest(config_digest(model.graph, c))
-    ]
+    unevaluated = [c for c in candidates if tuple(c) not in history]
     if not unevaluated:
         raise NoCandidatesError("every candidate has already been evaluated")
-    if strategy == "random":
-        return unevaluated[int(rng.integers(len(unevaluated)))]
-    matrix = np.asarray(unevaluated, dtype=np.int64)
-    scores = _strategy_scores(model, matrix, strategy, crowd_floor)
-    return unevaluated[_pick_argmax(scores, rng)]
-
-
-class _CandidateUniverse:
-    """A fixed candidate matrix with digest-keyed evaluation bookkeeping."""
-
-    def __init__(self, graph: DependencyGraph, candidates: Sequence[Configuration] | np.ndarray):
-        self.graph = graph
-        self.matrix = np.asarray(candidates, dtype=np.int64)
-        self.digests = [
-            config_digest(graph, tuple(int(v) for v in row)) for row in self.matrix
-        ]
-        by_digest: dict[str, list[int]] = {}
-        for i, d in enumerate(self.digests):
-            by_digest.setdefault(d, []).append(i)
-        self._by_digest = by_digest
-        self.evaluated = np.zeros(self.matrix.shape[0], dtype=bool)
-
-    @property
-    def distinct(self) -> int:
-        return len(self._by_digest)
-
-    def mark(self, digest: str) -> None:
-        for i in self._by_digest[digest]:
-            self.evaluated[i] = True
-
-    def config_at(self, index: int) -> Configuration:
-        return tuple(int(v) for v in self.matrix[index])
-
-    def bootstrap(
-        self, oracle: BuildOracle, size: int, rng: np.random.Generator
-    ) -> ObservationHistory:
-        if self.distinct < size:
-            raise NoCandidatesError(
-                f"{self.distinct} distinct candidates cannot seed a bootstrap "
-                f"of {size}"
-            )
-        history = ObservationHistory(self.graph)
-        n = self.matrix.shape[0]
-        while len(history) < size:
-            index = int(rng.integers(n))
-            if self.evaluated[index]:
-                continue
-            digest = self.digests[index]
-            cand = self.config_at(index)
-            history.add(BuildRecord(cand, oracle.evaluate(cand)), digest)
-            self.mark(digest)
-        return history
+    rows = np.asarray(unevaluated, dtype=np.int64)
+    return unevaluated[_choose(model, rows, strategy, rng, crowd_floor)[0]]
 
 
 def run(
@@ -286,90 +319,22 @@ def run(
     rng_tie = substream(config.seed, "tie-break")
     rng_pool = substream(config.seed, "pool")
 
-    candidates = oracle.candidate_configurations()
-    universe: _CandidateUniverse | None = None
-    if candidates is not None:
-        universe = _CandidateUniverse(graph, candidates)
-    elif config.candidate_mode == "exhaustive":
-        universe = _CandidateUniverse(graph, full_space_matrix(graph))
-
-    if universe is not None:
-        history = universe.bootstrap(oracle, config.bootstrap_size, rng_boot)
-    else:
-        history = bootstrap(oracle, graph, config, rng_boot)
+    source = _candidates(oracle, graph, config,
+                         exhaustive=config.candidate_mode == "exhaustive")
+    history = _bootstrap(source, oracle, config.bootstrap_size, rng_boot)
     model = fit(history, graph, config.smoothing)
     trace: list[TraceEntry] = []
 
     for t in range(1, config.budget + 1):
-        if universe is not None:
-            remaining = np.flatnonzero(~universe.evaluated)
-            if remaining.size == 0:
-                break
-            rows = universe.matrix[remaining]
-            if config.strategy == "random":
-                pick = int(rng_tie.integers(remaining.size))
-                score = None
-            else:
-                scores = _strategy_scores(model, rows, config.strategy,
-                                          config.crowd_floor)
-                pick = _pick_argmax(scores, rng_tie)
-                score = float(scores[pick])
-            index = int(remaining[pick])
-            chosen = universe.config_at(index)
-            digest = universe.digests[index]
-            universe.mark(digest)
-        else:
-            drawn = _draw_pool(graph, config.pool_size, rng_pool, history)
-            if drawn is None:
-                break
-            pool_rows, pool_digests = drawn
-            if config.strategy == "random":
-                pick = int(rng_tie.integers(len(pool_digests)))
-                score = None
-            else:
-                scores = _strategy_scores(model, pool_rows, config.strategy,
-                                          config.crowd_floor)
-                pick = _pick_argmax(scores, rng_tie)
-                score = float(scores[pick])
-            chosen = tuple(int(v) for v in pool_rows[pick])
-            digest = pool_digests[pick]
-
-        try:
-            outcome = oracle.evaluate(chosen)
-        except Exception as exc:
-            raise RuntimeError(
-                f"oracle evaluation failed at iteration {t}: {exc}"
-            ) from exc
-        record = BuildRecord(chosen, outcome)
-        history.add(record, digest)
-        trace.append(TraceEntry(t=t, digest=digest, score=score, built=outcome))
+        rows = source.offer(history, rng_pool)
+        if rows is None:
+            break
+        pick, score = _choose(model, rows, config.strategy, rng_tie, config.crowd_floor)
+        chosen = tuple(rows[pick].tolist())
+        source.close(pick)
+        record = _evaluate(oracle, history, chosen, f"iteration {t}")
+        trace.append(TraceEntry(t=t, digest=config_digest(graph, chosen), score=score,
+                                built=record.outcome))
         model = refit_incremental(model, record)
 
     return RunResult(history=history, trace=tuple(trace), model=model)
-
-
-def _draw_pool(
-    graph: DependencyGraph,
-    pool_size: int,
-    rng: np.random.Generator,
-    history: ObservationHistory,
-) -> tuple[np.ndarray, list[str]] | None:
-    """Draw a fresh uniform candidate pool, dropping already-seen digests."""
-    for _ in range(_POOL_RETRIES):
-        rows = np.column_stack(
-            [rng.integers(m, size=pool_size) for m in graph.domain_sizes]
-        ).astype(np.int64)
-        keep_rows: list[Configuration] = []
-        keep_digests: list[str] = []
-        seen_in_pool: set[str] = set()
-        for row in rows:
-            cand = tuple(int(v) for v in row)
-            digest = config_digest(graph, cand)
-            if history.contains_digest(digest) or digest in seen_in_pool:
-                continue
-            seen_in_pool.add(digest)
-            keep_rows.append(cand)
-            keep_digests.append(digest)
-        if keep_rows:
-            return np.asarray(keep_rows, dtype=np.int64), keep_digests
-    return None

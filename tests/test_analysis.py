@@ -8,14 +8,17 @@ import pytest
 
 from buildtuner import (
     BuildRecord,
+    SyntheticOracle,
+    ei_from_ratio,
     extract_constraints,
     fit,
+    generate_benchmark,
     importance_ranking,
     js_divergence,
     pair_compatibility,
 )
 from buildtuner.configspace import enumerate_configurations
-from helpers import chain_graph, two_package_graph
+from helpers import chain_graph, distinct_records, two_package_graph
 
 
 def plain_js(p, q):
@@ -151,6 +154,18 @@ class TestPairCompatibility:
         assert rows[0] == ["", "v1", "v2"]
         assert rows[1][0] == "v1"
         assert rows[1][1] == pytest.approx(4 / 3)
+
+    def test_matches_per_cell_ei_from_ratio(self):
+        graph, rules = generate_benchmark(10, 3, 0.5, 0.2, seed=4)
+        oracle = SyntheticOracle(graph, rules)
+        records = distinct_records(graph, 300, np.random.default_rng(8), oracle.evaluate)
+        model = fit(records, graph)
+        for j, (p, c) in enumerate(graph.edges):
+            good, bad = model.good.edge_weights[j], model.bad.edge_weights[j]
+            expected = [[ei_from_ratio(bad[u, w] / good[u, w], model.success_prior)
+                         for w in range(good.shape[1])] for u in range(good.shape[0])]
+            cells = pair_compatibility(model, (graph.packages[p], graph.packages[c])).cells
+            np.testing.assert_array_equal(cells, expected)
 
     def test_unknown_edge(self):
         with pytest.raises(ValueError, match="no edge 'B' -> 'A'"):

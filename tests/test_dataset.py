@@ -96,6 +96,16 @@ def test_unknown_package_and_version(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("built", ["false", "true", 0, 1, None])
+def test_built_must_be_a_json_boolean(tmp_path, built):
+    path = _prepared(tmp_path, [
+        json.dumps({"versions": {"A": "v1", "B": "v1"}, "built": True}),
+        json.dumps({"versions": {"A": "v2", "B": "v1"}, "built": built}),
+    ])
+    with pytest.raises(DatasetError, match="line 3: 'built' must be true or false"):
+        load_dataset(path)
+
+
 def test_duplicate_configuration_rejected(tmp_path):
     record = json.dumps({"versions": {"A": "v1", "B": "v1"}, "built": True})
     path = _prepared(tmp_path, [record, record])

@@ -39,6 +39,17 @@ class CountingOracle:
         return bool(self.outcome_fn(config))
 
 
+class ListedOracle(CountingOracle):
+    """Oracle with a fixed candidate list, which may repeat configurations."""
+
+    def __init__(self, candidates, outcome_fn=lambda c: True):
+        super().__init__(outcome_fn)
+        self.candidates = candidates
+
+    def candidate_configurations(self):
+        return self.candidates
+
+
 class FailingOracle(CountingOracle):
     def __init__(self, fail_after):
         super().__init__(lambda c: True)
@@ -125,6 +136,23 @@ class TestBootstrap:
         config = SamplerConfig(bootstrap_size=5)
         with pytest.raises(NoCandidatesError, match="cannot seed"):
             bootstrap(CountingOracle(lambda c: True), graph, config, substream(3, "b"))
+
+    def test_repeated_candidates_count_once(self):
+        graph = two_package_graph()
+        oracle = ListedOracle([(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)])
+        config = SamplerConfig(bootstrap_size=3)
+        with pytest.raises(NoCandidatesError, match="cannot seed"):
+            bootstrap(oracle, graph, config, substream(3, "b"))
+        assert oracle.calls == []
+
+    @pytest.mark.parametrize("listed", [
+        [(0, 0), (0, 2)], [(0, 0), (0, -1)], [(0, 0, 0), (1, 1, 1)],
+    ])
+    def test_candidates_outside_the_graph_rejected(self, listed):
+        oracle = ListedOracle(listed)
+        config = SamplerConfig(bootstrap_size=1)
+        with pytest.raises(GraphError):
+            bootstrap(oracle, two_package_graph(), config, substream(3, "b"))
 
     def test_candidate_list_too_small(self):
         graph = two_package_graph()
@@ -244,11 +272,15 @@ class TestRun:
             for entry in result.trace:
                 assert (entry.score is None) is expect_none
 
-    def test_oracle_failure_reports_iteration(self):
+    @pytest.mark.parametrize("fail_after, match", [
+        (5, "failed at iteration 2"),
+        (2, "failed at bootstrap draw 3"),
+    ], ids=["iteration", "bootstrap"])
+    def test_oracle_failure_reports_iteration(self, fail_after, match):
         graph = chain_graph(3, 2)
-        oracle = FailingOracle(fail_after=5)
+        oracle = FailingOracle(fail_after=fail_after)
         config = SamplerConfig(bootstrap_size=4, budget=4, seed=9)
-        with pytest.raises(RuntimeError, match="failed at iteration 2"):
+        with pytest.raises(RuntimeError, match=match):
             run(oracle, graph, config)
 
     def test_model_matches_final_history(self):
@@ -284,6 +316,18 @@ class TestRun:
         for config_key in enumerate_configurations(graph):
             assert abs(hits[config_key] / trials - expected) < 4 * sigma
 
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_repeated_candidates_never_evaluated_twice(self, strategy):
+        graph = chain_graph(3, 2)
+        listed = [c for c in enumerate_configurations(graph) for _ in range(3)]
+        oracle = ListedOracle(listed[::-1], lambda c: c[0] == 0)
+        config = SamplerConfig(strategy=strategy, bootstrap_size=3, budget=20, seed=12)
+        result = run(oracle, graph, config)
+        assert len(oracle.calls) == len(set(oracle.calls)) == 8
+        assert sorted(r.config for r in result.history) == sorted(
+            enumerate_configurations(graph)
+        )
+
     def test_dataset_oracle_replay(self):
         graph = chain_graph(3, 3)
         rng = np.random.default_rng(6)
@@ -299,8 +343,10 @@ class TestRun:
 
 
 class TestPoolMode:
-    def test_runs_on_large_space(self):
-        graph = wide_graph(24, versions=2)  # 2^25 configurations
+    # 2^25 configurations, and 2^71, beyond any 64-bit index.
+    @pytest.mark.parametrize("n_deps", [24, 70])
+    def test_runs_on_large_space(self, n_deps):
+        graph = wide_graph(n_deps, versions=2)
         config = SamplerConfig(candidate_mode="pool", pool_size=50,
                                bootstrap_size=5, budget=5, seed=17)
         result = run(CountingOracle(lambda c: c[0] == 0), graph, config)
