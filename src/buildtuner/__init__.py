@@ -72,15 +72,11 @@ from .sampler import (
 from .surrogate import (
     FactorModel,
     FactorTable,
-    Score,
-    crowd_score,
     crowd_score_many,
     ei_from_ratio,
-    expected_improvement,
     expected_improvement_many,
     fit,
     load_model,
-    log_density,
     log_density_many,
     refit_incremental,
     save_model,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .surrogate import FactorModel
+from .surrogate import FactorModel, _ei
 
 __all__ = [
     "CompatibilityMatrix",
@@ -127,11 +127,8 @@ def pair_compatibility(model: FactorModel, edge: tuple[str, str]) -> Compatibili
         raise ValueError(
             f"no edge {parent_name!r} -> {child_name!r} in the graph"
         ) from None
-    good = model.good.edge_weights[j]
-    bad = model.bad.edge_weights[j]
-    prior = model.success_prior
-    # surrogate.ei_from_ratio, applied to every cell at once.
-    cells = 1.0 / (prior + (bad / good) * (1.0 - prior))
+    ratio = model.bad.edge_weights[j] / model.good.edge_weights[j]
+    cells = _ei(ratio, model.success_prior)
     return CompatibilityMatrix(
         parent=parent_name,
         child=child_name,

@@ -80,7 +80,7 @@ class BuildUnit:
 class BuildDag:
     """Deduplicated build units plus the origin of every input configuration."""
 
-    def __init__(self, units: dict[str, BuildUnit], origins: dict[str, str]):
+    def __init__(self, units: dict[str, BuildUnit], origins: dict[Configuration, str]):
         self.units = units
         self.origins = origins
 
@@ -124,7 +124,7 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
         visit(i)
 
     units: dict[str, BuildUnit] = {}
-    origins: dict[str, str] = {}
+    origins: dict[Configuration, str] = {}
     for config in configs:
         check_configuration(graph, config)
         unit_of: dict[int, str] = {}
@@ -138,7 +138,7 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
                 units[digest] = BuildUnit(
                     package=package, version=version, digest=digest, deps=deps
                 )
-        origins[config_digest(graph, config)] = unit_of[graph.root]
+        origins[tuple(config)] = unit_of[graph.root]
     return BuildDag(units=units, origins=origins)
 
 

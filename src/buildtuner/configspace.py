@@ -119,8 +119,13 @@ class DependencyGraph:
             raise GraphError("duplicate package names")
         if root_name not in index:
             raise GraphError(f"root {root_name!r} is not a declared package")
+        if not isinstance(raw_edges, list):
+            raise GraphError(f"edges must be a list, got {raw_edges!r}")
         edges = []
         for pair in raw_edges:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(name, str) for name in pair)):
+                raise GraphError(f"edge must be a list of two package names: {pair!r}")
             parent, child = pair
             if parent not in index or child not in index:
                 raise GraphError(f"edge references unknown package: {pair!r}")

@@ -18,27 +18,24 @@ computed in log space so that long factor products cannot underflow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .configspace import Configuration, DependencyGraph, check_configuration
+from .configspace import DependencyGraph, check_configuration
 from .dataset import BuildRecord
 
 __all__ = [
     "FactorModel",
     "FactorTable",
-    "Score",
     "SideStats",
-    "crowd_score",
     "crowd_score_many",
     "ei_from_ratio",
-    "expected_improvement",
     "expected_improvement_many",
     "fit",
     "load_model",
-    "log_density",
     "log_density_many",
     "refit_incremental",
     "save_model",
@@ -46,14 +43,6 @@ __all__ = [
 
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
 _LOG_RATIO_CLAMP = 700.0
-
-
-@dataclass(frozen=True)
-class Score:
-    """A strategy score for one candidate configuration."""
-
-    value: float
-    kind: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +68,14 @@ class SideStats:
             ),
         )
 
-    def add(self, graph: DependencyGraph, config: Configuration) -> "SideStats":
-        node = tuple(c.copy() for c in self.node_counts)
-        edge = tuple(c.copy() for c in self.edge_counts)
-        for i, v in enumerate(config):
-            node[i][v] += 1
-        for j, (p, c) in enumerate(graph.edges):
-            edge[j][config[p], config[c]] += 1
-        return SideStats(n=self.n + 1, node_counts=node, edge_counts=edge)
+    def add(self, graph: DependencyGraph, rows: np.ndarray) -> "SideStats":
+        """These counts plus one record per row of the int matrix rows."""
+        node = tuple(counts + np.bincount(rows[:, i], minlength=counts.size)
+                     for i, counts in enumerate(self.node_counts))
+        edge = tuple(counts + np.bincount(rows[:, p] * counts.shape[1] + rows[:, c],
+                                          minlength=counts.size).reshape(counts.shape)
+                     for (p, c), counts in zip(graph.edges, self.edge_counts))
+        return SideStats(n=self.n + rows.shape[0], node_counts=node, edge_counts=edge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +119,21 @@ class FactorTable:
     def from_counts(
         cls, stats: SideStats, edges: tuple[tuple[int, int], ...], smoothing: float
     ) -> "FactorTable":
-        node_weights = [
-            (counts + smoothing) / (stats.n + smoothing * counts.size)
-            for counts in stats.node_counts
-        ]
-        edge_weights = [
-            (counts + smoothing) / (stats.n + smoothing * counts.size)
-            for counts in stats.edge_counts
-        ]
-        return cls.from_weights(node_weights, edge_weights, edges, smoothing)
+        """Smoothed frequencies, positive since counts are >= 0 and smoothing > 0."""
+        weights, logs = [], []
+        for counts in (*stats.node_counts, *stats.edge_counts):
+            w = (counts + smoothing) / (stats.n + smoothing * counts.size)
+            weights.append(w)
+            logs.append(np.log(w))
+        k = len(stats.node_counts)
+        return cls(
+            node_weights=tuple(weights[:k]),
+            edge_weights=tuple(weights[k:]),
+            edges=edges,
+            smoothing=smoothing,
+            node_log=tuple(logs[:k]),
+            edge_log=tuple(logs[k:]),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +161,20 @@ class FactorModel:
         return (self.n_good + 1) / (self.n_good + self.n_bad + 2)
 
 
+def _check_smoothing(smoothing, what: str = "smoothing") -> None:
+    """Raise ValueError unless smoothing is a finite float-range number > 0.
+
+    Tables are built from counts without a positivity scan, so every path
+    that brings in a smoothing value checks it here.
+    """
+    try:
+        ok = math.isfinite(smoothing) and smoothing > 0
+    except OverflowError:  # an int beyond float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be finite and positive, got {smoothing!r}")
+
+
 def fit(
     history: Iterable[BuildRecord], graph: DependencyGraph, smoothing: float = 1.0
 ) -> FactorModel:
@@ -174,16 +183,17 @@ def fit(
     An empty history yields uniform factors on both sides and a success
     prior of one half.
     """
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
-    good = SideStats.empty(graph)
-    bad = SideStats.empty(graph)
+    _check_smoothing(smoothing)
+    configs = []
+    built = []
     for record in history:
         check_configuration(graph, record.config)
-        if record.outcome:
-            good = good.add(graph, record.config)
-        else:
-            bad = bad.add(graph, record.config)
+        configs.append(record.config)
+        built.append(bool(record.outcome))
+    rows = np.array(configs, dtype=np.int64).reshape(len(configs), graph.n_packages)
+    mask = np.array(built, dtype=bool)
+    good = SideStats.empty(graph).add(graph, rows[mask])
+    bad = SideStats.empty(graph).add(graph, rows[~mask])
     return FactorModel(
         graph=graph,
         smoothing=smoothing,
@@ -201,19 +211,11 @@ def refit_incremental(model: FactorModel, record: BuildRecord) -> FactorModel:
     cell-for-cell identical to a full refit on the extended history.
     """
     check_configuration(model.graph, record.config)
-    if record.outcome:
-        stats = model.good_stats.add(model.graph, record.config)
-        return replace(
-            model,
-            good_stats=stats,
-            good=FactorTable.from_counts(stats, model.graph.edges, model.smoothing),
-        )
-    stats = model.bad_stats.add(model.graph, record.config)
-    return replace(
-        model,
-        bad_stats=stats,
-        bad=FactorTable.from_counts(stats, model.graph.edges, model.smoothing),
-    )
+    side = "good" if record.outcome else "bad"
+    row = np.array([record.config], dtype=np.int64)
+    stats = getattr(model, f"{side}_stats").add(model.graph, row)
+    table = FactorTable.from_counts(stats, model.graph.edges, model.smoothing)
+    return replace(model, **{f"{side}_stats": stats, side: table})
 
 
 def log_density_many(table: FactorTable, matrix: np.ndarray) -> np.ndarray:
@@ -226,12 +228,6 @@ def log_density_many(table: FactorTable, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_density(table: FactorTable, config: Configuration) -> float:
-    """Sum of log node factors plus log edge factors at one configuration."""
-    matrix = np.asarray(config, dtype=np.int64).reshape(1, -1)
-    return float(log_density_many(table, matrix)[0])
-
-
 def ei_from_ratio(ratio: float, success_prior: float) -> float:
     """Expected improvement as a function of the bad/good density ratio.
 
@@ -242,23 +238,19 @@ def ei_from_ratio(ratio: float, success_prior: float) -> float:
         raise ValueError(f"density ratio must be nonnegative, got {ratio}")
     if not (0 < success_prior <= 1):
         raise ValueError(f"success prior must lie in (0, 1], got {success_prior}")
-    return 1.0 / (success_prior + ratio * (1.0 - success_prior))
+    return float(_ei(ratio, success_prior))
 
 
-def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    log_ratio = log_density_many(model.bad, matrix) - log_density_many(model.good, matrix)
-    ratio = np.exp(np.clip(log_ratio, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
-    prior = model.success_prior
+def _ei(ratio, prior: float):
+    """ei_from_ratio without its checks, for a float or an array of ratios."""
     return 1.0 / (prior + ratio * (1.0 - prior))
 
 
-def expected_improvement(model: FactorModel, config: Configuration) -> Score:
-    """Score a candidate by the chance its build outcome improves on the prior."""
-    matrix = np.asarray(config, dtype=np.int64).reshape(1, -1)
-    return Score(
-        value=float(expected_improvement_many(model, matrix)[0]),
-        kind="expected-improvement",
-    )
+def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
+    """Expected improvement of each row of matrix, from its bad/good density ratio."""
+    log_ratio = log_density_many(model.bad, matrix) - log_density_many(model.good, matrix)
+    ratio = np.exp(np.clip(log_ratio, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
+    return _ei(ratio, model.success_prior)
 
 
 def crowd_score_many(
@@ -278,11 +270,6 @@ def crowd_score_many(
         with np.errstate(divide="ignore"):
             total += np.log(freq)[matrix[:, i]]
     return np.exp(total)
-
-
-def crowd_score(model: FactorModel, config: Configuration, floor: float = 0.0) -> Score:
-    matrix = np.asarray(config, dtype=np.int64).reshape(1, -1)
-    return Score(value=float(crowd_score_many(model, matrix, floor)[0]), kind="crowd")
 
 
 def save_model(model: FactorModel, path: str) -> None:
@@ -314,33 +301,77 @@ def save_model(model: FactorModel, path: str) -> None:
         fh.write("\n")
 
 
-def load_model(path: str) -> FactorModel:
-    from .configspace import DependencyGraph as _Graph
+def _field(data, key: str, kind, what: str, where: str = ""):
+    """data[key], which must hold a JSON value of the given kind."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"model field {where}{key} is missing or not {what}")
+    return value
 
+
+def _counts(value, shape: tuple[int, ...], n: int, where: str) -> np.ndarray:
+    """A saved count array: integral, nonnegative, of the factor's shape, summing to n."""
+    try:
+        counts = np.asarray(value)
+    except (ValueError, OverflowError):  # ragged or out of int64 range
+        counts = None
+    if counts is None or counts.dtype.kind != "i" or counts.shape != shape:
+        raise ValueError(f"model {where} must be an integer array of shape {shape}")
+    if counts.min() < 0:
+        raise ValueError(f"model {where} has a negative count")
+    total = counts.sum(dtype=object)  # exact: int64 sums may wrap
+    if total != n:
+        raise ValueError(f"model {where} sums to {total}, not the side's n = {n}")
+    return counts.astype(np.int64)
+
+
+def load_model(path: str) -> FactorModel:
+    """Read a saved model, checking every field; raise ValueError on a bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != 1:
-        raise ValueError(f"unsupported model format {payload.get('format')!r}")
-    graph = _Graph.from_dict(payload["graph"])
-    smoothing = float(payload["smoothing"])
+    version = payload.get("format") if isinstance(payload, dict) else None
+    if version != 1:
+        raise ValueError(f"unsupported model format {version!r}")
+    graph = DependencyGraph.from_dict(_field(payload, "graph", dict, "an object"))
+    smoothing = _field(payload, "smoothing", (int, float), "a number")
+    _check_smoothing(smoothing, "model smoothing")
+    smoothing = float(smoothing)
+    sizes = graph.domain_sizes
 
-    def side_stats(data: dict) -> SideStats:
-        nodes = tuple(np.asarray(c, dtype=np.int64) for c in data["nodes"])
-        by_edge = {
-            (entry["parent"], entry["child"]): np.asarray(entry["counts"], dtype=np.int64)
-            for entry in data["edges"]
-        }
+    def side_stats(side: str) -> SideStats:
+        data = _field(payload, side, dict, "an object")
+        where = f"{side}."
+        n = _field(data, "n", int, "an integer", where)
+        nodes = _field(data, "nodes", list, "a list", where)
+        if len(nodes) != graph.n_packages:
+            raise ValueError(
+                f"model {side}.nodes has {len(nodes)} factors, not {graph.n_packages}"
+            )
+        node_counts = tuple(
+            _counts(counts, (size,), n, f"{side}.nodes[{i}]")
+            for i, (counts, size) in enumerate(zip(nodes, sizes))
+        )
+        names = [(graph.packages[p], graph.packages[c]) for p, c in graph.edges]
+        by_edge = {}
+        for entry in _field(data, "edges", list, "a list", where):
+            key = (_field(entry, "parent", str, "a string", f"{side}.edges[]."),
+                   _field(entry, "child", str, "a string", f"{side}.edges[]."))
+            if key not in names:
+                raise ValueError(f"model {side}.edges has counts for {key}, not a graph edge")
+            if key in by_edge:
+                raise ValueError(f"model {side}.edges lists edge {key} twice")
+            by_edge[key] = entry
         edges = []
-        for p, c in graph.edges:
-            key = (graph.packages[p], graph.packages[c])
+        for (p, c), key in zip(graph.edges, names):
             if key not in by_edge:
                 raise ValueError(f"model is missing counts for edge {key}")
-            edges.append(by_edge[key])
-        return SideStats(n=int(data["n"]), node_counts=nodes, edge_counts=tuple(edges))
+            counts = _field(by_edge[key], "counts", list, "a list", f"{side}.edges[].")
+            edges.append(_counts(counts, (sizes[p], sizes[c]), n, f"{side} edge {key}"))
+        return SideStats(n=n, node_counts=node_counts, edge_counts=tuple(edges))
 
-    good = side_stats(payload["good"])
-    bad = side_stats(payload["bad"])
-    return FactorModel(
+    good = side_stats("good")
+    bad = side_stats("bad")
+    model = FactorModel(
         graph=graph,
         smoothing=smoothing,
         good_stats=good,
@@ -348,3 +379,10 @@ def load_model(path: str) -> FactorModel:
         good=FactorTable.from_counts(good, graph.edges, smoothing),
         bad=FactorTable.from_counts(bad, graph.edges, smoothing),
     )
+    prior = _field(payload, "success_prior", (int, float), "a number")
+    if prior != model.success_prior:
+        raise ValueError(
+            f"model success_prior {prior!r} differs from {model.success_prior!r}, "
+            "the value its counts give"
+        )
+    return model

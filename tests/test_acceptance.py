@@ -25,7 +25,7 @@ from buildtuner import (
     build_dag,
     config_digest,
     derive_seed,
-    expected_improvement,
+    expected_improvement_many,
     fit,
     generate_benchmark,
     importance_ranking,
@@ -114,7 +114,7 @@ def test_01_expected_improvement_matches_brute_force():
     for config in enumerate_configurations(graph):
         ratio = naive_density(bad, config) / naive_density(good, config)
         expected = 1.0 / (alpha + ratio * (1.0 - alpha))
-        actual = expected_improvement(model, config).value
+        actual = expected_improvement_many(model, np.asarray([config]))[0]
         worst = max(worst, abs(actual - expected))
         assert actual == pytest.approx(expected, abs=1e-12)
     elapsed = time.perf_counter() - start

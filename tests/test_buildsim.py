@@ -11,7 +11,6 @@ from buildtuner import (
     PlantedRuleSet,
     SyntheticOracle,
     build_dag,
-    config_digest,
     generate_benchmark,
     simulate,
     space_size,
@@ -66,7 +65,7 @@ class TestDagConstruction:
         graph = chain_graph(3, 2)
         config = (1, 0, 1)
         dag = build_dag([config], graph)
-        root_digest = dag.origins[config_digest(graph, config)]
+        root_digest = dag.origins[config]
         assert dag.units[root_digest].package == "A"
         assert dag.units[root_digest].version == "v2"
 
@@ -269,7 +268,7 @@ class TestPlantedOutcome:
         dag = build_dag(configs, graph)
         report = simulate(dag, planted_outcome(dag, rules, graph), workers=4)
         for config in configs:
-            root = dag.origins[config_digest(graph, config)]
+            root = dag.origins[config]
             built = report.statuses[root] == NodeStatus.SUCCEEDED
             assert built == oracle.evaluate(config)
 

@@ -237,6 +237,28 @@ class TestImportanceCommand:
         assert code == 0
         assert out.startswith("target,score")
 
+    def test_model_without_good_n_exits_two(self, capsys, workspace):
+        model_path = workspace / "model.json"
+        _run(["run", "--oracle", f"dataset:{workspace / 'data.jsonl'}",
+              "--bootstrap", "10", "--budget", "10",
+              "--out", str(workspace / "t.jsonl"),
+              "--model-out", str(model_path)], capsys)
+        payload = json.loads(model_path.read_text())
+        del payload["good"]["n"]
+        model_path.write_text(json.dumps(payload))
+        code, _, err = _run(["importance", "--model", str(model_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: model field good.n is missing")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "0"])
+    def test_smoothing_not_finite_and_positive_exits_two(self, capsys, workspace, smoothing):
+        code, _, err = _run(["importance", "--data", str(workspace / "data.jsonl"),
+                             "--smoothing", smoothing], capsys)
+        assert code == 2
+        assert err.startswith("error: smoothing must be finite and positive")
+        assert "Traceback" not in err
+
 
 class TestHeatmapCommand:
     def test_writes_matrices_and_constraints(self, capsys, workspace):

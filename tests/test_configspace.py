@@ -223,6 +223,19 @@ def test_load_graph_rejects_bad_payloads(tmp_path):
     }))
     with pytest.raises(GraphError, match="unknown package"):
         load_graph(str(path))
+    for edge in ([["A"], "B"], ["A"]):
+        path.write_text(json.dumps({
+            "root": "A",
+            "packages": [{"name": "A", "versions": ["v1"]}, {"name": "B", "versions": ["v1"]}],
+            "edges": [edge],
+        }))
+        with pytest.raises(GraphError, match="edge must be a list of two package names"):
+            load_graph(str(path))
+    path.write_text(json.dumps({
+        "root": "A", "packages": [{"name": "A", "versions": ["v1"]}], "edges": None,
+    }))
+    with pytest.raises(GraphError, match="edges must be a list"):
+        load_graph(str(path))
 
 
 def test_full_space_matrix_refuses_huge_spaces():

@@ -47,6 +47,8 @@ def _commands(root) -> list[list[str]]:
          "--bootstrap", "8", "--seed", "6", "--out", out("auprc.json")],
         ["importance", "--model", out("run-exhaustive-bayesian.model.json"),
          "--out", out("importance.csv")],
+        ["importance", "--data", data, "--smoothing", "0.5", "--format", "json",
+         "--out", out("importance-data.json")],
         ["heatmap", "--data", data, "--threshold", "0.6",
          "--out-dir", out("heatmap")],
         ["simulate", "--graph", graph, "--rules", rules, "--sample", "60",
@@ -99,6 +101,7 @@ GOLDEN = {
     "heatmap/root+dep03.csv": "19e980e955406c574eaa0e2f99af97263ef6b1d577ded7f26e9e519d802c5155",
     "heatmap/root+dep05.csv": "19e980e955406c574eaa0e2f99af97263ef6b1d577ded7f26e9e519d802c5155",
     "importance.csv": "427809921f88d19b65418b87ee396efa3fd64a7ca1f9eb0daf68617117d6d99f",
+    "importance-data.json": "915a2dd80c41cd23f72dd5194a3a5c55ac42ab19bd54230be59f97a3d73be352",
     "rules-noise.json": "7b60a221a5e157784a5c5599b72e1b4e5760c954d9aef6447d6a35aa014b44bd",
     "rules.json": "d72d173ed114fdc93161f32cfff4e6287c9e6de0df4ae329051230251a96ba78",
     "run-dataset-bayesian.jsonl": "e70253fe207ad317d40ce62c8ac6fe5e7ac30d9932960e651e74b55dbf99bdd9",

@@ -6,6 +6,7 @@ or with an independent direct-product density implemented inside this file.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,15 +16,13 @@ from hypothesis import strategies as st
 
 from buildtuner import (
     BuildRecord,
+    DependencyGraph,
     FactorTable,
-    crowd_score,
     crowd_score_many,
     ei_from_ratio,
-    expected_improvement,
     expected_improvement_many,
     fit,
     load_model,
-    log_density,
     log_density_many,
     refit_incremental,
     save_model,
@@ -97,7 +96,7 @@ def test_empty_history_uniform_and_half_prior():
         np.testing.assert_allclose(side.node_weights[0], [0.5, 0.5])
         np.testing.assert_allclose(side.edge_weights[0], np.full((2, 2), 0.25))
     # log p of any config under uniform factors: log(.5) + log(.5) + log(.25).
-    value = log_density(model.good, (0, 0))
+    value = log_density_many(model.good, np.asarray([(0, 0)]))[0]
     assert value == pytest.approx(-2.772588722239781, abs=1e-15)
 
 
@@ -120,7 +119,7 @@ class TestLogDensity:
         matrix = full_space_matrix(graph)
         many = log_density_many(model.good, matrix)
         for row, config in zip(many, enumerate_configurations(graph)):
-            assert log_density(model.good, config) == row
+            assert log_density_many(model.good, np.asarray([config]))[0] == row
 
 
 class TestExpectedImprovement:
@@ -152,14 +151,13 @@ class TestExpectedImprovement:
         matrix = full_space_matrix(graph)
         many = expected_improvement_many(model, matrix)
         for row, config in zip(many, enumerate_configurations(graph)):
-            score = expected_improvement(model, config)
-            assert score.kind == "expected-improvement"
-            assert score.value == pytest.approx(row, abs=1e-15)
+            score = expected_improvement_many(model, np.asarray([config]))[0]
+            assert score == pytest.approx(row, abs=1e-15)
             # Direct recomputation from the two log densities.
-            lg = log_density(model.good, config)
-            lb = log_density(model.bad, config)
+            lg = log_density_many(model.good, np.asarray([config]))[0]
+            lb = log_density_many(model.bad, np.asarray([config]))[0]
             expected = ei_from_ratio(math.exp(lb - lg), model.success_prior)
-            assert score.value == pytest.approx(expected, rel=1e-12)
+            assert score == pytest.approx(expected, rel=1e-12)
 
     def test_per_factor_scale_invariance(self):
         """Scaling any single factor table on both sides leaves EI ranking intact.
@@ -190,7 +188,7 @@ class TestExpectedImprovement:
         # ratio is one and the score is exactly one regardless of the prior.
         graph = two_package_graph()
         model = fit([], graph)
-        assert expected_improvement(model, (0, 0)).value == pytest.approx(1.0)
+        assert expected_improvement_many(model, np.asarray([(0, 0)]))[0] == pytest.approx(1.0)
 
 
 class TestCrowdScore:
@@ -206,9 +204,8 @@ class TestCrowdScore:
         model = fit(history, graph)
         # 5 good records; A good counts [3, 2] and B good counts [3, 2],
         # so crowd((0, 0)) = (3/5) * (3/5) = 0.36 with no smoothing.
-        score = crowd_score(model, (0, 0))
-        assert score.kind == "crowd"
-        assert score.value == pytest.approx(0.36, abs=1e-15)
+        score = crowd_score_many(model, np.asarray([(0, 0)]))[0]
+        assert score == pytest.approx(0.36, abs=1e-15)
 
     def test_frozen_products_more(self):
         graph = two_package_graph()
@@ -218,7 +215,7 @@ class TestCrowdScore:
         )
         model = fit(history, graph)
         # A good counts [3, 2], B good counts [3, 2]: crowd((1, 0)) = 0.4 * 0.6.
-        assert crowd_score(model, (1, 0)).value == pytest.approx(0.24, abs=1e-15)
+        assert crowd_score_many(model, np.asarray([(1, 0)]))[0] == pytest.approx(0.24, abs=1e-15)
         history = _history(
             graph,
             [((0, 0), True), ((0, 1), True), ((0, 0), True), ((0, 1), True),
@@ -227,18 +224,18 @@ class TestCrowdScore:
         model = fit(history, graph)
         # A good counts [4, 1], B good counts [3, 2]: crowd((0, 0)) = 0.8 * 0.6.
         expected = (4 / 5) * (3 / 5)
-        assert crowd_score(model, (0, 0)).value == pytest.approx(expected, abs=1e-15)
+        assert crowd_score_many(model, np.asarray([(0, 0)]))[0] == pytest.approx(expected, abs=1e-15)
 
     def test_unseen_version_scores_zero(self):
         graph = two_package_graph()
         model = fit(_history(graph, [((0, 0), True), ((0, 1), True)]), graph)
-        assert crowd_score(model, (1, 0)).value == 0.0
+        assert crowd_score_many(model, np.asarray([(1, 0)]))[0] == 0.0
 
     def test_floor_lifts_zero_entries(self):
         graph = two_package_graph()
         model = fit(_history(graph, [((0, 0), True), ((0, 1), True)]), graph)
-        lifted = crowd_score(model, (1, 0), floor=0.01)
-        assert lifted.value == pytest.approx(0.01 * 0.5, abs=1e-15)
+        lifted = crowd_score_many(model, np.asarray([(1, 0)]), floor=0.01)[0]
+        assert lifted == pytest.approx(0.01 * 0.5, abs=1e-15)
 
     def test_empty_good_side_scores_zero(self):
         graph = two_package_graph()
@@ -253,7 +250,7 @@ class TestCrowdScore:
         matrix = full_space_matrix(graph)
         many = crowd_score_many(model, matrix)
         for row, config in zip(many, enumerate_configurations(graph)):
-            assert crowd_score(model, config).value == pytest.approx(row, abs=1e-15)
+            assert crowd_score_many(model, np.asarray([config]))[0] == pytest.approx(row, abs=1e-15)
 
 
 class TestIncrementalRefit:
@@ -314,6 +311,61 @@ class TestIncrementalRefit:
                 np.testing.assert_array_equal(a, b)
 
 
+# Unequal domains (3, 2, 4) so an edge table's row and column sizes differ.
+_UNEVEN = DependencyGraph(
+    packages=("A", "B", "C"),
+    domains=(("a1", "a2", "a3"), ("b1", "b2"), ("c1", "c2", "c3", "c4")),
+    edges=((0, 1), (0, 2), (1, 2)),
+    root=0,
+)
+
+
+def _counted_by_hand(graph, records, outcome):
+    """Per-record counts of one side: n, node count lists, edge count lists."""
+    side = [r.config for r in records if r.outcome == outcome]
+    nodes = [[sum(1 for c in side if c[i] == v) for v in range(len(domain))]
+             for i, domain in enumerate(graph.domains)]
+    edges = [[[sum(1 for c in side if c[p] == u and c[q] == w)
+               for w in range(len(graph.domains[q]))]
+              for u in range(len(graph.domains[p]))]
+             for p, q in graph.edges]
+    return len(side), nodes, edges
+
+
+def _counts_of(stats):
+    return (stats.n, [c.tolist() for c in stats.node_counts],
+            [c.tolist() for c in stats.edge_counts])
+
+
+class TestCounting:
+    @pytest.mark.parametrize("smoothing", [0.0, -0.5, math.nan, math.inf, 10**400],
+                             ids=["zero", "negative", "nan", "inf", "beyond-float"])
+    def test_fit_rejects_smoothing_not_finite_and_positive(self, smoothing):
+        graph = two_package_graph()
+        with pytest.raises(ValueError, match="smoothing must be finite and positive"):
+            fit(_history(graph, [((0, 1), True)]), graph, smoothing=smoothing)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3)),
+                    max_size=25),
+           st.lists(st.booleans(), min_size=25, max_size=25),
+           st.sampled_from(["mixed", "all good", "all bad"]),
+           st.booleans())
+    def test_property_fit_counts_each_record(self, configs, flips, mode, last_good):
+        outcomes = {"mixed": flips, "all good": [True] * 25, "all bad": [False] * 25}[mode]
+        records = [BuildRecord(c, o) for c, o in zip(configs, outcomes)]
+        model = fit(records, _UNEVEN)
+        for stats, outcome in ((model.good_stats, True), (model.bad_stats, False)):
+            assert _counts_of(stats) == _counted_by_hand(_UNEVEN, records, outcome)
+            assert all(c.dtype == np.int64 for c in (*stats.node_counts, *stats.edge_counts))
+        before = (_counts_of(model.good_stats), _counts_of(model.bad_stats))
+        updated = refit_incremental(model, BuildRecord((2, 1, 3), last_good))
+        assert (_counts_of(model.good_stats), _counts_of(model.bad_stats)) == before
+        extended = records + [BuildRecord((2, 1, 3), last_good)]
+        for stats, outcome in ((updated.good_stats, True), (updated.bad_stats, False)):
+            assert _counts_of(stats) == _counted_by_hand(_UNEVEN, extended, outcome)
+
+
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         graph = chain_graph(4, 3)
@@ -340,6 +392,91 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_model(str(path))
 
+    @staticmethod
+    def _load_edited(tmp_path, edit):
+        """Save a fitted model, apply edit to its JSON payload, and load it."""
+        graph = chain_graph(3, 2)
+        records = distinct_records(graph, 6, np.random.default_rng(2), lambda c: c[0] == 0)
+        path = tmp_path / "model.json"
+        save_model(fit(records, graph), str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return load_model(str(path))
+
+    def test_rejects_missing_field(self, tmp_path):
+        with pytest.raises(ValueError, match="good.n is missing"):
+            self._load_edited(tmp_path, lambda p: p["good"].pop("n"))
+
+    def test_rejects_ill_typed_field(self, tmp_path):
+        def edit(payload):
+            payload["bad"]["n"] = str(payload["bad"]["n"])
+        with pytest.raises(ValueError, match="bad.n is missing or not an integer"):
+            self._load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("smoothing", [0.0, -0.5, math.nan, math.inf, 10**400],
+                             ids=["zero", "negative", "nan", "inf", "beyond-float"])
+    def test_rejects_smoothing_not_finite_and_positive(self, tmp_path, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be finite and positive"):
+            self._load_edited(tmp_path, lambda p: p.update(smoothing=smoothing))
+
+    def test_rejects_fractional_count(self, tmp_path):
+        def edit(payload):
+            payload["good"]["nodes"][0][0] += 0.5
+        with pytest.raises(ValueError, match=r"good.nodes\[0\] must be an integer array"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_count_beyond_int64(self, tmp_path):
+        def edit(payload):
+            # numpy reads an all-[2**63, 2**64) list as uint64.
+            payload["good"]["nodes"][0] = [2**63, 2**63]
+        with pytest.raises(ValueError, match=r"good.nodes\[0\] must be an integer array"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_counts_whose_int64_sum_wraps_to_n(self, tmp_path):
+        def edit(payload):
+            # Four cells of 2**62 more each: the true sum is n + 2**64.
+            entry = payload["bad"]["edges"][0]
+            entry["counts"] = [[x + 2**62 for x in row] for row in entry["counts"]]
+        with pytest.raises(ValueError, match=r"bad edge \('A', 'B'\) sums to"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_negative_count(self, tmp_path):
+        def edit(payload):
+            # Still sums to n, so only the sign is wrong.
+            payload["good"]["nodes"][1] = [payload["good"]["n"] + 1, -1]
+        with pytest.raises(ValueError, match=r"good.nodes\[1\] has a negative count"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_wrong_shape(self, tmp_path):
+        def edit(payload):
+            payload["bad"]["edges"][0]["counts"].pop()
+        with pytest.raises(ValueError, match=r"must be an integer array of shape \(2, 2\)"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_counts_not_summing_to_n(self, tmp_path):
+        def edit(payload):
+            payload["good"]["n"] += 1
+        with pytest.raises(ValueError, match="not the side's n"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_counts_for_an_edge_the_graph_lacks(self, tmp_path):
+        def edit(payload):
+            payload["good"]["edges"].append(
+                {"parent": "A", "child": "C", "counts": [[0, 0], [0, 0]]})
+        with pytest.raises(ValueError, match=r"\('A', 'C'\), not a graph edge"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_an_edge_listed_twice(self, tmp_path):
+        def edit(payload):
+            payload["bad"]["edges"].append(dict(payload["bad"]["edges"][0]))
+        with pytest.raises(ValueError, match=r"bad.edges lists edge \('A', 'B'\) twice"):
+            self._load_edited(tmp_path, edit)
+
+    def test_rejects_inconsistent_success_prior(self, tmp_path):
+        with pytest.raises(ValueError, match="success_prior 0.99 differs"):
+            self._load_edited(tmp_path, lambda p: p.update(success_prior=0.99))
+
 
 def test_argmax_agrees_with_bruteforce_selection():
     """The vectorized scorer must rank exactly like per-config recomputation."""
@@ -350,7 +487,7 @@ def test_argmax_agrees_with_bruteforce_selection():
     matrix = full_space_matrix(graph)
     many = expected_improvement_many(model, matrix)
     brute = np.array([
-        expected_improvement(model, config).value
+        expected_improvement_many(model, np.asarray([config]))[0]
         for config in enumerate_configurations(graph)
     ])
     assert int(np.argmax(many)) == int(np.argmax(brute))
