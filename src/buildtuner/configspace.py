@@ -108,12 +108,21 @@ class DependencyGraph:
     def from_dict(cls, payload: dict) -> "DependencyGraph":
         try:
             entries = payload["packages"]
-            names = tuple(str(e["name"]) for e in entries)
-            domains = tuple(tuple(str(v) for v in e["versions"]) for e in entries)
+            names = tuple(e["name"] for e in entries)
+            domains = tuple(e["versions"] for e in entries)
             root_name = payload["root"]
             raw_edges = payload["edges"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph payload: {exc}") from exc
+        for name, labels in zip(names, domains):
+            if not isinstance(name, str):
+                raise GraphError(f"package name must be a string, got {name!r}")
+            if not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+                raise GraphError(
+                    f"versions of package {name!r} must be a list of strings, got {labels!r}"
+                )
+        if not isinstance(root_name, str):
+            raise GraphError(f"root must be a package name, got {root_name!r}")
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
             raise GraphError("duplicate package names")
@@ -132,7 +141,7 @@ class DependencyGraph:
             edges.append((index[parent], index[child]))
         graph = cls(
             packages=names,
-            domains=domains,
+            domains=tuple(map(tuple, domains)),
             edges=tuple(sorted(edges)),
             root=index[root_name],
         )

@@ -5,6 +5,12 @@ surrogate, then repeatedly evaluates the unseen candidate with the best
 strategy score, folding each observation back into the model.  Three
 strategies are supported: "bayesian" (expected improvement), "crowd"
 (good-side frequency product), and "random" (uniform baseline).
+
+Over fixed candidate rows, bayesian selection updates every row's score
+incrementally after each observation (surrogate.RatioIndex) and settles
+near-ties on from-scratch scores, so it makes the same choice, and draws
+the same tie-break, as rescoring every open row.  Pools and the other
+strategies score their rows from scratch.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from .dataset import BuildRecord
 from .rng import substream
 from .surrogate import (
     FactorModel,
+    RatioIndex,
     crowd_score_many,
     expected_improvement_many,
     fit,
@@ -157,20 +164,23 @@ class RunResult:
 
 
 class _Candidates:
-    """Where a run's candidates come from.
+    """Where a run's candidates come from, and how the next one is chosen.
 
     Either a fixed matrix of distinct rows with a mask of rows still open, or
     uniform draws: one configuration per bootstrap draw and a fresh pool per
     selection.  One source serves one history, from its first draw on.
+    Bayesian selection over fixed rows goes through a RatioIndex, built at
+    the first selection and updated by observe(); every other selection
+    scores its rows from scratch.
     """
 
-    def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, pool_size: int):
+    def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig):
         self.graph = graph
         self.rows = rows
-        self.pool_size = pool_size
+        self.config = config
         self.size = space_size(graph) if rows is None else rows.shape[0]
         self._open = None if rows is None else np.ones(self.size, dtype=bool)
-        self._offered: np.ndarray | None = None  # row indices of the last offer
+        self._ratios: RatioIndex | None = None
 
     def draw(self, rng: np.random.Generator) -> Configuration:
         """One uniform bootstrap draw; a drawn fixed row closes."""
@@ -180,24 +190,52 @@ class _Candidates:
         self._open[index] = False
         return tuple(self.rows[index].tolist())
 
-    def offer(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
-        """Unevaluated rows for the next selection, or None when none is left."""
-        if self.rows is not None:
-            self._offered = np.flatnonzero(self._open)
-            return self.rows[self._offered] if self._offered.size else None
+    def _pool(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
+        """Distinct unevaluated draws, or None when the retries find none."""
         for _ in range(_POOL_RETRIES):
             drawn = np.column_stack(
-                [rng.integers(m, size=self.pool_size) for m in self.graph.domain_sizes]
+                [rng.integers(m, size=self.config.pool_size) for m in self.graph.domain_sizes]
             )
             fresh = [c for c in dict.fromkeys(map(tuple, drawn.tolist())) if c not in history]
             if fresh:
                 return np.asarray(fresh, dtype=np.int64)
         return None
 
-    def close(self, pick: int) -> None:
-        """Keep row pick of the last offer out of later offers."""
-        if self.rows is not None:
-            self._open[self._offered[pick]] = False
+    def select(
+        self,
+        model: FactorModel,
+        history: ObservationHistory,
+        rng_tie: np.random.Generator,
+        rng_pool: np.random.Generator,
+    ) -> tuple[Configuration, float | None] | None:
+        """The unevaluated candidate with the best score, and the score, or
+        None when no candidate is left; a chosen fixed row closes."""
+        strategy, floor = self.config.strategy, self.config.crowd_floor
+        rows = self.rows
+        if rows is None:
+            rows = self._pool(history, rng_pool)
+            if rows is None:
+                return None
+            tied, score = _best(model, rows, strategy, floor)
+        elif not self._open.any():
+            return None
+        elif strategy == "bayesian":
+            if self._ratios is None:
+                self._ratios = RatioIndex(model, rows)
+            tied, score = self._ratios.best(model, self._open)
+        else:
+            offered = np.flatnonzero(self._open)
+            tied, score = _best(model, rows[offered], strategy, floor)
+            tied = offered[tied]
+        pick = int(tied[rng_tie.integers(tied.size)])
+        if self._open is not None:
+            self._open[pick] = False
+        return tuple(rows[pick].tolist()), score
+
+    def observe(self, model: FactorModel, record: BuildRecord) -> None:
+        """Fold a selected record into the index, given the model before it."""
+        if self._ratios is not None:
+            self._ratios.add(model, record)
 
 
 def _candidates(
@@ -216,7 +254,7 @@ def _candidates(
         rows = full_space_matrix(graph).astype(np.int64)
     else:
         rows = None
-    return _Candidates(graph, rows, config.pool_size)
+    return _Candidates(graph, rows, config)
 
 
 def _evaluate(
@@ -246,26 +284,21 @@ def _bootstrap(
     return history
 
 
-def _choose(
-    model: FactorModel,
-    rows: np.ndarray,
-    strategy: str,
-    rng: np.random.Generator,
-    crowd_floor: float,
-) -> tuple[int, float | None]:
-    """Row index of the best score, and the score; exact ties break uniformly.
+def _best(
+    model: FactorModel, rows: np.ndarray, strategy: str, crowd_floor: float
+) -> tuple[np.ndarray, float | None]:
+    """Indices of the rows with the best score, ascending, and the score.
 
-    The random strategy treats every row as tied and has no score.
+    The random strategy ties every row and has no score.
     """
     if strategy == "random":
-        return int(rng.integers(rows.shape[0])), None
+        return np.arange(rows.shape[0]), None
     if strategy == "bayesian":
         scores = expected_improvement_many(model, rows)
     else:
         scores = crowd_score_many(model, rows, floor=crowd_floor)
-    tied = np.flatnonzero(scores == scores.max())
-    pick = int(tied[rng.integers(tied.size)])
-    return pick, float(scores[pick])
+    top = scores.max()
+    return np.flatnonzero(scores == top), float(top)
 
 
 def bootstrap(
@@ -303,8 +336,8 @@ def select_next(
     unevaluated = [c for c in candidates if tuple(c) not in history]
     if not unevaluated:
         raise NoCandidatesError("every candidate has already been evaluated")
-    rows = np.asarray(unevaluated, dtype=np.int64)
-    return unevaluated[_choose(model, rows, strategy, rng, crowd_floor)[0]]
+    tied, _ = _best(model, np.asarray(unevaluated, dtype=np.int64), strategy, crowd_floor)
+    return unevaluated[int(tied[rng.integers(tied.size)])]
 
 
 def run(
@@ -326,15 +359,14 @@ def run(
     trace: list[TraceEntry] = []
 
     for t in range(1, config.budget + 1):
-        rows = source.offer(history, rng_pool)
-        if rows is None:
+        selected = source.select(model, history, rng_tie, rng_pool)
+        if selected is None:
             break
-        pick, score = _choose(model, rows, config.strategy, rng_tie, config.crowd_floor)
-        chosen = tuple(rows[pick].tolist())
-        source.close(pick)
+        chosen, score = selected
         record = _evaluate(oracle, history, chosen, f"iteration {t}")
         trace.append(TraceEntry(t=t, digest=config_digest(graph, chosen), score=score,
                                 built=record.outcome))
+        source.observe(model, record)
         model = refit_incremental(model, record)
 
     return RunResult(history=history, trace=tuple(trace), model=model)

@@ -14,6 +14,9 @@ The acquisition score for a candidate is the expected improvement
 where ratio is the bad/good density ratio at the candidate and prior is the
 estimated probability that a fresh uniform sample builds.  The score is
 computed in log space so that long factor products cannot underflow.
+
+Over a fixed candidate matrix, a RatioIndex keeps each row's log ratio up to
+date one record at a time instead of summing every factor again.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .dataset import BuildRecord
 __all__ = [
     "FactorModel",
     "FactorTable",
+    "RatioIndex",
     "SideStats",
     "crowd_score_many",
     "ei_from_ratio",
@@ -43,6 +47,20 @@ __all__ = [
 
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
 _LOG_RATIO_CLAMP = 700.0
+
+# RatioIndex.best rescores from scratch every row whose incremental score is
+# within this relative distance of the best.  Incremental log ratios drift
+# from a from-scratch sum by float rounding only (far below 1e-9 over any
+# run), and the score's relative change never exceeds the log ratio's change,
+# so every exact maximum is rescored.
+_NEAR_TIE = 1e-9
+
+
+def _factor_cells(graph: DependencyGraph, rows: np.ndarray) -> list[np.ndarray]:
+    """Flat cell of each row in each factor: packages in order, then edges."""
+    sizes = graph.domain_sizes
+    return ([rows[:, i] for i in range(graph.n_packages)]
+            + [rows[:, p] * sizes[c] + rows[:, c] for p, c in graph.edges])
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +86,18 @@ class SideStats:
             ),
         )
 
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """Every factor's counts: packages in order, then edges."""
+        return (*self.node_counts, *self.edge_counts)
+
     def add(self, graph: DependencyGraph, rows: np.ndarray) -> "SideStats":
         """These counts plus one record per row of the int matrix rows."""
-        node = tuple(counts + np.bincount(rows[:, i], minlength=counts.size)
-                     for i, counts in enumerate(self.node_counts))
-        edge = tuple(counts + np.bincount(rows[:, p] * counts.shape[1] + rows[:, c],
-                                          minlength=counts.size).reshape(counts.shape)
-                     for (p, c), counts in zip(graph.edges, self.edge_counts))
-        return SideStats(n=self.n + rows.shape[0], node_counts=node, edge_counts=edge)
+        counts = [c + np.bincount(cells, minlength=c.size).reshape(c.shape)
+                  for c, cells in zip(self.factors, _factor_cells(graph, rows))]
+        k = len(self.node_counts)
+        return SideStats(n=self.n + rows.shape[0], node_counts=tuple(counts[:k]),
+                         edge_counts=tuple(counts[k:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +143,7 @@ class FactorTable:
     ) -> "FactorTable":
         """Smoothed frequencies, positive since counts are >= 0 and smoothing > 0."""
         weights, logs = [], []
-        for counts in (*stats.node_counts, *stats.edge_counts):
+        for counts in stats.factors:
             w = (counts + smoothing) / (stats.n + smoothing * counts.size)
             weights.append(w)
             logs.append(np.log(w))
@@ -251,6 +273,68 @@ def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndar
     log_ratio = log_density_many(model.bad, matrix) - log_density_many(model.good, matrix)
     ratio = np.exp(np.clip(log_ratio, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
     return _ei(ratio, model.success_prior)
+
+
+def _flat(table: FactorTable) -> bool:
+    """Whether every factor of table has one log weight for all its cells."""
+    return all(logs.min() == logs.max() for logs in (*table.node_log, *table.edge_log))
+
+
+class RatioIndex:
+    """Bad/good log density ratio of each row of a fixed matrix, kept up to date.
+
+    A new record changes only its own side's factors.  In each of them every
+    cell's normalizer grows by the same amount, one constant shift of every
+    row that offset absorbs, and one cell gains a count, whose change goes to
+    the rows holding that cell, found through a per-factor inverted index.
+    So log_ratio + offset equals log_density_many(bad) - log_density_many(good)
+    up to float rounding, and best() settles near ties on exact scores.
+    """
+
+    def __init__(self, model: FactorModel, rows: np.ndarray):
+        self.rows = rows
+        self.log_ratio = log_density_many(model.bad, rows) - log_density_many(model.good, rows)
+        self.offset = 0.0
+        # Rows of cell v of factor f: orders[f][bounds[f][v]:bounds[f][v + 1]].
+        self._orders: list[np.ndarray] = []
+        self._bounds: list[np.ndarray] = []
+        for cells, counts in zip(_factor_cells(model.graph, rows), model.good_stats.factors):
+            self._orders.append(np.argsort(cells, kind="stable").astype(np.int32))
+            self._bounds.append(np.concatenate(
+                ([0], np.cumsum(np.bincount(cells, minlength=counts.size)))))
+
+    def add(self, model: FactorModel, record: BuildRecord) -> None:
+        """Fold in record, given the model these ratios agree with before it."""
+        stats = model.good_stats if record.outcome else model.bad_stats
+        sign = -1.0 if record.outcome else 1.0  # the good side is the denominator
+        smoothing = model.smoothing
+        cells = _factor_cells(model.graph, np.array([record.config], dtype=np.int64))
+        for counts, (cell,), order, bounds in zip(stats.factors, cells,
+                                                   self._orders, self._bounds):
+            total = stats.n + smoothing * counts.size
+            self.offset -= sign * (math.log(total + 1.0) - math.log(total))
+            held = counts.flat[cell] + smoothing
+            np.add.at(self.log_ratio, order[bounds[cell]:bounds[cell + 1]],
+                      sign * (math.log(held + 1.0) - math.log(held)))
+
+    def best(self, model: FactorModel, open_rows: np.ndarray) -> tuple[np.ndarray, float]:
+        """Open rows with the highest expected improvement, ascending, and that score.
+
+        open_rows is a boolean mask over the rows with at least one row set.
+        The rows within a relative _NEAR_TIE of the best incremental score
+        are rescored with expected_improvement_many, and only its exact
+        maxima are returned, with its exact score.  When every factor of
+        both sides weighs its cells alike, every row sums the same logs in
+        the same order and so scores exactly the same: one row is rescored.
+        """
+        log_ratio = np.clip(self.log_ratio + self.offset, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP)
+        approx = np.where(open_rows, _ei(np.exp(log_ratio), model.success_prior), 0.0)
+        near = np.flatnonzero(approx >= approx.max() * (1.0 - _NEAR_TIE))
+        if near.size == np.count_nonzero(open_rows) and _flat(model.good) and _flat(model.bad):
+            return near, float(expected_improvement_many(model, self.rows[near[:1]])[0])
+        exact = expected_improvement_many(model, self.rows[near])
+        top = exact.max()
+        return near[exact == top], float(top)
 
 
 def crowd_score_many(

@@ -347,6 +347,28 @@ class TestSimulateCommand:
         report = json.loads(out)
         assert report["makespan"] != pytest.approx(report["attempted"])
 
+    @pytest.mark.parametrize("field, value", [("root", ["A"]), ("versions", "v12"),
+                                              ("name", None)])
+    def test_malformed_graph_exits_two(self, capsys, workspace, field, value):
+        # Package C appears in no rule, so the rules file still loads.
+        payload = json.loads((workspace / "graph.json").read_text())
+        if field == "root":
+            payload["root"] = value
+        else:
+            package = next(p for p in payload["packages"] if p["name"] == "C")
+            package[field] = value
+            if field == "name":
+                payload["edges"] = [[p, str(value) if c == "C" else c]
+                                    for p, c in payload["edges"]]
+        (workspace / "graph.json").write_text(json.dumps(payload))
+        code, _, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_requires_data_or_sample(self, capsys, workspace):
         code, _, err = _run(
             ["simulate", "--graph", str(workspace / "graph.json"),

@@ -236,6 +236,19 @@ def test_load_graph_rejects_bad_payloads(tmp_path):
     }))
     with pytest.raises(GraphError, match="edges must be a list"):
         load_graph(str(path))
+    for payload, match in [
+        ({"root": ["A"], "packages": [{"name": "A", "versions": ["v1"]}], "edges": []},
+         "root must be a package name"),
+        ({"root": "A", "packages": [{"name": "A", "versions": "v12"}], "edges": []},
+         "must be a list of strings"),
+        ({"root": "A", "packages": [{"name": "A", "versions": ["v1", 2]}], "edges": []},
+         "must be a list of strings"),
+        ({"root": "None", "packages": [{"name": None, "versions": ["v1"]}], "edges": []},
+         "package name must be a string"),
+    ]:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(GraphError, match=match):
+            load_graph(str(path))
 
 
 def test_full_space_matrix_refuses_huge_spaces():

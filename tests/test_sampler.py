@@ -15,12 +15,19 @@ from buildtuner import (
     SamplerConfig,
     bootstrap,
     config_digest,
+    expected_improvement_many,
     fit,
+    generate_benchmark,
+    log_density_many,
+    refit_incremental,
     run,
     select_next,
     substream,
+    synthetic_oracle,
 )
-from buildtuner.configspace import GraphError, enumerate_configurations
+from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
+from buildtuner.sampler import TraceEntry
+from buildtuner.surrogate import RatioIndex
 from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
 
 
@@ -383,3 +390,119 @@ def test_digest_bookkeeping_matches_configspace():
     result = run(CountingOracle(lambda c: True), graph, config)
     for digest, record in zip(result.history.digests, result.history):
         assert digest == config_digest(graph, record.config)
+
+
+def _reference_run(oracle, graph, config):
+    """The from-scratch bayesian loop over fixed rows that RatioIndex replaced:
+    every step scores all open rows with expected_improvement_many.
+
+    Returns the history, the trace, the final model, and the size of each
+    step's set of tied maxima.
+    """
+    rng_boot = substream(config.seed, "bootstrap")
+    rng_tie = substream(config.seed, "tie-break")
+    listed = oracle.candidate_configurations()
+    if listed is not None:
+        rows = np.asarray(list(dict.fromkeys(map(tuple, listed))), dtype=np.int64)
+    else:
+        rows = full_space_matrix(graph).astype(np.int64)
+    open_rows = np.ones(rows.shape[0], dtype=bool)
+    history = ObservationHistory(graph)
+    while len(history) < config.bootstrap_size:
+        index = int(rng_boot.integers(rows.shape[0]))
+        open_rows[index] = False
+        cand = tuple(rows[index].tolist())
+        if cand not in history:
+            history.add(BuildRecord(cand, oracle.evaluate(cand)))
+    model = fit(history, graph, config.smoothing)
+    trace, tie_sizes = [], []
+    for t in range(1, config.budget + 1):
+        offered = np.flatnonzero(open_rows)
+        if not offered.size:
+            break
+        scores = expected_improvement_many(model, rows[offered])
+        tied = np.flatnonzero(scores == scores.max())
+        tie_sizes.append(tied.size)
+        pick = int(tied[rng_tie.integers(tied.size)])
+        chosen = tuple(rows[offered[pick]].tolist())
+        open_rows[offered[pick]] = False
+        record = BuildRecord(chosen, oracle.evaluate(chosen))
+        history.add(record)
+        trace.append(TraceEntry(t=t, digest=config_digest(graph, chosen),
+                                score=float(scores[pick]), built=record.outcome))
+        model = refit_incremental(model, record)
+    return history, tuple(trace), model, tie_sizes
+
+
+def _planted(seed):
+    graph, rules = generate_benchmark(7, 3, 0.5, 0.1, seed)
+    return graph, synthetic_oracle(graph, rules)
+
+
+def _listed(seed):
+    """A dataset of 500 configurations in random order, replayed."""
+    graph, oracle = _planted(seed)
+    records = distinct_records(graph, 500, np.random.default_rng(seed), oracle.evaluate)
+    return graph, DatasetOracle(Dataset(graph, records))
+
+
+def _always_fail(seed):
+    return chain_graph(6, 3), CountingOracle(lambda c: False)
+
+
+def _wide(seed):
+    # With smoothing 1e-30 a factor cell seen on one side only adds about
+    # +/-69 to a log ratio, so 25 factors take ratios past the +/-700 clamp.
+    return wide_graph(12, 2), CountingOracle(lambda c: c[1] == c[2])
+
+
+class TestIncrementalSelectionParity:
+    """run's indexed bayesian selection against the from-scratch loop."""
+
+    @pytest.fixture()
+    def drift(self, monkeypatch):
+        """Check, at every selection, the index's log ratios against a
+        from-scratch sum on the open rows; collect the largest |log ratio|
+        and whether some selection tied every open row."""
+        seen = {"calls": 0, "largest": 0.0, "all_tied": False}
+        best = RatioIndex.best
+
+        def checked(index, model, open_rows):
+            scratch = (log_density_many(model.bad, index.rows)
+                       - log_density_many(model.good, index.rows))[open_rows]
+            incremental = (index.log_ratio + index.offset)[open_rows]
+            np.testing.assert_allclose(incremental, scratch, rtol=0, atol=1e-9)
+            seen["calls"] += 1
+            seen["largest"] = max(seen["largest"], float(np.abs(scratch).max()))
+            tied, score = best(index, model, open_rows)
+            seen["all_tied"] |= tied.size == np.count_nonzero(open_rows)
+            return tied, score
+
+        monkeypatch.setattr(RatioIndex, "best", checked)
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("space, smoothing, budget", [
+        (_planted, 1.0, 60),
+        (_listed, 1.0, 60),
+        (_always_fail, 1.0, 100),
+        (_wide, 1e-30, 80),
+    ], ids=["exhaustive", "listed", "always-fail", "clamped"])
+    def test_matches_from_scratch_loop(self, drift, space, smoothing, budget, seed):
+        config = SamplerConfig(bootstrap_size=10, budget=budget, seed=seed,
+                               smoothing=smoothing)
+        graph, oracle = space(seed)
+        history, trace, model, tie_sizes = _reference_run(oracle, graph, config)
+        result = run(oracle, graph, config)
+        assert result.history.entries == history.entries
+        assert result.trace == trace
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (*result.model.good_stats.factors, *result.model.bad_stats.factors),
+            (*model.good_stats.factors, *model.bad_stats.factors)))
+        assert drift["calls"] == len(trace) == budget
+        if space in (_always_fail, _wide):
+            assert max(tie_sizes) > 1
+        if space is _always_fail:
+            assert drift["all_tied"]
+        if space is _wide:
+            assert drift["largest"] > 700

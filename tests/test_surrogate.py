@@ -28,6 +28,7 @@ from buildtuner import (
     save_model,
 )
 from buildtuner.configspace import enumerate_configurations, full_space_matrix
+from buildtuner.surrogate import RatioIndex
 from helpers import chain_graph, distinct_records, two_package_graph
 
 
@@ -309,6 +310,46 @@ class TestIncrementalRefit:
                 np.testing.assert_array_equal(a, b)
             for a, b in zip(side_a.edge_weights, side_b.edge_weights):
                 np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def _observed_spaces(draw):
+    """A DAG of 1-4 packages with domains of 2-4 versions, distinct records
+    over it in random order, how many of them seed the model, and a smoothing."""
+    n = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(2, 4)) for _ in range(n)]
+    edges = sorted((p, c) for c in range(1, n)
+                   for p in draw(st.sets(st.integers(0, c - 1), min_size=1)))
+    graph = DependencyGraph(
+        packages=tuple(f"p{i}" for i in range(n)),
+        domains=tuple(tuple(f"v{j}" for j in range(m)) for m in sizes),
+        edges=tuple(edges),
+        root=0,
+    )
+    configs = list(enumerate_configurations(graph))
+    order = draw(st.permutations(range(len(configs))))
+    outcomes = draw(st.lists(st.booleans(), min_size=1, max_size=min(len(configs), 30)))
+    records = [BuildRecord(configs[i], built) for i, built in zip(order, outcomes)]
+    start = draw(st.integers(0, len(records) - 1))
+    smoothing = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-30]))
+    return graph, records, start, smoothing
+
+
+class TestRatioIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(_observed_spaces())
+    def test_property_updates_match_full_fit(self, space):
+        graph, records, start, smoothing = space
+        rows = full_space_matrix(graph).astype(np.int64)
+        model = fit(records[:start], graph, smoothing)
+        index = RatioIndex(model, rows)
+        for i in range(start, len(records)):
+            index.add(model, records[i])
+            model = refit_incremental(model, records[i])
+            full = fit(records[:i + 1], graph, smoothing)
+            expected = log_density_many(full.bad, rows) - log_density_many(full.good, rows)
+            np.testing.assert_allclose(index.log_ratio + index.offset, expected,
+                                       rtol=0, atol=1e-9)
 
 
 # Unequal domains (3, 2, 4) so an edge table's row and column sizes differ.
