@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .configspace import config_digest
 from .dataset import BuildRecord, Dataset, DatasetOracle, split_train_test
 from .rng import derive_seed, substream
 from .sampler import STRATEGIES, SamplerConfig, run
@@ -219,7 +220,17 @@ def auprc_experiment(
         scores = crowd_score_many(result.model, matrix)
     else:
         scores = substream(seed, "rank").random(len(test))
-    digests = test.digests
-    order = sorted(range(len(test)), key=lambda i: (-scores[i], digests[i]))
-    ranked = [(float(scores[i]), test.records[i].outcome) for i in order]
+    ranked = [(float(scores[i]), test.records[i].outcome) for i in _descending(test, scores)]
     return auprc(ranked)
+
+
+def _descending(dataset: Dataset, scores: np.ndarray) -> list[int]:
+    """Record indices by descending score, digest order breaking ties.
+
+    The sort key compares digests only between equal scores, so only the
+    records that share their score with another record are digested.
+    """
+    _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+    tied = np.flatnonzero(sizes[group] > 1).tolist()
+    digests = {i: config_digest(dataset.graph, dataset.records[i].config) for i in tied}
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], digests.get(i, "")))

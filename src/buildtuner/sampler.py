@@ -6,14 +6,17 @@ strategy score, folding each observation back into the model.  Three
 strategies are supported: "bayesian" (expected improvement), "crowd"
 (good-side frequency product), and "random" (uniform baseline).
 
-Over fixed candidate rows, bayesian selection updates every row's score
-incrementally after each observation (surrogate.RatioIndex) and settles
-near-ties on from-scratch scores, so it makes the same choice, and draws
-the same tie-break, as rescoring every open row.  Pools and the other
-strategies score their rows from scratch.
+Over fixed candidate rows no strategy rescores the open rows at each step.
+Bayesian selection updates every row's score incrementally after each
+observation (surrogate.RatioIndex) and settles near-ties on from-scratch
+scores; crowd selection keeps every row's score until a good record
+changes it; random selection ties every open row.  So each makes the same
+choice, and draws the same tie-break, as rescoring every open row.  Pools
+and select_next score their rows from scratch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
@@ -97,6 +100,9 @@ class SamplerConfig:
             raise ValueError("budget must be nonnegative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
+        if not (math.isfinite(self.crowd_floor) and self.crowd_floor >= 0):
+            raise ValueError(
+                f"crowd_floor must be finite and nonnegative, got {self.crowd_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +175,11 @@ class _Candidates:
     Either a fixed matrix of distinct rows with a mask of rows still open, or
     uniform draws: one configuration per bootstrap draw and a fresh pool per
     selection.  One source serves one history, from its first draw on.
-    Bayesian selection over fixed rows goes through a RatioIndex, built at
-    the first selection and updated by observe(); every other selection
-    scores its rows from scratch.
+    Over fixed rows, bayesian selection goes through a RatioIndex, built at
+    the first selection and updated by observe(); crowd selection keeps the
+    crowd score of every row, computed at the first selection and again
+    after each good record; random selection ties the open rows.  Pool
+    selection scores each fresh pool from scratch.
     """
 
     def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig):
@@ -181,6 +189,7 @@ class _Candidates:
         self.size = space_size(graph) if rows is None else rows.shape[0]
         self._open = None if rows is None else np.ones(self.size, dtype=bool)
         self._ratios: RatioIndex | None = None
+        self._crowd: np.ndarray | None = None
 
     def draw(self, rng: np.random.Generator) -> Configuration:
         """One uniform bootstrap draw; a drawn fixed row closes."""
@@ -223,19 +232,28 @@ class _Candidates:
             if self._ratios is None:
                 self._ratios = RatioIndex(model, rows)
             tied, score = self._ratios.best(model, self._open)
+        elif strategy == "crowd":
+            if self._crowd is None:
+                self._crowd = crowd_score_many(model, rows, floor=floor)
+            scores = np.where(self._open, self._crowd, -1.0)  # crowd scores are >= 0
+            top = scores.max()
+            tied, score = np.flatnonzero(scores == top), float(top)
         else:
-            offered = np.flatnonzero(self._open)
-            tied, score = _best(model, rows[offered], strategy, floor)
-            tied = offered[tied]
+            tied, score = np.flatnonzero(self._open), None
         pick = int(tied[rng_tie.integers(tied.size)])
         if self._open is not None:
             self._open[pick] = False
         return tuple(rows[pick].tolist()), score
 
     def observe(self, model: FactorModel, record: BuildRecord) -> None:
-        """Fold a selected record into the index, given the model before it."""
+        """Fold a selected record into the index, given the model before it.
+
+        A good record changes the crowd scores; a bad one leaves them as they are.
+        """
         if self._ratios is not None:
             self._ratios.add(model, record)
+        if record.outcome:
+            self._crowd = None
 
 
 def _candidates(

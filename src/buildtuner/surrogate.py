@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +32,7 @@ from .configspace import DependencyGraph, check_configuration
 from .dataset import BuildRecord
 
 __all__ = [
+    "FactorLayout",
     "FactorModel",
     "FactorTable",
     "RatioIndex",
@@ -55,65 +57,129 @@ _LOG_RATIO_CLAMP = 700.0
 # so every exact maximum is rescored.
 _NEAR_TIE = 1e-9
 
+# Rows per block when RatioIndex computes the cells of a candidate matrix.
+_INDEX_BLOCK = 1024
 
-def _factor_cells(graph: DependencyGraph, rows: np.ndarray) -> list[np.ndarray]:
-    """Flat cell of each row in each factor: packages in order, then edges."""
-    sizes = graph.domain_sizes
-    return ([rows[:, i] for i in range(graph.n_packages)]
-            + [rows[:, p] * sizes[c] + rows[:, c] for p, c in graph.edges])
+
+class FactorLayout:
+    """Where each factor's cells sit in one flat vector: packages in order, then edges.
+
+    Package i's version v is cell offsets[i] + v; edge (p, c)'s pair (u, w)
+    is cell offsets[f] + u * m_c + w, m_c being the child's domain size.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
+        self.edges = edges
+        self.shapes = (*((m,) for m in sizes), *((sizes[p], sizes[c]) for p, c in edges))
+        self.factor_sizes = np.array([math.prod(s) for s in self.shapes], dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.factor_sizes)))
+        self.size = int(self.offsets[-1])
+        self.cell_sizes = np.repeat(self.factor_sizes, self.factor_sizes)
+        k = self.n_nodes = len(sizes)
+        self._parents = np.array([p for p, _ in edges], dtype=np.intp)
+        self._children = np.array([c for _, c in edges], dtype=np.intp)
+        self._strides = np.array([sizes[c] for _, c in edges], dtype=np.int32)[:, None]
+        self._node_offsets = self.offsets[:k, None].astype(np.int32)
+        self._edge_offsets = self.offsets[k:-1, None].astype(np.int32)
+
+    def cells(self, rows: np.ndarray) -> np.ndarray:
+        """Flat cell of each row of the int matrix rows in each factor, as a
+        matrix with a line per factor and a column per row of rows."""
+        k = self.n_nodes
+        by_package = rows.T.astype(np.int32)
+        cells = np.empty((self.factor_sizes.size, rows.shape[0]), dtype=np.int32)
+        np.add(by_package, self._node_offsets, out=cells[:k])
+        edges = cells[k:]
+        np.multiply(by_package[self._parents], self._strides, out=edges)
+        edges += by_package[self._children]
+        edges += self._edge_offsets
+        return cells
+
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every factor's cells in flat, as views shaped like the factor."""
+        return tuple(flat[a:b].reshape(shape) for a, b, shape
+                     in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist(), self.shapes))
 
 
 @dataclass(frozen=True, eq=False)
 class SideStats:
-    """Raw observation counts for one outcome side.
+    """Raw observation counts for one outcome side, one flat vector over the layout.
 
     node_counts[i][v] counts records with package i at version v;
     edge_counts[(p, c)][u, w] counts records with the pair (u, w) active.
+    Both are views of counts.
     """
 
     n: int
-    node_counts: tuple[np.ndarray, ...]
-    edge_counts: tuple[np.ndarray, ...]
+    counts: np.ndarray
+    layout: FactorLayout
 
     @classmethod
-    def empty(cls, graph: DependencyGraph) -> "SideStats":
-        return cls(
-            n=0,
-            node_counts=tuple(np.zeros(m, dtype=np.int64) for m in graph.domain_sizes),
-            edge_counts=tuple(
-                np.zeros((len(graph.domains[p]), len(graph.domains[c])), dtype=np.int64)
-                for p, c in graph.edges
-            ),
-        )
+    def empty(cls, layout: FactorLayout) -> "SideStats":
+        return cls(n=0, counts=np.zeros(layout.size, dtype=np.int64), layout=layout)
 
-    @property
+    @cached_property
     def factors(self) -> tuple[np.ndarray, ...]:
         """Every factor's counts: packages in order, then edges."""
-        return (*self.node_counts, *self.edge_counts)
+        return self.layout.views(self.counts)
 
-    def add(self, graph: DependencyGraph, rows: np.ndarray) -> "SideStats":
-        """These counts plus one record per row of the int matrix rows."""
-        counts = [c + np.bincount(cells, minlength=c.size).reshape(c.shape)
-                  for c, cells in zip(self.factors, _factor_cells(graph, rows))]
-        k = len(self.node_counts)
-        return SideStats(n=self.n + rows.shape[0], node_counts=tuple(counts[:k]),
-                         edge_counts=tuple(counts[k:]))
+    @property
+    def node_counts(self) -> tuple[np.ndarray, ...]:
+        return self.factors[:self.layout.n_nodes]
+
+    @property
+    def edge_counts(self) -> tuple[np.ndarray, ...]:
+        return self.factors[self.layout.n_nodes:]
+
+    def add(self, rows: np.ndarray) -> "SideStats":
+        """These counts plus one record per row of the int matrix rows, in a new buffer."""
+        added = np.bincount(self.layout.cells(rows).ravel(), minlength=self.layout.size)
+        return SideStats(n=self.n + rows.shape[0], counts=self.counts + added,
+                         layout=self.layout)
 
 
 @dataclass(frozen=True, eq=False)
 class FactorTable:
     """Per-package and per-edge factor weights, with cached logarithms.
 
-    Fitted tables are normalized (every factor sums to 1); the density
-    operations only require strictly positive weights.
+    weights and log are flat vectors over the layout; node_weights,
+    edge_weights, node_log and edge_log are views of them shaped like the
+    factors.  Fitted tables are normalized (every factor sums to 1); the
+    density operations only require strictly positive weights.
     """
 
-    node_weights: tuple[np.ndarray, ...]
-    edge_weights: tuple[np.ndarray, ...]
-    edges: tuple[tuple[int, int], ...]
+    weights: np.ndarray
+    log: np.ndarray
+    layout: FactorLayout
     smoothing: float
-    node_log: tuple[np.ndarray, ...]
-    edge_log: tuple[np.ndarray, ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.layout.edges
+
+    @cached_property
+    def _weight_factors(self) -> tuple[np.ndarray, ...]:
+        return self.layout.views(self.weights)
+
+    @cached_property
+    def _log_factors(self) -> tuple[np.ndarray, ...]:
+        return self.layout.views(self.log)
+
+    @property
+    def node_weights(self) -> tuple[np.ndarray, ...]:
+        return self._weight_factors[:self.layout.n_nodes]
+
+    @property
+    def edge_weights(self) -> tuple[np.ndarray, ...]:
+        return self._weight_factors[self.layout.n_nodes:]
+
+    @property
+    def node_log(self) -> tuple[np.ndarray, ...]:
+        return self._log_factors[:self.layout.n_nodes]
+
+    @property
+    def edge_log(self) -> tuple[np.ndarray, ...]:
+        return self._log_factors[self.layout.n_nodes:]
 
     @classmethod
     def from_weights(
@@ -123,39 +189,22 @@ class FactorTable:
         edges: tuple[tuple[int, int], ...],
         smoothing: float,
     ) -> "FactorTable":
-        nodes = tuple(np.asarray(w, dtype=float) for w in node_weights)
-        edgew = tuple(np.asarray(w, dtype=float) for w in edge_weights)
-        for w in (*nodes, *edgew):
-            if not np.all(w > 0):
-                raise ValueError("factor weights must be strictly positive")
-        return cls(
-            node_weights=nodes,
-            edge_weights=edgew,
-            edges=edges,
-            smoothing=smoothing,
-            node_log=tuple(np.log(w) for w in nodes),
-            edge_log=tuple(np.log(w) for w in edgew),
-        )
+        nodes = [np.asarray(w, dtype=float) for w in node_weights]
+        factors = [*nodes, *(np.asarray(w, dtype=float) for w in edge_weights)]
+        layout = FactorLayout(tuple(w.size for w in nodes), edges)
+        if [w.shape for w in factors] != list(layout.shapes):
+            raise ValueError("factor weights do not have the shapes of the graph's factors")
+        weights = np.concatenate([w.ravel() for w in factors])
+        if not np.all(weights > 0):
+            raise ValueError("factor weights must be strictly positive")
+        return cls(weights=weights, log=np.log(weights), layout=layout, smoothing=smoothing)
 
     @classmethod
-    def from_counts(
-        cls, stats: SideStats, edges: tuple[tuple[int, int], ...], smoothing: float
-    ) -> "FactorTable":
+    def from_counts(cls, stats: SideStats, smoothing: float) -> "FactorTable":
         """Smoothed frequencies, positive since counts are >= 0 and smoothing > 0."""
-        weights, logs = [], []
-        for counts in stats.factors:
-            w = (counts + smoothing) / (stats.n + smoothing * counts.size)
-            weights.append(w)
-            logs.append(np.log(w))
-        k = len(stats.node_counts)
-        return cls(
-            node_weights=tuple(weights[:k]),
-            edge_weights=tuple(weights[k:]),
-            edges=edges,
-            smoothing=smoothing,
-            node_log=tuple(logs[:k]),
-            edge_log=tuple(logs[k:]),
-        )
+        weights = (stats.counts + smoothing) / (stats.n + smoothing * stats.layout.cell_sizes)
+        return cls(weights=weights, log=np.log(weights), layout=stats.layout,
+                   smoothing=smoothing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,15 +263,16 @@ def fit(
         built.append(bool(record.outcome))
     rows = np.array(configs, dtype=np.int64).reshape(len(configs), graph.n_packages)
     mask = np.array(built, dtype=bool)
-    good = SideStats.empty(graph).add(graph, rows[mask])
-    bad = SideStats.empty(graph).add(graph, rows[~mask])
+    empty = SideStats.empty(FactorLayout(graph.domain_sizes, graph.edges))
+    good = empty.add(rows[mask])
+    bad = empty.add(rows[~mask])
     return FactorModel(
         graph=graph,
         smoothing=smoothing,
         good_stats=good,
         bad_stats=bad,
-        good=FactorTable.from_counts(good, graph.edges, smoothing),
-        bad=FactorTable.from_counts(bad, graph.edges, smoothing),
+        good=FactorTable.from_counts(good, smoothing),
+        bad=FactorTable.from_counts(bad, smoothing),
     )
 
 
@@ -235,8 +285,8 @@ def refit_incremental(model: FactorModel, record: BuildRecord) -> FactorModel:
     check_configuration(model.graph, record.config)
     side = "good" if record.outcome else "bad"
     row = np.array([record.config], dtype=np.int64)
-    stats = getattr(model, f"{side}_stats").add(model.graph, row)
-    table = FactorTable.from_counts(stats, model.graph.edges, model.smoothing)
+    stats = getattr(model, f"{side}_stats").add(row)
+    table = FactorTable.from_counts(stats, model.smoothing)
     return replace(model, **{f"{side}_stats": stats, side: table})
 
 
@@ -286,7 +336,7 @@ class RatioIndex:
     A new record changes only its own side's factors.  In each of them every
     cell's normalizer grows by the same amount, one constant shift of every
     row that offset absorbs, and one cell gains a count, whose change goes to
-    the rows holding that cell, found through a per-factor inverted index.
+    the rows holding that cell, found through an inverted index over flat cells.
     So log_ratio + offset equals log_density_many(bad) - log_density_many(good)
     up to float rounding, and best() settles near ties on exact scores.
     """
@@ -295,27 +345,37 @@ class RatioIndex:
         self.rows = rows
         self.log_ratio = log_density_many(model.bad, rows) - log_density_many(model.good, rows)
         self.offset = 0.0
-        # Rows of cell v of factor f: orders[f][bounds[f][v]:bounds[f][v + 1]].
-        self._orders: list[np.ndarray] = []
-        self._bounds: list[np.ndarray] = []
-        for cells, counts in zip(_factor_cells(model.graph, rows), model.good_stats.factors):
-            self._orders.append(np.argsort(cells, kind="stable").astype(np.int32))
-            self._bounds.append(np.concatenate(
-                ([0], np.cumsum(np.bincount(cells, minlength=counts.size)))))
+        # Rows holding flat cell v: order[bounds[v]:bounds[v + 1]].  Each
+        # factor's cells are a contiguous range, so sorting the rows factor by
+        # factor sorts them by flat cell.  Cells are computed in blocks of
+        # rows and gathered one factor at a time: no temporary spans every
+        # factor of a large matrix, which would raise the peak memory of runs
+        # over a whole space.
+        layout = model.good_stats.layout
+        blocks = [layout.cells(rows[i:i + _INDEX_BLOCK])
+                  for i in range(0, rows.shape[0], _INDEX_BLOCK)]
+        order = np.empty((layout.factor_sizes.size, rows.shape[0]), dtype=np.int32)
+        per_cell = np.zeros(layout.size, dtype=np.int64)
+        for f in range(layout.factor_sizes.size):
+            factor_cells = np.concatenate([block[f] for block in blocks])
+            order[f] = np.argsort(factor_cells, kind="stable")
+            per_cell += np.bincount(factor_cells, minlength=layout.size)
+        self._order = order.ravel()
+        self._bounds = [0, *np.cumsum(per_cell).tolist()]
 
     def add(self, model: FactorModel, record: BuildRecord) -> None:
         """Fold in record, given the model these ratios agree with before it."""
         stats = model.good_stats if record.outcome else model.bad_stats
         sign = -1.0 if record.outcome else 1.0  # the good side is the denominator
         smoothing = model.smoothing
-        cells = _factor_cells(model.graph, np.array([record.config], dtype=np.int64))
-        for counts, (cell,), order, bounds in zip(stats.factors, cells,
-                                                   self._orders, self._bounds):
-            total = stats.n + smoothing * counts.size
-            self.offset -= sign * (math.log(total + 1.0) - math.log(total))
-            held = counts.flat[cell] + smoothing
-            np.add.at(self.log_ratio, order[bounds[cell]:bounds[cell + 1]],
-                      sign * (math.log(held + 1.0) - math.log(held)))
+        cells = stats.layout.cells(np.array([record.config]))[:, 0]
+        total = stats.n + smoothing * stats.layout.factor_sizes
+        self.offset -= sign * float(np.sum(np.log(total + 1.0) - np.log(total)))
+        held = stats.counts[cells] + smoothing
+        deltas = sign * (np.log(held + 1.0) - np.log(held))
+        for cell, delta in zip(cells.tolist(), deltas.tolist()):
+            np.add.at(self.log_ratio, self._order[self._bounds[cell]:self._bounds[cell + 1]],
+                      delta)
 
     def best(self, model: FactorModel, open_rows: np.ndarray) -> tuple[np.ndarray, float]:
         """Open rows with the highest expected improvement, ascending, and that score.
@@ -421,6 +481,7 @@ def load_model(path: str) -> FactorModel:
     _check_smoothing(smoothing, "model smoothing")
     smoothing = float(smoothing)
     sizes = graph.domain_sizes
+    layout = FactorLayout(sizes, graph.edges)
 
     def side_stats(side: str) -> SideStats:
         data = _field(payload, side, dict, "an object")
@@ -451,7 +512,8 @@ def load_model(path: str) -> FactorModel:
                 raise ValueError(f"model is missing counts for edge {key}")
             counts = _field(by_edge[key], "counts", list, "a list", f"{side}.edges[].")
             edges.append(_counts(counts, (sizes[p], sizes[c]), n, f"{side} edge {key}"))
-        return SideStats(n=n, node_counts=node_counts, edge_counts=tuple(edges))
+        counts = np.concatenate([c.ravel() for c in (*node_counts, *edges)])
+        return SideStats(n=n, counts=counts, layout=layout)
 
     good = side_stats("good")
     bad = side_stats("bad")
@@ -460,8 +522,8 @@ def load_model(path: str) -> FactorModel:
         smoothing=smoothing,
         good_stats=good,
         bad_stats=bad,
-        good=FactorTable.from_counts(good, graph.edges, smoothing),
-        bad=FactorTable.from_counts(bad, graph.edges, smoothing),
+        good=FactorTable.from_counts(good, smoothing),
+        bad=FactorTable.from_counts(bad, smoothing),
     )
     prior = _field(payload, "success_prior", (int, float), "a number")
     if prior != model.success_prior:

@@ -9,13 +9,21 @@ import pytest
 from buildtuner import (
     BuildRecord,
     Dataset,
+    DatasetOracle,
+    SamplerConfig,
     auprc,
     auprc_experiment,
+    crowd_score_many,
     derive_seed,
+    expected_improvement_many,
     precision,
     recall,
+    run,
+    split_train_test,
+    substream,
     sweep_experiment,
 )
+from buildtuner.metrics import _descending
 from helpers import chain_graph, distinct_records
 
 
@@ -224,3 +232,23 @@ class TestAuprcExperiment:
         crowd = auprc_experiment(dataset, "crowd", seed=2, selections=10,
                                  bootstrap_size=5)
         assert 0.0 < bayes <= 1.0 and 0.0 < crowd <= 1.0
+
+    @pytest.mark.parametrize("strategy, score", [
+        ("crowd", crowd_score_many),
+        ("bayesian", expected_improvement_many),
+    ])
+    def test_tie_break_matches_full_digest_sort(self, strategy, score):
+        """Digesting only the tied scores ranks as digesting every record."""
+        dataset = _replay_dataset(n_records=80, seed=4)
+        train, test = split_train_test(dataset, 0.5, substream(2, "split"))
+        config = SamplerConfig(strategy=strategy, bootstrap_size=5, budget=10, seed=2)
+        model = run(DatasetOracle(train), dataset.graph, config).model
+        scores = score(model, np.asarray([r.config for r in test.records]))
+        digests = test.digests
+        full = sorted(range(len(test)), key=lambda i: (-scores[i], digests[i]))
+        assert _descending(test, scores) == full
+        # Ties occur, and the digests reorder them.
+        assert full != sorted(range(len(test)), key=lambda i: -scores[i])
+        ranked = [(float(scores[i]), test.records[i].outcome) for i in full]
+        assert auprc_experiment(dataset, strategy, seed=2, selections=10,
+                                bootstrap_size=5) == auprc(ranked)

@@ -15,6 +15,7 @@ from buildtuner import (
     SamplerConfig,
     bootstrap,
     config_digest,
+    crowd_score_many,
     expected_improvement_many,
     fit,
     generate_benchmark,
@@ -25,6 +26,7 @@ from buildtuner import (
     substream,
     synthetic_oracle,
 )
+from buildtuner import sampler
 from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
 from buildtuner.sampler import TraceEntry
 from buildtuner.surrogate import RatioIndex
@@ -85,6 +87,9 @@ class TestSamplerConfig:
             ({"bootstrap_size": 0}, "bootstrap_size"),
             ({"budget": -1}, "budget"),
             ({"pool_size": 0}, "pool_size"),
+            ({"crowd_floor": float("nan")}, "crowd_floor"),
+            ({"crowd_floor": float("inf")}, "crowd_floor"),
+            ({"crowd_floor": -0.05}, "crowd_floor"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -393,8 +398,8 @@ def test_digest_bookkeeping_matches_configspace():
 
 
 def _reference_run(oracle, graph, config):
-    """The from-scratch bayesian loop over fixed rows that RatioIndex replaced:
-    every step scores all open rows with expected_improvement_many.
+    """The from-scratch loop over fixed rows that run's selection replaced:
+    every step scores all open rows, rows[offered], with the strategy's score.
 
     Returns the history, the trace, the final model, and the size of each
     step's set of tied maxima.
@@ -420,8 +425,14 @@ def _reference_run(oracle, graph, config):
         offered = np.flatnonzero(open_rows)
         if not offered.size:
             break
-        scores = expected_improvement_many(model, rows[offered])
-        tied = np.flatnonzero(scores == scores.max())
+        if config.strategy == "random":
+            scores, tied = None, np.arange(offered.size)
+        else:
+            if config.strategy == "bayesian":
+                scores = expected_improvement_many(model, rows[offered])
+            else:
+                scores = crowd_score_many(model, rows[offered], floor=config.crowd_floor)
+            tied = np.flatnonzero(scores == scores.max())
         tie_sizes.append(tied.size)
         pick = int(tied[rng_tie.integers(tied.size)])
         chosen = tuple(rows[offered[pick]].tolist())
@@ -429,9 +440,21 @@ def _reference_run(oracle, graph, config):
         record = BuildRecord(chosen, oracle.evaluate(chosen))
         history.add(record)
         trace.append(TraceEntry(t=t, digest=config_digest(graph, chosen),
-                                score=float(scores[pick]), built=record.outcome))
+                                score=None if scores is None else float(scores[pick]),
+                                built=record.outcome))
         model = refit_incremental(model, record)
     return history, tuple(trace), model, tie_sizes
+
+
+def _assert_same_model(model, reference):
+    """Bitwise-equal counts, weights and logs on both sides."""
+    for side in ("good", "bad"):
+        stats, ref_stats = getattr(model, f"{side}_stats"), getattr(reference, f"{side}_stats")
+        table, ref_table = getattr(model, side), getattr(reference, side)
+        assert stats.n == ref_stats.n
+        for a, b in ((stats.counts, ref_stats.counts), (table.weights, ref_table.weights),
+                     (table.log, ref_table.log)):
+            assert np.array_equal(a, b)
 
 
 def _planted(seed):
@@ -496,9 +519,7 @@ class TestIncrementalSelectionParity:
         result = run(oracle, graph, config)
         assert result.history.entries == history.entries
         assert result.trace == trace
-        assert all(np.array_equal(a, b) for a, b in zip(
-            (*result.model.good_stats.factors, *result.model.bad_stats.factors),
-            (*model.good_stats.factors, *model.bad_stats.factors)))
+        _assert_same_model(result.model, model)
         assert drift["calls"] == len(trace) == budget
         if space in (_always_fail, _wide):
             assert max(tie_sizes) > 1
@@ -506,3 +527,33 @@ class TestIncrementalSelectionParity:
             assert drift["all_tied"]
         if space is _wide:
             assert drift["largest"] > 700
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("space", [_planted, _listed, _always_fail],
+                             ids=["exhaustive", "listed", "always-fail"])
+    @pytest.mark.parametrize("strategy, floor", [
+        ("crowd", 0.0), ("crowd", 0.05), ("random", 0.0),
+    ], ids=["crowd", "crowd-floor", "random"])
+    def test_crowd_and_random_match_from_scratch_loop(self, monkeypatch, strategy, floor,
+                                                      space, seed):
+        config = SamplerConfig(strategy=strategy, crowd_floor=floor, bootstrap_size=10,
+                               budget=60, seed=seed)
+        graph, oracle = space(seed)
+        history, trace, model, tie_sizes = _reference_run(oracle, graph, config)
+        scored = []
+
+        def counted(*args, **kwargs):
+            scored.append(args[1].shape[0])
+            return crowd_score_many(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "crowd_score_many", counted)
+        result = run(oracle, graph, config)
+        assert result.history.entries == history.entries
+        assert result.trace == trace
+        _assert_same_model(result.model, model)
+        # Only a good record makes crowd selection score the rows again.
+        goods = sum(entry.built for entry in trace[:-1])
+        assert len(scored) == (1 + goods if strategy == "crowd" else 0)
+        if space is _always_fail:
+            # Nothing ever builds: every open row ties at every step.
+            assert tie_sizes == list(range(tie_sizes[0], tie_sizes[0] - len(trace), -1))

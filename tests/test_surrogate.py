@@ -373,6 +373,18 @@ def _counted_by_hand(graph, records, outcome):
     return len(side), nodes, edges
 
 
+_UNEVEN_CONFIGS = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3))
+
+
+def _state_of(model):
+    """Copies of both sides' n, counts, weights and logs, factor by factor."""
+    return [np.array(a) for side in ("good", "bad")
+            for a in (getattr(model, f"{side}_stats").n,
+                      *getattr(model, f"{side}_stats").factors,
+                      *getattr(model, side).node_weights, *getattr(model, side).edge_weights,
+                      *getattr(model, side).node_log, *getattr(model, side).edge_log)]
+
+
 def _counts_of(stats):
     return (stats.n, [c.tolist() for c in stats.node_counts],
             [c.tolist() for c in stats.edge_counts])
@@ -387,24 +399,40 @@ class TestCounting:
             fit(_history(graph, [((0, 1), True)]), graph, smoothing=smoothing)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3)),
-                    max_size=25),
+    @given(st.lists(_UNEVEN_CONFIGS, max_size=25),
            st.lists(st.booleans(), min_size=25, max_size=25),
            st.sampled_from(["mixed", "all good", "all bad"]),
-           st.booleans())
-    def test_property_fit_counts_each_record(self, configs, flips, mode, last_good):
+           st.lists(st.tuples(_UNEVEN_CONFIGS, st.booleans()), min_size=1, max_size=8),
+           st.sampled_from([1.0, 0.5, 1e-30]))
+    def test_property_fit_counts_each_record(self, configs, flips, mode, chain, smoothing):
         outcomes = {"mixed": flips, "all good": [True] * 25, "all bad": [False] * 25}[mode]
         records = [BuildRecord(c, o) for c, o in zip(configs, outcomes)]
-        model = fit(records, _UNEVEN)
+        model = fit(records, _UNEVEN, smoothing)
         for stats, outcome in ((model.good_stats, True), (model.bad_stats, False)):
             assert _counts_of(stats) == _counted_by_hand(_UNEVEN, records, outcome)
             assert all(c.dtype == np.int64 for c in (*stats.node_counts, *stats.edge_counts))
-        before = (_counts_of(model.good_stats), _counts_of(model.bad_stats))
-        updated = refit_incremental(model, BuildRecord((2, 1, 3), last_good))
-        assert (_counts_of(model.good_stats), _counts_of(model.bad_stats)) == before
-        extended = records + [BuildRecord((2, 1, 3), last_good)]
-        for stats, outcome in ((updated.good_stats, True), (updated.bad_stats, False)):
-            assert _counts_of(stats) == _counted_by_hand(_UNEVEN, extended, outcome)
+        # Each refit in a chain equals a full fit bit for bit, and leaves the
+        # model it started from as it was.
+        for config, outcome in chain:
+            before = _state_of(model)
+            updated = refit_incremental(model, BuildRecord(config, outcome))
+            assert all(np.array_equal(a, b) for a, b in zip(_state_of(model), before))
+            records.append(BuildRecord(config, outcome))
+            refitted = fit(records, _UNEVEN, smoothing)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(_state_of(updated), _state_of(refitted)))
+            # The per-factor formula that the flat buffers replaced.
+            for side in ("good", "bad"):
+                stats, table = getattr(updated, f"{side}_stats"), getattr(updated, side)
+                for counts, weights, logs in zip(
+                        stats.factors, (*table.node_weights, *table.edge_weights),
+                        (*table.node_log, *table.edge_log)):
+                    expected = (counts + smoothing) / (stats.n + smoothing * counts.size)
+                    assert np.array_equal(weights, expected)
+                    assert np.array_equal(logs, np.log(expected))
+            model = updated
+        for stats, outcome in ((model.good_stats, True), (model.bad_stats, False)):
+            assert _counts_of(stats) == _counted_by_hand(_UNEVEN, records, outcome)
 
 
 class TestPersistence:
