@@ -67,7 +67,6 @@ from .sampler import (
     SamplerConfig,
     bootstrap,
     run,
-    select_next,
 )
 from .surrogate import (
     FactorModel,

@@ -41,6 +41,7 @@ __all__ = [
     "BuildUnit",
     "NodeStatus",
     "PlantedRuleSet",
+    "RulesError",
     "SimReport",
     "SyntheticOracle",
     "build_dag",
@@ -56,6 +57,10 @@ __all__ = [
 
 class BenchmarkError(ValueError):
     """The benchmark generator could not satisfy the requested target."""
+
+
+class RulesError(ValueError):
+    """A planted rule set or rules file is malformed."""
 
 
 class NodeStatus(Enum):
@@ -278,6 +283,9 @@ def simulate(
     )
 
 
+_RULE_FIELDS = ("parent", "parent_version", "child", "child_version")
+
+
 @dataclass(frozen=True)
 class PlantedRuleSet:
     """Forbidden (parent version, child version) pairs plus noise rate.
@@ -289,39 +297,31 @@ class PlantedRuleSet:
     noise: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.noise < 1.0):
-            raise ValueError(f"noise {self.noise} outside [0, 1)")
+        noise = self.noise
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+            raise RulesError(f"noise must be a number, got {noise!r}")
+        if not (0.0 <= noise < 1.0):
+            raise RulesError(f"noise {noise} outside [0, 1)")
+        object.__setattr__(self, "noise", float(noise))
 
     def to_dict(self) -> dict:
         return {
-            "forbidden": [
-                {
-                    "parent": p,
-                    "parent_version": pv,
-                    "child": c,
-                    "child_version": cv,
-                }
-                for p, pv, c, cv in sorted(self.forbidden)
-            ],
+            "forbidden": [dict(zip(_RULE_FIELDS, rule)) for rule in sorted(self.forbidden)],
             "noise": self.noise,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PlantedRuleSet":
-        try:
-            rules = frozenset(
-                (
-                    str(e["parent"]),
-                    str(e["parent_version"]),
-                    str(e["child"]),
-                    str(e["child_version"]),
-                )
-                for e in payload["forbidden"]
-            )
-            noise = float(payload.get("noise", 0.0))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed rule payload: {exc}") from exc
-        return cls(forbidden=rules, noise=noise)
+        if not (isinstance(payload, dict) and isinstance(payload.get("forbidden"), list)):
+            raise RulesError("rules must be an object with a 'forbidden' list")
+        rules = set()
+        for entry in payload["forbidden"]:
+            if not (isinstance(entry, dict)
+                    and all(isinstance(entry.get(field), str) for field in _RULE_FIELDS)):
+                raise RulesError(
+                    f"a rule must give {', '.join(_RULE_FIELDS)} as strings: {entry!r}")
+            rules.add(tuple(entry[field] for field in _RULE_FIELDS))
+        return cls(forbidden=frozenset(rules), noise=payload.get("noise", 0.0))
 
     def check_against(self, graph: DependencyGraph) -> None:
         """Every rule must name an existing edge and valid versions."""
@@ -349,7 +349,10 @@ class PlantedRuleSet:
 
 def load_rules(path: str) -> PlantedRuleSet:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RulesError(f"{path}: invalid JSON: {exc}") from exc
     return PlantedRuleSet.from_dict(payload)
 
 

@@ -22,9 +22,11 @@ __all__ = [
     "DependencyGraph",
     "GraphError",
     "check_configuration",
+    "check_rows",
     "config_digest",
     "config_from_labels",
     "enumerate_configurations",
+    "first_occurrences",
     "full_space_matrix",
     "labels_of",
     "load_graph",
@@ -206,17 +208,50 @@ def validate_graph(graph: DependencyGraph) -> None:
 
 
 def check_configuration(graph: DependencyGraph, config: Configuration) -> None:
+    """Raise GraphError unless config holds one integer version index in
+    range per package; a float or a string is not a version index."""
     if len(config) != graph.n_packages:
         raise GraphError(
             f"configuration length {len(config)} does not match "
             f"{graph.n_packages} packages"
         )
     for i, v in enumerate(config):
+        # type() first: a plain int, the common case, skips the slower isinstance.
+        if type(v) is not int and not isinstance(v, (int, np.integer)):
+            raise GraphError(f"version index {v!r} for package {i} is not an integer")
         if not (0 <= v < len(graph.domains[i])):
             raise GraphError(
                 f"version index {v} out of range for package {i} "
                 f"({graph.packages[i]!r})"
             )
+
+
+def check_rows(graph: DependencyGraph, configs) -> np.ndarray:
+    """A sequence of configurations as a new int64 matrix, one row each.
+
+    Integer rows in range pass in a few vector operations; any other input
+    goes row by row through check_configuration, which raises GraphError.
+    """
+    sizes = np.asarray(graph.domain_sizes)
+    try:
+        rows = np.asarray(configs)
+    except ValueError:  # rows of different lengths
+        rows = None
+    if (rows is not None and rows.dtype.kind in "iu" and rows.shape[1:] == sizes.shape
+            and not ((rows < 0) | (rows >= sizes)).any()):
+        return rows.astype(np.int64)
+    for config in configs:
+        check_configuration(graph, config)
+    return np.array(configs, dtype=np.int64).reshape(-1, sizes.size)
+
+
+def first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that equal no earlier row."""
+    order = np.lexsort(rows.T)  # stable, so equal rows stay in row order
+    ranked = rows[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]] = False
+    return first
 
 
 def space_size(graph: DependencyGraph) -> int:
@@ -278,6 +313,8 @@ def config_digest(graph: DependencyGraph, config: Configuration) -> str:
 
 def config_from_labels(graph: DependencyGraph, versions: dict[str, str]) -> Configuration:
     """Build a configuration from a {package name: version label} mapping."""
+    if not isinstance(versions, dict):
+        raise GraphError(f"versions must map package names to labels, got {versions!r}")
     if set(versions) != set(graph.packages):
         extra = sorted(set(versions) - set(graph.packages))
         missing = sorted(set(graph.packages) - set(versions))

@@ -1,10 +1,13 @@
 """Labeled build outcome datasets.
 
-A dataset pairs a dependency graph with a list of (configuration, outcome)
-records, each configuration at most once.  In memory a configuration is its
-tuple; digests identify configurations only in files, traces and messages.
-On disk a dataset is JSONL: the first line is a header naming the graph
-file, each following line is one record keyed by version labels.
+A dataset pairs a dependency graph with (configuration, outcome) records,
+each configuration at most once.  In memory it is one matrix of version
+indices, a row per configuration, and one outcome vector, checked once when
+constructed or loaded.  A split takes rows of it, and a replay run lists
+them as its candidates, without a second check.  Digests identify
+configurations only in files, traces and messages.  On disk a dataset is
+JSONL: a header naming the graph file, then one record per line keyed by
+version labels.
 """
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -19,10 +24,10 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
-    check_configuration,
+    check_rows,
     config_digest,
     config_from_labels,
-    labels_of,
+    first_occurrences,
     load_graph,
 )
 
@@ -73,19 +78,38 @@ class DatasetSummary:
 class Dataset:
     """An immutable set of build records over one graph, unique by configuration.
 
-    Records are keyed by their configuration tuples; ``digests`` derives the
-    canonical digests that name the same configurations in files and traces.
+    It is one read-only int64 matrix ``rows``, a configuration per row, and
+    one read-only bool vector ``built``, checked once by the constructor.
+    ``records`` and ``digests`` are derived from them.
     """
 
-    def __init__(self, graph: DependencyGraph, records: list[BuildRecord] | tuple):
-        self.graph = graph
-        self.records: tuple[BuildRecord, ...] = tuple(records)
-        seen: set[Configuration] = set()
-        for record in self.records:
-            check_configuration(graph, record.config)
-            if record.config in seen:
-                raise DatasetError(_duplicate(graph, record.config))
-            seen.add(record.config)
+    def __init__(self, graph: DependencyGraph, records: Iterable[BuildRecord]):
+        records = tuple(records)
+        rows = check_rows(graph, [r.config for r in records])
+        outcomes = [r.outcome for r in records]
+        for outcome in outcomes:
+            if not isinstance(outcome, (bool, np.bool_)):
+                raise DatasetError(f"outcome must be true or false, not {outcome!r}")
+        first = first_occurrences(rows)
+        if not first.all():
+            raise DatasetError(_duplicate(graph, tuple(rows[np.argmin(first)].tolist())))
+        built = np.array(outcomes, dtype=bool)
+        rows.flags.writeable = built.flags.writeable = False
+        self.graph, self.rows, self.built = graph, rows, built
+
+    @classmethod
+    def _checked(cls, graph: DependencyGraph, rows: np.ndarray, built: np.ndarray) -> "Dataset":
+        """A dataset over rows and outcomes already known valid and distinct."""
+        dataset = cls.__new__(cls)
+        rows.flags.writeable = built.flags.writeable = False
+        dataset.graph, dataset.rows, dataset.built = graph, rows, built
+        return dataset
+
+    @cached_property
+    def records(self) -> tuple[BuildRecord, ...]:
+        """The records in row order, with int tuples and bool outcomes."""
+        return tuple(BuildRecord(tuple(config), outcome)
+                     for config, outcome in zip(self.rows.tolist(), self.built.tolist()))
 
     @property
     def digests(self) -> tuple[str, ...]:
@@ -93,7 +117,7 @@ class Dataset:
         return tuple(config_digest(self.graph, r.config) for r in self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.rows.shape[0]
 
     def __iter__(self):
         return iter(self.records)
@@ -102,12 +126,13 @@ class Dataset:
         return (
             isinstance(other, Dataset)
             and self.graph == other.graph
-            and self.records == other.records
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.built, other.built)
         )
 
     @property
     def good_count(self) -> int:
-        return sum(1 for r in self.records if r.outcome)
+        return int(np.count_nonzero(self.built))
 
 
 def _duplicate(graph: DependencyGraph, config: Configuration) -> str:
@@ -133,7 +158,7 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid JSON in header: {exc}", line=1) from exc
-    if not isinstance(header, dict) or "graph" not in header:
+    if not isinstance(header, dict) or not isinstance(header.get("graph"), str):
         raise DatasetError("header must be an object naming the graph file", line=1)
     if header.get("format") != FORMAT_VERSION:
         raise DatasetError(
@@ -143,7 +168,8 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
     if graph is None:
         graph_path = os.path.join(os.path.dirname(os.path.abspath(path)), header["graph"])
         graph = load_graph(graph_path)
-    records = []
+    configs: list[Configuration] = []
+    outcomes: list[bool] = []
     seen: set[Configuration] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -165,8 +191,11 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
         if not isinstance(built, bool):
             raise DatasetError(f"'built' must be true or false, not {built!r}",
                                line=lineno)
-        records.append(BuildRecord(config=config, outcome=built))
-    return Dataset(graph, records)
+        configs.append(config)
+        outcomes.append(built)
+    # Each line was checked above: labels name valid versions, no repeats.
+    rows = np.array(configs, dtype=np.int64).reshape(-1, graph.n_packages)
+    return Dataset._checked(graph, rows, np.array(outcomes, dtype=bool))
 
 
 def save_dataset(dataset: Dataset, path: str, graph_filename: str) -> None:
@@ -175,12 +204,11 @@ def save_dataset(dataset: Dataset, path: str, graph_filename: str) -> None:
         fh.write(json.dumps({"format": FORMAT_VERSION, "graph": graph_filename},
                             sort_keys=True))
         fh.write("\n")
-        for record in dataset.records:
-            fh.write(json.dumps(
-                {"versions": labels_of(dataset.graph, record.config),
-                 "built": record.outcome},
-                sort_keys=True,
-            ))
+        graph = dataset.graph
+        for config, built in zip(dataset.rows.tolist(), dataset.built.tolist()):
+            versions = {name: domain[v]
+                        for name, domain, v in zip(graph.packages, graph.domains, config)}
+            fh.write(json.dumps({"versions": versions, "built": built}, sort_keys=True))
             fh.write("\n")
 
 
@@ -197,11 +225,10 @@ def split_train_test(
     n = len(dataset)
     n_train = int(math.floor(train_fraction * n + 0.5))
     order = rng.permutation(n)
-    train_idx = sorted(int(i) for i in order[:n_train])
-    test_idx = sorted(int(i) for i in order[n_train:])
-    train = Dataset(dataset.graph, [dataset.records[i] for i in train_idx])
-    test = Dataset(dataset.graph, [dataset.records[i] for i in test_idx])
-    return train, test
+    train, test = np.sort(order[:n_train]), np.sort(order[n_train:])
+    graph, rows, built = dataset.graph, dataset.rows, dataset.built
+    return (Dataset._checked(graph, rows[train], built[train]),
+            Dataset._checked(graph, rows[test], built[test]))
 
 
 class DatasetOracle:
@@ -209,14 +236,15 @@ class DatasetOracle:
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        self._outcomes = {record.config: record.outcome for record in dataset.records}
+        self._outcomes = dict(zip(map(tuple, dataset.rows.tolist()), dataset.built.tolist()))
 
     @property
     def graph(self) -> DependencyGraph:
         return self._dataset.graph
 
-    def candidate_configurations(self) -> tuple[Configuration, ...]:
-        return tuple(r.config for r in self._dataset.records)
+    def candidate_configurations(self) -> Dataset:
+        """The dataset itself: its rows are the candidates, already checked."""
+        return self._dataset
 
     def evaluate(self, config: Configuration) -> bool:
         try:

@@ -213,14 +213,14 @@ def auprc_experiment(
         smoothing=smoothing,
     )
     result = run(DatasetOracle(train), dataset.graph, cfg)
-    matrix = np.asarray([r.config for r in test.records], dtype=np.int64)
     if strategy == "bayesian":
-        scores = expected_improvement_many(result.model, matrix)
+        scores = expected_improvement_many(result.model, test.rows)
     elif strategy == "crowd":
-        scores = crowd_score_many(result.model, matrix)
+        scores = crowd_score_many(result.model, test.rows)
     else:
         scores = substream(seed, "rank").random(len(test))
-    ranked = [(float(scores[i]), test.records[i].outcome) for i in _descending(test, scores)]
+    built = test.built.tolist()
+    ranked = [(float(scores[i]), built[i]) for i in _descending(test, scores)]
     return auprc(ranked)
 
 
@@ -231,6 +231,7 @@ def _descending(dataset: Dataset, scores: np.ndarray) -> list[int]:
     records that share their score with another record are digested.
     """
     _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
-    tied = np.flatnonzero(sizes[group] > 1).tolist()
-    digests = {i: config_digest(dataset.graph, dataset.records[i].config) for i in tied}
+    tied = np.flatnonzero(sizes[group] > 1)
+    digests = {i: config_digest(dataset.graph, tuple(config))
+               for i, config in zip(tied.tolist(), dataset.rows[tied].tolist())}
     return sorted(range(len(scores)), key=lambda i: (-scores[i], digests.get(i, "")))

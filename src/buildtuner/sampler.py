@@ -6,19 +6,22 @@ strategy score, folding each observation back into the model.  Three
 strategies are supported: "bayesian" (expected improvement), "crowd"
 (good-side frequency product), and "random" (uniform baseline).
 
-Over fixed candidate rows no strategy rescores the open rows at each step.
+Fixed candidate rows are the whole space, or an oracle's listed candidates:
+a replay oracle's Dataset, whose checked rows are used as they are, or any
+other list, checked once.  Over fixed rows no strategy rescores the open
+rows at each step.
 Bayesian selection updates every row's score incrementally after each
 observation (surrogate.RatioIndex) and settles near-ties on from-scratch
 scores; crowd selection keeps every row's score until a good record
 changes it; random selection ties every open row.  So each makes the same
 choice, and draws the same tie-break, as rescoring every open row.  Pools
-and select_next score their rows from scratch.
+score their rows from scratch.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -27,12 +30,14 @@ from .configspace import (
     DependencyGraph,
     GraphError,
     check_configuration,
+    check_rows,
     config_digest,
+    first_occurrences,
     full_space_matrix,
     random_configuration,
     space_size,
 )
-from .dataset import BuildRecord
+from .dataset import BuildRecord, Dataset
 from .rng import substream
 from .surrogate import (
     FactorModel,
@@ -53,7 +58,6 @@ __all__ = [
     "TraceEntry",
     "bootstrap",
     "run",
-    "select_next",
 ]
 
 STRATEGIES = ("bayesian", "crowd", "random")
@@ -72,9 +76,9 @@ class BuildOracle(Protocol):
 
     def evaluate(self, config: Configuration) -> bool: ...
 
-    def candidate_configurations(self) -> Sequence[Configuration] | None:
-        """Fixed candidate list (a repeat counts once), or None when the
-        space is generative."""
+    def candidate_configurations(self) -> Dataset | Sequence[Configuration] | None:
+        """Fixed candidates, as a Dataset or a list (a repeat counts once),
+        or None when the space is generative."""
         ...
 
 
@@ -178,8 +182,8 @@ class _Candidates:
     Over fixed rows, bayesian selection goes through a RatioIndex, built at
     the first selection and updated by observe(); crowd selection keeps the
     crowd score of every row, computed at the first selection and again
-    after each good record; random selection ties the open rows.  Pool
-    selection scores each fresh pool from scratch.
+    after each good record; random selection ties the open rows.  A fresh
+    pool is selected from as fixed rows, all open, scored from scratch.
     """
 
     def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig):
@@ -220,29 +224,31 @@ class _Candidates:
         """The unevaluated candidate with the best score, and the score, or
         None when no candidate is left; a chosen fixed row closes."""
         strategy, floor = self.config.strategy, self.config.crowd_floor
-        rows = self.rows
+        rows, open_rows = self.rows, self._open
         if rows is None:
             rows = self._pool(history, rng_pool)
             if rows is None:
                 return None
-            tied, score = _best(model, rows, strategy, floor)
-        elif not self._open.any():
+            open_rows, self._crowd = np.ones(rows.shape[0], dtype=bool), None
+        elif not open_rows.any():
             return None
-        elif strategy == "bayesian":
+        if strategy == "random":
+            tied, score = np.flatnonzero(open_rows), None
+        elif strategy == "bayesian" and self.rows is not None:
             if self._ratios is None:
                 self._ratios = RatioIndex(model, rows)
-            tied, score = self._ratios.best(model, self._open)
-        elif strategy == "crowd":
-            if self._crowd is None:
-                self._crowd = crowd_score_many(model, rows, floor=floor)
-            scores = np.where(self._open, self._crowd, -1.0)  # crowd scores are >= 0
+            tied, score = self._ratios.best(model, open_rows)
+        else:  # bayesian over a pool, or crowd
+            if strategy == "bayesian":
+                scores = expected_improvement_many(model, rows)
+            else:
+                if self._crowd is None:
+                    self._crowd = crowd_score_many(model, rows, floor=floor)
+                scores = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
             top = scores.max()
             tied, score = np.flatnonzero(scores == top), float(top)
-        else:
-            tied, score = np.flatnonzero(self._open), None
         pick = int(tied[rng_tie.integers(tied.size)])
-        if self._open is not None:
-            self._open[pick] = False
+        open_rows[pick] = False
         return tuple(rows[pick].tolist()), score
 
     def observe(self, model: FactorModel, record: BuildRecord) -> None:
@@ -259,15 +265,17 @@ class _Candidates:
 def _candidates(
     oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig, exhaustive: bool
 ) -> _Candidates:
-    """The oracle's candidates without repeats (first occurrence kept), the
-    whole space when exhaustive, or uniform draws."""
+    """The oracle's candidates without repeats (first occurrence kept; a
+    Dataset's rows as they are), the whole space when exhaustive, or uniform
+    draws."""
     listed = oracle.candidate_configurations()
-    if listed is not None:
-        configs = list(dict.fromkeys(map(tuple, listed)))
-        rows = np.asarray(configs, dtype=np.int64)
-        sizes = np.asarray(graph.domain_sizes)
-        if configs and (rows.shape[1:] != sizes.shape or ((rows < 0) | (rows >= sizes)).any()):
-            raise GraphError("a candidate configuration does not fit the graph")
+    if isinstance(listed, Dataset):
+        if listed.graph != graph:
+            raise GraphError("the candidate dataset is over another graph")
+        rows = listed.rows
+    elif listed is not None:
+        rows = check_rows(graph, listed)
+        rows = rows[first_occurrences(rows)]
     elif exhaustive:
         rows = full_space_matrix(graph).astype(np.int64)
     else:
@@ -302,23 +310,6 @@ def _bootstrap(
     return history
 
 
-def _best(
-    model: FactorModel, rows: np.ndarray, strategy: str, crowd_floor: float
-) -> tuple[np.ndarray, float | None]:
-    """Indices of the rows with the best score, ascending, and the score.
-
-    The random strategy ties every row and has no score.
-    """
-    if strategy == "random":
-        return np.arange(rows.shape[0]), None
-    if strategy == "bayesian":
-        scores = expected_improvement_many(model, rows)
-    else:
-        scores = crowd_score_many(model, rows, floor=crowd_floor)
-    top = scores.max()
-    return np.flatnonzero(scores == top), float(top)
-
-
 def bootstrap(
     oracle: BuildOracle,
     graph: DependencyGraph,
@@ -334,28 +325,6 @@ def bootstrap(
     """
     source = _candidates(oracle, graph, config, exhaustive=False)
     return _bootstrap(source, oracle, config.bootstrap_size, rng)
-
-
-def select_next(
-    model: FactorModel,
-    candidates: Iterable[Configuration],
-    history: ObservationHistory,
-    strategy: str,
-    rng: np.random.Generator,
-    crowd_floor: float = 0.0,
-) -> Configuration:
-    """Pick the unevaluated candidate with the best score.
-
-    Ties are broken uniformly with the given generator; the random strategy
-    treats every unevaluated candidate as tied.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    unevaluated = [c for c in candidates if tuple(c) not in history]
-    if not unevaluated:
-        raise NoCandidatesError("every candidate has already been evaluated")
-    tied, _ = _best(model, np.asarray(unevaluated, dtype=np.int64), strategy, crowd_floor)
-    return unevaluated[int(tied[rng.integers(tied.size)])]
 
 
 def run(

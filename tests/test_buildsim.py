@@ -1,9 +1,12 @@
 """Deduplicated build DAGs, the farmer-worker simulator, synthetic oracles."""
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildtuner import (
     BuildDag,
@@ -18,6 +21,7 @@ from buildtuner import (
 )
 from buildtuner.buildsim import (
     BenchmarkError,
+    RulesError,
     enumerate_records,
     load_rules,
     planted_outcome,
@@ -191,6 +195,31 @@ class TestPlantedRules:
         save_rules(rules, path)
         assert load_rules(path) == rules
 
+    @pytest.mark.parametrize("noise", ["0.05", False, None, [0.05], float("nan"), 10**400])
+    def test_noise_must_be_a_number_in_range(self, tmp_path, noise):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"forbidden": [], "noise": noise}))
+        with pytest.raises(RulesError, match="noise"):
+            load_rules(str(path))
+
+    @pytest.mark.parametrize("field", ["parent", "parent_version", "child", "child_version"])
+    @pytest.mark.parametrize("value", [1, None, ["v1"]])
+    def test_rule_fields_must_be_strings(self, tmp_path, field, value):
+        rule = {"parent": "A", "parent_version": "v1", "child": "B", "child_version": "v2"}
+        rule[field] = value
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"forbidden": [rule], "noise": 0.0}))
+        with pytest.raises(RulesError, match="as strings"):
+            load_rules(str(path))
+
+    @pytest.mark.parametrize("text", ["", "{", "[]", '{"noise": 0.0}', '{"forbidden": {}}',
+                                      '{"forbidden": [["A", "v1", "B", "v2"]]}'])
+    def test_malformed_rules_file(self, tmp_path, text):
+        path = tmp_path / "rules.json"
+        path.write_text(text)
+        with pytest.raises(RulesError):
+            load_rules(str(path))
+
     def test_check_against_unknown_names(self):
         rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "Z", "v1")}))
         with pytest.raises(ValueError):
@@ -200,6 +229,47 @@ class TestPlantedRules:
         rules = PlantedRuleSet(forbidden=frozenset({("B", "v1", "A", "v1")}))
         with pytest.raises(ValueError):
             rules.check_against(two_package_graph())
+
+
+def _mutated_rules(data, payload):
+    """One of: drop or retype a field, swap a version label, duplicate a
+    rule, or cut the JSON text short."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "label", "duplicate", "truncate"]))
+    rules = payload["forbidden"]
+    if kind == "truncate":
+        text = json.dumps(payload)
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if kind == "duplicate":
+        rules.insert(0, dict(rules[data.draw(st.integers(0, len(rules) - 1))]))
+        return json.dumps(payload)
+    target = data.draw(st.sampled_from([payload, *rules]))
+    if kind == "label":
+        rule = data.draw(st.sampled_from(rules))
+        field = data.draw(st.sampled_from(["parent_version", "child_version"]))
+        rule[field] = data.draw(st.sampled_from(["v1", "v2", "v3", "v9", ""]))
+    elif kind == "drop":
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    else:
+        field = data.draw(st.sampled_from(sorted(target)))
+        target[field] = data.draw(st.sampled_from(
+            [v for v in [None, 7, 0.5, "x", [], {}, True] if type(v) is not type(target[field])]))
+    return json.dumps(payload)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_rules_load_valid_or_raise_rules_error(tmp_path_factory, data):
+    rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "B", "v2"), ("B", "v2", "C", "v1")}),
+                           noise=0.05)
+    path = tmp_path_factory.mktemp("fuzz") / "rules.json"
+    path.write_text(_mutated_rules(data, rules.to_dict()))
+    try:
+        loaded = load_rules(str(path))
+    except RulesError:
+        return
+    assert all(len(rule) == 4 and all(isinstance(name, str) for name in rule)
+               for rule in loaded.forbidden)
+    assert type(loaded.noise) is float and 0.0 <= loaded.noise < 1.0
 
 
 class TestSyntheticOracle:

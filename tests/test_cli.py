@@ -369,6 +369,19 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("noise", ["0.05", False])
+    def test_malformed_rules_exit_two(self, capsys, workspace, noise):
+        payload = json.loads((workspace / "rules.json").read_text())
+        payload["noise"] = noise
+        (workspace / "rules.json").write_text(json.dumps(payload))
+        code, out, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "4"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_requires_data_or_sample(self, capsys, workspace):
         code, _, err = _run(
             ["simulate", "--graph", str(workspace / "graph.json"),

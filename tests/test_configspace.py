@@ -21,7 +21,9 @@ from buildtuner import (
 )
 from buildtuner.configspace import (
     check_configuration,
+    check_rows,
     config_from_labels,
+    first_occurrences,
     full_space_matrix,
     labels_of,
 )
@@ -118,6 +120,60 @@ def test_random_configuration_valid_and_deterministic():
         check_configuration(graph, config)
     rng2 = np.random.default_rng(7)
     assert configs == [random_configuration(graph, rng2) for _ in range(50)]
+
+
+@pytest.mark.parametrize("entry", [1.5, np.float64(1.0), "a", None, [1]])
+@pytest.mark.parametrize("check", [
+    check_configuration, lambda graph, config: check_rows(graph, [(0, 0), config]),
+], ids=["check_configuration", "check_rows"])
+def test_non_integer_version_index_rejected(check, entry):
+    with pytest.raises(GraphError, match="not an integer"):
+        check(two_package_graph(), (0, entry))
+
+
+@pytest.mark.parametrize("configs, match", [
+    ([(0, 0), (0, 2)], "out of range"),
+    ([(0, 0), (-1, 0)], "out of range"),
+    ([(0, 0), (0, 0, 0)], "length 3"),
+    ([(0, 1, 1)], "length 3"),
+])
+def test_check_rows_rejects_what_check_configuration_rejects(configs, match):
+    with pytest.raises(GraphError, match=match):
+        check_configuration(two_package_graph(), configs[-1])
+    with pytest.raises(GraphError, match=match):
+        check_rows(two_package_graph(), configs)
+
+
+def test_check_rows_returns_a_new_int64_matrix():
+    graph = two_package_graph()
+    source = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    rows = check_rows(graph, source)
+    assert rows.dtype == np.int64 and rows.tolist() == [[0, 1], [1, 0]]
+    assert not np.shares_memory(rows, source)
+    assert check_rows(graph, []).shape == (0, 2)
+
+
+@given(st.lists(st.lists(st.one_of(st.integers(-1, 2), st.floats(0, 1), st.text(max_size=1),
+                                   st.booleans()), min_size=1, max_size=3), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_check_rows_agrees_with_check_configuration(configs):
+    graph = two_package_graph()
+    try:
+        for config in configs:
+            check_configuration(graph, config)
+    except GraphError:
+        with pytest.raises(GraphError):
+            check_rows(graph, configs)
+    else:
+        assert check_rows(graph, configs).tolist() == [[int(v) for v in c] for c in configs]
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_first_occurrences_keeps_each_rows_first_copy(configs):
+    rows = np.asarray(configs, dtype=np.int64).reshape(-1, 2)
+    kept = [tuple(row) for row in rows[first_occurrences(rows)].tolist()]
+    assert kept == list(dict.fromkeys(configs))
 
 
 def test_random_configuration_uniform_within_3_sigma():

@@ -5,18 +5,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildtuner import (
     BuildRecord,
     Dataset,
     DatasetError,
     DatasetOracle,
+    GraphError,
     load_dataset,
     save_dataset,
     split_train_test,
     summarize,
 )
-from buildtuner.configspace import save_graph
+from buildtuner.configspace import first_occurrences, save_graph
 from helpers import chain_graph, distinct_records, wide_graph
 
 
@@ -119,6 +122,42 @@ def test_dataset_constructor_rejects_duplicates():
         Dataset(graph, [BuildRecord((0, 0), True), BuildRecord((0, 0), False)])
 
 
+@pytest.mark.parametrize("entry", [1.5, np.float64(1.0), "a", None])
+def test_dataset_rejects_non_integer_version_index(entry):
+    with pytest.raises(GraphError, match="not an integer"):
+        Dataset(chain_graph(2, 2), [BuildRecord((0, 0), True), BuildRecord((0, entry), True)])
+
+
+@pytest.mark.parametrize("outcome", [1, 0, 1.0, "true", None])
+def test_dataset_outcome_must_be_a_bool(outcome):
+    with pytest.raises(DatasetError, match="outcome must be true or false"):
+        Dataset(chain_graph(2, 2), [BuildRecord((0, 0), True), BuildRecord((0, 1), outcome)])
+
+
+def test_numpy_values_round_trip_as_json_booleans(tmp_path):
+    graph = chain_graph(2, 2)
+    dataset = Dataset(graph, [BuildRecord((np.int64(0), 0), np.True_),
+                              BuildRecord((1, np.int32(1)), np.False_)])
+    assert dataset.records == (BuildRecord((0, 0), True), BuildRecord((1, 1), False))
+    for record in dataset.records:
+        assert type(record.outcome) is bool and {type(v) for v in record.config} == {int}
+    save_graph(graph, str(tmp_path / "graph.json"))
+    save_dataset(dataset, str(tmp_path / "data.jsonl"), "graph.json")
+    lines = (tmp_path / "data.jsonl").read_text().splitlines()
+    assert [json.loads(line)["built"] for line in lines[1:]] == [True, False]
+    assert load_dataset(str(tmp_path / "data.jsonl")) == dataset
+
+
+def test_rows_and_outcomes_are_read_only():
+    dataset = Dataset(chain_graph(2, 2), [BuildRecord((0, 1), True), BuildRecord((1, 0), False)])
+    assert dataset.rows.dtype == np.int64 and dataset.built.dtype == bool
+    assert dataset.rows.tolist() == [[0, 1], [1, 0]] and dataset.built.tolist() == [True, False]
+    with pytest.raises(ValueError):
+        dataset.rows[0, 0] = 1
+    with pytest.raises(ValueError):
+        dataset.built[0] = False
+
+
 def test_summarize_counts():
     graph = wide_graph(36, versions=4)
     rng = np.random.default_rng(11)
@@ -173,6 +212,20 @@ class TestSplit:
         train, test = split_train_test(dataset, 0.0, np.random.default_rng(0))
         assert (len(train), len(test)) == (0, len(dataset))
 
+    def test_halves_are_row_takes_equal_to_datasets_built_from_scratch(self, monkeypatch):
+        dataset = self._dataset()
+        order = np.random.default_rng(4).permutation(len(dataset))
+        fresh = [Dataset(dataset.graph, [dataset.records[i] for i in sorted(part)])
+                 for part in (order[:12], order[12:])]
+
+        def checked_again(*args):
+            raise AssertionError("a split half was checked again")
+
+        monkeypatch.setattr(Dataset, "__init__", checked_again)
+        halves = split_train_test(dataset, 0.3, np.random.default_rng(4))
+        assert list(halves) == fresh
+        assert [half.records for half in halves] == [half.records for half in fresh]
+
     def test_invalid_fraction(self):
         with pytest.raises(ValueError, match="outside"):
             split_train_test(self._dataset(), 1.5, np.random.default_rng(0))
@@ -184,6 +237,59 @@ def test_dataset_oracle_replays_outcomes():
     oracle = DatasetOracle(dataset)
     assert oracle.evaluate((0, 0)) is True
     assert oracle.evaluate((1, 1)) is False
-    assert oracle.candidate_configurations() == ((0, 0), (1, 1))
+    assert tuple(r.config for r in oracle.candidate_configurations()) == ((0, 0), (1, 1))
     with pytest.raises(ValueError, match="not present in the replay dataset"):
         oracle.evaluate((0, 1))
+
+
+_FIELD_VALUES = [None, 7, 1.5, "v9", [], {}, True]
+
+
+def _mutated(data, lines):
+    """One of: drop or retype a field, swap a version label, duplicate a
+    line, or cut a line short."""
+    index = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["drop", "retype", "label", "duplicate", "truncate"]))
+    if kind == "duplicate":
+        return lines[:index + 1] + lines[index:]
+    if kind == "truncate":
+        return lines[:index] + [lines[index][:data.draw(st.integers(0, len(lines[index]) - 1))]]
+    payload = json.loads(lines[index])
+    target = payload
+    if kind == "label" or (index > 0 and data.draw(st.booleans())):
+        if index == 0:
+            return lines
+        target = payload["versions"]
+    field = data.draw(st.sampled_from(sorted(target)))
+    if kind == "drop":
+        del target[field]
+    elif kind == "retype":
+        target[field] = data.draw(st.sampled_from(
+            [v for v in _FIELD_VALUES if type(v) is not type(target[field])]))
+    else:
+        target[field] = data.draw(st.sampled_from(["v1", "v2", "v3", "v4", ""]))
+    return lines[:index] + [json.dumps(payload, sort_keys=True)] + lines[index + 1:]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_dataset_loads_valid_or_raises_typed_error(tmp_path_factory, data):
+    graph = chain_graph(3, 3)
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_graph(graph, str(folder / "graph.json"))
+    records = distinct_records(graph, 8, np.random.default_rng(1), lambda c: c[0] == 0)
+    path = str(folder / "data.jsonl")
+    save_dataset(Dataset(graph, records), path, "graph.json")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in _mutated(data, lines)))
+    try:
+        loaded = load_dataset(path)
+    except (DatasetError, GraphError):
+        return
+    rows, built = loaded.rows, loaded.built
+    assert rows.dtype == np.int64 and rows.shape == (len(loaded), graph.n_packages)
+    assert ((rows >= 0) & (rows < np.asarray(graph.domain_sizes))).all()
+    assert first_occurrences(rows).all()
+    assert built.dtype == bool and built.shape == (len(loaded),)

@@ -22,7 +22,6 @@ from buildtuner import (
     log_density_many,
     refit_incremental,
     run,
-    select_next,
     substream,
     synthetic_oracle,
 )
@@ -174,64 +173,6 @@ class TestBootstrap:
             bootstrap(DatasetOracle(dataset), graph, config, substream(3, "b"))
 
 
-class TestSelectNext:
-    def _tied_model(self, graph):
-        return fit([], graph)
-
-    def test_unknown_strategy(self):
-        graph = two_package_graph()
-        model = self._tied_model(graph)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            select_next(model, [(0, 0)], ObservationHistory(graph), "best",
-                        substream(0, "t"))
-
-    def test_all_evaluated(self):
-        graph = two_package_graph()
-        history = ObservationHistory(graph)
-        history.add(BuildRecord((0, 0), True))
-        with pytest.raises(NoCandidatesError, match="already been evaluated"):
-            select_next(self._tied_model(graph), [(0, 0)], history, "bayesian",
-                        substream(0, "t"))
-
-    def test_argmax_selected(self):
-        graph = two_package_graph()
-        records = [
-            BuildRecord((0, 0), True), BuildRecord((0, 1), True),
-            BuildRecord((1, 1), False),
-        ]
-        model = fit(records, graph)
-        history = ObservationHistory(graph)
-        for r in records:
-            history.add(r)
-        pick = select_next(model, [(1, 0)], history, "bayesian", substream(0, "t"))
-        assert pick == (1, 0)
-
-    def test_three_way_tie_is_uniform(self):
-        """With an empty history every candidate has the same score."""
-        graph = two_package_graph()
-        model = self._tied_model(graph)
-        candidates = [(0, 0), (0, 1), (1, 0)]
-        counts = Counter()
-        rng = substream(99, "ties")
-        for _ in range(3000):
-            counts[select_next(model, candidates, ObservationHistory(graph),
-                               "bayesian", rng)] += 1
-        for candidate in candidates:
-            assert abs(counts[candidate] / 3000 - 1 / 3) < 0.05
-
-    def test_random_strategy_uniform(self):
-        graph = two_package_graph()
-        model = self._tied_model(graph)
-        candidates = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        counts = Counter()
-        rng = substream(7, "rand")
-        for _ in range(4000):
-            counts[select_next(model, candidates, ObservationHistory(graph),
-                               "random", rng)] += 1
-        for candidate in candidates:
-            assert abs(counts[candidate] / 4000 - 0.25) < 0.05
-
-
 class TestRun:
     def test_history_and_trace_sizes(self):
         graph = chain_graph(3, 3)
@@ -353,6 +294,67 @@ class TestRun:
         for digest, record in zip(result.history.digests, result.history):
             assert record.outcome == by_digest[digest]
 
+    @staticmethod
+    def _first_pick_shares(graph, space, strategy, runs):
+        """Share of runs whose first selection takes each place among the
+        rows that a one-record bootstrap leaves open, in listed order."""
+        counts = Counter()
+        for seed in range(runs):
+            config = SamplerConfig(strategy=strategy, bootstrap_size=1, budget=1, seed=seed)
+            result = run(ListedOracle(space, lambda c: False), graph, config)
+            first, chosen = (record.config for record in result.history)
+            counts[[c for c in space if c != first].index(chosen)] += 1
+        return [counts[k] / runs for k in range(len(space) - 1)]
+
+    def test_three_way_tie_is_uniform(self):
+        """After one failed diagonal record the other three share no factor
+        cell with it, so they score exactly alike."""
+        graph = chain_graph(2, 4)
+        space = [(v, v) for v in range(4)]
+        model = fit([BuildRecord(space[0], False)], graph)
+        assert len(set(expected_improvement_many(model, np.asarray(space[1:])))) == 1
+        for share in self._first_pick_shares(graph, space, "bayesian", 3000):
+            assert abs(share - 1 / 3) < 0.05
+
+    def test_random_strategy_uniform(self):
+        graph = chain_graph(1, 5)
+        space = [(v,) for v in range(5)]
+        for share in self._first_pick_shares(graph, space, "random", 4000):
+            assert abs(share - 0.25) < 0.05
+
+    def test_dataset_candidates_are_its_rows(self):
+        """A replay oracle, even behind a delegating one, hands run the
+        dataset's checked rows without a copy."""
+
+        class Delegating:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def candidate_configurations(self):
+                return self.inner.candidate_configurations()
+
+            def evaluate(self, config):
+                return self.inner.evaluate(config)
+
+        graph = chain_graph(3, 3)
+        dataset = Dataset(graph, distinct_records(graph, 15, np.random.default_rng(6),
+                                                  lambda c: c[0] == 0))
+        source = sampler._candidates(Delegating(DatasetOracle(dataset)), graph,
+                                     SamplerConfig(), exhaustive=True)
+        assert np.shares_memory(source.rows, dataset.rows)
+
+    def test_dataset_over_another_graph_rejected(self):
+        dataset = Dataset(chain_graph(2, 3), [BuildRecord((0, 0), True)])
+        with pytest.raises(GraphError, match="another graph"):
+            run(DatasetOracle(dataset), chain_graph(2, 2), SamplerConfig(bootstrap_size=1))
+
+    @pytest.mark.parametrize("entry", [1.5, np.float64(1.0), "a", None])
+    def test_non_integer_candidate_rejected(self, entry):
+        oracle = ListedOracle([(0, 0), (0, entry)])
+        with pytest.raises(GraphError, match="not an integer"):
+            run(oracle, two_package_graph(), SamplerConfig(bootstrap_size=1, budget=1))
+        assert oracle.calls == []
+
 
 class TestPoolMode:
     # 2^25 configurations, and 2^71, beyond any 64-bit index.
@@ -407,7 +409,9 @@ def _reference_run(oracle, graph, config):
     rng_boot = substream(config.seed, "bootstrap")
     rng_tie = substream(config.seed, "tie-break")
     listed = oracle.candidate_configurations()
-    if listed is not None:
+    if isinstance(listed, Dataset):
+        rows = np.asarray([record.config for record in listed.records], dtype=np.int64)
+    elif listed is not None:
         rows = np.asarray(list(dict.fromkeys(map(tuple, listed))), dtype=np.int64)
     else:
         rows = full_space_matrix(graph).astype(np.int64)
