@@ -27,12 +27,13 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     check_configuration,
+    check_rows,
     config_digest,
     full_space_matrix,
     space_size,
     validate_graph,
 )
-from .dataset import BuildRecord
+from .dataset import Dataset
 from .rng import substream
 
 __all__ = [
@@ -111,7 +112,15 @@ def _unit_digest(package: str, version: str, dep_digests: Sequence[str]) -> str:
 
 
 def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> BuildDag:
-    """Merge the given configurations into one deduplicated build DAG."""
+    """Merge the given configurations into one deduplicated build DAG.
+
+    Each package's units get dense integer ids first: rows share a unit
+    exactly when they share its version and its children's units.  Only
+    then is each distinct unit digested, once.
+    """
+    if not isinstance(configs, np.ndarray):
+        configs = list(configs)
+    rows = check_rows(graph, configs)
     # Children-first order so each unit's dependency digests already exist.
     order: list[int] = []
     visited: set[int] = set()
@@ -129,21 +138,28 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
         visit(i)
 
     units: dict[str, BuildUnit] = {}
-    origins: dict[Configuration, str] = {}
-    for config in configs:
-        check_configuration(graph, config)
-        unit_of: dict[int, str] = {}
-        for node in order:
-            package = graph.packages[node]
-            version = graph.domains[node][config[node]]
-            deps = tuple(sorted(unit_of[c] for c in graph.children_map[node]))
+    unit_ids: dict[int, np.ndarray] = {}  # package -> each row's unit id
+    digests: dict[int, list[str]] = {}  # package -> digest of each unit id
+    for node in order:
+        package, domain = graph.packages[node], graph.domains[node]
+        children = graph.children_map[node]
+        key = rows[:, node]
+        for child in children:
+            # Dense before each fold, so the key stays below len(rows)**2.
+            key = np.unique(key, return_inverse=True)[1]
+            key = key * len(digests[child]) + unit_ids[child]
+        _, first, unit_ids[node] = np.unique(key, return_index=True, return_inverse=True)
+        digests[node] = []
+        # Each unit's version and child units, read from its first row.
+        for v, *ids in zip(rows[first, node].tolist(),
+                           *(unit_ids[c][first].tolist() for c in children)):
+            version = domain[v]
+            deps = tuple(sorted(digests[c][i] for c, i in zip(children, ids)))
             digest = _unit_digest(package, version, deps)
-            unit_of[node] = digest
-            if digest not in units:
-                units[digest] = BuildUnit(
-                    package=package, version=version, digest=digest, deps=deps
-                )
-        origins[tuple(config)] = unit_of[graph.root]
+            digests[node].append(digest)
+            units[digest] = BuildUnit(package=package, version=version, digest=digest, deps=deps)
+    roots = [digests[graph.root][i] for i in unit_ids[graph.root].tolist()]
+    origins = dict(zip(map(tuple, rows.tolist()), roots))
     return BuildDag(units=units, origins=origins)
 
 
@@ -407,14 +423,21 @@ class SyntheticOracle:
             bad |= (matrix[:, p] == pv) & (matrix[:, c] == cv)
         return ~bad
 
+    def outcomes(self, rows: np.ndarray) -> np.ndarray:
+        """What evaluate returns for each of the rows, which must already be
+        checked: the rules on every row, then the noise hash only on the
+        rows that pass them."""
+        built = self.good_mask(rows)
+        if self.rules.noise > 0.0:
+            for i in np.flatnonzero(built).tolist():
+                digest = config_digest(self.graph, tuple(rows[i].tolist()))
+                built[i] = _hash_unit_interval(self.seed, digest) >= self.rules.noise
+        return built
+
     def enumerate_good(self) -> list[Configuration]:
         """All good configurations, for spaces within the enumeration limit."""
-        matrix = full_space_matrix(self.graph)
-        mask = self.good_mask(matrix)
-        configs = [tuple(int(v) for v in row) for row in matrix[mask]]
-        if self.rules.noise > 0.0:
-            configs = [c for c in configs if self.evaluate(c)]
-        return configs
+        space = enumerate_records(self)
+        return list(map(tuple, space.rows[space.built].tolist()))
 
     def good_count(self) -> int:
         return len(self.enumerate_good())
@@ -459,14 +482,11 @@ def planted_outcome(
     return outcome
 
 
-def enumerate_records(oracle: SyntheticOracle) -> list[BuildRecord]:
-    """Label the whole space, for spaces within the enumeration limit."""
-    matrix = full_space_matrix(oracle.graph)
-    records = []
-    for row in matrix:
-        config = tuple(int(v) for v in row)
-        records.append(BuildRecord(config=config, outcome=oracle.evaluate(config)))
-    return records
+def enumerate_records(oracle: SyntheticOracle) -> Dataset:
+    """The whole space labeled by the oracle, as a dataset in
+    enumerate_configurations order; for spaces within the enumeration limit."""
+    rows = full_space_matrix(oracle.graph).astype(np.int64)
+    return Dataset._checked(oracle.graph, rows, oracle.outcomes(rows))
 
 
 def _random_tree_graph(

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, buildsim, metrics, sampler, surrogate
-from .configspace import load_graph, random_configuration, save_graph
+from .configspace import load_graph, random_configurations, save_graph, space_size
 from .dataset import (
     Dataset,
     DatasetOracle,
@@ -201,11 +201,10 @@ def _cmd_simulate(args) -> int:
     rules = buildsim.load_rules(args.rules)
     rules.check_against(graph)
     if args.data:
-        dataset = _load_data(args.data, args.graph)
-        configs = [r.config for r in dataset.records]
+        configs = _load_data(args.data, args.graph).rows
     elif args.sample:
-        rng = substream(args.seed, "simulate-sample")
-        configs = [random_configuration(graph, rng) for _ in range(args.sample)]
+        configs = random_configurations(graph, substream(args.seed, "simulate-sample"),
+                                        args.sample)
     else:
         raise _UsageError("either --data or --sample is required")
     dag = buildsim.build_dag(configs, graph)
@@ -241,15 +240,12 @@ def _cmd_gen_synthetic(args) -> int:
     buildsim.save_rules(rules, args.out_rules)
     if args.emit_data:
         oracle = buildsim.synthetic_oracle(graph, rules, seed=args.seed)
-        from .configspace import space_size
-
         if space_size(graph) > _ENUMERATION_EMIT_LIMIT:
             raise ValueError(
                 f"space of {space_size(graph)} configurations is too large to "
                 f"enumerate into a dataset (limit {_ENUMERATION_EMIT_LIMIT})"
             )
-        records = buildsim.enumerate_records(oracle)
-        dataset = Dataset(graph, records)
+        dataset = buildsim.enumerate_records(oracle)
         graph_rel = os.path.relpath(
             os.path.abspath(args.out_graph),
             os.path.dirname(os.path.abspath(args.emit_data)) or ".",

@@ -31,6 +31,7 @@ __all__ = [
     "labels_of",
     "load_graph",
     "random_configuration",
+    "random_configurations",
     "save_graph",
     "space_size",
     "validate_graph",
@@ -269,6 +270,16 @@ def random_configuration(graph: DependencyGraph, rng: np.random.Generator) -> Co
     determined by the generator state.
     """
     return tuple(int(rng.integers(len(domain))) for domain in graph.domains)
+
+
+def random_configurations(graph: DependencyGraph, rng: np.random.Generator,
+                          n: int) -> np.ndarray:
+    """n configurations drawn in one batch, as an int64 matrix, one row each.
+
+    Row i equals the i-th of n random_configuration calls on the same
+    generator, which is left in the same state.
+    """
+    return rng.integers(0, graph.domain_sizes, size=(n, graph.n_packages))
 
 
 def enumerate_configurations(graph: DependencyGraph) -> Iterator[Configuration]:

@@ -11,8 +11,10 @@ version labels.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,11 +26,13 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
+    check_configuration,
     check_rows,
     config_digest,
     config_from_labels,
     first_occurrences,
     load_graph,
+    space_size,
 )
 
 __all__ = [
@@ -199,17 +203,23 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path: str, graph_filename: str) -> None:
-    """Write JSONL with a header pointing at graph_filename (relative to path)."""
+    """Write JSONL with a header pointing at graph_filename (relative to path).
+
+    Each record line is the bytes of json.dumps(..., sort_keys=True), joined
+    from "name": "label" fragments encoded once per package version.
+    """
+    graph = dataset.graph
+    order = sorted(range(graph.n_packages), key=graph.packages.__getitem__)
+    fragments = [[f"{json.dumps(graph.packages[i])}: {json.dumps(label)}"
+                  for label in graph.domains[i]] for i in order]
+    starts = {built: f'{{"built": {json.dumps(built)}, "versions": {{' for built in (False, True)}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": FORMAT_VERSION, "graph": graph_filename},
                             sort_keys=True))
         fh.write("\n")
-        graph = dataset.graph
-        for config, built in zip(dataset.rows.tolist(), dataset.built.tolist()):
-            versions = {name: domain[v]
-                        for name, domain, v in zip(graph.packages, graph.domains, config)}
-            fh.write(json.dumps({"versions": versions, "built": built}, sort_keys=True))
-            fh.write("\n")
+        for config, built in zip(dataset.rows[:, order].tolist(), dataset.built.tolist()):
+            labels = ", ".join([f[v] for f, v in zip(fragments, config)])
+            fh.write(f"{starts[built]}{labels}}}}}\n")
 
 
 def split_train_test(
@@ -232,11 +242,23 @@ def split_train_test(
 
 
 class DatasetOracle:
-    """Replay oracle: evaluates only configurations present in the dataset."""
+    """Replay oracle: evaluates only configurations present in the dataset.
+
+    A configuration is looked up by its mixed-radix index in the space, with
+    a binary search over the dataset's row indices, computed and sorted once.
+    """
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        self._outcomes = dict(zip(map(tuple, dataset.rows.tolist()), dataset.built.tolist()))
+        graph = dataset.graph
+        self._strides = [math.prod(graph.domain_sizes[i + 1:]) for i in range(graph.n_packages)]
+        # Python ints where the space's indices do not fit in int64.
+        dtype = np.int64 if space_size(graph) <= np.iinfo(np.int64).max else object
+        index = dataset.rows.astype(dtype) @ np.array(self._strides, dtype=dtype)
+        order = np.argsort(index)
+        # Lists, because bisect on one key is several times faster than
+        # np.searchsorted on one scalar.
+        self._index, self._built = index[order].tolist(), dataset.built[order].tolist()
 
     @property
     def graph(self) -> DependencyGraph:
@@ -247,10 +269,10 @@ class DatasetOracle:
         return self._dataset
 
     def evaluate(self, config: Configuration) -> bool:
-        try:
-            return self._outcomes[tuple(config)]
-        except KeyError:
-            digest = config_digest(self._dataset.graph, config)
-            raise ValueError(
-                f"configuration {digest} not present in the replay dataset"
-            ) from None
+        check_configuration(self._dataset.graph, config)
+        key = sum(map(operator.mul, map(int, config), self._strides))
+        pos = bisect.bisect_left(self._index, key)
+        if pos < len(self._index) and self._index[pos] == key:
+            return self._built[pos]
+        digest = config_digest(self._dataset.graph, config)
+        raise ValueError(f"configuration {digest} not present in the replay dataset")

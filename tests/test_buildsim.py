@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +22,23 @@ from buildtuner import (
 )
 from buildtuner.buildsim import (
     BenchmarkError,
+    BuildUnit,
     RulesError,
+    _unit_digest,
     enumerate_records,
     load_rules,
     planted_outcome,
     save_rules,
 )
-from buildtuner.configspace import enumerate_configurations, full_space_matrix
+from buildtuner.configspace import (
+    DependencyGraph,
+    GraphError,
+    check_configuration,
+    enumerate_configurations,
+    full_space_matrix,
+    random_configurations,
+    validate_graph,
+)
 from helpers import chain_graph, diamond_graph, two_package_graph
 
 ALWAYS = lambda unit: True
@@ -84,6 +95,93 @@ class TestDagConstruction:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             build_dag([(0, 9)], two_package_graph())
+
+
+def _reference_build_dag(configs, graph):
+    """The per-configuration loop build_dag replaces: one digest per
+    configuration per package."""
+    order, visited = [], set()
+
+    def visit(node):
+        if node not in visited:
+            visited.add(node)
+            for child in graph.children_map[node]:
+                visit(child)
+            order.append(node)
+
+    visit(graph.root)
+    units, origins = {}, {}
+    for config in configs:
+        check_configuration(graph, config)
+        unit_of = {}
+        for node in order:
+            package, version = graph.packages[node], graph.domains[node][config[node]]
+            deps = tuple(sorted(unit_of[c] for c in graph.children_map[node]))
+            unit_of[node] = digest = _unit_digest(package, version, deps)
+            units.setdefault(digest, BuildUnit(package, version, digest, deps))
+        origins[tuple(config)] = unit_of[graph.root]
+    return BuildDag(units=units, origins=origins)
+
+
+def _wide_diamond_graph() -> DependencyGraph:
+    """R -> M1, M2, M3; every M -> L and M3 -> M2: shared, non-tree children."""
+    graph = DependencyGraph(
+        packages=("R", "M1", "M2", "M3", "L"),
+        domains=(("r1", "r2"), ("a", "b", "c"), ("x", "y"), ("p", "q"), ("l1", "l2", "l3")),
+        edges=((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 2), (3, 4)),
+        root=0,
+    )
+    validate_graph(graph)
+    return graph
+
+
+def _assert_same_dag(configs, graph):
+    dag, reference = build_dag(configs, graph), _reference_build_dag(configs, graph)
+    assert dag.units == reference.units
+    assert dag.origins == reference.origins
+    assert all(type(k) is tuple and all(type(v) is int for v in k) for k in dag.origins)
+    return dag
+
+
+class TestDagAgainstReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_trees(self, seed):
+        graph, _ = generate_benchmark(7, [2, 3, 4, 1, 3, 2, 5], 0.3, 0.5, seed=seed)
+        configs = random_configurations(graph, np.random.default_rng(seed), 400)
+        dag = _assert_same_dag(configs, graph)
+        assert dag.node_count < 400 * graph.n_packages
+
+    def test_diamond_dags(self):
+        _assert_same_dag([(0, 0, 0, 0)], diamond_graph())
+        graph = _wide_diamond_graph()
+        _assert_same_dag(list(enumerate_configurations(graph)), graph)
+
+    def test_duplicated_configurations(self):
+        graph = _wide_diamond_graph()
+        configs = random_configurations(graph, np.random.default_rng(4), 60)
+        dag = _assert_same_dag(np.concatenate([configs, configs[::-1], configs[:5]]), graph)
+        assert len(dag.origins) == len(set(map(tuple, configs.tolist())))
+
+    def test_empty_input(self):
+        dag = _assert_same_dag([], chain_graph(3, 2))
+        assert dag.node_count == 0 and dag.origins == {}
+
+    def test_generator_input(self):
+        graph = chain_graph(4, 3)
+        configs = list(enumerate_configurations(graph))
+        dag = build_dag(iter(configs), graph)
+        reference = _reference_build_dag(configs, graph)
+        assert (dag.units, dag.origins) == (reference.units, reference.origins)
+
+    @pytest.mark.parametrize("bad", [(0, 9), (0, -1), (0, 1.5), (0, "1"), (0, 1, 0), (0,)])
+    def test_malformed_configuration_raises_the_same_error(self, bad):
+        graph = two_package_graph()
+        configs = [(0, 0), (1, 1), bad, (1, 0)]
+        with pytest.raises(GraphError) as expected:
+            _reference_build_dag(configs, graph)
+        with pytest.raises(GraphError) as raised:
+            build_dag(configs, graph)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestSimulate:
@@ -322,6 +420,16 @@ class TestSyntheticOracle:
         records = enumerate_records(oracle)
         assert len(records) == space_size(oracle.graph)
         assert sum(r.outcome for r in records) == 6
+
+    def test_enumerate_records_equals_evaluate_with_noise(self):
+        graph, rules = generate_benchmark(6, 3, 0.5, 0.3, seed=11)
+        oracle = synthetic_oracle(graph, PlantedRuleSet(rules.forbidden, noise=0.05), seed=3)
+        space = enumerate_records(oracle)
+        configs = list(enumerate_configurations(graph))
+        assert [r.config for r in space] == configs
+        assert [r.outcome for r in space] == [oracle.evaluate(c) for c in configs]
+        # The noise hash turned some rule-abiding configurations bad.
+        assert space.good_count < oracle.good_mask(full_space_matrix(graph)).sum()
 
     def test_candidates_are_generative(self):
         assert self._oracle().candidate_configurations() is None

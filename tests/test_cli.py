@@ -1,20 +1,27 @@
 """End-to-end command-line coverage: every subcommand, exit codes, formats."""
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildtuner import (
     Dataset,
+    GraphError,
     PlantedRuleSet,
     enumerate_configurations,
     load_dataset,
+    load_graph,
     load_model,
     save_dataset,
     save_graph,
+    validate_graph,
 )
 from buildtuner.buildsim import enumerate_records, save_rules, synthetic_oracle
 from buildtuner.cli import dispatch
@@ -465,3 +472,61 @@ def test_output_files_end_with_newline(capsys, workspace):
     _run(["run", "--oracle", f"dataset:{workspace / 'data.jsonl'}",
           "--bootstrap", "4", "--budget", "2", "--out", str(out)], capsys)
     assert out.read_text().endswith("\n")
+
+
+_NOT_A_NAME = [None, 7, 0.5, True, [], {}, ["A"]]
+
+
+def _mutated_graph(data, payload) -> str:
+    """One of: drop or retype a field, replace a name or label, duplicate a
+    package, label or edge, add an edge, or cut the JSON text short."""
+    kind = data.draw(st.sampled_from(
+        ["drop", "retype", "replace", "duplicate", "edge", "truncate"]))
+    packages, edges = payload["packages"], payload["edges"]
+    if kind == "truncate":
+        text = json.dumps(payload)
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if kind == "duplicate":
+        target = data.draw(st.sampled_from([packages, edges, *(p["versions"] for p in packages)]))
+        target.append(copy.deepcopy(data.draw(st.sampled_from(target))))
+    elif kind == "edge":
+        names = [p["name"] for p in packages] + ["ghost"]
+        edges.append([data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names))])
+    elif kind == "replace":
+        target = data.draw(st.sampled_from([edges, *edges, *(p["versions"] for p in packages)]))
+        at = data.draw(st.integers(0, len(target) - 1))
+        target[at] = data.draw(st.sampled_from(["A", "B", "v1", "", *_NOT_A_NAME]))
+    else:
+        target = data.draw(st.sampled_from([payload, *packages]))
+        field = data.draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[field]
+        else:
+            target[field] = data.draw(st.sampled_from(
+                [v for v in _NOT_A_NAME + ["A", "x"] if type(v) is not type(target[field])]))
+    return json.dumps(payload)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_graph_loads_valid_or_simulate_exits_two(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("fuzz")
+    graph_path, rules_path = str(folder / "graph.json"), str(folder / "rules.json")
+    (folder / "graph.json").write_text(_mutated_graph(data, chain_graph(3, 3).to_dict()))
+    save_rules(PlantedRuleSet(forbidden=frozenset({("A", "v1", "B", "v2")})), rules_path)
+    try:
+        graph = load_graph(graph_path)
+    except GraphError:
+        graph = None
+    else:
+        validate_graph(graph)
+        assert all(type(name) is str for name in graph.packages)
+        assert all(type(label) is str for domain in graph.domains for label in domain)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch(["simulate", "--graph", graph_path, "--rules", rules_path,
+                         "--sample", "5"])
+    if graph is None or code != 0:
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -26,6 +26,7 @@ from buildtuner.configspace import (
     first_occurrences,
     full_space_matrix,
     labels_of,
+    random_configurations,
 )
 from helpers import chain_graph, two_package_graph
 
@@ -120,6 +121,30 @@ def test_random_configuration_valid_and_deterministic():
         check_configuration(graph, config)
     rng2 = np.random.default_rng(7)
     assert configs == [random_configuration(graph, rng2) for _ in range(50)]
+
+
+def _graph_of_sizes(sizes) -> DependencyGraph:
+    graph = DependencyGraph(
+        packages=tuple(f"p{i}" for i in range(len(sizes))),
+        domains=tuple(tuple(f"v{j}" for j in range(size)) for size in sizes),
+        edges=tuple((0, i) for i in range(1, len(sizes))),
+        root=0,
+    )
+    validate_graph(graph)
+    return graph
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3, 1, 70_000, 2), (2,) * 10, (70_000, 1, 1)])
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+def test_random_configurations_equal_one_draw_at_a_time(sizes, n):
+    graph = _graph_of_sizes(sizes)
+    one_by_one, batched = np.random.default_rng(31), np.random.default_rng(31)
+    reference = [random_configuration(graph, one_by_one) for _ in range(n)]
+    rows = random_configurations(graph, batched, n)
+    assert rows.dtype == np.int64 and rows.shape == (n, len(sizes))
+    assert list(map(tuple, rows.tolist())) == reference
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
+    assert batched.integers(2**62) == one_by_one.integers(2**62)
 
 
 @pytest.mark.parametrize("entry", [1.5, np.float64(1.0), "a", None, [1]])

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from buildtuner import (
     BuildRecord,
     Dataset,
+    DependencyGraph,
     DatasetError,
     DatasetOracle,
     GraphError,
+    config_digest,
+    enumerate_configurations,
     load_dataset,
     save_dataset,
+    space_size,
     split_train_test,
     summarize,
 )
-from buildtuner.configspace import first_occurrences, save_graph
+from buildtuner.configspace import first_occurrences, save_graph, validate_graph
 from helpers import chain_graph, distinct_records, wide_graph
 
 
@@ -158,6 +162,58 @@ def test_rows_and_outcomes_are_read_only():
         dataset.built[0] = False
 
 
+def _reference_dataset_bytes(dataset: Dataset, graph_filename: str) -> bytes:
+    """One json.dumps(..., sort_keys=True) per record, as save_dataset once wrote."""
+    graph = dataset.graph
+    lines = [json.dumps({"format": 1, "graph": graph_filename}, sort_keys=True)]
+    for record in dataset:
+        versions = {name: domain[v]
+                    for name, domain, v in zip(graph.packages, graph.domains, record.config)}
+        lines.append(json.dumps({"versions": versions, "built": record.outcome}, sort_keys=True))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _star_graph(names, domains) -> DependencyGraph:
+    graph = DependencyGraph(packages=tuple(names), domains=tuple(map(tuple, domains)),
+                            edges=tuple((0, i) for i in range(1, len(names))), root=0)
+    validate_graph(graph)
+    return graph
+
+
+def _labeled_space(graph, outcomes) -> Dataset:
+    configs = list(enumerate_configurations(graph))
+    return Dataset(graph, [BuildRecord(c, next(outcomes)) for c in configs])
+
+
+def test_saved_lines_equal_json_dumps_of_each_record(tmp_path):
+    # Declared out of sorted order; names and labels that JSON must escape.
+    graph = _star_graph(
+        ["zeta", 'q"uote', "back\\slash", "na\u00efve", "\u00c9mile", "a b", "\U0001f4e6"],
+        [["1.0", 'v"2'], ["\\3"], ["x", "\u00fc"], ["\t", "\n", ""], ["\u4e2d"],
+         ["\"\\"], ["\U0001f600", "\x7f"]])
+    dataset = _labeled_space(graph, iter([True, False, False] * 32))
+    path = tmp_path / "data.jsonl"
+    save_dataset(dataset, str(path), "g\u00e9 \"raph\".json")
+    assert path.read_bytes() == _reference_dataset_bytes(dataset, "g\u00e9 \"raph\".json")
+    assert load_dataset(str(path), graph=graph) == dataset
+
+
+_LABELS = st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)
+
+
+@given(st.lists(st.text(max_size=5), min_size=1, max_size=4, unique=True).flatmap(
+    lambda names: st.tuples(st.just(names), st.lists(_LABELS, min_size=len(names),
+                                                     max_size=len(names)))),
+       st.lists(st.booleans(), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_saved_bytes_equal_reference_on_any_labels(tmp_path_factory, space, outcomes):
+    graph = _star_graph(*space)
+    dataset = _labeled_space(graph, iter(outcomes * space_size(graph)))
+    path = tmp_path_factory.mktemp("save") / "data.jsonl"
+    save_dataset(dataset, str(path), "graph.json")
+    assert path.read_bytes() == _reference_dataset_bytes(dataset, "graph.json")
+
+
 def test_summarize_counts():
     graph = wide_graph(36, versions=4)
     rng = np.random.default_rng(11)
@@ -240,6 +296,30 @@ def test_dataset_oracle_replays_outcomes():
     assert tuple(r.config for r in oracle.candidate_configurations()) == ((0, 0), (1, 1))
     with pytest.raises(ValueError, match="not present in the replay dataset"):
         oracle.evaluate((0, 1))
+
+
+@pytest.mark.parametrize("graph", [chain_graph(4, 3), wide_graph(60, 3)],
+                         ids=["small-space", "space-beyond-int64"])
+def test_dataset_oracle_finds_each_row_and_only_those(graph):
+    rng = np.random.default_rng(8)
+    records = distinct_records(graph, 40, rng, lambda config: sum(config) % 3 == 0)
+    present, absent = records[:30], records[30:]
+    oracle = DatasetOracle(Dataset(graph, present[::-1]))
+    for record in present:
+        assert oracle.evaluate(record.config) is record.outcome
+        assert oracle.evaluate(tuple(map(np.int64, record.config))) is record.outcome
+    for record in absent:
+        digest = config_digest(graph, record.config)
+        with pytest.raises(ValueError, match=f"configuration {digest} not present"):
+            oracle.evaluate(record.config)
+
+
+@pytest.mark.parametrize("config", [(0, 2), (2, 0), (-1, 1), (0, 1.5), (0,), (0, 0, 0)])
+def test_dataset_oracle_rejects_malformed_configuration(config):
+    graph = chain_graph(2, 2)
+    oracle = DatasetOracle(Dataset(graph, [BuildRecord((1, 0), True), BuildRecord((0, 1), False)]))
+    with pytest.raises(GraphError):
+        oracle.evaluate(config)
 
 
 _FIELD_VALUES = [None, 7, 1.5, "v9", [], {}, True]

@@ -54,6 +54,9 @@ def _commands(root) -> list[list[str]]:
         ["simulate", "--graph", graph, "--rules", rules, "--sample", "60",
          "--workers", "3", "--latency", "lognormal", "--seed", "5",
          "--out", out("simulate.json")],
+        ["simulate", "--graph", str(root / "graph.json"),
+         "--rules", str(root / "rules.json"), "--data", data, "--workers", "2",
+         "--latency", "lognormal", "--seed", "3", "--out", out("simulate-data.json")],
         ["summary", "--data", data, "--format", "json",
          "--out", out("summary.json")],
     ]
@@ -123,6 +126,8 @@ GOLDEN = {
     "run-pool-random.jsonl": "4fa52a88565b8dcd9b5dc01c3783871cb501ab21bd1f27cc4fc162ffec0881c0",
     "run-pool-random.model.json": "5932e379f237955a4e4e2244372dcffd5d239cfceaf80fd4decb20567f3cdbc3",
     "simulate.json": "45f66c81991a082318353bfa005cacb71aa4a1661febc48f0dd3af27c05c548e",
+    # Recorded later, before build_dag took a dataset's rows directly.
+    "simulate-data.json": "09997221891d2104f75a64b7c16ab02aa1485c99fadb51b358baa0ac26cc661d",
     "space-rules.json": "de3f3fb2e1a7a642b0647d0dc7fedc8489b676b4eea069c025836a9497d41281",
     "space.json": "66798754aaffea954871fc24f18549940e5a22917a185fd71ec9be05f58c7e36",
     "summary.json": "2db997b263e363a0b5c2fa1bc44dfbda37754dd550642f878043ee99cd6ad5bb",
