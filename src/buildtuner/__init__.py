@@ -65,7 +65,6 @@ from .sampler import (
     ObservationHistory,
     RunResult,
     SamplerConfig,
-    bootstrap,
     run,
 )
 from .surrogate import (

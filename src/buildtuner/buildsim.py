@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -34,7 +35,7 @@ from .configspace import (
     validate_graph,
 )
 from .dataset import Dataset
-from .rng import substream
+from .rng import derive_seed, substream
 
 __all__ = [
     "BenchmarkError",
@@ -240,8 +241,8 @@ def simulate(
             worker = heapq.heappop(free_workers)
             unit = dag.units[digest]
             latency = float(latency_fn(unit))
-            if latency < 0:
-                raise ValueError(f"negative latency for unit {digest}")
+            if not 0.0 <= latency < math.inf:
+                raise ValueError(f"latency {latency} of unit {digest} is not finite and >= 0")
             status[digest] = NodeStatus.BUILDING
             heapq.heappush(building, (now + latency, digest, worker, now))
 
@@ -249,9 +250,8 @@ def simulate(
         stack = [root]
         while stack:
             for dep in dependents[stack.pop()]:
-                if status[dep] in (NodeStatus.PENDING, NodeStatus.READY):
-                    if status[dep] is NodeStatus.READY:
-                        ready.remove(dep)
+                # Never READY: a READY unit has no failed or skipped dependency.
+                if status[dep] is NodeStatus.PENDING:
                     status[dep] = NodeStatus.SKIPPED
                     stack.append(dep)
 
@@ -378,15 +378,6 @@ def save_rules(rules: PlantedRuleSet, path: str) -> None:
         fh.write("\n")
 
 
-def _hash_unit_interval(seed: int, tag: str) -> float:
-    """Deterministic pseudo-uniform value in [0, 1) for one tagged entity."""
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode("ascii"))
-    h.update(b"/")
-    h.update(tag.encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "big") / 2**64
-
-
 class SyntheticOracle:
     """Ground-truth oracle: a configuration builds iff no planted rule fires.
 
@@ -412,7 +403,7 @@ class SyntheticOracle:
                 return False
         if self.rules.noise > 0.0:
             digest = config_digest(self.graph, config)
-            if _hash_unit_interval(self.seed, digest) < self.rules.noise:
+            if derive_seed(self.seed, digest) / 2**64 < self.rules.noise:
                 return False
         return True
 
@@ -431,7 +422,7 @@ class SyntheticOracle:
         if self.rules.noise > 0.0:
             for i in np.flatnonzero(built).tolist():
                 digest = config_digest(self.graph, tuple(rows[i].tolist()))
-                built[i] = _hash_unit_interval(self.seed, digest) >= self.rules.noise
+                built[i] = derive_seed(self.seed, digest) / 2**64 >= self.rules.noise
         return built
 
     def enumerate_good(self) -> list[Configuration]:
@@ -475,7 +466,7 @@ def planted_outcome(
                 if (dep.package, dep.version) in bad_children:
                     return False
         if rules.noise > 0.0:
-            if _hash_unit_interval(seed, unit.digest) < rules.noise:
+            if derive_seed(seed, unit.digest) / 2**64 < rules.noise:
                 return False
         return True
 
@@ -522,14 +513,18 @@ def _resolve_domain_sizes(n_packages: int, domain_sizes: int | Sequence[int]) ->
     return sizes
 
 
+# generate_benchmark tries this many fresh graphs, and accepts a success
+# rate within this relative distance of the target.
+_BENCHMARK_ATTEMPTS = 25
+_RATE_TOLERANCE = 0.2
+
+
 def generate_benchmark(
     n_packages: int,
     domain_sizes: int | Sequence[int],
     rule_density: float,
     target_rate: float,
     seed: int,
-    max_attempts: int = 25,
-    tolerance: float = 0.2,
 ) -> tuple[DependencyGraph, PlantedRuleSet]:
     """Generate a random tree graph plus rules hitting a target success rate.
 
@@ -538,7 +533,7 @@ def generate_benchmark(
     the target; a pair that would overshoot the band is put back.  The rule
     count is capped at rule_density times the pool size.  Raises
     BenchmarkError when (graph, pool, cap) cannot reach the band after
-    max_attempts fresh graphs.
+    _BENCHMARK_ATTEMPTS fresh graphs.
     """
     if n_packages < 2:
         raise ValueError("a benchmark needs at least two packages")
@@ -548,10 +543,10 @@ def generate_benchmark(
         raise ValueError(f"rule density {rule_density} outside [0, 1]")
     sizes = _resolve_domain_sizes(n_packages, domain_sizes)
     rng = substream(seed, "benchmark")
-    lo = target_rate * (1.0 - tolerance)
-    hi = min(1.0, target_rate * (1.0 + tolerance))
+    lo = target_rate * (1.0 - _RATE_TOLERANCE)
+    hi = min(1.0, target_rate * (1.0 + _RATE_TOLERANCE))
 
-    for _ in range(max_attempts):
+    for _ in range(_BENCHMARK_ATTEMPTS):
         graph = _random_tree_graph(n_packages, sizes, rng)
         if target_rate == 1.0:
             return graph, PlantedRuleSet(forbidden=frozenset())
@@ -589,8 +584,8 @@ def generate_benchmark(
         if lo <= rate <= hi:
             return graph, PlantedRuleSet(forbidden=frozenset(chosen))
     raise BenchmarkError(
-        f"could not reach a success rate of {target_rate} (+/-{tolerance:.0%}) "
-        f"after {max_attempts} attempts; adjust rule_density or the space"
+        f"could not reach a success rate of {target_rate} (+/-{_RATE_TOLERANCE:.0%}) "
+        f"after {_BENCHMARK_ATTEMPTS} attempts; adjust rule_density or the space"
     )
 
 

@@ -134,6 +134,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_auprc(args) -> int:
+    if args.reps < 1:
+        raise ValueError("repetitions must be positive")
     dataset = _load_data(args.data, None)
     seeds = [derive_seed(args.seed, "auprc", i) for i in range(args.reps)]
     values = [
@@ -211,10 +213,9 @@ def _cmd_simulate(args) -> int:
     outcome = buildsim.planted_outcome(dag, rules, graph, seed=args.seed)
     if args.latency == "lognormal":
         rng = substream(args.seed, "simulate-latency")
-        latencies = {
-            digest: float(rng.lognormal(mean=0.0, sigma=args.latency_sigma))
-            for digest in sorted(dag.units)
-        }
+        digests = sorted(dag.units)
+        draws = rng.lognormal(mean=0.0, sigma=args.latency_sigma, size=len(digests))
+        latencies = dict(zip(digests, draws.tolist()))
         latency_fn = lambda unit: latencies[unit.digest]
     else:
         latency_fn = None

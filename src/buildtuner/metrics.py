@@ -44,15 +44,11 @@ def recall(history: Iterable[BuildRecord], total_good: int) -> float:
     return found / total_good
 
 
-def auprc(
-    ranked: Sequence[tuple[float, bool]], recall_cutoff: float | None = None
-) -> float:
+def auprc(ranked: Sequence[tuple[float, bool]]) -> float:
     """Area under the precision-recall curve of a descending-ranked list.
 
     Each true item at prefix k contributes precision(k) / G where G is the
-    number of true items in the whole list.  With a recall cutoff the
-    summation stops once recall would exceed the cutoff; the truncated sum
-    is returned as-is, not renormalized.
+    number of true items in the whole list.
     """
     items = list(ranked)
     if not items:
@@ -70,8 +66,6 @@ def auprc(
         if not y:
             continue
         true_seen += 1
-        if recall_cutoff is not None and true_seen / total_true > recall_cutoff:
-            break
         area += (true_seen / k) / total_true
     return area
 
@@ -188,16 +182,15 @@ def auprc_experiment(
     selections: int = 100,
     bootstrap_size: int = 20,
     smoothing: float = 1.0,
-    train_fraction: float = 0.5,
 ) -> float:
-    """Split, adapt on the training half, then rank and score the test half.
+    """Split in half, adapt on the training half, then rank and score the test half.
 
     The model fitted after the adaptive run scores every test configuration;
     the ranking is descending by score with digest order breaking ties.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    train, test = split_train_test(dataset, train_fraction, substream(seed, "split"))
+    train, test = split_train_test(dataset, 0.5, substream(seed, "split"))
     if len(train) < selections + bootstrap_size:
         raise ValueError(
             f"training half of {len(train)} records cannot support "

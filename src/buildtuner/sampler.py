@@ -19,7 +19,6 @@ score their rows from scratch.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -56,7 +55,6 @@ __all__ = [
     "RunResult",
     "SamplerConfig",
     "TraceEntry",
-    "bootstrap",
     "run",
 ]
 
@@ -91,7 +89,6 @@ class SamplerConfig:
     pool_size: int = 1000
     seed: int = 42
     smoothing: float = 1.0
-    crowd_floor: float = 0.0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -104,9 +101,6 @@ class SamplerConfig:
             raise ValueError("budget must be nonnegative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
-        if not (math.isfinite(self.crowd_floor) and self.crowd_floor >= 0):
-            raise ValueError(
-                f"crowd_floor must be finite and nonnegative, got {self.crowd_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,7 @@ class _Candidates:
     ) -> tuple[Configuration, float | None] | None:
         """The unevaluated candidate with the best score, and the score, or
         None when no candidate is left; a chosen fixed row closes."""
-        strategy, floor = self.config.strategy, self.config.crowd_floor
+        strategy = self.config.strategy
         rows, open_rows = self.rows, self._open
         if rows is None:
             rows = self._pool(history, rng_pool)
@@ -243,7 +237,7 @@ class _Candidates:
                 scores = expected_improvement_many(model, rows)
             else:
                 if self._crowd is None:
-                    self._crowd = crowd_score_many(model, rows, floor=floor)
+                    self._crowd = crowd_score_many(model, rows)
                 scores = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
             top = scores.max()
             tied, score = np.flatnonzero(scores == top), float(top)
@@ -262,12 +256,10 @@ class _Candidates:
             self._crowd = None
 
 
-def _candidates(
-    oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig, exhaustive: bool
-) -> _Candidates:
+def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig) -> _Candidates:
     """The oracle's candidates without repeats (first occurrence kept; a
-    Dataset's rows as they are), the whole space when exhaustive, or uniform
-    draws."""
+    Dataset's rows as they are), the whole space in exhaustive mode, or
+    uniform draws."""
     listed = oracle.candidate_configurations()
     if isinstance(listed, Dataset):
         if listed.graph != graph:
@@ -276,7 +268,7 @@ def _candidates(
     elif listed is not None:
         rows = check_rows(graph, listed)
         rows = rows[first_occurrences(rows)]
-    elif exhaustive:
+    elif config.candidate_mode == "exhaustive":
         rows = full_space_matrix(graph).astype(np.int64)
     else:
         rows = None
@@ -286,45 +278,17 @@ def _candidates(
 def _evaluate(
     oracle: BuildOracle, history: ObservationHistory, config: Configuration, where: str
 ) -> BuildRecord:
+    """Ask the oracle about config and record its answer, which must be a bool."""
     try:
         outcome = oracle.evaluate(config)
     except Exception as exc:
         raise RuntimeError(f"oracle evaluation failed at {where}: {exc}") from exc
-    record = BuildRecord(config, outcome)
+    if not isinstance(outcome, (bool, np.bool_)):
+        raise RuntimeError(
+            f"oracle evaluation failed at {where}: answered {outcome!r}, not a bool")
+    record = BuildRecord(config, bool(outcome))
     history.add(record)
     return record
-
-
-def _bootstrap(
-    source: _Candidates, oracle: BuildOracle, size: int, rng: np.random.Generator
-) -> ObservationHistory:
-    if source.size < size:
-        raise NoCandidatesError(
-            f"{source.size} distinct configurations cannot seed a bootstrap of {size}"
-        )
-    history = ObservationHistory(source.graph)
-    while len(history) < size:
-        cand = source.draw(rng)
-        if cand not in history:
-            _evaluate(oracle, history, cand, f"bootstrap draw {len(history) + 1}")
-    return history
-
-
-def bootstrap(
-    oracle: BuildOracle,
-    graph: DependencyGraph,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-) -> ObservationHistory:
-    """Evaluate bootstrap_size distinct uniform draws.
-
-    Draws from the oracle's candidates when it lists them, else from the
-    whole space; a draw already evaluated is rejected and redrawn.  Raises
-    NoCandidatesError when fewer distinct configurations than requested
-    exist.
-    """
-    source = _candidates(oracle, graph, config, exhaustive=False)
-    return _bootstrap(source, oracle, config.bootstrap_size, rng)
 
 
 def run(
@@ -332,16 +296,25 @@ def run(
 ) -> RunResult:
     """Bootstrap, then adaptively evaluate up to config.budget candidates.
 
-    In exhaustive mode the history ends with exactly
+    The bootstrap evaluates bootstrap_size distinct uniform draws from the
+    candidates; a draw already evaluated is redrawn.  Raises
+    NoCandidatesError when fewer distinct candidates than that exist.  In
+    exhaustive mode the history ends with exactly
     bootstrap_size + min(budget, remaining distinct candidates) records.
     """
     rng_boot = substream(config.seed, "bootstrap")
     rng_tie = substream(config.seed, "tie-break")
     rng_pool = substream(config.seed, "pool")
 
-    source = _candidates(oracle, graph, config,
-                         exhaustive=config.candidate_mode == "exhaustive")
-    history = _bootstrap(source, oracle, config.bootstrap_size, rng_boot)
+    source = _candidates(oracle, graph, config)
+    if source.size < config.bootstrap_size:
+        raise NoCandidatesError(f"{source.size} distinct configurations cannot seed "
+                                f"a bootstrap of {config.bootstrap_size}")
+    history = ObservationHistory(graph)
+    while len(history) < config.bootstrap_size:
+        cand = source.draw(rng_boot)
+        if cand not in history:
+            _evaluate(oracle, history, cand, f"bootstrap draw {len(history) + 1}")
     model = fit(history, graph, config.smoothing)
     trace: list[TraceEntry] = []
 

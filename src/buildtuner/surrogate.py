@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .configspace import DependencyGraph, check_configuration
+from .configspace import DependencyGraph, check_configuration, check_rows
 from .dataset import BuildRecord
 
 __all__ = [
@@ -72,6 +72,7 @@ class FactorLayout:
         self.edges = edges
         self.shapes = (*((m,) for m in sizes), *((sizes[p], sizes[c]) for p, c in edges))
         self.factor_sizes = np.array([math.prod(s) for s in self.shapes], dtype=np.int64)
+        self.largest_factor = int(self.factor_sizes.max())
         self.offsets = np.concatenate(([0], np.cumsum(self.factor_sizes)))
         self.size = int(self.offsets[-1])
         self.cell_sizes = np.repeat(self.factor_sizes, self.factor_sizes)
@@ -201,7 +202,16 @@ class FactorTable:
 
     @classmethod
     def from_counts(cls, stats: SideStats, smoothing: float) -> "FactorTable":
-        """Smoothed frequencies, positive since counts are >= 0 and smoothing > 0."""
+        """Smoothed frequencies; raise ValueError unless every one is positive.
+
+        The smallest is that of an unseen cell of the largest factor.  A
+        tiny smoothing over many records rounds it to 0, and a huge one
+        overflows its normalizer.  It is checked first, on Python floats,
+        which neither warn nor raise where the arrays would warn.
+        """
+        if not smoothing / (stats.n + smoothing * stats.layout.largest_factor) > 0:
+            raise ValueError(
+                f"smoothing {smoothing!r} over {stats.n} records rounds a factor weight to 0")
         weights = (stats.counts + smoothing) / (stats.n + smoothing * stats.layout.cell_sizes)
         return cls(weights=weights, log=np.log(weights), layout=stats.layout,
                    smoothing=smoothing)
@@ -255,14 +265,9 @@ def fit(
     prior of one half.
     """
     _check_smoothing(smoothing)
-    configs = []
-    built = []
-    for record in history:
-        check_configuration(graph, record.config)
-        configs.append(record.config)
-        built.append(bool(record.outcome))
-    rows = np.array(configs, dtype=np.int64).reshape(len(configs), graph.n_packages)
-    mask = np.array(built, dtype=bool)
+    records = list(history)
+    rows = check_rows(graph, [record.config for record in records])
+    mask = np.array([bool(record.outcome) for record in records], dtype=bool)
     empty = SideStats.empty(FactorLayout(graph.domain_sizes, graph.edges))
     good = empty.add(rows[mask])
     bad = empty.add(rows[~mask])
@@ -397,20 +402,16 @@ class RatioIndex:
         return near[exact == top], float(top)
 
 
-def crowd_score_many(
-    model: FactorModel, matrix: np.ndarray, floor: float = 0.0
-) -> np.ndarray:
+def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
     """Product of raw good-side per-package frequencies for each row.
 
     Frequencies are unsmoothed; with no good observations (or a version
-    never seen good) the product is zero unless a positive floor is set.
+    never seen good) the product is zero.
     """
     n_good = model.good_stats.n
     total = np.zeros(matrix.shape[0], dtype=float)
     for i, counts in enumerate(model.good_stats.node_counts):
         freq = counts / n_good if n_good > 0 else np.zeros(counts.size)
-        if floor > 0.0:
-            freq = np.maximum(freq, floor)
         with np.errstate(divide="ignore"):
             total += np.log(freq)[matrix[:, i]]
     return np.exp(total)
@@ -474,7 +475,7 @@ def load_model(path: str) -> FactorModel:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("format") if isinstance(payload, dict) else None
-    if version != 1:
+    if type(version) is not int or version != 1:  # JSON true and 1.0 equal 1
         raise ValueError(f"unsupported model format {version!r}")
     graph = DependencyGraph.from_dict(_field(payload, "graph", dict, "an object"))
     smoothing = _field(payload, "smoothing", (int, float), "a number")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -275,6 +276,12 @@ class TestSimulate:
         dag = build_dag([(0, 0)], two_package_graph())
         with pytest.raises(ValueError, match="latency"):
             simulate(dag, ALWAYS, latency_fn=lambda unit: -1.0)
+
+    @pytest.mark.parametrize("latency", [math.nan, math.inf])
+    def test_latency_not_finite_rejected(self, latency):
+        dag = build_dag([(0, 0)], two_package_graph())
+        with pytest.raises(ValueError, match="is not finite and >= 0"):
+            simulate(dag, ALWAYS, latency_fn=lambda unit: latency)
 
 
 class TestPlantedRules:

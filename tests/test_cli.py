@@ -6,7 +6,10 @@ import copy
 import csv
 import io
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,16 +19,19 @@ from buildtuner import (
     GraphError,
     PlantedRuleSet,
     enumerate_configurations,
+    fit,
     load_dataset,
     load_graph,
     load_model,
     save_dataset,
     save_graph,
+    save_model,
+    substream,
     validate_graph,
 )
 from buildtuner.buildsim import enumerate_records, save_rules, synthetic_oracle
 from buildtuner.cli import dispatch
-from helpers import chain_graph
+from helpers import chain_graph, distinct_records
 
 
 @pytest.fixture()
@@ -205,6 +211,14 @@ class TestAuprcCommand:
         _, out_b, _ = _run(argv, capsys)
         assert out_a == out_b
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_repetitions_not_positive_exit_two(self, capsys, workspace, reps):
+        code, out, err = _run(["auprc", "--data", str(workspace / "data.jsonl"),
+                               "--reps", reps], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: repetitions must be positive"]
+
 
 class TestImportanceCommand:
     def test_csv_from_dataset(self, capsys, workspace):
@@ -265,6 +279,15 @@ class TestImportanceCommand:
         assert code == 2
         assert err.startswith("error: smoothing must be finite and positive")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("smoothing", ["5e-324", "1e308"])
+    def test_smoothing_that_rounds_a_weight_to_zero_exits_two(self, capsys, workspace,
+                                                              smoothing):
+        code, _, err = _run(["importance", "--data", str(workspace / "data.jsonl"),
+                             "--smoothing", smoothing], capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: smoothing {float(smoothing)!r} over 24 records rounds a factor weight to 0"]
 
 
 class TestHeatmapCommand:
@@ -354,6 +377,19 @@ class TestSimulateCommand:
         report = json.loads(out)
         assert report["makespan"] != pytest.approx(report["attempted"])
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_latency_not_finite_exits_two(self, capsys, workspace, sigma):
+        code, out, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "4",
+             "--latency", "lognormal", "--latency-sigma", sigma, "--seed", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: latency")
+
     @pytest.mark.parametrize("field, value", [("root", ["A"]), ("versions", "v12"),
                                               ("name", None)])
     def test_malformed_graph_exits_two(self, capsys, workspace, field, value):
@@ -396,6 +432,18 @@ class TestSimulateCommand:
             capsys,
         )
         assert code == 1
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("n", [0, 1, 7, 5000])
+def test_lognormal_batch_equals_one_draw_at_a_time(sigma, n):
+    """simulate draws its latencies in one batch: the same values, and the
+    same generator state after, as one scalar draw per unit."""
+    one, batch = substream(5, "simulate-latency"), substream(5, "simulate-latency")
+    scalars = [float(one.lognormal(mean=0.0, sigma=sigma)) for _ in range(n)]
+    assert batch.lognormal(mean=0.0, sigma=sigma, size=n).tolist() == scalars
+    assert batch.bit_generator.state == one.bit_generator.state
+    assert batch.lognormal() == one.lognormal()
 
 
 class TestGenSyntheticCommand:
@@ -530,3 +578,89 @@ def test_fuzzed_graph_loads_valid_or_simulate_exits_two(tmp_path_factory, data):
         assert code == 2
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+_ODD_NUMBERS = [0, -1, 1, 0.5, 2**63, 5e-324, 1e-300, 1e300, 1e308, math.nan, math.inf]
+
+
+def _mutated_model(data, payload) -> str:
+    """One of: drop or retype a field, set a number field to an extreme
+    value, change one count, lengthen or shorten a count list, list an edge
+    twice, scale one side's counts and n with the success prior they give,
+    or cut the JSON text short."""
+    kind = data.draw(st.sampled_from(
+        ["drop", "retype", "number", "count", "length", "duplicate", "scale", "truncate"]))
+    if kind == "truncate":
+        text = json.dumps(payload)
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    side = payload[data.draw(st.sampled_from(["good", "bad"]))]
+    counts = [*side["nodes"], *(row for edge in side["edges"] for row in edge["counts"])]
+    if kind == "count":
+        target = data.draw(st.sampled_from(counts))
+        at = data.draw(st.integers(0, len(target) - 1))
+        target[at] = data.draw(st.sampled_from(
+            [target[at] + 1, target[at] - 1, None, True, 1.5, 2**62, 2**63, "1", []]))
+    elif kind == "length":
+        target = data.draw(st.sampled_from(
+            [*counts, side["nodes"], *(edge["counts"] for edge in side["edges"])]))
+        if data.draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[-1]))
+    elif kind == "duplicate":
+        side["edges"].append(copy.deepcopy(data.draw(st.sampled_from(side["edges"]))))
+    elif kind == "scale":
+        factor = data.draw(st.sampled_from([0, 3, 2**40, 2**61]))
+        side["n"] *= factor
+        for row in counts:
+            row[:] = [c * factor for c in row]
+        n_good, n_bad = payload["good"]["n"], payload["bad"]["n"]
+        payload["success_prior"] = (n_good + 1) / (n_good + n_bad + 2)
+    elif kind == "number":
+        target, field = data.draw(st.sampled_from(
+            [(payload, "smoothing"), (payload, "success_prior"), (side, "n")]))
+        target[field] = data.draw(st.sampled_from(_ODD_NUMBERS))
+    else:
+        target = data.draw(st.sampled_from([payload, side, *side["edges"]]))
+        field = data.draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[field]
+        else:
+            target[field] = data.draw(st.sampled_from(
+                [v for v in _NOT_A_NAME + ["1"] if type(v) is not type(target[field])]))
+    return json.dumps(payload)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_model_loads_valid_or_importance_exits_two(tmp_path_factory, data):
+    graph = chain_graph(3, 3)
+    records = distinct_records(graph, 12, np.random.default_rng(4), lambda c: c[0] != 2)
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, out = str(folder / "model.json"), str(folder / "importance.json")
+    save_model(fit(records, graph), path)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    (folder / "model.json").write_text(_mutated_model(data, payload))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = load_model(path)
+    except ValueError:
+        model = None
+    else:
+        assert type(model.smoothing) is float and 0 < model.smoothing < math.inf
+        for stats, table in ((model.good_stats, model.good), (model.bad_stats, model.bad)):
+            assert stats.counts.dtype == np.int64 and (stats.counts >= 0).all()
+            assert all(f.sum(dtype=object) == stats.n for f in stats.factors)
+            assert (table.weights > 0).all() and np.isfinite(table.log).all()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = dispatch(["importance", "--model", path, "--format", "json", "--out", out])
+    if model is None or code != 0:
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        with open(out, encoding="utf-8") as fh:
+            json.loads(fh.read(), parse_constant=pytest.fail)

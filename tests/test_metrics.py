@@ -109,15 +109,6 @@ class TestAuprc:
         squashed = [(math.tanh(3 * s), y) for s, y in base]
         assert auprc(base) == pytest.approx(auprc(squashed), abs=0)
 
-    def test_recall_cutoff(self):
-        ranked = [(0.9, True), (0.5, False), (0.1, True)]
-        # Cutoff 1.0 keeps the full sum.
-        assert auprc(ranked, recall_cutoff=1.0) == pytest.approx(auprc(ranked))
-        # Cutoff 0.5 keeps only the first true item: (1/1) / 2.
-        assert auprc(ranked, recall_cutoff=0.5) == pytest.approx(0.5, abs=0)
-        # A tiny cutoff stops before any contribution.
-        assert auprc(ranked, recall_cutoff=0.1) == 0.0
-
 
 def _replay_dataset(n_records=60, good_fn=None, seed=10):
     graph = chain_graph(4, 3)  # 81 configurations

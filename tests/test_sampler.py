@@ -1,7 +1,9 @@
 """Adaptive sampling loop: bootstrap, selection, trace, pool mode."""
 from __future__ import annotations
 
+import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from buildtuner import (
     NoCandidatesError,
     ObservationHistory,
     SamplerConfig,
-    bootstrap,
     config_digest,
     crowd_score_many,
     expected_improvement_many,
@@ -86,9 +87,6 @@ class TestSamplerConfig:
             ({"bootstrap_size": 0}, "bootstrap_size"),
             ({"budget": -1}, "budget"),
             ({"pool_size": 0}, "pool_size"),
-            ({"crowd_floor": float("nan")}, "crowd_floor"),
-            ({"crowd_floor": float("inf")}, "crowd_floor"),
-            ({"crowd_floor": -0.05}, "crowd_floor"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -116,44 +114,48 @@ class TestHistory:
         assert len(set(history.digests)) == 3
 
 
+def _bootstrap(oracle, graph, config):
+    """The bootstrap history of run: the run with no selections."""
+    return run(oracle, graph, replace(config, budget=0)).history
+
+
 class TestBootstrap:
     def test_size_and_distinctness(self):
         graph = chain_graph(3, 3)
         oracle = CountingOracle(lambda c: True)
-        config = SamplerConfig(bootstrap_size=10)
-        history = bootstrap(oracle, graph, config, substream(1, "bootstrap"))
+        config = SamplerConfig(bootstrap_size=10, seed=1)
+        history = _bootstrap(oracle, graph, config)
         assert len(history) == 10
         assert len(set(history.digests)) == 10
         assert len(oracle.calls) == 10
 
     def test_deterministic_for_seed(self):
         graph = chain_graph(3, 3)
-        config = SamplerConfig(bootstrap_size=8)
-        a = bootstrap(CountingOracle(lambda c: True), graph, config, substream(5, "x"))
-        b = bootstrap(CountingOracle(lambda c: True), graph, config, substream(5, "x"))
+        config = SamplerConfig(bootstrap_size=8, seed=5)
+        a = _bootstrap(CountingOracle(lambda c: True), graph, config)
+        b = _bootstrap(CountingOracle(lambda c: True), graph, config)
         assert a.digests == b.digests
 
     def test_whole_space_when_equal(self):
         graph = two_package_graph()
-        config = SamplerConfig(bootstrap_size=4)
-        history = bootstrap(CountingOracle(lambda c: True), graph, config,
-                            substream(2, "b"))
+        config = SamplerConfig(bootstrap_size=4, seed=2)
+        history = _bootstrap(CountingOracle(lambda c: True), graph, config)
         assert sorted(r.config for r in history) == sorted(
             enumerate_configurations(graph)
         )
 
     def test_space_too_small(self):
         graph = two_package_graph()
-        config = SamplerConfig(bootstrap_size=5)
+        config = SamplerConfig(bootstrap_size=5, seed=3)
         with pytest.raises(NoCandidatesError, match="cannot seed"):
-            bootstrap(CountingOracle(lambda c: True), graph, config, substream(3, "b"))
+            _bootstrap(CountingOracle(lambda c: True), graph, config)
 
     def test_repeated_candidates_count_once(self):
         graph = two_package_graph()
         oracle = ListedOracle([(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)])
-        config = SamplerConfig(bootstrap_size=3)
+        config = SamplerConfig(bootstrap_size=3, seed=3)
         with pytest.raises(NoCandidatesError, match="cannot seed"):
-            bootstrap(oracle, graph, config, substream(3, "b"))
+            _bootstrap(oracle, graph, config)
         assert oracle.calls == []
 
     @pytest.mark.parametrize("listed", [
@@ -161,16 +163,16 @@ class TestBootstrap:
     ])
     def test_candidates_outside_the_graph_rejected(self, listed):
         oracle = ListedOracle(listed)
-        config = SamplerConfig(bootstrap_size=1)
+        config = SamplerConfig(bootstrap_size=1, seed=3)
         with pytest.raises(GraphError):
-            bootstrap(oracle, two_package_graph(), config, substream(3, "b"))
+            _bootstrap(oracle, two_package_graph(), config)
 
     def test_candidate_list_too_small(self):
         graph = two_package_graph()
         dataset = Dataset(graph, [BuildRecord((0, 0), True), BuildRecord((1, 1), True)])
-        config = SamplerConfig(bootstrap_size=3)
+        config = SamplerConfig(bootstrap_size=3, seed=3)
         with pytest.raises(NoCandidatesError):
-            bootstrap(DatasetOracle(dataset), graph, config, substream(3, "b"))
+            _bootstrap(DatasetOracle(dataset), graph, config)
 
 
 class TestRun:
@@ -235,6 +237,21 @@ class TestRun:
         config = SamplerConfig(bootstrap_size=4, budget=4, seed=9)
         with pytest.raises(RuntimeError, match=match):
             run(oracle, graph, config)
+
+    @pytest.mark.parametrize("answer", ["false", 1, None], ids=["string", "int", "none"])
+    def test_oracle_answer_not_a_bool_rejected(self, answer):
+        oracle = CountingOracle(lambda c: True)
+        oracle.evaluate = lambda config: answer
+        config = SamplerConfig(bootstrap_size=4, budget=4, seed=9)
+        with pytest.raises(RuntimeError, match="failed at bootstrap draw 1: answered"):
+            run(oracle, chain_graph(3, 2), config)
+
+    def test_numpy_bool_answer_recorded_as_bool(self):
+        oracle = CountingOracle(lambda c: True)
+        oracle.evaluate = lambda config: np.True_
+        result = run(oracle, chain_graph(3, 2), SamplerConfig(bootstrap_size=4, budget=4, seed=9))
+        assert all(type(record.outcome) is bool for record in result.history)
+        assert json.loads(json.dumps([entry.to_dict() for entry in result.trace]))
 
     def test_model_matches_final_history(self):
         graph = chain_graph(3, 2)
@@ -340,7 +357,7 @@ class TestRun:
         dataset = Dataset(graph, distinct_records(graph, 15, np.random.default_rng(6),
                                                   lambda c: c[0] == 0))
         source = sampler._candidates(Delegating(DatasetOracle(dataset)), graph,
-                                     SamplerConfig(), exhaustive=True)
+                                     SamplerConfig())
         assert np.shares_memory(source.rows, dataset.rows)
 
     def test_dataset_over_another_graph_rejected(self):
@@ -435,7 +452,7 @@ def _reference_run(oracle, graph, config):
             if config.strategy == "bayesian":
                 scores = expected_improvement_many(model, rows[offered])
             else:
-                scores = crowd_score_many(model, rows[offered], floor=config.crowd_floor)
+                scores = crowd_score_many(model, rows[offered])
             tied = np.flatnonzero(scores == scores.max())
         tie_sizes.append(tied.size)
         pick = int(tied[rng_tie.integers(tied.size)])
@@ -535,13 +552,10 @@ class TestIncrementalSelectionParity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("space", [_planted, _listed, _always_fail],
                              ids=["exhaustive", "listed", "always-fail"])
-    @pytest.mark.parametrize("strategy, floor", [
-        ("crowd", 0.0), ("crowd", 0.05), ("random", 0.0),
-    ], ids=["crowd", "crowd-floor", "random"])
-    def test_crowd_and_random_match_from_scratch_loop(self, monkeypatch, strategy, floor,
-                                                      space, seed):
-        config = SamplerConfig(strategy=strategy, crowd_floor=floor, bootstrap_size=10,
-                               budget=60, seed=seed)
+    @pytest.mark.parametrize("strategy", ["crowd", "random"])
+    def test_crowd_and_random_match_from_scratch_loop(self, monkeypatch, strategy, space,
+                                                      seed):
+        config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=60, seed=seed)
         graph, oracle = space(seed)
         history, trace, model, tie_sizes = _reference_run(oracle, graph, config)
         scored = []

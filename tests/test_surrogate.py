@@ -232,12 +232,6 @@ class TestCrowdScore:
         model = fit(_history(graph, [((0, 0), True), ((0, 1), True)]), graph)
         assert crowd_score_many(model, np.asarray([(1, 0)]))[0] == 0.0
 
-    def test_floor_lifts_zero_entries(self):
-        graph = two_package_graph()
-        model = fit(_history(graph, [((0, 0), True), ((0, 1), True)]), graph)
-        lifted = crowd_score_many(model, np.asarray([(1, 0)]), floor=0.01)[0]
-        assert lifted == pytest.approx(0.01 * 0.5, abs=1e-15)
-
     def test_empty_good_side_scores_zero(self):
         graph = two_package_graph()
         model = fit(_history(graph, [((0, 0), False)]), graph)
@@ -460,6 +454,11 @@ class TestPersistence:
         path.write_text("{\"smoothing\": 1.0}\n")
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_rejects_format_other_than_integer_one(self, tmp_path, version):
+        with pytest.raises(ValueError, match=f"unsupported model format {version!r}"):
+            self._load_edited(tmp_path, lambda p: p.update(format=version))
 
     @staticmethod
     def _load_edited(tmp_path, edit):
