@@ -204,7 +204,9 @@ def _cmd_simulate(args) -> int:
     rules.check_against(graph)
     if args.data:
         configs = _load_data(args.data, args.graph).rows
-    elif args.sample:
+    elif args.sample is not None:
+        if args.sample < 1:
+            raise ValueError("sample size must be positive")
         configs = random_configurations(graph, substream(args.seed, "simulate-sample"),
                                         args.sample)
     else:

@@ -10,16 +10,18 @@ Fixed candidate rows are the whole space, or an oracle's listed candidates:
 a replay oracle's Dataset, whose checked rows are used as they are, or any
 other list, checked once.  Over fixed rows no strategy rescores the open
 rows at each step.
-Bayesian selection updates every row's score incrementally after each
-observation (surrogate.RatioIndex) and settles near-ties on from-scratch
-scores; crowd selection keeps every row's score until a good record
-changes it; random selection ties every open row.  So each makes the same
-choice, and draws the same tie-break, as rescoring every open row.  Pools
-score their rows from scratch.
+Bayesian selection updates every row's log ratio incrementally after each
+observation (surrogate.RatioIndex), takes the open rows near the least one
+and settles them on from-scratch scores; crowd selection keeps every row's
+score until a good record changes it; random selection ties every open row.
+So each makes the same choice, and draws the same tie-break, as rescoring
+every open row.  Pools score their rows from scratch.  A run's trace is
+built, and its configurations digested, only when it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -162,9 +164,24 @@ class ObservationHistory:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's history, the score of each adaptive selection, and its final model."""
+
     history: ObservationHistory
-    trace: tuple[TraceEntry, ...]
+    scores: tuple[float | None, ...]
     model: FactorModel
+
+    @cached_property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        """One entry per adaptive selection: the records after the bootstrap.
+
+        Built, and its configurations digested, on first access only.
+        """
+        history = self.history
+        selected = history.entries[len(history) - len(self.scores):]
+        return tuple(
+            TraceEntry(t=t, digest=config_digest(history.graph, record.config), score=score,
+                       built=record.outcome)
+            for t, (record, score) in enumerate(zip(selected, self.scores), start=1))
 
 
 class _Candidates:
@@ -186,6 +203,7 @@ class _Candidates:
         self.config = config
         self.size = space_size(graph) if rows is None else rows.shape[0]
         self._open = None if rows is None else np.ones(self.size, dtype=bool)
+        self._n_open = self.size  # rows of _open still set; unread for pools
         self._ratios: RatioIndex | None = None
         self._crowd: np.ndarray | None = None
 
@@ -194,6 +212,7 @@ class _Candidates:
         if self.rows is None:
             return random_configuration(self.graph, rng)
         index = int(rng.integers(self.size))
+        self._n_open -= bool(self._open[index])
         self._open[index] = False
         return tuple(self.rows[index].tolist())
 
@@ -224,7 +243,7 @@ class _Candidates:
             if rows is None:
                 return None
             open_rows, self._crowd = np.ones(rows.shape[0], dtype=bool), None
-        elif not open_rows.any():
+        elif self._n_open == 0:
             return None
         if strategy == "random":
             tied, score = np.flatnonzero(open_rows), None
@@ -243,6 +262,7 @@ class _Candidates:
             tied, score = np.flatnonzero(scores == top), float(top)
         pick = int(tied[rng_tie.integers(tied.size)])
         open_rows[pick] = False
+        self._n_open -= 1
         return tuple(rows[pick].tolist()), score
 
     def observe(self, model: FactorModel, record: BuildRecord) -> None:
@@ -316,7 +336,7 @@ def run(
         if cand not in history:
             _evaluate(oracle, history, cand, f"bootstrap draw {len(history) + 1}")
     model = fit(history, graph, config.smoothing)
-    trace: list[TraceEntry] = []
+    scores: list[float | None] = []
 
     for t in range(1, config.budget + 1):
         selected = source.select(model, history, rng_tie, rng_pool)
@@ -324,9 +344,8 @@ def run(
             break
         chosen, score = selected
         record = _evaluate(oracle, history, chosen, f"iteration {t}")
-        trace.append(TraceEntry(t=t, digest=config_digest(graph, chosen), score=score,
-                                built=record.outcome))
+        scores.append(score)
         source.observe(model, record)
         model = refit_incremental(model, record)
 
-    return RunResult(history=history, trace=tuple(trace), model=model)
+    return RunResult(history=history, scores=tuple(scores), model=model)

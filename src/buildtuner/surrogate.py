@@ -16,7 +16,9 @@ estimated probability that a fresh uniform sample builds.  The score is
 computed in log space so that long factor products cannot underflow.
 
 Over a fixed candidate matrix, a RatioIndex keeps each row's log ratio up to
-date one record at a time instead of summing every factor again.
+date one record at a time instead of summing every factor again.  The score
+falls strictly as the ratio grows, so the best open row is the one with the
+least log ratio, and no step exponentiates every row.
 """
 from __future__ import annotations
 
@@ -50,15 +52,14 @@ __all__ = [
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
 _LOG_RATIO_CLAMP = 700.0
 
-# RatioIndex.best rescores from scratch every row whose incremental score is
-# within this relative distance of the best.  Incremental log ratios drift
-# from a from-scratch sum by float rounding only (far below 1e-9 over any
-# run), and the score's relative change never exceeds the log ratio's change,
-# so every exact maximum is rescored.
+# RatioIndex.best rescores from scratch every open row whose incremental
+# score is within this relative distance of the best.  Incremental log ratios
+# drift from a from-scratch sum by float rounding only (far below 1e-9 over
+# any run), and the score's relative change never exceeds the log ratio's
+# change, so every exact maximum is rescored.  best() turns the band into a
+# limit on the log ratio at twice this width, so that the rounding of that
+# conversion cannot leave out a row the band holds.
 _NEAR_TIE = 1e-9
-
-# Rows per block when RatioIndex computes the cells of a candidate matrix.
-_INDEX_BLOCK = 1024
 
 
 class FactorLayout:
@@ -94,6 +95,19 @@ class FactorLayout:
         np.multiply(by_package[self._parents], self._strides, out=edges)
         edges += by_package[self._children]
         edges += self._edge_offsets
+        return cells
+
+    def factor_cells(self, rows: np.ndarray, f: int) -> np.ndarray:
+        """Line f of cells(rows), computed without the other factors' lines."""
+        k = self.n_nodes
+        if f < k:
+            cells = rows[:, f].astype(np.int32)
+        else:
+            p, c = self.edges[f - k]
+            cells = rows[:, p].astype(np.int32)
+            cells *= self.shapes[f][1]
+            cells += rows[:, c]
+        cells += int(self.offsets[f])
         return cells
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -343,28 +357,32 @@ class RatioIndex:
     row that offset absorbs, and one cell gains a count, whose change goes to
     the rows holding that cell, found through an inverted index over flat cells.
     So log_ratio + offset equals log_density_many(bad) - log_density_many(good)
-    up to float rounding, and best() settles near ties on exact scores.
+    up to float rounding.  The score falls as the ratio grows, so the best
+    open row is the one with the least log ratio; best() turns the near-tie
+    band of scores into a limit on the log ratio once per step, and settles
+    the open rows within it on exact scores.
     """
 
     def __init__(self, model: FactorModel, rows: np.ndarray):
         self.rows = rows
-        self.log_ratio = log_density_many(model.bad, rows) - log_density_many(model.good, rows)
+        self.log_ratio = np.zeros(rows.shape[0])
         self.offset = 0.0
+        self._mask = np.empty(rows.shape[0], dtype=bool)
         # Rows holding flat cell v: order[bounds[v]:bounds[v + 1]].  Each
         # factor's cells are a contiguous range, so sorting the rows factor by
-        # factor sorts them by flat cell.  Cells are computed in blocks of
-        # rows and gathered one factor at a time: no temporary spans every
-        # factor of a large matrix, which would raise the peak memory of runs
-        # over a whole space.
+        # factor sorts them by flat cell.  One factor's cells at a time serve
+        # the starting ratios, the sort and the counts: no temporary spans
+        # every factor of a large matrix, which would raise the peak memory of
+        # runs over a whole space.
         layout = model.good_stats.layout
-        blocks = [layout.cells(rows[i:i + _INDEX_BLOCK])
-                  for i in range(0, rows.shape[0], _INDEX_BLOCK)]
+        gap = model.bad.log - model.good.log
         order = np.empty((layout.factor_sizes.size, rows.shape[0]), dtype=np.int32)
         per_cell = np.zeros(layout.size, dtype=np.int64)
-        for f in range(layout.factor_sizes.size):
-            factor_cells = np.concatenate([block[f] for block in blocks])
-            order[f] = np.argsort(factor_cells, kind="stable")
-            per_cell += np.bincount(factor_cells, minlength=layout.size)
+        for f, line in enumerate(order):
+            cells = layout.factor_cells(rows, f)
+            self.log_ratio += gap[cells]
+            line[:] = np.argsort(cells, kind="stable")
+            per_cell += np.bincount(cells, minlength=layout.size)
         self._order = order.ravel()
         self._bounds = [0, *np.cumsum(per_cell).tolist()]
 
@@ -382,20 +400,35 @@ class RatioIndex:
             np.add.at(self.log_ratio, self._order[self._bounds[cell]:self._bounds[cell + 1]],
                       delta)
 
+    def near(self, model: FactorModel, open_rows: np.ndarray) -> np.ndarray:
+        """Open rows, ascending, whose incremental score is within a relative
+        _NEAR_TIE of the best, that of the open row with the least log ratio;
+        the band is one limit on the log ratio, so a few more rows may pass."""
+        prior = model.success_prior
+        least = float(np.min(self.log_ratio, where=open_rows, initial=np.inf)) + self.offset
+        top = _ei(math.exp(min(max(least, -_LOG_RATIO_CLAMP), _LOG_RATIO_CLAMP)), prior)
+        # score >= top * (1 - tol)  <=>  ratio <= (1 / (top * (1 - tol)) - prior) / (1 - prior).
+        # The limit exceeds the least ratio, so it lies above the lower clamp
+        # and every row clipped there passes; past the upper clamp every open
+        # row clips to at most the limit.
+        limit = math.log((1.0 / (top * (1.0 - 2.0 * _NEAR_TIE)) - prior) / (1.0 - prior))
+        if limit >= _LOG_RATIO_CLAMP:
+            return np.flatnonzero(open_rows)
+        np.less_equal(self.log_ratio, limit - self.offset, out=self._mask)
+        return np.flatnonzero(np.logical_and(self._mask, open_rows, out=self._mask))
+
     def best(self, model: FactorModel, open_rows: np.ndarray) -> tuple[np.ndarray, float]:
         """Open rows with the highest expected improvement, ascending, and that score.
 
         open_rows is a boolean mask over the rows with at least one row set.
-        The rows within a relative _NEAR_TIE of the best incremental score
-        are rescored with expected_improvement_many, and only its exact
-        maxima are returned, with its exact score.  When every factor of
-        both sides weighs its cells alike, every row sums the same logs in
-        the same order and so scores exactly the same: one row is rescored.
+        The near() rows are rescored with expected_improvement_many, and only
+        its exact maxima are returned, with its exact score.  When every
+        factor of both sides weighs its cells alike, every row sums the same
+        logs in the same order and so scores exactly the same: one is rescored.
         """
-        log_ratio = np.clip(self.log_ratio + self.offset, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP)
-        approx = np.where(open_rows, _ei(np.exp(log_ratio), model.success_prior), 0.0)
-        near = np.flatnonzero(approx >= approx.max() * (1.0 - _NEAR_TIE))
-        if near.size == np.count_nonzero(open_rows) and _flat(model.good) and _flat(model.bad):
+        near = self.near(model, open_rows)
+        if (near.size > 1 and near.size == np.count_nonzero(open_rows)
+                and _flat(model.good) and _flat(model.bad)):
             return near, float(expected_improvement_many(model, self.rows[near[:1]])[0])
         exact = expected_improvement_many(model, self.rows[near])
         top = exact.max()

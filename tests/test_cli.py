@@ -425,6 +425,17 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_not_positive_exits_two(self, capsys, workspace, size):
+        code, out, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", size],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: sample size must be positive"]
+
     def test_requires_data_or_sample(self, capsys, workspace):
         code, _, err = _run(
             ["simulate", "--graph", str(workspace / "graph.json"),

@@ -13,6 +13,7 @@ from buildtuner import (
     SamplerConfig,
     auprc,
     auprc_experiment,
+    config_digest,
     crowd_score_many,
     derive_seed,
     expected_improvement_many,
@@ -23,6 +24,7 @@ from buildtuner import (
     substream,
     sweep_experiment,
 )
+from buildtuner import sampler
 from buildtuner.metrics import _descending
 from helpers import chain_graph, distinct_records
 
@@ -158,6 +160,20 @@ class TestSweepExperiment:
         b = sweep_experiment(dataset, ("bayesian",), (8, 16), 2, 99,
                              bootstrap_size=4)
         assert a["bayesian"] == b["bayesian"]
+
+    def test_runs_digest_nothing(self, monkeypatch):
+        """run digests a selection only when its trace is read, and a sweep
+        reads no trace."""
+        digested = []
+
+        def counted(graph, config):
+            digested.append(config)
+            return config_digest(graph, config)
+
+        monkeypatch.setattr(sampler, "config_digest", counted)
+        sweep_experiment(_replay_dataset(), ("bayesian", "crowd", "random"), (10, 20),
+                         repetitions=2, base_seed=5, bootstrap_size=5)
+        assert digested == []
 
     def test_validation(self):
         dataset = _replay_dataset()

@@ -185,6 +185,26 @@ class TestRun:
         assert len(result.trace) == 7
         assert [entry.t for entry in result.trace] == list(range(1, 8))
 
+    def test_trace_is_digested_on_first_read(self, monkeypatch):
+        digested = []
+
+        def counted(graph, config):
+            digested.append(config)
+            return config_digest(graph, config)
+
+        monkeypatch.setattr(sampler, "config_digest", counted)
+        graph = chain_graph(3, 3)
+        config = SamplerConfig(bootstrap_size=5, budget=7, seed=3)
+        result = run(CountingOracle(lambda c: c[0] == 0), graph, config)
+        assert digested == []
+        trace = result.trace
+        selected = [record.config for record in result.history.entries[5:]]
+        assert digested == selected
+        assert [entry.digest for entry in trace] == [config_digest(graph, c) for c in selected]
+        assert [entry.built for entry in trace] == [r.outcome for r in result.history.entries[5:]]
+        assert [entry.score for entry in trace] == list(result.scores)
+        assert result.trace is trace and len(digested) == 7
+
     def test_zero_budget(self):
         graph = chain_graph(3, 3)
         config = SamplerConfig(bootstrap_size=4, budget=0, seed=1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from buildtuner import (
 )
 from buildtuner.configspace import enumerate_configurations, full_space_matrix
 from buildtuner.surrogate import RatioIndex
-from helpers import chain_graph, distinct_records, two_package_graph
+from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
 
 
 def direct_log_density(table: FactorTable, config) -> float:
@@ -329,7 +330,120 @@ def _observed_spaces(draw):
     return graph, records, start, smoothing
 
 
+@st.composite
+def _selection_states(draw):
+    """A graph, records in random order, how many seed the model, a smoothing
+    of 1 or 1e-30, and a seed for an open mask.  Half the graphs are a root
+    with 6-11 dependencies, where smoothing 1e-30 puts log ratios past the
+    +/-700 clamp and saturates many rows at the score 1/prior."""
+    if draw(st.booleans()):
+        graph, records, start, _ = draw(_observed_spaces())
+    else:
+        graph = wide_graph(draw(st.integers(6, 11)), 2)
+        configs = full_space_matrix(graph).tolist()
+        picks = draw(st.lists(st.integers(0, len(configs) - 1), min_size=1, max_size=30,
+                              unique=True))
+        records = [BuildRecord(tuple(configs[i]), draw(st.booleans())) for i in picks]
+        start = draw(st.integers(0, len(records) - 1))
+    smoothing = draw(st.sampled_from([1.0, 1e-30]))
+    return graph, records, start, smoothing, draw(st.integers(0, 2**32 - 1))
+
+
+def _indexed(graph, records, start, smoothing):
+    """A RatioIndex over the whole space, fitted on records[:start] and then
+    updated one record at a time, with the model it agrees with."""
+    rows = full_space_matrix(graph).astype(np.int64)
+    model = fit(records[:start], graph, smoothing)
+    index = RatioIndex(model, rows)
+    for record in records[start:]:
+        index.add(model, record)
+        model = refit_incremental(model, record)
+    return index, model
+
+
+def _ei_band(index, model, open_rows, tol=1e-9):
+    """Open rows whose incremental score is within tol of the best, computed
+    as scores over every row: the band that RatioIndex.near must hold."""
+    prior = model.success_prior
+    ratio = np.exp(np.clip(index.log_ratio + index.offset, -700.0, 700.0))
+    approx = np.where(open_rows, 1.0 / (prior + ratio * (1.0 - prior)), 0.0)
+    return np.flatnonzero(approx >= approx.max() * (1.0 - tol))
+
+
+def _assert_best_is_exact(index, model, open_rows):
+    """best() is the from-scratch maximum over the open rows, tie set and
+    score, and near() holds the whole score band; return the tie set."""
+    scratch = expected_improvement_many(model, index.rows)
+    top = scratch[open_rows].max()
+    tied, score = index.best(model, open_rows)
+    np.testing.assert_array_equal(tied, np.flatnonzero(open_rows & (scratch == top)))
+    assert score == top
+    near = index.near(model, open_rows)
+    assert open_rows[near].all()
+    assert np.isin(_ei_band(index, model, open_rows), near).all()
+    return tied
+
+
 class TestRatioIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(_selection_states(), st.sampled_from([1.0, 0.5, 0.02]))
+    def test_property_best_is_the_exact_maximum(self, state, share_open):
+        graph, records, start, smoothing, seed = state
+        index, model = _indexed(graph, records, start, smoothing)
+        rng = np.random.default_rng(seed)
+        open_rows = rng.random(index.rows.shape[0]) < share_open
+        open_rows[rng.integers(open_rows.size)] = True
+        _assert_best_is_exact(index, model, open_rows)
+
+    @pytest.mark.parametrize("which", ["all", "past-lower-clamp", "saturated",
+                                       "past-upper-clamp"])
+    def test_best_at_the_clamps_and_saturation(self, which):
+        # Smoothing 1e-30 adds about -69 per factor to a row seen only good
+        # and +69 per factor to one seen only bad: 25 factors pass +/-700.
+        graph = wide_graph(12, 2)
+        records = [BuildRecord((0,) * 13, True), BuildRecord((1,) * 13, False),
+                   BuildRecord((0,) * 12 + (1,), True)]
+        index, model = _indexed(graph, records, 1, 1e-30)
+        log_ratio = index.log_ratio + index.offset
+        assert log_ratio.min() < -700 and log_ratio.max() > 700
+        open_rows = {
+            "all": np.ones(log_ratio.size, dtype=bool),
+            "past-lower-clamp": log_ratio < -700,
+            "saturated": (log_ratio > -700) & (log_ratio < -100),
+            "past-upper-clamp": log_ratio > 710,  # where exp() overflows, too
+        }[which]
+        tied = _assert_best_is_exact(index, model, open_rows)
+        if which != "all":
+            # Every open row scores the same: the clamp or 1/prior in floats.
+            assert tied.size == np.count_nonzero(open_rows) > 1
+
+    def test_factor_cells_are_lines_of_cells(self):
+        rows = full_space_matrix(_UNEVEN).astype(np.int64)
+        layout = fit([], _UNEVEN).good_stats.layout
+        cells = layout.cells(rows)
+        for f in range(cells.shape[0]):
+            line = layout.factor_cells(rows, f)
+            assert line.dtype == np.int32
+            np.testing.assert_array_equal(line, cells[f])
+
+    def test_build_holds_one_copy_of_the_index(self):
+        """Building the index over a 3^9-row space traces no more memory than
+        the int32 index, the float ratios and a few one-factor temporaries."""
+        graph = chain_graph(9, 3)
+        rows = full_space_matrix(graph).astype(np.int64)
+        records = distinct_records(graph, 40, np.random.default_rng(3),
+                                   lambda c: c[0] == c[1])
+        model = fit(records, graph)
+        n_rows, n_factors = rows.shape[0], graph.n_packages + len(graph.edges)
+        kept = n_factors * n_rows * 4 + n_rows * (8 + 1)  # _order, log_ratio, mask
+        tracemalloc.start()
+        try:
+            RatioIndex(model, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kept + 4 * n_rows * 8
+
     @settings(max_examples=80, deadline=None)
     @given(_observed_spaces())
     def test_property_updates_match_full_fit(self, space):
