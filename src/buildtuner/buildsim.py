@@ -17,9 +17,12 @@ import hashlib
 import heapq
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,15 +69,14 @@ class RulesError(ValueError):
 
 
 class NodeStatus(Enum):
-    PENDING = "pending"
-    READY = "ready"
-    BUILDING = "building"
+    """How a unit ended a simulated campaign."""
+
     SUCCEEDED = "succeeded"
     FAILED = "failed"
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildUnit:
     """One buildable unit: a package version with fixed dependency subtrees."""
 
@@ -85,31 +87,70 @@ class BuildUnit:
 
 
 class BuildDag:
-    """Deduplicated build units plus the origin of every input configuration."""
+    """Deduplicated build units plus the origin of every input configuration.
+
+    ``origins`` maps each distinct input configuration to the digest of its
+    root unit.  ``digests`` lists every unit digest in sorted order, and
+    ``edges`` gives every dependency by digest rank: a unit's rank is its id
+    in the scheduler, and ranks compare exactly as digests do.  A DAG from
+    build_dag comes with ``digests`` and ``edges`` and builds ``origins`` on
+    first read; one made from units and origins derives the other two once.
+    """
 
     def __init__(self, units: dict[str, BuildUnit], origins: dict[Configuration, str]):
         self.units = units
-        self.origins = origins
+        self.origins = origins  # an instance value shadows the lazy property
+
+    @classmethod
+    def _made(cls, units: dict[str, BuildUnit], digests: list[str],
+              edges: tuple[np.ndarray, np.ndarray], origin_rows) -> "BuildDag":
+        dag = cls.__new__(cls)
+        dag.units, dag.digests, dag.edges = units, digests, edges
+        dag._origin_rows = origin_rows
+        return dag
+
+    @cached_property
+    def origins(self) -> dict[Configuration, str]:
+        rows, root_places, names = self._origin_rows
+        return dict(zip(map(tuple, rows.tolist()), map(names.__getitem__, root_places.tolist())))
+
+    @cached_property
+    def digests(self) -> list[str]:
+        return sorted(self.units)
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(unit, dependency) rank pairs, as two intp arrays of equal length."""
+        rank = dict(zip(self.digests, range(len(self.digests))))
+        deps = [self.units[d].deps for d in self.digests]
+        counts = np.array([len(t) for t in deps], dtype=np.intp)
+        dependency = np.fromiter(map(rank.__getitem__, chain.from_iterable(deps)),
+                                 dtype=np.intp, count=int(counts.sum()))
+        return np.repeat(np.arange(len(deps)), counts), dependency
 
     @property
     def node_count(self) -> int:
         return len(self.units)
 
-    def dependents(self) -> dict[str, list[str]]:
-        reverse: dict[str, list[str]] = {d: [] for d in self.units}
-        for unit in self.units.values():
-            for dep in unit.deps:
-                reverse[dep].append(unit.digest)
-        return reverse
+
+# Every dependency digest is 64 hex characters, so each one is hashed behind
+# the same 4-byte length prefix.
+_DIGEST_PREFIX = (64).to_bytes(4, "big").decode("ascii")
 
 
-def _unit_digest(package: str, version: str, dep_digests: Sequence[str]) -> str:
+def _hash_prefix(package: str, version: str):
+    """A sha256 hasher fed the length-prefixed package and version."""
     h = hashlib.sha256()
-    for text in (package, version, *sorted(dep_digests)):
+    for text in (package, version):
         raw = text.encode("utf-8")
         h.update(len(raw).to_bytes(4, "big"))
         h.update(raw)
-    return h.hexdigest()
+    return h
+
+
+# build_dag folds each child's unit place into an int64 row key; a key that
+# could pass this bound is first made dense, below len(rows).
+_KEY_LIMIT = 2**62
 
 
 def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> BuildDag:
@@ -117,7 +158,10 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
 
     Each package's units get dense integer ids first: rows share a unit
     exactly when they share its version and its children's units.  Only
-    then is each distinct unit digested, once.
+    then is each distinct unit digested, once: sha256 over the
+    length-prefixed package, version and sorted dependency digests, from
+    one prefix hasher per package version.  A unit is named by its digest
+    only in ``units`` and in the report; the scheduler works on digest ranks.
     """
     if not isinstance(configs, np.ndarray):
         configs = list(configs)
@@ -139,29 +183,48 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
         visit(i)
 
     units: dict[str, BuildUnit] = {}
-    unit_ids: dict[int, np.ndarray] = {}  # package -> each row's unit id
-    digests: dict[int, list[str]] = {}  # package -> digest of each unit id
+    names: list[str] = []  # every unit's digest, in the order made
+    places: dict[int, np.ndarray] = {}  # package -> place in names of each row's unit
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (unit, dependency) places
     for node in order:
         package, domain = graph.packages[node], graph.domains[node]
         children = graph.children_map[node]
         key = rows[:, node]
         for child in children:
-            # Dense before each fold, so the key stays below len(rows)**2.
-            key = np.unique(key, return_inverse=True)[1]
-            key = key * len(digests[child]) + unit_ids[child]
-        _, first, unit_ids[node] = np.unique(key, return_index=True, return_inverse=True)
-        digests[node] = []
-        # Each unit's version and child units, read from its first row.
-        for v, *ids in zip(rows[first, node].tolist(),
-                           *(unit_ids[c][first].tolist() for c in children)):
-            version = domain[v]
-            deps = tuple(sorted(digests[c][i] for c, i in zip(children, ids)))
-            digest = _unit_digest(package, version, deps)
-            digests[node].append(digest)
-            units[digest] = BuildUnit(package=package, version=version, digest=digest, deps=deps)
-    roots = [digests[graph.root][i] for i in unit_ids[graph.root].tolist()]
-    origins = dict(zip(map(tuple, rows.tolist()), roots))
-    return BuildDag(units=units, origins=origins)
+            if (int(key.max(initial=0)) + 1) * len(names) > _KEY_LIMIT:
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * len(names) + places[child]
+        _, first, unit_ids = np.unique(key, return_index=True, return_inverse=True)
+        places[node] = len(names) + unit_ids
+        new_places = np.arange(len(names), len(names) + len(first))
+        dep_places = [places[c][first] for c in children]
+        pairs += [(new_places, dep) for dep in dep_places]
+        # Each unit's version and sorted dependency digests, read from its first
+        # row, hashed behind a copy of its package version's prefix.
+        versions = rows[first, node].tolist()
+        deps_of = [()] * len(versions)
+        if children:
+            deps_of = [tuple(sorted(deps)) for deps in zip(
+                *(map(names.__getitem__, dep.tolist()) for dep in dep_places))]
+        prefixes = [_hash_prefix(package, version) for version in domain]
+        made = []
+        for v, deps in zip(versions, deps_of):
+            h = prefixes[v].copy()
+            if deps:
+                h.update((_DIGEST_PREFIX + _DIGEST_PREFIX.join(deps)).encode("ascii"))
+            made.append(h.hexdigest())
+        units.update(zip(made, map(BuildUnit, repeat(package), map(domain.__getitem__, versions),
+                                   made, deps_of)))
+        names += made
+    # The one sort of all digests: ranks replace places in every edge.
+    by_digest = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[by_digest] = np.arange(len(names))
+    no_pair = [np.empty(0, dtype=np.intp)]
+    edges = (rank[np.concatenate(no_pair + [unit for unit, _ in pairs])],
+             rank[np.concatenate(no_pair + [dep for _, dep in pairs])])
+    return BuildDag._made(units, [names[g] for g in by_digest], edges,
+                          (rows, places[graph.root], names))
 
 
 @dataclass(frozen=True)
@@ -190,7 +253,7 @@ class SimReport:
         """Units that never produced an artifact, whatever the reason."""
         return self.failed + self.skipped
 
-    def to_dict(self) -> dict:
+    def _counts(self) -> dict:
         return {
             "nodes": len(self.statuses),
             "attempted": self.attempted,
@@ -199,8 +262,40 @@ class SimReport:
             "skipped": self.skipped,
             "failed_or_skipped": self.failed_or_skipped,
             "makespan": self.makespan,
-            "statuses": {d: s.value for d, s in sorted(self.statuses.items())},
         }
+
+    def to_dict(self) -> dict:
+        return {**self._counts(),
+                "statuses": {d: s.value for d, s in self.statuses.items()}}
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        plus a newline, in chunks.
+
+        The counts go through json.dumps; each status is one pre-encoded
+        line, written a few thousand at a time, so the report never passes
+        through the pure-Python indenting encoder nor exists as one string.
+        """
+        text = json.dumps({**self._counts(), "statuses": None}, indent=2, sort_keys=True)
+        head, _, tail = text.partition('"statuses": null')
+        if not self.statuses:
+            yield f'{head}"statuses": {{}}{tail}\n'
+            return
+        yield f'{head}"statuses": {{\n'
+        value = {s: json.dumps(s.value) for s in NodeStatus}
+        statuses = self.statuses
+        keys = sorted(statuses)
+        for at in range(0, len(keys), _REPORT_CHUNK):
+            lines = [f"    {_json_string(d)}: {value[statuses[d]]}"
+                     for d in keys[at:at + _REPORT_CHUNK]]
+            yield ("" if at == 0 else ",\n") + ",\n".join(lines)
+        yield f"\n  }}{tail}\n"
+
+
+# Status lines per chunk of SimReport.json_chunks.
+_REPORT_CHUNK = 4096
+# The string encoder json.dumps uses with its default ensure_ascii=True.
+_json_string = json.encoder.encode_basestring_ascii
 
 
 def simulate(
@@ -211,90 +306,78 @@ def simulate(
 ) -> SimReport:
     """Run the farmer-worker protocol to completion.
 
-    Ready units enter a FIFO queue ordered by digest within each wave and
-    are assigned to the lowest-numbered free worker, so the schedule is a
-    pure function of the inputs.  Every unit ends succeeded, failed, or
-    skipped, and attempted + skipped equals the node count.
+    Units are scheduled by their rank in ``dag.digests`` over ``dag.edges``,
+    so every order is the digest order: ready units enter a FIFO queue in
+    rank order within each wave and go to the lowest-numbered free worker,
+    and equal end times finish in rank order.  The schedule is a pure
+    function of the inputs.  Units are named by digest only in the returned
+    statuses and events.  Every unit ends succeeded, failed, or skipped, and
+    attempted + skipped equals the node count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if latency_fn is None:
         latency_fn = lambda unit: 1.0
+    digests, (unit_rank, dep_rank) = dag.digests, dag.edges
+    n = len(digests)
+    dep_counts = np.bincount(unit_rank, minlength=n)
+    waiting_on = dep_counts.tolist()
+    # The dependents of the unit ranked i are dependents[bounds[i]:bounds[i + 1]].
+    dependents = unit_rank[np.argsort(dep_rank, kind="stable")].tolist()
+    bounds = [0, *np.cumsum(np.bincount(dep_rank, minlength=n)).tolist()]
 
-    status: dict[str, NodeStatus] = {d: NodeStatus.PENDING for d in dag.units}
-    dependents = dag.dependents()
-    waiting_on = {d: len(unit.deps) for d, unit in dag.units.items()}
-
-    ready: list[str] = sorted(d for d, n in waiting_on.items() if n == 0)
-    for d in ready:
-        status[d] = NodeStatus.READY
-    free_workers = list(range(workers))
-    heapq.heapify(free_workers)
-    building: list[tuple[float, str, int, float]] = []  # (end, digest, worker, start)
+    # A unit never attempted is skipped: it waits on a dependency that
+    # failed, or that waits in turn on one that failed.
+    status = [NodeStatus.SKIPPED] * n
+    ready = deque(np.flatnonzero(dep_counts == 0).tolist())
+    # The lowest free worker is always taken and at most n units run at once,
+    # so no worker numbered n or above is ever used.
+    free_workers = list(range(min(workers, n)))  # sorted, so already a heap
+    building: list[tuple[float, int, int, float]] = []  # (end, rank, worker, start)
     events: list[SimEvent] = []
     now = 0.0
     makespan = 0.0
 
     def start_ready() -> None:
         while ready and free_workers:
-            digest = ready.pop(0)
+            i = ready.popleft()
             worker = heapq.heappop(free_workers)
-            unit = dag.units[digest]
-            latency = float(latency_fn(unit))
+            latency = float(latency_fn(dag.units[digests[i]]))
             if not 0.0 <= latency < math.inf:
-                raise ValueError(f"latency {latency} of unit {digest} is not finite and >= 0")
-            status[digest] = NodeStatus.BUILDING
-            heapq.heappush(building, (now + latency, digest, worker, now))
-
-    def mark_skipped(root: str) -> None:
-        stack = [root]
-        while stack:
-            for dep in dependents[stack.pop()]:
-                # Never READY: a READY unit has no failed or skipped dependency.
-                if status[dep] is NodeStatus.PENDING:
-                    status[dep] = NodeStatus.SKIPPED
-                    stack.append(dep)
+                raise ValueError(
+                    f"latency {latency} of unit {digests[i]} is not finite and >= 0")
+            heapq.heappush(building, (now + latency, i, worker, now))
 
     start_ready()
     while building:
-        end, digest, worker, start = heapq.heappop(building)
+        end, i, worker, start = heapq.heappop(building)
         now = end
         makespan = max(makespan, end)
-        unit = dag.units[digest]
-        ok = bool(outcome_fn(unit))
-        events.append(SimEvent(unit=digest, worker=worker, start=start, end=end,
+        ok = bool(outcome_fn(dag.units[digests[i]]))
+        events.append(SimEvent(unit=digests[i], worker=worker, start=start, end=end,
                                succeeded=ok))
         heapq.heappush(free_workers, worker)
         if ok:
-            status[digest] = NodeStatus.SUCCEEDED
+            status[i] = NodeStatus.SUCCEEDED
             newly_ready = []
-            for dep in dependents[digest]:
-                if status[dep] is not NodeStatus.PENDING:
-                    continue
+            for dep in dependents[bounds[i]:bounds[i + 1]]:
                 waiting_on[dep] -= 1
-                if waiting_on[dep] == 0:
-                    status[dep] = NodeStatus.READY
+                if not waiting_on[dep]:
                     newly_ready.append(dep)
-            ready.extend(sorted(newly_ready))
+            newly_ready.sort()
+            ready.extend(newly_ready)
         else:
-            status[digest] = NodeStatus.FAILED
-            mark_skipped(digest)
+            status[i] = NodeStatus.FAILED
         start_ready()
 
-    assert all(
-        s in (NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED)
-        for s in status.values()
-    ), "simulation left units unresolved"
-    succeeded = sum(1 for s in status.values() if s is NodeStatus.SUCCEEDED)
-    failed = sum(1 for s in status.values() if s is NodeStatus.FAILED)
-    skipped = sum(1 for s in status.values() if s is NodeStatus.SKIPPED)
+    succeeded = status.count(NodeStatus.SUCCEEDED)
     return SimReport(
-        attempted=succeeded + failed,
+        attempted=len(events),
         succeeded=succeeded,
-        failed=failed,
-        skipped=skipped,
+        failed=len(events) - succeeded,
+        skipped=n - len(events),
         makespan=makespan,
-        statuses=status,
+        statuses=dict(zip(digests, status)),
         events=tuple(events),
     )
 

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -41,12 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _write_text(path: str | None, text: str) -> None:
+    _write_chunks(path, (text,))
 
 
 def _json_text(payload) -> str:
@@ -202,6 +207,8 @@ def _cmd_simulate(args) -> int:
     graph = load_graph(args.graph)
     rules = buildsim.load_rules(args.rules)
     rules.check_against(graph)
+    if args.data and args.sample is not None:
+        raise _UsageError("give either --data or --sample, not both")
     if args.data:
         configs = _load_data(args.data, args.graph).rows
     elif args.sample is not None:
@@ -215,7 +222,7 @@ def _cmd_simulate(args) -> int:
     outcome = buildsim.planted_outcome(dag, rules, graph, seed=args.seed)
     if args.latency == "lognormal":
         rng = substream(args.seed, "simulate-latency")
-        digests = sorted(dag.units)
+        digests = dag.digests
         draws = rng.lognormal(mean=0.0, sigma=args.latency_sigma, size=len(digests))
         latencies = dict(zip(digests, draws.tolist()))
         latency_fn = lambda unit: latencies[unit.digest]
@@ -223,7 +230,7 @@ def _cmd_simulate(args) -> int:
         latency_fn = None
     report = buildsim.simulate(dag, outcome, workers=args.workers,
                                latency_fn=latency_fn)
-    _write_text(args.out, _json_text(report.to_dict()))
+    _write_chunks(args.out, report.json_chunks())
     return 0
 
 

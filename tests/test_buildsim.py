@@ -1,13 +1,17 @@
 """Deduplicated build DAGs, the farmer-worker simulator, synthetic oracles."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import heapq
 import json
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from buildtuner import (
@@ -21,11 +25,12 @@ from buildtuner import (
     space_size,
     synthetic_oracle,
 )
+from buildtuner import buildsim
 from buildtuner.buildsim import (
     BenchmarkError,
     BuildUnit,
+    SimReport,
     RulesError,
-    _unit_digest,
     enumerate_records,
     load_rules,
     planted_outcome,
@@ -96,6 +101,17 @@ class TestDagConstruction:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             build_dag([(0, 9)], two_package_graph())
+
+
+def _unit_digest(package: str, version: str, dep_digests) -> str:
+    """A unit's digest from scratch: sha256 over the length-prefixed package,
+    version and sorted dependency digests."""
+    h = hashlib.sha256()
+    for text in (package, version, *sorted(dep_digests)):
+        raw = text.encode("utf-8")
+        h.update(len(raw).to_bytes(4, "big"))
+        h.update(raw)
+    return h.hexdigest()
 
 
 def _reference_build_dag(configs, graph):
@@ -183,6 +199,256 @@ class TestDagAgainstReference:
         with pytest.raises(GraphError) as raised:
             build_dag(configs, graph)
         assert str(raised.value) == str(expected.value)
+
+
+@st.composite
+def _dag_cases(draw):
+    """A graph of 2-6 packages, a tree or with shared children, and rows
+    over it, some repeated."""
+    n = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    # Each package after the root gets an earlier parent, so all are reachable
+    # and the graph stays acyclic; extra forward edges share children.
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges |= {(p, c) for p, c in extra if p < c}
+    graph = DependencyGraph(
+        packages=tuple(f"p{i}" for i in range(n)),
+        domains=tuple(tuple(f"v{j}" for j in range(m)) for m in sizes),
+        edges=tuple(sorted(edges)),
+        root=0,
+    )
+    validate_graph(graph)
+    rows = draw(st.lists(st.tuples(*(st.integers(0, m - 1) for m in sizes)), max_size=40))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    return graph, rows
+
+
+def _edge_pairs(dag: BuildDag) -> list[tuple[int, int]]:
+    return sorted(zip(*(side.tolist() for side in dag.edges)))
+
+
+class TestRankedDag:
+    @settings(max_examples=120, deadline=None)
+    @given(_dag_cases())
+    def test_property_matches_the_reference(self, case):
+        """Units and origins equal the per-configuration reference; digests
+        and edges equal those a DAG made from units and origins derives."""
+        graph, rows = case
+        dag = _assert_same_dag(rows, graph)
+        derived = BuildDag(dag.units, dag.origins)
+        assert dag.digests == derived.digests == sorted(dag.units)
+        assert _edge_pairs(dag) == _edge_pairs(derived)
+        for unit, dep in _edge_pairs(dag):
+            assert dag.digests[dep] in dag.units[dag.digests[unit]].deps
+        assert len(_edge_pairs(dag)) == sum(len(u.deps) for u in dag.units.values())
+
+    def test_dense_row_keys_give_the_same_dag(self, monkeypatch):
+        """With no room in the key, every fold makes it dense first."""
+        monkeypatch.setattr(buildsim, "_KEY_LIMIT", 0)
+        graph = _wide_diamond_graph()
+        _assert_same_dag(random_configurations(graph, np.random.default_rng(5), 200), graph)
+        graph, _ = generate_benchmark(7, [2, 3, 4, 1, 3, 2, 5], 0.3, 0.5, seed=2)
+        _assert_same_dag(random_configurations(graph, np.random.default_rng(6), 300), graph)
+
+    def test_origins_are_built_on_first_read(self):
+        graph = chain_graph(3, 2)
+        dag = build_dag([(1, 0, 1), (0, 0, 0), (1, 0, 1)], graph)
+        assert "origins" not in vars(dag)
+        assert list(dag.origins) == [(1, 0, 1), (0, 0, 0)]
+        assert vars(dag)["origins"] is dag.origins
+
+
+def _reference_simulate(dag, outcome_fn, workers=1, latency_fn=None):
+    """The digest-keyed scheduler simulate replaces: statuses, waiting counts
+    and dependents in dicts keyed by digest, the ready queue a list popped
+    from the front, and every failure's dependents marked skipped at once.
+    Its passing states (pending, ready, building) are plain strings."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if latency_fn is None:
+        latency_fn = lambda unit: 1.0
+
+    status = {d: "pending" for d in dag.units}
+    dependents = {d: [] for d in dag.units}
+    for unit in dag.units.values():
+        for dep in unit.deps:
+            dependents[dep].append(unit.digest)
+    waiting_on = {d: len(unit.deps) for d, unit in dag.units.items()}
+
+    ready = sorted(d for d, n in waiting_on.items() if n == 0)
+    for d in ready:
+        status[d] = "ready"
+    free_workers = list(range(workers))
+    heapq.heapify(free_workers)
+    building = []  # (end, digest, worker, start)
+    events = []
+    now = 0.0
+    makespan = 0.0
+
+    def start_ready():
+        while ready and free_workers:
+            digest = ready.pop(0)
+            worker = heapq.heappop(free_workers)
+            unit = dag.units[digest]
+            latency = float(latency_fn(unit))
+            if not 0.0 <= latency < math.inf:
+                raise ValueError(f"latency {latency} of unit {digest} is not finite and >= 0")
+            status[digest] = "building"
+            heapq.heappush(building, (now + latency, digest, worker, now))
+
+    def mark_skipped(root):
+        stack = [root]
+        while stack:
+            for dep in dependents[stack.pop()]:
+                if status[dep] == "pending":
+                    status[dep] = NodeStatus.SKIPPED
+                    stack.append(dep)
+
+    start_ready()
+    while building:
+        end, digest, worker, start = heapq.heappop(building)
+        now = end
+        makespan = max(makespan, end)
+        unit = dag.units[digest]
+        ok = bool(outcome_fn(unit))
+        events.append(buildsim.SimEvent(unit=digest, worker=worker, start=start, end=end,
+                                        succeeded=ok))
+        heapq.heappush(free_workers, worker)
+        if ok:
+            status[digest] = NodeStatus.SUCCEEDED
+            newly_ready = []
+            for dep in dependents[digest]:
+                if status[dep] != "pending":
+                    continue
+                waiting_on[dep] -= 1
+                if waiting_on[dep] == 0:
+                    status[dep] = "ready"
+                    newly_ready.append(dep)
+            ready.extend(sorted(newly_ready))
+        else:
+            status[digest] = NodeStatus.FAILED
+            mark_skipped(digest)
+        start_ready()
+
+    assert all(s in (NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED)
+               for s in status.values())
+    counts = {s: sum(1 for v in status.values() if v is s)
+              for s in (NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED)}
+    return SimReport(
+        attempted=counts[NodeStatus.SUCCEEDED] + counts[NodeStatus.FAILED],
+        succeeded=counts[NodeStatus.SUCCEEDED],
+        failed=counts[NodeStatus.FAILED],
+        skipped=counts[NodeStatus.SKIPPED],
+        makespan=makespan,
+        statuses=status,
+        events=tuple(events),
+    )
+
+
+def _assert_same_schedule(dag, outcome_fn, workers, latency_fn=None):
+    report = simulate(dag, outcome_fn, workers=workers, latency_fn=latency_fn)
+    reference = _reference_simulate(dag, outcome_fn, workers=workers, latency_fn=latency_fn)
+    assert report.statuses == reference.statuses
+    assert list(report.statuses) == sorted(dag.units)
+    assert report.events == reference.events
+    assert report.makespan == reference.makespan
+    assert ((report.attempted, report.succeeded, report.failed, report.skipped)
+            == (reference.attempted, reference.succeeded, reference.failed, reference.skipped))
+    return report
+
+
+# Latencies with many exact ties, 0.1 + 0.2 and 0.3 among them.
+_TIED_LATENCIES = (0.0, 0.5, 1.0, 0.1 + 0.2, 0.3, 2.0)
+
+
+class TestSimulateAgainstReference:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_dag_cases(), workers=st.sampled_from([1, 2, 3, 1000]), data=st.data())
+    def test_property_same_schedule(self, case, workers, data):
+        graph, rows = case
+        dag = build_dag(rows, graph)
+        digests = sorted(dag.units)
+        failing = set(data.draw(st.lists(st.sampled_from(digests), max_size=3))) if digests else set()
+        if data.draw(st.booleans()):
+            latency = None  # every end time of a wave ties
+        else:
+            picks = data.draw(st.lists(st.sampled_from(_TIED_LATENCIES),
+                                       min_size=len(digests), max_size=len(digests)))
+            latency_of = dict(zip(digests, picks))
+            latency = lambda unit: latency_of[unit.digest]
+        _assert_same_schedule(dag, lambda unit: unit.digest not in failing, workers, latency)
+
+    @pytest.mark.parametrize("workers", [1, 3, 1000])
+    @pytest.mark.parametrize("latency", [None, lambda unit: 0.5 + (unit.digest.encode()[0] % 3) / 4],
+                             ids=["unit", "tied-by-digest"])
+    def test_failures_skip_subtrees(self, workers, latency):
+        graph = _wide_diamond_graph()
+        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        assert dag.node_count < 1000
+        report = _assert_same_schedule(
+            dag, lambda unit: (unit.package, unit.version) not in {("L", "l2"), ("M2", "y")},
+            workers, latency)
+        assert report.failed and report.skipped and report.succeeded
+
+    def test_workers_past_the_unit_count_change_nothing(self):
+        graph = chain_graph(3, 3)
+        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        reports = [simulate(dag, ALWAYS, workers=w) for w in (dag.node_count, 10**20)]
+        assert reports[0] == reports[1]
+        assert max(e.worker for e in reports[0].events) < dag.node_count
+
+
+def _report_text(report: SimReport) -> str:
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("makespan", [0.0, 0.1 + 0.2, 1e-7, 1e16, 3.0, 12345.678])
+    def test_equals_json_dumps(self, makespan):
+        graph = chain_graph(3, 3)
+        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        report = dataclasses.replace(simulate(dag, lambda u: u.version != "v2", workers=2),
+                                     makespan=makespan)
+        assert "".join(report.json_chunks()) == _report_text(report)
+
+    def test_empty_dag(self):
+        report = simulate(build_dag([], chain_graph(3, 2)), ALWAYS, workers=4)
+        assert report.statuses == {} and report.events == ()
+        assert "".join(report.json_chunks()) == _report_text(report)
+
+    def test_many_chunks_unsorted_and_escaped_keys(self, monkeypatch):
+        monkeypatch.setattr(buildsim, "_REPORT_CHUNK", 3)
+        statuses = {key: status for key, status in zip(
+            ["zz", "a\"b", "\u00e9t\u00e9", "tab\t", "0", "m", "b\\"],
+            [NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED] * 3)}
+        report = SimReport(attempted=4, succeeded=2, failed=2, skipped=3, makespan=2.5,
+                           statuses=statuses, events=())
+        chunks = list(report.json_chunks())
+        assert len(chunks) == 5  # head, three chunks of status lines, tail
+        assert "".join(chunks) == _report_text(report)
+
+
+# Bytes: this code peaks at 1.38-1.47 MB on the case below, the digest-keyed
+# code it replaced at 1.90-2.15 MB (Python 3.11, numpy 2.4).
+_PEAK_BOUND = 1_600_000
+
+
+def test_build_and_simulate_peak_memory():
+    """Peak traced memory of build_dag and then simulate on 5,000 rows of a
+    3^7 space stays just above this code's own."""
+    graph, rules = generate_benchmark(7, 3, 0.5, 0.3, seed=4)
+    configs = random_configurations(graph, np.random.default_rng(4), 5000)
+    tracemalloc.start()
+    try:
+        dag = build_dag(configs, graph)
+        report = simulate(dag, planted_outcome(dag, rules, graph), workers=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.attempted + report.skipped == dag.node_count
+    assert peak < _PEAK_BOUND
 
 
 class TestSimulate:

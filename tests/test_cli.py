@@ -7,6 +7,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import buildtuner
 from buildtuner import (
     Dataset,
     GraphError,
@@ -29,6 +33,7 @@ from buildtuner import (
     substream,
     validate_graph,
 )
+from buildtuner import buildsim
 from buildtuner.buildsim import enumerate_records, save_rules, synthetic_oracle
 from buildtuner.cli import dispatch
 from helpers import chain_graph, distinct_records
@@ -444,6 +449,49 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    def test_data_and_sample_together_exit_one(self, capsys, workspace):
+        code, out, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"),
+             "--data", str(workspace / "data.jsonl"), "--sample", "5"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["give either --data or --sample, not both"]
+
+    def test_workers_beyond_the_dag_give_the_same_report(self, capsys, workspace):
+        """The free pool is capped at the unit count: no worker numbered past
+        it is ever taken, so a huge --workers allocates nothing and changes
+        no byte."""
+        argv = ["simulate", "--graph", str(workspace / "graph.json"),
+                "--rules", str(workspace / "rules.json"),
+                "--data", str(workspace / "data.jsonl"), "--latency", "lognormal"]
+        outs = []
+        for workers in ("1000", str(10**20)):
+            code, out, err = _run(argv + ["--workers", workers], capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["nodes"] < 1000
+
+    def test_never_builds_origins(self, capsys, workspace, monkeypatch):
+        dags = []
+        real = buildsim.simulate
+
+        def spy(dag, *args, **kwargs):
+            dags.append(dag)
+            return real(dag, *args, **kwargs)
+
+        monkeypatch.setattr(buildsim, "simulate", spy)
+        code, _, _ = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "20",
+             "--latency", "lognormal"],
+            capsys,
+        )
+        assert code == 0 and len(dags) == 1
+        assert "origins" not in vars(dags[0])
+
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 3.0])
 @pytest.mark.parametrize("n", [0, 1, 7, 5000])
@@ -455,6 +503,18 @@ def test_lognormal_batch_equals_one_draw_at_a_time(sigma, n):
     assert batch.lognormal(mean=0.0, sigma=sigma, size=n).tolist() == scalars
     assert batch.bit_generator.state == one.bit_generator.state
     assert batch.lognormal() == one.lognormal()
+
+
+@pytest.mark.parametrize("argv, code", [(["simulate", "--help"], 0), (["run"], 1)])
+def test_python_dash_m_runs_the_cli(argv, code):
+    """python -m buildtuner is the same entry point, exit code included."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(buildtuner.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "buildtuner", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "usage: buildtuner" in (proc.stdout if code == 0 else proc.stderr)
 
 
 class TestGenSyntheticCommand:
