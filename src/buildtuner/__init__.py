@@ -71,7 +71,6 @@ from .surrogate import (
     FactorModel,
     FactorTable,
     crowd_score_many,
-    ei_from_ratio,
     expected_improvement_many,
     fit,
     load_model,

@@ -45,9 +45,10 @@ def js_divergence(p: Sequence[float], q: Sequence[float]) -> float:
             f"support mismatch: {pa.shape} versus {qa.shape}"
         )
     for name, arr in (("p", pa), ("q", qa)):
-        if np.any(arr < 0):
-            raise ValueError(f"{name} has negative entries")
-        if abs(float(arr.sum()) - 1.0) > _NORMALIZATION_TOLERANCE:
+        # Written so that NaN fails each check.
+        if not np.all(arr >= 0):
+            raise ValueError(f"{name} has negative or NaN entries")
+        if not abs(float(arr.sum()) - 1.0) <= _NORMALIZATION_TOLERANCE:
             raise ValueError(f"{name} sums to {arr.sum()}, not 1")
     mid = 0.5 * (pa + qa)
 

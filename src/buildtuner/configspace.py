@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_configurations",
     "first_occurrences",
     "full_space_matrix",
-    "labels_of",
     "load_graph",
     "random_configuration",
     "random_configurations",
@@ -335,13 +334,6 @@ def config_from_labels(graph: DependencyGraph, versions: dict[str, str]) -> Conf
     return tuple(
         graph.version_index(i, versions[name]) for i, name in enumerate(graph.packages)
     )
-
-
-def labels_of(graph: DependencyGraph, config: Configuration) -> dict[str, str]:
-    check_configuration(graph, config)
-    return {
-        name: graph.domains[i][config[i]] for i, name in enumerate(graph.packages)
-    }
 
 
 def load_graph(path: str) -> DependencyGraph:

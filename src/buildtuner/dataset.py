@@ -84,7 +84,7 @@ class Dataset:
 
     It is one read-only int64 matrix ``rows``, a configuration per row, and
     one read-only bool vector ``built``, checked once by the constructor.
-    ``records`` and ``digests`` are derived from them.
+    ``records`` is derived from them.
     """
 
     def __init__(self, graph: DependencyGraph, records: Iterable[BuildRecord]):
@@ -114,11 +114,6 @@ class Dataset:
         """The records in row order, with int tuples and bool outcomes."""
         return tuple(BuildRecord(tuple(config), outcome)
                      for config, outcome in zip(self.rows.tolist(), self.built.tolist()))
-
-    @property
-    def digests(self) -> tuple[str, ...]:
-        """Canonical digest of each record's configuration, in record order."""
-        return tuple(config_digest(self.graph, r.config) for r in self.records)
 
     def __len__(self) -> int:
         return self.rows.shape[0]

@@ -15,6 +15,13 @@ where ratio is the bad/good density ratio at the candidate and prior is the
 estimated probability that a fresh uniform sample builds.  The score is
 computed in log space so that long factor products cannot underflow.
 
+FactorLayout alone knows where a row's cells sit in a side's flat vectors.
+A log density is one gather of every factor's log weight through
+FactorLayout.cells, a line per factor (per block of rows), whose lines are
+then added in factor order: a sum over the lines' axis would let numpy add
+pairwise, which for a single row of eight or more factors can differ in the
+last bit.
+
 Over a fixed candidate matrix, a RatioIndex keeps each row's log ratio up to
 date one record at a time instead of summing every factor again.  The score
 falls strictly as the ratio grows, so the best open row is the one with the
@@ -40,7 +47,6 @@ __all__ = [
     "RatioIndex",
     "SideStats",
     "crowd_score_many",
-    "ei_from_ratio",
     "expected_improvement_many",
     "fit",
     "load_model",
@@ -51,6 +57,10 @@ __all__ = [
 
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
 _LOG_RATIO_CLAMP = 700.0
+
+# log_density_many gathers at most this many rows' cells at once, so that
+# its temporaries stay small when a near-tie band holds much of a space.
+_DENSITY_BLOCK = 4096
 
 # RatioIndex.best rescores from scratch every open row whose incremental
 # score is within this relative distance of the best.  Incremental log ratios
@@ -157,28 +167,19 @@ class SideStats:
 class FactorTable:
     """Per-package and per-edge factor weights, with cached logarithms.
 
-    weights and log are flat vectors over the layout; node_weights,
-    edge_weights, node_log and edge_log are views of them shaped like the
-    factors.  Fitted tables are normalized (every factor sums to 1); the
-    density operations only require strictly positive weights.
+    weights and log are flat vectors over the layout; node_weights and
+    edge_weights are views of weights shaped like the factors.  Fitted
+    tables are normalized (every factor sums to 1); the density operations
+    only require strictly positive weights.
     """
 
     weights: np.ndarray
     log: np.ndarray
     layout: FactorLayout
-    smoothing: float
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.layout.edges
 
     @cached_property
     def _weight_factors(self) -> tuple[np.ndarray, ...]:
         return self.layout.views(self.weights)
-
-    @cached_property
-    def _log_factors(self) -> tuple[np.ndarray, ...]:
-        return self.layout.views(self.log)
 
     @property
     def node_weights(self) -> tuple[np.ndarray, ...]:
@@ -187,32 +188,6 @@ class FactorTable:
     @property
     def edge_weights(self) -> tuple[np.ndarray, ...]:
         return self._weight_factors[self.layout.n_nodes:]
-
-    @property
-    def node_log(self) -> tuple[np.ndarray, ...]:
-        return self._log_factors[:self.layout.n_nodes]
-
-    @property
-    def edge_log(self) -> tuple[np.ndarray, ...]:
-        return self._log_factors[self.layout.n_nodes:]
-
-    @classmethod
-    def from_weights(
-        cls,
-        node_weights: Iterable[np.ndarray],
-        edge_weights: Iterable[np.ndarray],
-        edges: tuple[tuple[int, int], ...],
-        smoothing: float,
-    ) -> "FactorTable":
-        nodes = [np.asarray(w, dtype=float) for w in node_weights]
-        factors = [*nodes, *(np.asarray(w, dtype=float) for w in edge_weights)]
-        layout = FactorLayout(tuple(w.size for w in nodes), edges)
-        if [w.shape for w in factors] != list(layout.shapes):
-            raise ValueError("factor weights do not have the shapes of the graph's factors")
-        weights = np.concatenate([w.ravel() for w in factors])
-        if not np.all(weights > 0):
-            raise ValueError("factor weights must be strictly positive")
-        return cls(weights=weights, log=np.log(weights), layout=layout, smoothing=smoothing)
 
     @classmethod
     def from_counts(cls, stats: SideStats, smoothing: float) -> "FactorTable":
@@ -227,8 +202,7 @@ class FactorTable:
             raise ValueError(
                 f"smoothing {smoothing!r} over {stats.n} records rounds a factor weight to 0")
         weights = (stats.counts + smoothing) / (stats.n + smoothing * stats.layout.cell_sizes)
-        return cls(weights=weights, log=np.log(weights), layout=stats.layout,
-                   smoothing=smoothing)
+        return cls(weights=weights, log=np.log(weights), layout=stats.layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,30 +284,26 @@ def refit_incremental(model: FactorModel, record: BuildRecord) -> FactorModel:
 
 
 def log_density_many(table: FactorTable, matrix: np.ndarray) -> np.ndarray:
-    """Log of the unnormalized factor product for each row of matrix."""
-    out = np.zeros(matrix.shape[0], dtype=float)
-    for i, logs in enumerate(table.node_log):
-        out += logs[matrix[:, i]]
-    for logs, (p, c) in zip(table.edge_log, table.edges):
-        out += logs[matrix[:, p], matrix[:, c]]
+    """Log of the unnormalized factor product for each row of matrix, whose
+    rows must hold valid version indices (check_rows)."""
+    out = np.empty(matrix.shape[0])
+    for start in range(0, matrix.shape[0], _DENSITY_BLOCK):
+        # np.take gathers from a flat vector faster than indexing it does.
+        lines = np.take(table.log, table.layout.cells(matrix[start:start + _DENSITY_BLOCK]))
+        block = out[start:start + _DENSITY_BLOCK]
+        # Line by line, not lines.sum(axis=0): see the module docstring.
+        block[:] = lines[0]
+        for line in lines[1:]:
+            block += line
     return out
 
 
-def ei_from_ratio(ratio: float, success_prior: float) -> float:
-    """Expected improvement as a function of the bad/good density ratio.
-
-    Equals 1/success_prior at ratio 0, 1 at ratio 1, and decreases strictly
-    as the ratio grows.
-    """
-    if ratio < 0:
-        raise ValueError(f"density ratio must be nonnegative, got {ratio}")
-    if not (0 < success_prior <= 1):
-        raise ValueError(f"success prior must lie in (0, 1], got {success_prior}")
-    return float(_ei(ratio, success_prior))
-
-
 def _ei(ratio, prior: float):
-    """ei_from_ratio without its checks, for a float or an array of ratios."""
+    """Expected improvement for a float or an array of bad/good density ratios.
+
+    Equals 1/prior at ratio 0, 1 at ratio 1, and decreases strictly as the
+    ratio grows.
+    """
     return 1.0 / (prior + ratio * (1.0 - prior))
 
 
@@ -346,7 +316,9 @@ def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndar
 
 def _flat(table: FactorTable) -> bool:
     """Whether every factor of table has one log weight for all its cells."""
-    return all(logs.min() == logs.max() for logs in (*table.node_log, *table.edge_log))
+    starts = table.layout.offsets[:-1]
+    return bool(np.array_equal(np.minimum.reduceat(table.log, starts),
+                               np.maximum.reduceat(table.log, starts)))
 
 
 class RatioIndex:
@@ -439,14 +411,21 @@ def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
     """Product of raw good-side per-package frequencies for each row.
 
     Frequencies are unsmoothed; with no good observations (or a version
-    never seen good) the product is zero.
+    never seen good) the product is zero.  The rows of matrix must hold
+    valid version indices (check_rows).
     """
-    n_good = model.good_stats.n
-    total = np.zeros(matrix.shape[0], dtype=float)
-    for i, counts in enumerate(model.good_stats.node_counts):
-        freq = counts / n_good if n_good > 0 else np.zeros(counts.size)
-        with np.errstate(divide="ignore"):
-            total += np.log(freq)[matrix[:, i]]
+    layout, n = model.good_stats.layout, model.good_stats.n
+    k = layout.n_nodes
+    node_counts = model.good_stats.counts[:layout.offsets[k]]
+    with np.errstate(divide="ignore"):
+        logs = np.log(node_counts / n) if n > 0 else np.full(node_counts.size, -np.inf)
+    # Package by package, each version indexing the logs from its package's
+    # first cell on: one gather of every package's cells at once is slower
+    # over thousands of rows.
+    starts = layout.offsets[:k].tolist()
+    total = logs[matrix[:, 0]]
+    for i in range(1, k):
+        total += logs[starts[i]:][matrix[:, i]]
     return np.exp(total)
 
 

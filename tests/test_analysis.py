@@ -9,7 +9,6 @@ import pytest
 from buildtuner import (
     BuildRecord,
     SyntheticOracle,
-    ei_from_ratio,
     extract_constraints,
     fit,
     generate_benchmark,
@@ -73,6 +72,13 @@ class TestJsDivergence:
             js_divergence([-0.1, 1.1], [0.5, 0.5])
         with pytest.raises(ValueError, match="sums to"):
             js_divergence([0.5, 0.4], [0.5, 0.5])
+        # NaN compares false, so each check must be written to fail on it.
+        with pytest.raises(ValueError, match="p has negative or NaN entries"):
+            js_divergence([math.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="q has negative or NaN entries"):
+            js_divergence([0.5, 0.5], [1.0, math.nan])
+        with pytest.raises(ValueError, match="p sums to inf"):
+            js_divergence([math.inf, 0.0], [0.5, 0.5])
 
 
 def _planted_model():
@@ -155,14 +161,15 @@ class TestPairCompatibility:
         assert rows[1][0] == "v1"
         assert rows[1][1] == pytest.approx(4 / 3)
 
-    def test_matches_per_cell_ei_from_ratio(self):
+    def test_matches_per_cell_expected_improvement(self):
         graph, rules = generate_benchmark(10, 3, 0.5, 0.2, seed=4)
         oracle = SyntheticOracle(graph, rules)
         records = distinct_records(graph, 300, np.random.default_rng(8), oracle.evaluate)
         model = fit(records, graph)
         for j, (p, c) in enumerate(graph.edges):
             good, bad = model.good.edge_weights[j], model.bad.edge_weights[j]
-            expected = [[ei_from_ratio(bad[u, w] / good[u, w], model.success_prior)
+            prior = model.success_prior
+            expected = [[1.0 / (prior + bad[u, w] / good[u, w] * (1.0 - prior))
                          for w in range(good.shape[1])] for u in range(good.shape[0])]
             cells = pair_compatibility(model, (graph.packages[p], graph.packages[c])).cells
             np.testing.assert_array_equal(cells, expected)

@@ -517,6 +517,37 @@ def test_python_dash_m_runs_the_cli(argv, code):
     assert "usage: buildtuner" in (proc.stdout if code == 0 else proc.stderr)
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """A seeded run (synthetic oracle with noise, model exported) and a
+    sampled simulate give the same bytes under two string hash seeds, each
+    in its own process; tests in one process share one hash seed."""
+    graph, rules = buildsim.generate_benchmark(6, 3, 0.5, 0.3, seed=5)
+    save_graph(graph, str(tmp_path / "graph.json"))
+    save_rules(PlantedRuleSet(forbidden=rules.forbidden, noise=0.2), str(tmp_path / "rules.json"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(buildtuner.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    common = ["--graph", str(tmp_path / "graph.json"), "--seed", "11"]
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        for argv in (
+            ["run", "--oracle", f"synthetic:{tmp_path / 'rules.json'}", *common,
+             "--bootstrap", "8", "--budget", "20", "--out", str(out / "trace.jsonl"),
+             "--model-out", str(out / "model.json")],
+            ["simulate", "--rules", str(tmp_path / "rules.json"), *common, "--sample", "40",
+             "--workers", "3", "--latency", "lognormal", "--out", str(out / "sim.json")],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "buildtuner", *argv],
+                                  env={**os.environ, "PYTHONPATH": path,
+                                       "PYTHONHASHSEED": hash_seed},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        outputs[hash_seed] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert sorted(outputs["0"]) == ["model.json", "sim.json", "trace.jsonl"]
+    assert outputs["0"] == outputs["1"]
+
+
 class TestGenSyntheticCommand:
     def test_generates_loadable_artifacts(self, capsys, tmp_path):
         code, _, _ = _run(

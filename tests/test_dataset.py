@@ -246,8 +246,10 @@ class TestSplit:
         dataset = self._dataset()
         train, test = split_train_test(dataset, 0.3, np.random.default_rng(3))
         assert len(train) + len(test) == len(dataset)
-        assert set(train.digests).isdisjoint(test.digests)
-        assert set(train.digests) | set(test.digests) == set(dataset.digests)
+        def digests(part):
+            return {config_digest(part.graph, r.config) for r in part}
+        assert digests(train).isdisjoint(digests(test))
+        assert digests(train) | digests(test) == digests(dataset)
 
     def test_same_seed_same_split(self):
         dataset = self._dataset()

@@ -251,7 +251,7 @@ class TestAuprcExperiment:
         config = SamplerConfig(strategy=strategy, bootstrap_size=5, budget=10, seed=2)
         model = run(DatasetOracle(train), dataset.graph, config).model
         scores = score(model, np.asarray([r.config for r in test.records]))
-        digests = test.digests
+        digests = [config_digest(test.graph, r.config) for r in test]
         full = sorted(range(len(test)), key=lambda i: (-scores[i], digests[i]))
         assert _descending(test, scores) == full
         # Ties occur, and the digests reorder them.

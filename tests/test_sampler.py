@@ -326,8 +326,8 @@ class TestRun:
         config = SamplerConfig(bootstrap_size=5, budget=10, seed=8)
         result = run(DatasetOracle(dataset), graph, config)
         assert len(result.history) == 15
-        assert set(result.history.digests) == set(dataset.digests)
-        by_digest = {d: r.outcome for d, r in zip(dataset.digests, dataset.records)}
+        by_digest = {config_digest(graph, r.config): r.outcome for r in dataset}
+        assert set(result.history.digests) == set(by_digest)
         for digest, record in zip(result.history.digests, result.history):
             assert record.outcome == by_digest[digest]
 

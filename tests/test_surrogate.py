@@ -20,7 +20,6 @@ from buildtuner import (
     DependencyGraph,
     FactorTable,
     crowd_score_many,
-    ei_from_ratio,
     expected_improvement_many,
     fit,
     load_model,
@@ -38,9 +37,14 @@ def direct_log_density(table: FactorTable, config) -> float:
     total = 0.0
     for pkg, version in enumerate(config):
         total += math.log(table.node_weights[pkg][version])
-    for e, (parent, child) in enumerate(table.edges):
+    for e, (parent, child) in enumerate(table.layout.edges):
         total += math.log(table.edge_weights[e][config[parent], config[child]])
     return total
+
+
+def ei_of_ratio(ratio, prior):
+    """Expected improvement, written out: 1 / (prior + ratio * (1 - prior))."""
+    return 1.0 / (prior + ratio * (1.0 - prior))
 
 
 def _history(graph, records):
@@ -114,8 +118,9 @@ class TestLogDensity:
             for row, config in zip(many, enumerate_configurations(graph)):
                 assert row == pytest.approx(direct_log_density(side, config), abs=1e-12)
 
-    def test_scalar_agrees_with_vectorized(self):
-        graph = chain_graph(3, 2)
+    @pytest.mark.parametrize("graph", [chain_graph(3, 2), wide_graph(10, 2)],
+                             ids=["chain", "wide"])
+    def test_scalar_agrees_with_vectorized(self, graph):
         rng = np.random.default_rng(3)
         model = fit(distinct_records(graph, 6, rng, lambda c: c[0] == 0), graph)
         matrix = full_space_matrix(graph)
@@ -126,25 +131,17 @@ class TestLogDensity:
 
 class TestExpectedImprovement:
     def test_frozen_ratio_values(self):
-        assert ei_from_ratio(0.0, 0.25) == pytest.approx(4.0, abs=0)
-        assert ei_from_ratio(1.0, 0.25) == pytest.approx(1.0, abs=0)
-        assert ei_from_ratio(3.0, 0.25) == pytest.approx(0.4, abs=1e-15)
+        assert ei_of_ratio(0.0, 0.25) == pytest.approx(4.0, abs=0)
+        assert ei_of_ratio(1.0, 0.25) == pytest.approx(1.0, abs=0)
+        assert ei_of_ratio(3.0, 0.25) == pytest.approx(0.4, abs=1e-15)
 
     def test_range_and_monotonicity(self):
         prior = 0.3
         ratios = np.linspace(0.0, 50.0, 200)
-        values = [ei_from_ratio(r, prior) for r in ratios]
+        values = [ei_of_ratio(r, prior) for r in ratios]
         assert values[0] == pytest.approx(1 / prior)
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1 / prior for v in values)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="ratio"):
-            ei_from_ratio(-0.1, 0.5)
-        with pytest.raises(ValueError, match="prior"):
-            ei_from_ratio(1.0, 0.0)
-        with pytest.raises(ValueError, match="prior"):
-            ei_from_ratio(1.0, 1.5)
 
     def test_score_kind_and_consistency(self):
         graph = chain_graph(3, 2)
@@ -158,7 +155,7 @@ class TestExpectedImprovement:
             # Direct recomputation from the two log densities.
             lg = log_density_many(model.good, np.asarray([config]))[0]
             lb = log_density_many(model.bad, np.asarray([config]))[0]
-            expected = ei_from_ratio(math.exp(lb - lg), model.success_prior)
+            expected = ei_of_ratio(math.exp(lb - lg), model.success_prior)
             assert score == pytest.approx(expected, rel=1e-12)
 
     def test_per_factor_scale_invariance(self):
@@ -174,18 +171,17 @@ class TestExpectedImprovement:
         matrix = full_space_matrix(graph)
         base = expected_improvement_many(model, matrix)
 
-        scaled_nodes = list(model.good.node_weights)
-        scaled_nodes[1] = scaled_nodes[1] * 3.0
-        scaled_good = FactorTable.from_weights(
-            scaled_nodes, list(model.good.edge_weights), model.good.edges, model.good.smoothing
-        )
+        layout = model.good.layout
+        weights = model.good.weights.copy()
+        weights[layout.offsets[1]:layout.offsets[2]] *= 3.0
+        scaled_good = FactorTable(weights, np.log(weights), layout)
         scaled_model = dataclasses.replace(model, good=scaled_good)
         scaled = expected_improvement_many(scaled_model, matrix)
         assert np.argsort(-base, kind="stable").tolist() == np.argsort(-scaled, kind="stable").tolist()
 
     def test_extreme_ratio_clamped(self):
         # Enormous log gap should saturate, not overflow.
-        assert ei_from_ratio(math.exp(700), 0.5) > 0.0
+        assert ei_of_ratio(math.exp(700), 0.5) > 0.0
         # Uniform empty-history model: good and bad densities agree, so the
         # ratio is one and the score is exactly one regardless of the prior.
         graph = two_package_graph()
@@ -239,14 +235,100 @@ class TestCrowdScore:
         matrix = full_space_matrix(graph)
         assert crowd_score_many(model, matrix).tolist() == [0.0, 0.0, 0.0, 0.0]
 
-    def test_vectorized_matches_scalar(self):
-        graph = chain_graph(3, 3)
+    @pytest.mark.parametrize("graph, size", [(chain_graph(3, 3), 12), (wide_graph(10, 2), 60)],
+                             ids=["chain", "wide"])
+    def test_vectorized_matches_scalar(self, graph, size):
         rng = np.random.default_rng(17)
-        model = fit(distinct_records(graph, 12, rng, lambda c: c[0] != 2), graph)
+        model = fit(distinct_records(graph, size, rng, lambda c: c[0] != 2), graph)
         matrix = full_space_matrix(graph)
         many = crowd_score_many(model, matrix)
+        assert np.count_nonzero(many) > 0
         for row, config in zip(many, enumerate_configurations(graph)):
-            assert crowd_score_many(model, np.asarray([config]))[0] == pytest.approx(row, abs=1e-15)
+            assert crowd_score_many(model, np.asarray([config]))[0] == row
+
+
+def _factor_loop_log_density(table, matrix):
+    """log_density_many as one fancy index per factor, nodes then edges,
+    each added into a running sum that starts at zero."""
+    layout = table.layout
+    logs = layout.views(table.log)
+    out = np.zeros(matrix.shape[0], dtype=float)
+    for i in range(layout.n_nodes):
+        out += logs[i][matrix[:, i]]
+    for f, (p, c) in enumerate(layout.edges, start=layout.n_nodes):
+        out += logs[f][matrix[:, p], matrix[:, c]]
+    return out
+
+
+def _package_loop_crowd_score(model, matrix):
+    """crowd_score_many as a log of each package's frequencies in turn."""
+    n_good = model.good_stats.n
+    total = np.zeros(matrix.shape[0], dtype=float)
+    for i, counts in enumerate(model.good_stats.node_counts):
+        freq = counts / n_good if n_good > 0 else np.zeros(counts.size)
+        with np.errstate(divide="ignore"):
+            total += np.log(freq)[matrix[:, i]]
+    return np.exp(total)
+
+
+@st.composite
+def _scored_matrices(draw):
+    """A DAG of 1-9 packages with 1-4 versions each and 0 to 36 edges, or a
+    root with 6-12 two-version dependencies; a model fitted on random
+    records; and 1 to 40 random rows to score, a single row a third of the
+    time."""
+    if draw(st.booleans()):
+        graph = wide_graph(draw(st.integers(6, 12)), 2)
+    else:
+        n = draw(st.integers(1, 9))
+        sizes = [draw(st.integers(1, 4)) for _ in range(n)]
+        edges = sorted((p, c) for c in range(1, n)
+                       for p in draw(st.sets(st.integers(0, c - 1), min_size=1)))
+        graph = DependencyGraph(
+            packages=tuple(f"p{i}" for i in range(n)),
+            domains=tuple(tuple(f"v{j}" for j in range(m)) for m in sizes),
+            edges=tuple(edges),
+            root=0,
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = np.array(graph.domain_sizes)
+    history = rng.integers(0, sizes, size=(draw(st.integers(0, 40)), sizes.size))
+    records = [BuildRecord(tuple(row), bool(built))
+               for row, built in zip(history.tolist(), rng.random(len(history)) < 0.6)]
+    model = fit(records, graph, draw(st.sampled_from([1.0, 0.5, 1e-30])))
+    n_rows = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    return model, rng.integers(0, sizes, size=(n_rows, sizes.size))
+
+
+class TestOneScoringPath:
+    """The gathered sums equal the per-factor loops they replaced, bit for bit.
+
+    numpy sums a line axis pairwise once it holds eight or more terms, so a
+    one-row matrix over that many factors catches a sum over the lines in
+    place of adding them in factor order.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scored_matrices())
+    def test_property_sums_match_the_factor_loops(self, scored):
+        model, matrix = scored
+        for table in (model.good, model.bad):
+            np.testing.assert_array_equal(log_density_many(table, matrix),
+                                          _factor_loop_log_density(table, matrix))
+        np.testing.assert_array_equal(crowd_score_many(model, matrix),
+                                      _package_loop_crowd_score(model, matrix))
+
+    def test_matrix_of_several_blocks(self):
+        """8,193 rows: log_density_many gathers two full blocks of rows and one
+        of a single row."""
+        graph = wide_graph(12, 2)
+        records = distinct_records(graph, 30, np.random.default_rng(5), lambda c: c[1] == c[2])
+        model = fit(records, graph)
+        space = full_space_matrix(graph)
+        matrix = np.vstack([space, space[-1:]])
+        for table in (model.good, model.bad):
+            np.testing.assert_array_equal(log_density_many(table, matrix),
+                                          _factor_loop_log_density(table, matrix))
 
 
 class TestIncrementalRefit:
@@ -487,10 +569,11 @@ _UNEVEN_CONFIGS = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0,
 def _state_of(model):
     """Copies of both sides' n, counts, weights and logs, factor by factor."""
     return [np.array(a) for side in ("good", "bad")
+            for table in (getattr(model, side),)
             for a in (getattr(model, f"{side}_stats").n,
                       *getattr(model, f"{side}_stats").factors,
-                      *getattr(model, side).node_weights, *getattr(model, side).edge_weights,
-                      *getattr(model, side).node_log, *getattr(model, side).edge_log)]
+                      *table.node_weights, *table.edge_weights,
+                      *table.layout.views(table.log))]
 
 
 def _counts_of(stats):
@@ -534,7 +617,7 @@ class TestCounting:
                 stats, table = getattr(updated, f"{side}_stats"), getattr(updated, side)
                 for counts, weights, logs in zip(
                         stats.factors, (*table.node_weights, *table.edge_weights),
-                        (*table.node_log, *table.edge_log)):
+                        table.layout.views(table.log)):
                     expected = (counts + smoothing) / (stats.n + smoothing * counts.size)
                     assert np.array_equal(weights, expected)
                     assert np.array_equal(logs, np.log(expected))
@@ -675,9 +758,3 @@ def test_argmax_agrees_with_bruteforce_selection():
     assert int(np.argmax(many)) == int(np.argmax(brute))
     np.testing.assert_allclose(many, brute, atol=1e-15)
 
-
-def test_factor_table_from_weights_validates():
-    with pytest.raises(ValueError, match="positive"):
-        FactorTable.from_weights(
-            [np.array([0.0, 1.0])], [], (), 1.0
-        )
