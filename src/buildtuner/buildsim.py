@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .configspace import (
     EXHAUSTIVE_LIMIT,
     Configuration,
     DependencyGraph,
+    GraphError,
     check_configuration,
     check_rows,
     config_digest,
@@ -89,44 +90,22 @@ class BuildUnit:
 class BuildDag:
     """Deduplicated build units plus the origin of every input configuration.
 
-    ``origins`` maps each distinct input configuration to the digest of its
-    root unit.  ``digests`` lists every unit digest in sorted order, and
-    ``edges`` gives every dependency by digest rank: a unit's rank is its id
-    in the scheduler, and ranks compare exactly as digests do.  A DAG from
-    build_dag comes with ``digests`` and ``edges`` and builds ``origins`` on
-    first read; one made from units and origins derives the other two once.
+    ``digests`` lists every unit digest in sorted order, and ``edges`` gives
+    every dependency by digest rank: a unit's rank is its id in the
+    scheduler, and ranks compare exactly as digests do.  ``origins`` maps
+    each distinct input configuration to the digest of its root unit, and is
+    built from ``origin_rows`` on first read.  Only build_dag makes one.
     """
 
-    def __init__(self, units: dict[str, BuildUnit], origins: dict[Configuration, str]):
-        self.units = units
-        self.origins = origins  # an instance value shadows the lazy property
-
-    @classmethod
-    def _made(cls, units: dict[str, BuildUnit], digests: list[str],
-              edges: tuple[np.ndarray, np.ndarray], origin_rows) -> "BuildDag":
-        dag = cls.__new__(cls)
-        dag.units, dag.digests, dag.edges = units, digests, edges
-        dag._origin_rows = origin_rows
-        return dag
+    def __init__(self, units: dict[str, BuildUnit], digests: list[str],
+                 edges: tuple[np.ndarray, np.ndarray], origin_rows):
+        self.units, self.digests, self.edges = units, digests, edges
+        self._origin_rows = origin_rows
 
     @cached_property
     def origins(self) -> dict[Configuration, str]:
         rows, root_places, names = self._origin_rows
         return dict(zip(map(tuple, rows.tolist()), map(names.__getitem__, root_places.tolist())))
-
-    @cached_property
-    def digests(self) -> list[str]:
-        return sorted(self.units)
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(unit, dependency) rank pairs, as two intp arrays of equal length."""
-        rank = dict(zip(self.digests, range(len(self.digests))))
-        deps = [self.units[d].deps for d in self.digests]
-        counts = np.array([len(t) for t in deps], dtype=np.intp)
-        dependency = np.fromiter(map(rank.__getitem__, chain.from_iterable(deps)),
-                                 dtype=np.intp, count=int(counts.sum()))
-        return np.repeat(np.arange(len(deps)), counts), dependency
 
     @property
     def node_count(self) -> int:
@@ -223,8 +202,8 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
     no_pair = [np.empty(0, dtype=np.intp)]
     edges = (rank[np.concatenate(no_pair + [unit for unit, _ in pairs])],
              rank[np.concatenate(no_pair + [dep for _, dep in pairs])])
-    return BuildDag._made(units, [names[g] for g in by_digest], edges,
-                          (rows, places[graph.root], names))
+    return BuildDag(units, [names[g] for g in by_digest], edges,
+                    (rows, places[graph.root], names))
 
 
 @dataclass(frozen=True)
@@ -422,27 +401,20 @@ class PlantedRuleSet:
             rules.add(tuple(entry[field] for field in _RULE_FIELDS))
         return cls(forbidden=frozenset(rules), noise=payload.get("noise", 0.0))
 
-    def check_against(self, graph: DependencyGraph) -> None:
-        """Every rule must name an existing edge and valid versions."""
-        edge_names = {
-            (graph.packages[p], graph.packages[c]) for p, c in graph.edges
-        }
-        for parent, pv, child, cv in sorted(self.forbidden):
-            if (parent, child) not in edge_names:
-                raise ValueError(f"rule references missing edge {parent!r} -> {child!r}")
-            graph.version_index(graph.index_of(parent), pv)
-            graph.version_index(graph.index_of(child), cv)
-
-    def index_rules(
-        self, graph: DependencyGraph
-    ) -> tuple[tuple[int, int, int, int], ...]:
-        """Rules as (parent, parent_version, child, child_version) indices."""
-        self.check_against(graph)
+    def check_against(self, graph: DependencyGraph) -> tuple[tuple[int, int, int, int], ...]:
+        """The rules as (parent, parent_version, child, child_version) indices,
+        in name order; RulesError for a rule whose package, version or edge
+        is not in the graph."""
+        edges = set(graph.edges)
         out = []
         for parent, pv, child, cv in sorted(self.forbidden):
-            p = graph.index_of(parent)
-            c = graph.index_of(child)
-            out.append((p, graph.version_index(p, pv), c, graph.version_index(c, cv)))
+            try:
+                p, c = graph.index_of(parent), graph.index_of(child)
+                out.append((p, graph.version_index(p, pv), c, graph.version_index(c, cv)))
+            except GraphError as exc:
+                raise RulesError(f"rule {parent} {pv} -> {child} {cv}: {exc}") from None
+            if (p, c) not in edges:
+                raise RulesError(f"rule references missing edge {parent!r} -> {child!r}")
         return tuple(out)
 
 
@@ -474,14 +446,14 @@ class SyntheticOracle:
         self.graph = graph
         self.rules = rules
         self.seed = seed
-        self._index_rules = rules.index_rules(graph)
+        self._forbidden = rules.check_against(graph)
 
     def candidate_configurations(self) -> None:
         return None
 
     def evaluate(self, config: Configuration) -> bool:
         check_configuration(self.graph, config)
-        for p, pv, c, cv in self._index_rules:
+        for p, pv, c, cv in self._forbidden:
             if config[p] == pv and config[c] == cv:
                 return False
         if self.rules.noise > 0.0:
@@ -490,34 +462,19 @@ class SyntheticOracle:
                 return False
         return True
 
-    def good_mask(self, matrix: np.ndarray) -> np.ndarray:
-        """Rule-only good mask for candidate rows (noise not applied)."""
-        bad = np.zeros(matrix.shape[0], dtype=bool)
-        for p, pv, c, cv in self._index_rules:
-            bad |= (matrix[:, p] == pv) & (matrix[:, c] == cv)
-        return ~bad
-
     def outcomes(self, rows: np.ndarray) -> np.ndarray:
         """What evaluate returns for each of the rows, which must already be
         checked: the rules on every row, then the noise hash only on the
         rows that pass them."""
-        built = self.good_mask(rows)
+        bad = np.zeros(rows.shape[0], dtype=bool)
+        for p, pv, c, cv in self._forbidden:
+            bad |= (rows[:, p] == pv) & (rows[:, c] == cv)
+        built = ~bad
         if self.rules.noise > 0.0:
             for i in np.flatnonzero(built).tolist():
                 digest = config_digest(self.graph, tuple(rows[i].tolist()))
                 built[i] = derive_seed(self.seed, digest) / 2**64 >= self.rules.noise
         return built
-
-    def enumerate_good(self) -> list[Configuration]:
-        """All good configurations, for spaces within the enumeration limit."""
-        space = enumerate_records(self)
-        return list(map(tuple, space.rows[space.built].tolist()))
-
-    def good_count(self) -> int:
-        return len(self.enumerate_good())
-
-    def success_rate(self) -> float:
-        return self.good_count() / space_size(self.graph)
 
 
 def synthetic_oracle(

@@ -90,7 +90,7 @@ def _cmd_run(args) -> int:
             raise _UsageError("synthetic oracle needs --graph")
         graph = load_graph(args.graph)
         rules = buildsim.load_rules(path)
-        oracle = buildsim.synthetic_oracle(graph, rules, seed=args.seed)
+        oracle = buildsim.SyntheticOracle(graph, rules, seed=args.seed)
     else:
         raise _UsageError(
             f"oracle must be dataset:<path> or synthetic:<path>, got {args.oracle!r}"
@@ -188,16 +188,15 @@ def _cmd_heatmap(args) -> int:
         if (parent, child) not in edges:
             raise ValueError(f"no edge {parent!r} -> {child!r} in the graph")
         edges = [(parent, child)]
+    matrices = [analysis.pair_compatibility(model, edge) for edge in edges]
+    constraints = [pair.to_dict() for matrix in matrices
+                   for pair in analysis.extract_constraints(matrix, threshold=args.threshold)]
+    # Extracting every edge's constraints checks the threshold; nothing is
+    # written until it has passed.
     os.makedirs(args.out_dir, exist_ok=True)
-    constraints = []
-    for parent, child in edges:
-        matrix = analysis.pair_compatibility(model, (parent, child))
+    for (parent, child), matrix in zip(edges, matrices):
         name = f"{parent}{analysis.EDGE_SEPARATOR}{child}.csv"
         _write_text(os.path.join(args.out_dir, name), _csv_text(matrix.to_rows()))
-        constraints.extend(
-            pair.to_dict()
-            for pair in analysis.extract_constraints(matrix, threshold=args.threshold)
-        )
     payload = {"threshold": args.threshold, "pairs": constraints}
     _write_text(os.path.join(args.out_dir, "constraints.json"), _json_text(payload))
     return 0
@@ -249,7 +248,7 @@ def _cmd_gen_synthetic(args) -> int:
     save_graph(graph, args.out_graph)
     buildsim.save_rules(rules, args.out_rules)
     if args.emit_data:
-        oracle = buildsim.synthetic_oracle(graph, rules, seed=args.seed)
+        oracle = buildsim.SyntheticOracle(graph, rules, seed=args.seed)
         if space_size(graph) > _ENUMERATION_EMIT_LIMIT:
             raise ValueError(
                 f"space of {space_size(graph)} configurations is too large to "

@@ -279,8 +279,12 @@ class _Candidates:
 def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig) -> _Candidates:
     """The oracle's candidates without repeats (first occurrence kept; a
     Dataset's rows as they are), the whole space in exhaustive mode, or
-    uniform draws."""
+    uniform draws; ValueError when the oracle lists candidates and the
+    config asks for pool mode, which would ignore them."""
     listed = oracle.candidate_configurations()
+    if listed is not None and config.candidate_mode == "pool":
+        raise ValueError("pool mode draws from the whole space, but the oracle lists "
+                         "its candidates; use exhaustive mode")
     if isinstance(listed, Dataset):
         if listed.graph != graph:
             raise GraphError("the candidate dataset is over another graph")

@@ -58,8 +58,8 @@ __all__ = [
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
 _LOG_RATIO_CLAMP = 700.0
 
-# log_density_many gathers at most this many rows' cells at once, so that
-# its temporaries stay small when a near-tie band holds much of a space.
+# log_density_many and RatioIndex take at most this many rows' cells at once,
+# so that their temporaries stay small when a band or index spans a space.
 _DENSITY_BLOCK = 4096
 
 # RatioIndex.best rescores from scratch every open row whose incremental
@@ -80,7 +80,6 @@ class FactorLayout:
     """
 
     def __init__(self, sizes: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
-        self.edges = edges
         self.shapes = (*((m,) for m in sizes), *((sizes[p], sizes[c]) for p, c in edges))
         self.factor_sizes = np.array([math.prod(s) for s in self.shapes], dtype=np.int64)
         self.largest_factor = int(self.factor_sizes.max())
@@ -105,19 +104,6 @@ class FactorLayout:
         np.multiply(by_package[self._parents], self._strides, out=edges)
         edges += by_package[self._children]
         edges += self._edge_offsets
-        return cells
-
-    def factor_cells(self, rows: np.ndarray, f: int) -> np.ndarray:
-        """Line f of cells(rows), computed without the other factors' lines."""
-        k = self.n_nodes
-        if f < k:
-            cells = rows[:, f].astype(np.int32)
-        else:
-            p, c = self.edges[f - k]
-            cells = rows[:, p].astype(np.int32)
-            cells *= self.shapes[f][1]
-            cells += rows[:, c]
-        cells += int(self.offsets[f])
         return cells
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -342,19 +328,21 @@ class RatioIndex:
         self._mask = np.empty(rows.shape[0], dtype=bool)
         # Rows holding flat cell v: order[bounds[v]:bounds[v + 1]].  Each
         # factor's cells are a contiguous range, so sorting the rows factor by
-        # factor sorts them by flat cell.  One factor's cells at a time serve
-        # the starting ratios, the sort and the counts: no temporary spans
-        # every factor of a large matrix, which would raise the peak memory of
-        # runs over a whole space.
+        # factor sorts them by flat cell.  The int32 buffer first takes every
+        # row's cells, a block of rows at a time; then each line, one factor,
+        # serves the starting ratios and the counts, and is replaced by its
+        # own stable argsort.  No temporary spans every factor of a large
+        # matrix, which would raise the peak memory of runs over a whole space.
         layout = model.good_stats.layout
         gap = model.bad.log - model.good.log
         order = np.empty((layout.factor_sizes.size, rows.shape[0]), dtype=np.int32)
+        for at in range(0, rows.shape[0], _DENSITY_BLOCK):
+            order[:, at:at + _DENSITY_BLOCK] = layout.cells(rows[at:at + _DENSITY_BLOCK])
         per_cell = np.zeros(layout.size, dtype=np.int64)
-        for f, line in enumerate(order):
-            cells = layout.factor_cells(rows, f)
-            self.log_ratio += gap[cells]
-            line[:] = np.argsort(cells, kind="stable")
-            per_cell += np.bincount(cells, minlength=layout.size)
+        for line in order:
+            self.log_ratio += gap[line]
+            per_cell += np.bincount(line, minlength=layout.size)
+            line[:] = np.argsort(line, kind="stable")
         self._order = order.ravel()
         self._bounds = [0, *np.cumsum(per_cell).tolist()]
 

@@ -23,7 +23,6 @@ from buildtuner import (
     generate_benchmark,
     simulate,
     space_size,
-    synthetic_oracle,
 )
 from buildtuner import buildsim
 from buildtuner.buildsim import (
@@ -116,7 +115,7 @@ def _unit_digest(package: str, version: str, dep_digests) -> str:
 
 def _reference_build_dag(configs, graph):
     """The per-configuration loop build_dag replaces: one digest per
-    configuration per package."""
+    configuration per package.  Returns the units and the origins."""
     order, visited = [], set()
 
     def visit(node):
@@ -137,7 +136,7 @@ def _reference_build_dag(configs, graph):
             unit_of[node] = digest = _unit_digest(package, version, deps)
             units.setdefault(digest, BuildUnit(package, version, digest, deps))
         origins[tuple(config)] = unit_of[graph.root]
-    return BuildDag(units=units, origins=origins)
+    return units, origins
 
 
 def _wide_diamond_graph() -> DependencyGraph:
@@ -153,9 +152,10 @@ def _wide_diamond_graph() -> DependencyGraph:
 
 
 def _assert_same_dag(configs, graph):
-    dag, reference = build_dag(configs, graph), _reference_build_dag(configs, graph)
-    assert dag.units == reference.units
-    assert dag.origins == reference.origins
+    dag = build_dag(configs, graph)
+    units, origins = _reference_build_dag(configs, graph)
+    assert dag.units == units
+    assert dag.origins == origins
     assert all(type(k) is tuple and all(type(v) is int for v in k) for k in dag.origins)
     return dag
 
@@ -187,8 +187,7 @@ class TestDagAgainstReference:
         graph = chain_graph(4, 3)
         configs = list(enumerate_configurations(graph))
         dag = build_dag(iter(configs), graph)
-        reference = _reference_build_dag(configs, graph)
-        assert (dag.units, dag.origins) == (reference.units, reference.origins)
+        assert (dag.units, dag.origins) == _reference_build_dag(configs, graph)
 
     @pytest.mark.parametrize("bad", [(0, 9), (0, -1), (0, 1.5), (0, "1"), (0, 1, 0), (0,)])
     def test_malformed_configuration_raises_the_same_error(self, bad):
@@ -229,20 +228,23 @@ def _edge_pairs(dag: BuildDag) -> list[tuple[int, int]]:
     return sorted(zip(*(side.tolist() for side in dag.edges)))
 
 
+def _rank_pairs(units: dict[str, BuildUnit]) -> list[tuple[int, int]]:
+    """Every (unit, dependency) pair by rank in the sorted digests of units."""
+    rank = {digest: i for i, digest in enumerate(sorted(units))}
+    return sorted((rank[unit.digest], rank[dep]) for unit in units.values() for dep in unit.deps)
+
+
 class TestRankedDag:
     @settings(max_examples=120, deadline=None)
     @given(_dag_cases())
     def test_property_matches_the_reference(self, case):
         """Units and origins equal the per-configuration reference; digests
-        and edges equal those a DAG made from units and origins derives."""
+        are the units' sorted digests, and edges every dependency by rank."""
         graph, rows = case
         dag = _assert_same_dag(rows, graph)
-        derived = BuildDag(dag.units, dag.origins)
-        assert dag.digests == derived.digests == sorted(dag.units)
-        assert _edge_pairs(dag) == _edge_pairs(derived)
-        for unit, dep in _edge_pairs(dag):
-            assert dag.digests[dep] in dag.units[dag.digests[unit]].deps
-        assert len(_edge_pairs(dag)) == sum(len(u.deps) for u in dag.units.values())
+        assert dag.digests == sorted(dag.units)
+        assert all(side.dtype == np.intp for side in dag.edges)
+        assert _edge_pairs(dag) == _rank_pairs(dag.units)
 
     def test_dense_row_keys_give_the_same_dag(self, monkeypatch):
         """With no room in the key, every fold makes it dense first."""
@@ -591,15 +593,35 @@ class TestPlantedRules:
         with pytest.raises(RulesError):
             load_rules(str(path))
 
+    def test_check_against_gives_indices_in_name_order(self):
+        rules = PlantedRuleSet(forbidden=frozenset({("B", "v1", "C", "v2"), ("A", "v2", "B", "v1"),
+                                                    ("A", "v1", "B", "v2")}))
+        assert rules.check_against(chain_graph(3, 2)) == (
+            (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 2, 1))
+        assert PlantedRuleSet(forbidden=frozenset()).check_against(chain_graph(3, 2)) == ()
+
     def test_check_against_unknown_names(self):
         rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "Z", "v1")}))
-        with pytest.raises(ValueError):
+        with pytest.raises(RulesError, match="unknown package 'Z'"):
             rules.check_against(two_package_graph())
 
     def test_check_against_non_edge(self):
         rules = PlantedRuleSet(forbidden=frozenset({("B", "v1", "A", "v1")}))
-        with pytest.raises(ValueError):
+        with pytest.raises(RulesError, match="missing edge 'B' -> 'A'"):
             rules.check_against(two_package_graph())
+
+    @pytest.mark.parametrize("rule, message", [
+        (("Z", "v1", "B", "v1"), "unknown package 'Z'"),
+        (("A", "v9", "B", "v1"), "unknown version 'v9' for package 'A'"),
+        (("A", "v1", "B", "v3"), "unknown version 'v3' for package 'B'"),
+        (("B", "v1", "A", "v1"), "missing edge 'B' -> 'A'"),
+    ], ids=["parent", "parent-version", "child-version", "edge"])
+    def test_oracle_refuses_rules_outside_the_graph(self, rule, message):
+        rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "B", "v2"), rule}))
+        with pytest.raises(RulesError, match=message):
+            rules.check_against(two_package_graph())
+        with pytest.raises(RulesError, match=message):
+            SyntheticOracle(two_package_graph(), rules)
 
 
 def _mutated_rules(data, payload):
@@ -649,23 +671,24 @@ class TestSyntheticOracle:
         rules = PlantedRuleSet(
             forbidden=frozenset({("A", "v1", "B", "v2")}), noise=noise
         )
-        return synthetic_oracle(graph, rules, seed=seed)
+        return SyntheticOracle(graph, rules, seed=seed)
 
     def test_six_of_eight_good(self):
         oracle = self._oracle()
-        assert oracle.good_count() == 6
-        assert oracle.success_rate() == pytest.approx(0.75)
+        space = enumerate_records(oracle)
+        assert space.good_count == 6
+        assert space.good_count / len(space) == pytest.approx(0.75)
         assert oracle.evaluate((0, 1, 0)) is False
         assert oracle.evaluate((0, 0, 0)) is True
 
     def test_good_mask_matches_evaluate(self):
+        """The rule mask that outcomes applies matches evaluate row by row."""
         oracle = self._oracle()
         matrix = full_space_matrix(oracle.graph)
-        mask = oracle.good_mask(matrix)
-        for row, flag in zip(matrix, mask):
-            config = tuple(int(v) for v in row)
-            # good_mask ignores noise; with zero noise they agree exactly.
-            assert oracle.evaluate(config) == bool(flag)
+        built = oracle.outcomes(matrix)
+        assert built.dtype == bool and built.shape == (matrix.shape[0],)
+        for row, flag in zip(matrix.tolist(), built.tolist()):
+            assert oracle.evaluate(tuple(row)) == flag
 
     def test_noise_is_deterministic(self):
         a = self._oracle(noise=0.4, seed=9)
@@ -683,8 +706,11 @@ class TestSyntheticOracle:
                 assert not noisy.evaluate(config)
 
     def test_enumerate_good_consistent(self):
+        """The good rows of enumerate_records are what evaluate builds."""
         oracle = self._oracle(noise=0.3, seed=5)
-        good = set(oracle.enumerate_good())
+        space = enumerate_records(oracle)
+        good = set(map(tuple, space.rows[space.built].tolist()))
+        assert len(good) == space.good_count
         for config in enumerate_configurations(oracle.graph):
             assert (config in good) == oracle.evaluate(config)
 
@@ -696,13 +722,13 @@ class TestSyntheticOracle:
 
     def test_enumerate_records_equals_evaluate_with_noise(self):
         graph, rules = generate_benchmark(6, 3, 0.5, 0.3, seed=11)
-        oracle = synthetic_oracle(graph, PlantedRuleSet(rules.forbidden, noise=0.05), seed=3)
+        oracle = SyntheticOracle(graph, PlantedRuleSet(rules.forbidden, noise=0.05), seed=3)
         space = enumerate_records(oracle)
         configs = list(enumerate_configurations(graph))
         assert [r.config for r in space] == configs
         assert [r.outcome for r in space] == [oracle.evaluate(c) for c in configs]
         # The noise hash turned some rule-abiding configurations bad.
-        assert space.good_count < oracle.good_mask(full_space_matrix(graph)).sum()
+        assert space.good_count < enumerate_records(SyntheticOracle(graph, rules)).good_count
 
     def test_candidates_are_generative(self):
         assert self._oracle().candidate_configurations() is None
@@ -714,7 +740,7 @@ class TestPlantedOutcome:
         graph = chain_graph(3, 2)
         rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "B", "v2"),
                                                     ("B", "v1", "C", "v2")}))
-        oracle = synthetic_oracle(graph, rules)
+        oracle = SyntheticOracle(graph, rules)
         configs = list(enumerate_configurations(graph))
         dag = build_dag(configs, graph)
         report = simulate(dag, planted_outcome(dag, rules, graph), workers=4)
@@ -727,7 +753,7 @@ class TestPlantedOutcome:
         graph = two_package_graph()
         dag = build_dag([(0, 0)], graph)
         rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "Z", "v1")}))
-        with pytest.raises(ValueError):
+        with pytest.raises(RulesError, match="unknown package 'Z'"):
             planted_outcome(dag, rules, graph)
 
 
@@ -735,8 +761,8 @@ class TestGenerateBenchmark:
     def test_rate_within_band(self):
         graph, rules = generate_benchmark(4, 3, rule_density=0.5,
                                           target_rate=0.3, seed=7)
-        oracle = SyntheticOracle(graph, rules)
-        rate = oracle.success_rate()
+        space = enumerate_records(SyntheticOracle(graph, rules))
+        rate = space.good_count / len(space)
         assert 0.3 * 0.8 <= rate <= 0.3 * 1.2
 
     def test_deterministic(self):
@@ -748,7 +774,8 @@ class TestGenerateBenchmark:
     def test_target_one_means_no_rules(self):
         graph, rules = generate_benchmark(3, 2, 0.5, 1.0, seed=2)
         assert rules.forbidden == frozenset()
-        assert SyntheticOracle(graph, rules).success_rate() == 1.0
+        space = enumerate_records(SyntheticOracle(graph, rules))
+        assert space.good_count == len(space) == space_size(graph)
 
     def test_tree_shape(self):
         graph, _ = generate_benchmark(6, 2, 0.3, 0.5, seed=3)

@@ -34,7 +34,7 @@ from buildtuner import (
     validate_graph,
 )
 from buildtuner import buildsim
-from buildtuner.buildsim import enumerate_records, save_rules, synthetic_oracle
+from buildtuner.buildsim import SyntheticOracle, enumerate_records, save_rules
 from buildtuner.cli import dispatch
 from helpers import chain_graph, distinct_records
 
@@ -44,7 +44,7 @@ def workspace(tmp_path):
     """A graph, planted rules, and a fully labeled dataset on disk."""
     graph = chain_graph(3, 3)  # 27 configurations
     rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "B", "v2")}))
-    oracle = synthetic_oracle(graph, rules)
+    oracle = SyntheticOracle(graph, rules)
     dataset = Dataset(graph, enumerate_records(oracle))
     save_graph(graph, str(tmp_path / "graph.json"))
     save_rules(rules, str(tmp_path / "rules.json"))
@@ -121,6 +121,18 @@ class TestRunCommand:
         assert code == 0
         for line in out.splitlines():
             assert json.loads(line)["score"] is None
+
+    def test_dataset_oracle_refuses_pool_mode(self, capsys, workspace):
+        """Pool draws would ignore the dataset's configurations."""
+        trace = workspace / "trace.jsonl"
+        code, out, err = _run(
+            ["run", "--oracle", f"dataset:{workspace / 'data.jsonl'}",
+             "--candidate-mode", "pool", "--pool-size", "2", "--out", str(trace)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: pool mode") and err.count("\n") == 1
+        assert not trace.exists()
 
     def test_synthetic_oracle_with_model_export(self, capsys, workspace):
         model_path = workspace / "model.json"
@@ -338,6 +350,19 @@ class TestHeatmapCommand:
         )
         assert code == 2
 
+    def test_threshold_out_of_range_writes_nothing(self, capsys, workspace):
+        """The threshold is checked, through constraint extraction, before
+        any file or directory is written."""
+        out_dir = workspace / "over"
+        code, out, err = _run(
+            ["heatmap", "--data", str(workspace / "data.jsonl"),
+             "--threshold", "2", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: threshold 2.0 outside [0, 1]") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_threshold_zero_no_pairs(self, capsys, workspace):
         out_dir = workspace / "zero"
         code, _, _ = _run(
@@ -429,6 +454,24 @@ class TestSimulateCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    @pytest.mark.parametrize("rule, message", [
+        (("A", "v1", "Z", "v1"), "unknown package 'Z'"),
+        (("A", "v9", "B", "v1"), "unknown version 'v9' for package 'A'"),
+        (("A", "v1", "C", "v1"), "missing edge 'A' -> 'C'"),
+    ], ids=["package", "version", "edge"])
+    def test_rules_outside_the_graph_exit_two(self, capsys, workspace, command, rule, message):
+        save_rules(PlantedRuleSet(forbidden=frozenset({rule})), str(workspace / "bad.json"))
+        graph = ["--graph", str(workspace / "graph.json")]
+        argv = {"simulate": ["simulate", *graph, "--rules", str(workspace / "bad.json"),
+                             "--sample", "4"],
+                "run": ["run", "--oracle", f"synthetic:{workspace / 'bad.json'}", *graph,
+                        "--bootstrap", "2", "--budget", "2"]}[command]
+        code, out, err = _run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: rule") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_sample_not_positive_exits_two(self, capsys, workspace, size):

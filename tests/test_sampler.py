@@ -24,9 +24,9 @@ from buildtuner import (
     refit_incremental,
     run,
     substream,
-    synthetic_oracle,
 )
 from buildtuner import sampler
+from buildtuner.buildsim import SyntheticOracle
 from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
 from buildtuner.sampler import TraceEntry
 from buildtuner.surrogate import RatioIndex
@@ -385,6 +385,19 @@ class TestRun:
         with pytest.raises(GraphError, match="another graph"):
             run(DatasetOracle(dataset), chain_graph(2, 2), SamplerConfig(bootstrap_size=1))
 
+    @pytest.mark.parametrize("kind", ["dataset", "list"])
+    def test_listed_candidates_refuse_pool_mode(self, kind):
+        """Pool draws would ignore the listed candidates, so run refuses
+        before the oracle is asked anything."""
+        graph = chain_graph(3, 3)
+        records = distinct_records(graph, 15, np.random.default_rng(6), lambda c: c[0] == 0)
+        oracle = ListedOracle(Dataset(graph, records) if kind == "dataset"
+                              else [r.config for r in records])
+        config = SamplerConfig(candidate_mode="pool", pool_size=2, bootstrap_size=2, budget=2)
+        with pytest.raises(ValueError, match="pool mode"):
+            run(oracle, graph, config)
+        assert oracle.calls == []
+
     @pytest.mark.parametrize("entry", [1.5, np.float64(1.0), "a", None])
     def test_non_integer_candidate_rejected(self, entry):
         oracle = ListedOracle([(0, 0), (0, entry)])
@@ -500,7 +513,7 @@ def _assert_same_model(model, reference):
 
 def _planted(seed):
     graph, rules = generate_benchmark(7, 3, 0.5, 0.1, seed)
-    return graph, synthetic_oracle(graph, rules)
+    return graph, SyntheticOracle(graph, rules)
 
 
 def _listed(seed):

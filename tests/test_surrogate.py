@@ -32,12 +32,12 @@ from buildtuner.surrogate import RatioIndex
 from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
 
 
-def direct_log_density(table: FactorTable, config) -> float:
+def direct_log_density(table: FactorTable, graph, config) -> float:
     """Independent oracle: plain-Python product over node and edge factors."""
     total = 0.0
     for pkg, version in enumerate(config):
         total += math.log(table.node_weights[pkg][version])
-    for e, (parent, child) in enumerate(table.layout.edges):
+    for e, (parent, child) in enumerate(graph.edges):
         total += math.log(table.edge_weights[e][config[parent], config[child]])
     return total
 
@@ -116,7 +116,7 @@ class TestLogDensity:
         for side in (model.good, model.bad):
             many = log_density_many(side, matrix)
             for row, config in zip(many, enumerate_configurations(graph)):
-                assert row == pytest.approx(direct_log_density(side, config), abs=1e-12)
+                assert row == pytest.approx(direct_log_density(side, graph, config), abs=1e-12)
 
     @pytest.mark.parametrize("graph", [chain_graph(3, 2), wide_graph(10, 2)],
                              ids=["chain", "wide"])
@@ -247,7 +247,7 @@ class TestCrowdScore:
             assert crowd_score_many(model, np.asarray([config]))[0] == row
 
 
-def _factor_loop_log_density(table, matrix):
+def _factor_loop_log_density(table, graph, matrix):
     """log_density_many as one fancy index per factor, nodes then edges,
     each added into a running sum that starts at zero."""
     layout = table.layout
@@ -255,7 +255,7 @@ def _factor_loop_log_density(table, matrix):
     out = np.zeros(matrix.shape[0], dtype=float)
     for i in range(layout.n_nodes):
         out += logs[i][matrix[:, i]]
-    for f, (p, c) in enumerate(layout.edges, start=layout.n_nodes):
+    for f, (p, c) in enumerate(graph.edges, start=layout.n_nodes):
         out += logs[f][matrix[:, p], matrix[:, c]]
     return out
 
@@ -314,7 +314,7 @@ class TestOneScoringPath:
         model, matrix = scored
         for table in (model.good, model.bad):
             np.testing.assert_array_equal(log_density_many(table, matrix),
-                                          _factor_loop_log_density(table, matrix))
+                                          _factor_loop_log_density(table, model.graph, matrix))
         np.testing.assert_array_equal(crowd_score_many(model, matrix),
                                       _package_loop_crowd_score(model, matrix))
 
@@ -328,7 +328,7 @@ class TestOneScoringPath:
         matrix = np.vstack([space, space[-1:]])
         for table in (model.good, model.bad):
             np.testing.assert_array_equal(log_density_many(table, matrix),
-                                          _factor_loop_log_density(table, matrix))
+                                          _factor_loop_log_density(table, graph, matrix))
 
 
 class TestIncrementalRefit:
@@ -498,15 +498,6 @@ class TestRatioIndex:
         if which != "all":
             # Every open row scores the same: the clamp or 1/prior in floats.
             assert tied.size == np.count_nonzero(open_rows) > 1
-
-    def test_factor_cells_are_lines_of_cells(self):
-        rows = full_space_matrix(_UNEVEN).astype(np.int64)
-        layout = fit([], _UNEVEN).good_stats.layout
-        cells = layout.cells(rows)
-        for f in range(cells.shape[0]):
-            line = layout.factor_cells(rows, f)
-            assert line.dtype == np.int32
-            np.testing.assert_array_equal(line, cells[f])
 
     def test_build_holds_one_copy_of_the_index(self):
         """Building the index over a 3^9-row space traces no more memory than
