@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .buildsim import (
     BuildDag,
-    BuildUnit,
     NodeStatus,
     PlantedRuleSet,
     SimReport,

@@ -21,8 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .rng import derive_seed, substream
 __all__ = [
     "BenchmarkError",
     "BuildDag",
-    "BuildUnit",
     "NodeStatus",
     "PlantedRuleSet",
     "RulesError",
@@ -77,29 +75,21 @@ class NodeStatus(Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True, slots=True)
-class BuildUnit:
-    """One buildable unit: a package version with fixed dependency subtrees."""
-
-    package: str
-    version: str
-    digest: str
-    deps: tuple[str, ...]
-
-
 class BuildDag:
     """Deduplicated build units plus the origin of every input configuration.
 
-    ``digests`` lists every unit digest in sorted order, and ``edges`` gives
-    every dependency by digest rank: a unit's rank is its id in the
-    scheduler, and ranks compare exactly as digests do.  ``origins`` maps
-    each distinct input configuration to the digest of its root unit, and is
-    built from ``origin_rows`` on first read.  Only build_dag makes one.
+    A unit is known by its digest rank: its place in ``digests``, which
+    lists every unit digest in sorted order, so ranks compare exactly as
+    digests do.  ``package`` and ``version`` give each rank's package index
+    and version index, and ``edges`` gives every (unit, dependency) pair by
+    rank.  ``origins`` maps each distinct input configuration to the digest
+    of its root unit, and is built from ``origin_rows`` on first read.  Only
+    build_dag makes one.
     """
 
-    def __init__(self, units: dict[str, BuildUnit], digests: list[str],
+    def __init__(self, digests: list[str], package: np.ndarray, version: np.ndarray,
                  edges: tuple[np.ndarray, np.ndarray], origin_rows):
-        self.units, self.digests, self.edges = units, digests, edges
+        self.digests, self.package, self.version, self.edges = digests, package, version, edges
         self._origin_rows = origin_rows
 
     @cached_property
@@ -109,7 +99,7 @@ class BuildDag:
 
     @property
     def node_count(self) -> int:
-        return len(self.units)
+        return len(self.digests)
 
 
 # Every dependency digest is 64 hex characters, so each one is hashed behind
@@ -139,8 +129,8 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
     exactly when they share its version and its children's units.  Only
     then is each distinct unit digested, once: sha256 over the
     length-prefixed package, version and sorted dependency digests, from
-    one prefix hasher per package version.  A unit is named by its digest
-    only in ``units`` and in the report; the scheduler works on digest ranks.
+    one prefix hasher per package version.  Every vector of the result is
+    indexed by digest rank.
     """
     if not isinstance(configs, np.ndarray):
         configs = list(configs)
@@ -161,8 +151,9 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
     for i in range(graph.n_packages):
         visit(i)
 
-    units: dict[str, BuildUnit] = {}
     names: list[str] = []  # every unit's digest, in the order made
+    packages: list[int] = []  # and its package and version index
+    versions: list[int] = []
     places: dict[int, np.ndarray] = {}  # package -> place in names of each row's unit
     pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (unit, dependency) places
     for node in order:
@@ -180,29 +171,30 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
         pairs += [(new_places, dep) for dep in dep_places]
         # Each unit's version and sorted dependency digests, read from its first
         # row, hashed behind a copy of its package version's prefix.
-        versions = rows[first, node].tolist()
-        deps_of = [()] * len(versions)
+        made_versions = rows[first, node].tolist()
+        packages += [node] * len(first)
+        versions += made_versions
+        deps_of = [()] * len(first)
         if children:
-            deps_of = [tuple(sorted(deps)) for deps in zip(
+            deps_of = [sorted(deps) for deps in zip(
                 *(map(names.__getitem__, dep.tolist()) for dep in dep_places))]
         prefixes = [_hash_prefix(package, version) for version in domain]
         made = []
-        for v, deps in zip(versions, deps_of):
+        for v, deps in zip(made_versions, deps_of):
             h = prefixes[v].copy()
             if deps:
                 h.update((_DIGEST_PREFIX + _DIGEST_PREFIX.join(deps)).encode("ascii"))
             made.append(h.hexdigest())
-        units.update(zip(made, map(BuildUnit, repeat(package), map(domain.__getitem__, versions),
-                                   made, deps_of)))
         names += made
-    # The one sort of all digests: ranks replace places in every edge.
+    # The one sort of all digests: ranks replace places in every vector.
     by_digest = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.intp)
     rank[by_digest] = np.arange(len(names))
     no_pair = [np.empty(0, dtype=np.intp)]
     edges = (rank[np.concatenate(no_pair + [unit for unit, _ in pairs])],
              rank[np.concatenate(no_pair + [dep for _, dep in pairs])])
-    return BuildDag(units, [names[g] for g in by_digest], edges,
+    return BuildDag([names[g] for g in by_digest], np.array(packages, dtype=np.intp)[by_digest],
+                    np.array(versions, dtype=np.intp)[by_digest], edges,
                     (rows, places[graph.root], names))
 
 
@@ -261,11 +253,12 @@ class SimReport:
             yield f'{head}"statuses": {{}}{tail}\n'
             return
         yield f'{head}"statuses": {{\n'
-        value = {s: json.dumps(s.value) for s in NodeStatus}
+        # By _value_, a plain attribute: .value and a member's hash run Python code.
+        encoded = {s._value_: json.dumps(s._value_) for s in NodeStatus}
         statuses = self.statuses
         keys = sorted(statuses)
         for at in range(0, len(keys), _REPORT_CHUNK):
-            lines = [f"    {_json_string(d)}: {value[statuses[d]]}"
+            lines = [f"    {_json_string(d)}: {encoded[statuses[d]._value_]}"
                      for d in keys[at:at + _REPORT_CHUNK]]
             yield ("" if at == 0 else ",\n") + ",\n".join(lines)
         yield f"\n  }}{tail}\n"
@@ -279,26 +272,32 @@ _json_string = json.encoder.encode_basestring_ascii
 
 def simulate(
     dag: BuildDag,
-    outcome_fn: Callable[[BuildUnit], bool],
+    builds: Sequence[bool] | np.ndarray,
     workers: int = 1,
-    latency_fn: Callable[[BuildUnit], float] | None = None,
+    latencies: Sequence[float] | np.ndarray | None = None,
 ) -> SimReport:
     """Run the farmer-worker protocol to completion.
 
-    Units are scheduled by their rank in ``dag.digests`` over ``dag.edges``,
-    so every order is the digest order: ready units enter a FIFO queue in
-    rank order within each wave and go to the lowest-numbered free worker,
-    and equal end times finish in rank order.  The schedule is a pure
-    function of the inputs.  Units are named by digest only in the returned
-    statuses and events.  Every unit ends succeeded, failed, or skipped, and
+    The unit ranked i in ``dag.digests`` builds iff ``builds[i]``, after
+    ``latencies[i]`` (default 1.0), which must be finite and >= 0 once the
+    unit is attempted.  Units are scheduled by rank over ``dag.edges``, so
+    every order is the digest order: ready units enter a FIFO queue in rank
+    order within each wave and go to the lowest-numbered free worker, and
+    equal end times finish in rank order.  The schedule is a pure function
+    of the inputs.  Units are named by digest only in the returned statuses
+    and events.  Every unit ends succeeded, failed, or skipped, and
     attempted + skipped equals the node count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if latency_fn is None:
-        latency_fn = lambda unit: 1.0
     digests, (unit_rank, dep_rank) = dag.digests, dag.edges
     n = len(digests)
+    builds = np.asarray(builds, dtype=bool)
+    latencies = np.ones(n) if latencies is None else np.asarray(latencies, dtype=float)
+    for name, vector in (("builds", builds), ("latencies", latencies)):
+        if vector.shape != (n,):
+            raise ValueError(f"{name} has shape {vector.shape}, not one entry for each of {n} units")
+    builds, latencies = builds.tolist(), latencies.tolist()
     dep_counts = np.bincount(unit_rank, minlength=n)
     waiting_on = dep_counts.tolist()
     # The dependents of the unit ranked i are dependents[bounds[i]:bounds[i + 1]].
@@ -321,7 +320,7 @@ def simulate(
         while ready and free_workers:
             i = ready.popleft()
             worker = heapq.heappop(free_workers)
-            latency = float(latency_fn(dag.units[digests[i]]))
+            latency = latencies[i]
             if not 0.0 <= latency < math.inf:
                 raise ValueError(
                     f"latency {latency} of unit {digests[i]} is not finite and >= 0")
@@ -332,7 +331,7 @@ def simulate(
         end, i, worker, start = heapq.heappop(building)
         now = end
         makespan = max(makespan, end)
-        ok = bool(outcome_fn(dag.units[digests[i]]))
+        ok = builds[i]
         events.append(SimEvent(unit=digests[i], worker=worker, start=start, end=end,
                                succeeded=ok))
         heapq.heappush(free_workers, worker)
@@ -485,32 +484,28 @@ def synthetic_oracle(
 
 def planted_outcome(
     dag: BuildDag, rules: PlantedRuleSet, graph: DependencyGraph, seed: int = 0
-) -> Callable[[BuildUnit], bool]:
-    """Unit-level outcome function matching the config-level oracle.
+) -> np.ndarray:
+    """Whether each unit builds, by digest rank, matching the config-level oracle.
 
     A unit fails when one of its direct dependency units activates a
     forbidden pair with it, or (with noise) by a deterministic hash of the
-    unit digest.  A configuration's root unit then succeeds exactly when
-    the configuration satisfies every rule.
+    digest of a unit that passes the rules.  A configuration's root unit
+    then succeeds exactly when the configuration satisfies every rule.
     """
-    rules.check_against(graph)
-    by_parent: dict[tuple[str, str], set[tuple[str, str]]] = {}
-    for parent, pv, child, cv in rules.forbidden:
-        by_parent.setdefault((parent, pv), set()).add((child, cv))
-
-    def outcome(unit: BuildUnit) -> bool:
-        bad_children = by_parent.get((unit.package, unit.version))
-        if bad_children:
-            for dep_digest in unit.deps:
-                dep = dag.units[dep_digest]
-                if (dep.package, dep.version) in bad_children:
-                    return False
-        if rules.noise > 0.0:
-            if derive_seed(seed, unit.digest) / 2**64 < rules.noise:
-                return False
-        return True
-
-    return outcome
+    forbidden = rules.check_against(graph)
+    # Each (package, version) gets one flat id below total, the domain sizes
+    # summed, and each edge one int64 key below total**2 from its two ends.
+    offset = np.cumsum([0, *graph.domain_sizes], dtype=np.int64)
+    flat = offset[dag.package] + dag.version
+    total = int(offset[-1])
+    unit, dep = dag.edges
+    keys = [(int(offset[p]) + pv) * total + int(offset[c]) + cv for p, pv, c, cv in forbidden]
+    built = np.ones(dag.node_count, dtype=bool)
+    built[unit[np.isin(flat[unit] * total + flat[dep], keys)]] = False
+    if rules.noise > 0.0:
+        for i in np.flatnonzero(built).tolist():
+            built[i] = derive_seed(seed, dag.digests[i]) / 2**64 >= rules.noise
+    return built
 
 
 def enumerate_records(oracle: SyntheticOracle) -> Dataset:

@@ -71,11 +71,16 @@ def _load_data(path: str, graph_path: str | None) -> Dataset:
 
 
 def _fit_or_load_model(args) -> surrogate.FactorModel:
-    if getattr(args, "model", None):
+    if args.model:
+        given = [f"--{name}" for name in ("data", "graph", "smoothing")
+                 if getattr(args, name) is not None]
+        if given:
+            raise _UsageError(f"--model cannot be combined with {', '.join(given)}")
         return surrogate.load_model(args.model)
-    if getattr(args, "data", None):
-        dataset = _load_data(args.data, getattr(args, "graph", None))
-        return surrogate.fit(dataset.records, dataset.graph, args.smoothing)
+    if args.data:
+        dataset = _load_data(args.data, args.graph)
+        return surrogate.fit(dataset.records, dataset.graph,
+                             1.0 if args.smoothing is None else args.smoothing)
     raise _UsageError("either --model or --data is required")
 
 
@@ -218,17 +223,12 @@ def _cmd_simulate(args) -> int:
     else:
         raise _UsageError("either --data or --sample is required")
     dag = buildsim.build_dag(configs, graph)
-    outcome = buildsim.planted_outcome(dag, rules, graph, seed=args.seed)
+    builds = buildsim.planted_outcome(dag, rules, graph, seed=args.seed)
+    latencies = None
     if args.latency == "lognormal":
         rng = substream(args.seed, "simulate-latency")
-        digests = dag.digests
-        draws = rng.lognormal(mean=0.0, sigma=args.latency_sigma, size=len(digests))
-        latencies = dict(zip(digests, draws.tolist()))
-        latency_fn = lambda unit: latencies[unit.digest]
-    else:
-        latency_fn = None
-    report = buildsim.simulate(dag, outcome, workers=args.workers,
-                               latency_fn=latency_fn)
+        latencies = rng.lognormal(mean=0.0, sigma=args.latency_sigma, size=dag.node_count)
+    report = buildsim.simulate(dag, builds, workers=args.workers, latencies=latencies)
     _write_chunks(args.out, report.json_chunks())
     return 0
 
@@ -327,7 +327,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help="model JSON from run --model-out")
     p.add_argument("--data", help="fit a model from this dataset instead")
     p.add_argument("--graph", help="graph override when fitting from --data")
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--smoothing", type=float, help="when fitting from --data (default 1.0)")
     p.add_argument("--top", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
@@ -338,7 +338,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model")
     p.add_argument("--data")
     p.add_argument("--graph")
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--smoothing", type=float, help="when fitting from --data (default 1.0)")
     p.add_argument("--edge", help="restrict to one edge, e.g. root+dep01")
     p.add_argument("--threshold", type=float, default=0.25)
     p.add_argument("--out-dir", required=True)

@@ -293,7 +293,7 @@ def test_08_simulation_accounting_and_makespan():
     # Accounting identity on a merged multi-config DAG with failures.
     graph = chain_graph(4, 2)
     dag = build_dag(list(enumerate_configurations(graph)), graph)
-    report = simulate(dag, lambda unit: unit.version == "v1", workers=3)
+    report = simulate(dag, dag.version == 0, workers=3)
     assert report.attempted + report.skipped == dag.node_count
     assert report.attempted == report.succeeded + report.failed
 
@@ -301,9 +301,10 @@ def test_08_simulation_accounting_and_makespan():
     # nothing else is skipped.
     chain = chain_graph(3, 2)
     chain_dag = build_dag([(0, 0, 0)], chain)
-    chain_report = simulate(chain_dag, lambda unit: unit.package != "B")
+    chain_report = simulate(chain_dag, chain_dag.package != chain.index_of("B"))
     by_package = {
-        chain_dag.units[d].package: s for d, s in chain_report.statuses.items()
+        chain.packages[p]: chain_report.statuses[d]
+        for d, p in zip(chain_dag.digests, chain_dag.package.tolist())
     }
     assert by_package == {
         "C": NodeStatus.SUCCEEDED,
@@ -314,7 +315,7 @@ def test_08_simulation_accounting_and_makespan():
 
     # Diamond with two workers: leaf, then both middles in parallel, then root.
     diamond = build_dag([(0, 0, 0, 0)], diamond_graph())
-    makespan = simulate(diamond, lambda unit: True, workers=2).makespan
+    makespan = simulate(diamond, [True] * diamond.node_count, workers=2).makespan
     assert makespan == pytest.approx(3.0, abs=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -7,7 +7,7 @@ import heapq
 import json
 import math
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from buildtuner import (
 from buildtuner import buildsim
 from buildtuner.buildsim import (
     BenchmarkError,
-    BuildUnit,
     SimReport,
     RulesError,
     enumerate_records,
@@ -44,16 +43,33 @@ from buildtuner.configspace import (
     random_configurations,
     validate_graph,
 )
+from buildtuner.rng import derive_seed
 from helpers import chain_graph, diamond_graph, two_package_graph
 
-ALWAYS = lambda unit: True
+
+def _always(dag: BuildDag) -> list[bool]:
+    return [True] * dag.node_count
 
 
-def _unit_by_package(dag: BuildDag):
-    by_package = defaultdict(list)
-    for unit in dag.units.values():
-        by_package[unit.package].append(unit)
-    return by_package
+def _unit_names(dag: BuildDag, graph: DependencyGraph) -> list[tuple[str, str]]:
+    """Each unit's package and version name, by digest rank."""
+    return [(graph.packages[p], graph.domains[p][v])
+            for p, v in zip(dag.package.tolist(), dag.version.tolist())]
+
+
+def _unit_view(dag: BuildDag, graph: DependencyGraph) -> dict[str, tuple[str, str, tuple]]:
+    """The digest-keyed view of a DAG: each unit's package, version and
+    sorted dependency digests."""
+    deps = defaultdict(list)
+    for unit, dep in zip(*(side.tolist() for side in dag.edges)):
+        deps[unit].append(dag.digests[dep])
+    return {digest: (package, version, tuple(sorted(deps[i])))
+            for i, (digest, (package, version)) in enumerate(zip(dag.digests,
+                                                                 _unit_names(dag, graph)))}
+
+
+def _units_per_package(dag: BuildDag, graph: DependencyGraph) -> Counter:
+    return Counter(package for package, _ in _unit_names(dag, graph))
 
 
 class TestDagConstruction:
@@ -62,10 +78,7 @@ class TestDagConstruction:
         graph = chain_graph(3, 2)
         dag = build_dag([(0, 0, 0), (1, 0, 0)], graph)
         assert dag.node_count == 4
-        by_package = _unit_by_package(dag)
-        assert len(by_package["A"]) == 2
-        assert len(by_package["B"]) == 1
-        assert len(by_package["C"]) == 1
+        assert _units_per_package(dag, graph) == {"A": 2, "B": 1, "C": 1}
 
     def test_identical_configs_collapse(self):
         graph = chain_graph(3, 2)
@@ -77,25 +90,24 @@ class TestDagConstruction:
         """A root version atop different child versions is a distinct unit."""
         graph = chain_graph(2, 2)
         dag = build_dag([(0, 0), (0, 1)], graph)
-        by_package = _unit_by_package(dag)
-        assert len(by_package["A"]) == 2
-        assert len(by_package["B"]) == 2
+        assert _units_per_package(dag, graph) == {"A": 2, "B": 2}
 
     def test_origin_maps_config_to_root_unit(self):
         graph = chain_graph(3, 2)
         config = (1, 0, 1)
         dag = build_dag([config], graph)
-        root_digest = dag.origins[config]
-        assert dag.units[root_digest].package == "A"
-        assert dag.units[root_digest].version == "v2"
+        root = dag.digests.index(dag.origins[config])
+        assert _unit_names(dag, graph)[root] == ("A", "v2")
 
     def test_diamond_shared_leaf(self):
-        dag = build_dag([(0, 0, 0, 0)], diamond_graph())
+        graph = diamond_graph()
+        dag = build_dag([(0, 0, 0, 0)], graph)
         assert dag.node_count == 4
-        leaf = [u for u in dag.units.values() if u.package == "L"]
+        view = _unit_view(dag, graph)
+        leaf = [d for d, (package, _, _) in view.items() if package == "L"]
         assert len(leaf) == 1
-        mids = [u for u in dag.units.values() if u.package in ("M1", "M2")]
-        assert all(u.deps == (leaf[0].digest,) for u in mids)
+        mids = [deps for package, _, deps in view.values() if package in ("M1", "M2")]
+        assert mids == [(leaf[0],)] * 2
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +127,9 @@ def _unit_digest(package: str, version: str, dep_digests) -> str:
 
 def _reference_build_dag(configs, graph):
     """The per-configuration loop build_dag replaces: one digest per
-    configuration per package.  Returns the units and the origins."""
+    configuration per package.  Returns the origins and the units keyed by
+    digest, each as its package, version and sorted dependency digests (the
+    view _unit_view derives from the rank vectors)."""
     order, visited = [], set()
 
     def visit(node):
@@ -134,7 +148,7 @@ def _reference_build_dag(configs, graph):
             package, version = graph.packages[node], graph.domains[node][config[node]]
             deps = tuple(sorted(unit_of[c] for c in graph.children_map[node]))
             unit_of[node] = digest = _unit_digest(package, version, deps)
-            units.setdefault(digest, BuildUnit(package, version, digest, deps))
+            units.setdefault(digest, (package, version, deps))
         origins[tuple(config)] = unit_of[graph.root]
     return units, origins
 
@@ -152,9 +166,14 @@ def _wide_diamond_graph() -> DependencyGraph:
 
 
 def _assert_same_dag(configs, graph):
+    """build_dag's rank vectors give the reference's units and origins."""
     dag = build_dag(configs, graph)
     units, origins = _reference_build_dag(configs, graph)
-    assert dag.units == units
+    assert dag.digests == sorted(units)
+    assert all(v.dtype == np.intp and v.shape == (dag.node_count,)
+               for v in (dag.package, dag.version))
+    assert _unit_view(dag, graph) == units
+    assert _edge_pairs(dag) == _rank_pairs(units)
     assert dag.origins == origins
     assert all(type(k) is tuple and all(type(v) is int for v in k) for k in dag.origins)
     return dag
@@ -187,7 +206,7 @@ class TestDagAgainstReference:
         graph = chain_graph(4, 3)
         configs = list(enumerate_configurations(graph))
         dag = build_dag(iter(configs), graph)
-        assert (dag.units, dag.origins) == _reference_build_dag(configs, graph)
+        assert (_unit_view(dag, graph), dag.origins) == _reference_build_dag(configs, graph)
 
     @pytest.mark.parametrize("bad", [(0, 9), (0, -1), (0, 1.5), (0, "1"), (0, 1, 0), (0,)])
     def test_malformed_configuration_raises_the_same_error(self, bad):
@@ -228,10 +247,11 @@ def _edge_pairs(dag: BuildDag) -> list[tuple[int, int]]:
     return sorted(zip(*(side.tolist() for side in dag.edges)))
 
 
-def _rank_pairs(units: dict[str, BuildUnit]) -> list[tuple[int, int]]:
+def _rank_pairs(units: dict[str, tuple[str, str, tuple]]) -> list[tuple[int, int]]:
     """Every (unit, dependency) pair by rank in the sorted digests of units."""
     rank = {digest: i for i, digest in enumerate(sorted(units))}
-    return sorted((rank[unit.digest], rank[dep]) for unit in units.values() for dep in unit.deps)
+    return sorted((rank[digest], rank[dep]) for digest, (_, _, deps) in units.items()
+                  for dep in deps)
 
 
 class TestRankedDag:
@@ -242,9 +262,7 @@ class TestRankedDag:
         are the units' sorted digests, and edges every dependency by rank."""
         graph, rows = case
         dag = _assert_same_dag(rows, graph)
-        assert dag.digests == sorted(dag.units)
         assert all(side.dtype == np.intp for side in dag.edges)
-        assert _edge_pairs(dag) == _rank_pairs(dag.units)
 
     def test_dense_row_keys_give_the_same_dag(self, monkeypatch):
         """With no room in the key, every fold makes it dense first."""
@@ -262,22 +280,23 @@ class TestRankedDag:
         assert vars(dag)["origins"] is dag.origins
 
 
-def _reference_simulate(dag, outcome_fn, workers=1, latency_fn=None):
+def _reference_simulate(units, builds, workers=1, latencies=None):
     """The digest-keyed scheduler simulate replaces: statuses, waiting counts
     and dependents in dicts keyed by digest, the ready queue a list popped
     from the front, and every failure's dependents marked skipped at once.
-    Its passing states (pending, ready, building) are plain strings."""
+    units is a digest-keyed view (see _unit_view); builds and latencies are
+    read at each digest's rank in the sorted digests.  Its passing states
+    (pending, ready, building) are plain strings."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if latency_fn is None:
-        latency_fn = lambda unit: 1.0
+    rank = {digest: i for i, digest in enumerate(sorted(units))}
 
-    status = {d: "pending" for d in dag.units}
-    dependents = {d: [] for d in dag.units}
-    for unit in dag.units.values():
-        for dep in unit.deps:
-            dependents[dep].append(unit.digest)
-    waiting_on = {d: len(unit.deps) for d, unit in dag.units.items()}
+    status = {d: "pending" for d in units}
+    dependents = {d: [] for d in units}
+    for digest, (_, _, deps) in units.items():
+        for dep in deps:
+            dependents[dep].append(digest)
+    waiting_on = {d: len(deps) for d, (_, _, deps) in units.items()}
 
     ready = sorted(d for d, n in waiting_on.items() if n == 0)
     for d in ready:
@@ -293,8 +312,7 @@ def _reference_simulate(dag, outcome_fn, workers=1, latency_fn=None):
         while ready and free_workers:
             digest = ready.pop(0)
             worker = heapq.heappop(free_workers)
-            unit = dag.units[digest]
-            latency = float(latency_fn(unit))
+            latency = 1.0 if latencies is None else float(latencies[rank[digest]])
             if not 0.0 <= latency < math.inf:
                 raise ValueError(f"latency {latency} of unit {digest} is not finite and >= 0")
             status[digest] = "building"
@@ -313,8 +331,7 @@ def _reference_simulate(dag, outcome_fn, workers=1, latency_fn=None):
         end, digest, worker, start = heapq.heappop(building)
         now = end
         makespan = max(makespan, end)
-        unit = dag.units[digest]
-        ok = bool(outcome_fn(unit))
+        ok = bool(builds[rank[digest]])
         events.append(buildsim.SimEvent(unit=digest, worker=worker, start=start, end=end,
                                         succeeded=ok))
         heapq.heappush(free_workers, worker)
@@ -349,11 +366,12 @@ def _reference_simulate(dag, outcome_fn, workers=1, latency_fn=None):
     )
 
 
-def _assert_same_schedule(dag, outcome_fn, workers, latency_fn=None):
-    report = simulate(dag, outcome_fn, workers=workers, latency_fn=latency_fn)
-    reference = _reference_simulate(dag, outcome_fn, workers=workers, latency_fn=latency_fn)
+def _assert_same_schedule(dag, graph, builds, workers, latencies=None):
+    report = simulate(dag, builds, workers=workers, latencies=latencies)
+    reference = _reference_simulate(_unit_view(dag, graph), builds, workers=workers,
+                                    latencies=latencies)
     assert report.statuses == reference.statuses
-    assert list(report.statuses) == sorted(dag.units)
+    assert list(report.statuses) == dag.digests
     assert report.events == reference.events
     assert report.makespan == reference.makespan
     assert ((report.attempted, report.succeeded, report.failed, report.skipped)
@@ -365,39 +383,41 @@ def _assert_same_schedule(dag, outcome_fn, workers, latency_fn=None):
 _TIED_LATENCIES = (0.0, 0.5, 1.0, 0.1 + 0.2, 0.3, 2.0)
 
 
+def _tied_by_digest(digest: str) -> float:
+    return 0.5 + (digest.encode()[0] % 3) / 4
+
+
 class TestSimulateAgainstReference:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=_dag_cases(), workers=st.sampled_from([1, 2, 3, 1000]), data=st.data())
     def test_property_same_schedule(self, case, workers, data):
         graph, rows = case
         dag = build_dag(rows, graph)
-        digests = sorted(dag.units)
-        failing = set(data.draw(st.lists(st.sampled_from(digests), max_size=3))) if digests else set()
+        n = dag.node_count
+        failing = set(data.draw(st.lists(st.integers(0, n - 1), max_size=3))) if n else set()
+        builds = [i not in failing for i in range(n)]
+        latencies = None  # every end time of a wave ties
         if data.draw(st.booleans()):
-            latency = None  # every end time of a wave ties
-        else:
-            picks = data.draw(st.lists(st.sampled_from(_TIED_LATENCIES),
-                                       min_size=len(digests), max_size=len(digests)))
-            latency_of = dict(zip(digests, picks))
-            latency = lambda unit: latency_of[unit.digest]
-        _assert_same_schedule(dag, lambda unit: unit.digest not in failing, workers, latency)
+            latencies = data.draw(st.lists(st.sampled_from(_TIED_LATENCIES),
+                                           min_size=n, max_size=n))
+        _assert_same_schedule(dag, graph, builds, workers, latencies)
 
     @pytest.mark.parametrize("workers", [1, 3, 1000])
-    @pytest.mark.parametrize("latency", [None, lambda unit: 0.5 + (unit.digest.encode()[0] % 3) / 4],
+    @pytest.mark.parametrize("latency_of", [None, _tied_by_digest],
                              ids=["unit", "tied-by-digest"])
-    def test_failures_skip_subtrees(self, workers, latency):
+    def test_failures_skip_subtrees(self, workers, latency_of):
         graph = _wide_diamond_graph()
         dag = build_dag(list(enumerate_configurations(graph)), graph)
         assert dag.node_count < 1000
-        report = _assert_same_schedule(
-            dag, lambda unit: (unit.package, unit.version) not in {("L", "l2"), ("M2", "y")},
-            workers, latency)
+        builds = [unit not in {("L", "l2"), ("M2", "y")} for unit in _unit_names(dag, graph)]
+        latencies = None if latency_of is None else np.array(list(map(latency_of, dag.digests)))
+        report = _assert_same_schedule(dag, graph, np.array(builds), workers, latencies)
         assert report.failed and report.skipped and report.succeeded
 
     def test_workers_past_the_unit_count_change_nothing(self):
         graph = chain_graph(3, 3)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        reports = [simulate(dag, ALWAYS, workers=w) for w in (dag.node_count, 10**20)]
+        reports = [simulate(dag, _always(dag), workers=w) for w in (dag.node_count, 10**20)]
         assert reports[0] == reports[1]
         assert max(e.worker for e in reports[0].events) < dag.node_count
 
@@ -411,12 +431,13 @@ class TestStreamedReport:
     def test_equals_json_dumps(self, makespan):
         graph = chain_graph(3, 3)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        report = dataclasses.replace(simulate(dag, lambda u: u.version != "v2", workers=2),
+        report = dataclasses.replace(simulate(dag, dag.version != 1, workers=2),
                                      makespan=makespan)
         assert "".join(report.json_chunks()) == _report_text(report)
 
     def test_empty_dag(self):
-        report = simulate(build_dag([], chain_graph(3, 2)), ALWAYS, workers=4)
+        dag = build_dag([], chain_graph(3, 2))
+        report = simulate(dag, _always(dag), workers=4)
         assert report.statuses == {} and report.events == ()
         assert "".join(report.json_chunks()) == _report_text(report)
 
@@ -430,6 +451,20 @@ class TestStreamedReport:
         chunks = list(report.json_chunks())
         assert len(chunks) == 5  # head, three chunks of status lines, tail
         assert "".join(chunks) == _report_text(report)
+
+    def test_status_lines_hash_no_member(self, monkeypatch):
+        """Status lines look nothing up by NodeStatus member, whose hash runs
+        Python-level enum code."""
+        graph = chain_graph(3, 3)
+        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        report = simulate(dag, dag.version != 1, workers=2)
+        expected = _report_text(report)
+
+        def refuse(member):
+            raise AssertionError("a NodeStatus member was hashed")
+
+        monkeypatch.setattr(NodeStatus, "__hash__", refuse)
+        assert "".join(report.json_chunks()) == expected
 
 
 # Bytes: this code peaks at 1.38-1.47 MB on the case below, the digest-keyed
@@ -457,7 +492,7 @@ class TestSimulate:
     def test_all_succeed_accounting(self):
         graph = chain_graph(3, 2)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        report = simulate(dag, ALWAYS, workers=3)
+        report = simulate(dag, _always(dag), workers=3)
         assert report.attempted == dag.node_count
         assert report.succeeded == dag.node_count
         assert report.failed == report.skipped == 0
@@ -467,8 +502,9 @@ class TestSimulate:
         """C -> B -> A chain: B fails, so A is skipped and never attempted."""
         graph = chain_graph(3, 2)
         dag = build_dag([(0, 0, 0)], graph)
-        report = simulate(dag, lambda unit: unit.package != "B")
-        by_status = {dag.units[d].package: s for d, s in report.statuses.items()}
+        report = simulate(dag, dag.package != graph.index_of("B"))
+        by_status = {package: report.statuses[d]
+                     for d, (package, _) in zip(dag.digests, _unit_names(dag, graph))}
         assert by_status == {
             "C": NodeStatus.SUCCEEDED,
             "B": NodeStatus.FAILED,
@@ -480,7 +516,7 @@ class TestSimulate:
     def test_accounting_identity_with_failures(self):
         graph = chain_graph(4, 2)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        report = simulate(dag, lambda unit: unit.version == "v1", workers=2)
+        report = simulate(dag, dag.version == 0, workers=2)
         assert report.attempted + report.skipped == dag.node_count
         assert report.attempted == report.succeeded + report.failed
         assert report.failed_or_skipped == report.failed + report.skipped
@@ -488,22 +524,21 @@ class TestSimulate:
     def test_diamond_makespans(self):
         """Unit latencies: the two middle units run in parallel with 2 workers."""
         dag = build_dag([(0, 0, 0, 0)], diamond_graph())
-        assert simulate(dag, ALWAYS, workers=2).makespan == pytest.approx(3.0)
-        assert simulate(dag, ALWAYS, workers=1).makespan == pytest.approx(4.0)
+        assert simulate(dag, _always(dag), workers=2).makespan == pytest.approx(3.0)
+        assert simulate(dag, _always(dag), workers=1).makespan == pytest.approx(4.0)
 
     def test_single_worker_makespan_is_total_latency(self):
         graph = chain_graph(3, 2)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        latency = lambda unit: 0.5 + (unit.digest.encode()[0] % 7) / 8
-        report = simulate(dag, ALWAYS, workers=1, latency_fn=latency)
-        total = sum(latency(u) for u in dag.units.values())
-        assert report.makespan == pytest.approx(total)
+        latencies = [0.5 + (d.encode()[0] % 7) / 8 for d in dag.digests]
+        report = simulate(dag, _always(dag), workers=1, latencies=latencies)
+        assert report.makespan == pytest.approx(sum(latencies))
 
     def test_makespan_monotone_in_workers(self):
         graph = chain_graph(4, 2)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
         spans = [
-            simulate(dag, ALWAYS, workers=w).makespan for w in (1, 2, 4, 8, 32)
+            simulate(dag, _always(dag), workers=w).makespan for w in (1, 2, 4, 8, 32)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(spans, spans[1:]))
 
@@ -511,12 +546,12 @@ class TestSimulate:
         """Events respect dependency order and workers never overlap."""
         graph = chain_graph(4, 2)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        latency = lambda unit: 1.0 + (unit.digest.encode()[1] % 5) / 4
-        report = simulate(dag, lambda u: u.version == "v1", workers=3,
-                          latency_fn=latency)
+        latencies = [1.0 + (d.encode()[1] % 5) / 4 for d in dag.digests]
+        report = simulate(dag, dag.version == 0, workers=3, latencies=latencies)
+        view = _unit_view(dag, graph)
         end_of = {e.unit: e.end for e in report.events}
         for event in report.events:
-            for dep in dag.units[event.unit].deps:
+            for dep in view[event.unit][2]:
                 assert dep in end_of, "dependency was never attempted"
                 assert event.start >= end_of[dep] - 1e-12
         by_worker = defaultdict(list)
@@ -530,26 +565,70 @@ class TestSimulate:
     def test_deterministic_schedule(self):
         graph = chain_graph(3, 3)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
-        a = simulate(dag, ALWAYS, workers=2)
-        b = simulate(dag, ALWAYS, workers=2)
+        a = simulate(dag, _always(dag), workers=2)
+        b = simulate(dag, _always(dag), workers=2)
         assert a.events == b.events
         assert a.makespan == b.makespan
 
     def test_worker_validation(self):
         dag = build_dag([(0, 0)], two_package_graph())
         with pytest.raises(ValueError, match="workers"):
-            simulate(dag, ALWAYS, workers=0)
+            simulate(dag, _always(dag), workers=0)
 
     def test_negative_latency_rejected(self):
         dag = build_dag([(0, 0)], two_package_graph())
         with pytest.raises(ValueError, match="latency"):
-            simulate(dag, ALWAYS, latency_fn=lambda unit: -1.0)
+            simulate(dag, _always(dag), latencies=[-1.0] * dag.node_count)
 
     @pytest.mark.parametrize("latency", [math.nan, math.inf])
     def test_latency_not_finite_rejected(self, latency):
         dag = build_dag([(0, 0)], two_package_graph())
         with pytest.raises(ValueError, match="is not finite and >= 0"):
-            simulate(dag, ALWAYS, latency_fn=lambda unit: latency)
+            simulate(dag, _always(dag), latencies=[latency] * dag.node_count)
+
+    @pytest.mark.parametrize("latency", [-1.0, math.nan, math.inf])
+    def test_bad_latency_names_the_attempted_unit(self, latency):
+        """Only the root's latency is bad: the error names the root's digest,
+        once its leaf has built."""
+        graph = two_package_graph()
+        dag = build_dag([(1, 0)], graph)
+        root = dag.digests.index(dag.origins[(1, 0)])
+        latencies = [2.0] * dag.node_count
+        latencies[root] = latency
+        with pytest.raises(ValueError) as raised:
+            simulate(dag, _always(dag), latencies=latencies)
+        assert str(raised.value) == (
+            f"latency {latency} of unit {dag.digests[root]} is not finite and >= 0")
+
+    def test_bad_latency_of_a_skipped_unit_is_never_read(self):
+        graph = two_package_graph()
+        dag = build_dag([(1, 0)], graph)
+        root = dag.digests.index(dag.origins[(1, 0)])
+        latencies = [2.0] * dag.node_count
+        latencies[root] = math.nan
+        builds = [i == root for i in range(dag.node_count)]  # the leaf fails
+        report = simulate(dag, builds, latencies=latencies)
+        assert (report.attempted, report.failed, report.skipped) == (1, 1, 1)
+        assert report.statuses[dag.digests[root]] is NodeStatus.SKIPPED
+
+    @pytest.mark.parametrize("argument", ["builds", "latencies"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (0,), (2, 1)], ids=str)
+    def test_vector_of_the_wrong_shape_rejected(self, argument, shape):
+        dag = build_dag([(0, 0)], two_package_graph())
+        assert dag.node_count == 2
+        vectors = {"builds": np.ones(2, dtype=bool), "latencies": np.ones(2)}
+        vectors[argument] = np.ones(shape, dtype=vectors[argument].dtype)
+        with pytest.raises(ValueError, match=f"^{argument} has shape .* each of 2 units$"):
+            simulate(dag, vectors["builds"], latencies=vectors["latencies"])
+
+    def test_vectors_are_read_by_rank(self):
+        """A list and an array of the same entries give the same report."""
+        graph = chain_graph(3, 3)
+        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        builds = dag.version != 2
+        latencies = np.linspace(0.5, 2.0, dag.node_count)
+        assert (simulate(dag, builds, workers=3, latencies=latencies)
+                == simulate(dag, builds.tolist(), workers=3, latencies=latencies.tolist()))
 
 
 class TestPlantedRules:
@@ -734,6 +813,43 @@ class TestSyntheticOracle:
         assert self._oracle().candidate_configurations() is None
 
 
+def _reference_planted_outcome(units, rules, seed=0):
+    """The name-keyed closure planted_outcome replaces, over a digest-keyed
+    view (see _unit_view): a unit fails when a dependency, looked up by
+    digest, forms a forbidden pair with it, or by the noise hash of its
+    digest."""
+    by_parent = {}
+    for parent, pv, child, cv in rules.forbidden:
+        by_parent.setdefault((parent, pv), set()).add((child, cv))
+
+    def outcome(digest):
+        package, version, deps = units[digest]
+        bad_children = by_parent.get((package, version))
+        if bad_children:
+            for dep_digest in deps:
+                dep_package, dep_version, _ = units[dep_digest]
+                if (dep_package, dep_version) in bad_children:
+                    return False
+        if rules.noise > 0.0:
+            if derive_seed(seed, digest) / 2**64 < rules.noise:
+                return False
+        return True
+
+    return outcome
+
+
+@st.composite
+def _planted_cases(draw):
+    """A _dag_cases graph and rows, plus up to six rules on its edges."""
+    graph, rows = draw(_dag_cases())
+    rules = draw(st.lists(st.sampled_from(graph.edges).flatmap(
+        lambda edge: st.tuples(
+            st.just(graph.packages[edge[0]]), st.sampled_from(graph.domains[edge[0]]),
+            st.just(graph.packages[edge[1]]), st.sampled_from(graph.domains[edge[1]]))),
+        max_size=6))
+    return graph, rows, frozenset(rules)
+
+
 class TestPlantedOutcome:
     def test_agrees_with_config_oracle(self):
         """Root-unit success in the DAG must equal the config-level verdict."""
@@ -748,6 +864,54 @@ class TestPlantedOutcome:
             root = dag.origins[config]
             built = report.statuses[root] == NodeStatus.SUCCEEDED
             assert built == oracle.evaluate(config)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_planted_cases(), noise=st.sampled_from([0.0, 0.3, 0.7]),
+           seed=st.integers(0, 2**32))
+    def test_property_matches_the_reference(self, case, noise, seed):
+        """Every rank's verdict equals the name-keyed closure's for its digest."""
+        graph, rows, forbidden = case
+        rules = PlantedRuleSet(forbidden=forbidden, noise=noise)
+        dag = build_dag(rows, graph)
+        built = planted_outcome(dag, rules, graph, seed=seed)
+        assert built.dtype == bool and built.shape == (dag.node_count,)
+        reference = _reference_planted_outcome(_unit_view(dag, graph), rules, seed)
+        assert built.tolist() == [reference(d) for d in dag.digests]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_planted_cases(), workers=st.sampled_from([1, 3]))
+    def test_property_root_status_agrees_with_the_oracle(self, case, workers):
+        """Without noise, each sampled configuration's root unit succeeds
+        exactly when SyntheticOracle.evaluate builds it; with noise, a root
+        unit succeeds only where the rules pass."""
+        graph, rows, forbidden = case
+        dag = build_dag(rows, graph)
+        oracle = SyntheticOracle(graph, PlantedRuleSet(forbidden))
+        for noise in (0.0, 0.3):
+            rules = PlantedRuleSet(forbidden, noise=noise)
+            report = simulate(dag, planted_outcome(dag, rules, graph, seed=7), workers=workers)
+            for config in rows:
+                built = report.statuses[dag.origins[tuple(config)]] is NodeStatus.SUCCEEDED
+                if noise == 0.0:
+                    assert built == oracle.evaluate(config)
+                else:
+                    assert not built or oracle.evaluate(config)
+
+    def test_wide_domains(self):
+        """Rule keys grow with the domains summed, not multiplied."""
+        graph = DependencyGraph(
+            packages=("A", "B"),
+            domains=(tuple(f"a{i}" for i in range(40_000)), tuple(f"b{i}" for i in range(30_000))),
+            edges=((0, 1),), root=0)
+        validate_graph(graph)
+        configs = [(39_999, 29_999), (39_999, 0), (0, 29_999), (17, 23)]
+        rules = PlantedRuleSet(forbidden=frozenset({("A", "a39999", "B", "b29999"),
+                                                    ("A", "a17", "B", "b23")}))
+        dag = build_dag(configs, graph)
+        built = planted_outcome(dag, rules, graph)
+        roots = [dag.digests.index(dag.origins[c]) for c in configs]
+        assert built[roots].tolist() == [False, True, True, False]
+        assert built.sum() == dag.node_count - 2
 
     def test_unknown_rule_rejected(self):
         graph = two_package_graph()

@@ -375,6 +375,48 @@ class TestHeatmapCommand:
         assert constraints["pairs"] == []
 
 
+class TestModelOptions:
+    """importance and heatmap take a model from --model or fit one from
+    --data; the fitting options beside --model are a usage error."""
+
+    @staticmethod
+    def _argv(command, workspace):
+        model = workspace / "model.json"
+        dataset = load_dataset(str(workspace / "data.jsonl"))
+        save_model(fit(dataset.records, dataset.graph), str(model))
+        output = workspace / "output"
+        target = ["--out", str(output)] if command == "importance" else ["--out-dir", str(output)]
+        return [command, "--model", str(model), *target], output
+
+    @pytest.mark.parametrize("command", ["importance", "heatmap"])
+    @pytest.mark.parametrize("flag", ["--data", "--graph", "--smoothing"])
+    def test_fitting_option_beside_model_exits_one(self, capsys, workspace, command, flag):
+        # --smoothing 1.0 is the fitting default, and still refused.
+        value = {"--data": str(workspace / "data.jsonl"), "--graph": str(workspace / "graph.json"),
+                 "--smoothing": "1.0"}[flag]
+        argv, output = self._argv(command, workspace)
+        code, out, err = _run([*argv, flag, value], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"--model cannot be combined with {flag}"]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["importance", "heatmap"])
+    def test_every_fitting_option_is_named(self, capsys, workspace, command):
+        argv, output = self._argv(command, workspace)
+        code, _, err = _run([*argv, "--smoothing", "2", "--data", str(workspace / "data.jsonl"),
+                             "--graph", "/nonexistent/graph.json"], capsys)
+        assert code == 1
+        assert err.splitlines() == ["--model cannot be combined with --data, --graph, --smoothing"]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["importance", "heatmap"])
+    def test_model_alone_still_works(self, capsys, workspace, command):
+        argv, output = self._argv(command, workspace)
+        code, _, err = _run(argv, capsys)
+        assert code == 0 and err == ""
+        assert output.exists()
+
+
 class TestSimulateCommand:
     def test_report_from_dataset_configs(self, capsys, workspace):
         code, out, _ = _run(
