@@ -79,7 +79,7 @@ def _fit_or_load_model(args) -> surrogate.FactorModel:
         return surrogate.load_model(args.model)
     if args.data:
         dataset = _load_data(args.data, args.graph)
-        return surrogate.fit(dataset.records, dataset.graph,
+        return surrogate.fit(dataset, dataset.graph,
                              1.0 if args.smoothing is None else args.smoothing)
     raise _UsageError("either --model or --data is required")
 

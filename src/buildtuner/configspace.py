@@ -2,9 +2,9 @@
 
 A configuration space is a rooted DAG of packages, each with a finite domain
 of version labels.  A configuration assigns one version index to every
-package, the root included.  In memory a configuration is identified by
-its tuple; in files and traces, across runs and machines, by a canonical
-content digest.
+package, the root included.  The engine holds it as an int64 row, an
+oracle takes it as a tuple, and files and traces name it, across runs and
+machines, by a canonical content digest.
 """
 from __future__ import annotations
 

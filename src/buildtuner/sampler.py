@@ -4,19 +4,14 @@ The loop bootstraps with uniform random draws, fits the factorized
 surrogate, then repeatedly evaluates the unseen candidate with the best
 strategy score, folding each observation back into the model.  Three
 strategies are supported: "bayesian" (expected improvement), "crowd"
-(good-side frequency product), and "random" (uniform baseline).
+(good-side frequency product), and "random" (uniform baseline).  Each makes
+the same choice, and draws the same tie-break, as rescoring every open
+candidate would (see _Candidates).
 
-Fixed candidate rows are the whole space, or an oracle's listed candidates:
-a replay oracle's Dataset, whose checked rows are used as they are, or any
-other list, checked once.  Over fixed rows no strategy rescores the open
-rows at each step.
-Bayesian selection updates every row's log ratio incrementally after each
-observation (surrogate.RatioIndex), takes the open rows near the least one
-and settles them on from-scratch scores; crowd selection keeps every row's
-score until a good record changes it; random selection ties every open row.
-So each makes the same choice, and draws the same tie-break, as rescoring
-every open row.  Pools score their rows from scratch.  A run's trace is
-built, and its configurations digested, only when it is read.
+A configuration is an int64 row of version indices from selection through
+the history to the model.  Rows come from a checked matrix or from the
+domains, so the oracle's evaluate is the one check of each: a row becomes a
+tuple only there, and a digest only when the run's trace is read.
 """
 from __future__ import annotations
 
@@ -30,12 +25,11 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
-    check_configuration,
     check_rows,
     config_digest,
     first_occurrences,
     full_space_matrix,
-    random_configuration,
+    random_configurations,
     space_size,
 )
 from .dataset import BuildRecord, Dataset
@@ -43,6 +37,7 @@ from .rng import substream
 from .surrogate import (
     FactorModel,
     RatioIndex,
+    _check_smoothing,
     crowd_score_many,
     expected_improvement_many,
     fit,
@@ -103,6 +98,7 @@ class SamplerConfig:
             raise ValueError("budget must be nonnegative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
+        _check_smoothing(self.smoothing)
 
 
 @dataclass(frozen=True)
@@ -119,47 +115,65 @@ class TraceEntry:
                 "built": self.built}
 
 
-class ObservationHistory:
-    """Evaluated records in evaluation order, unique by configuration.
+def _row_keys(rows) -> list[bytes]:
+    """The key of each row of an int matrix, or of one row: its int64 bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel().tolist()
 
-    Configurations are keyed by their tuples; ``digests`` derives the
-    canonical digests that name them in files and traces.
+
+class ObservationHistory:
+    """Evaluated configurations in evaluation order, unique by configuration.
+
+    An insertion-ordered dict maps the key of each row (_row_keys) to its
+    outcome, and answers membership.  ``dataset`` holds them as a Dataset's
+    rows and outcomes; ``entries`` and ``digests`` derive from it.
     """
 
     def __init__(self, graph: DependencyGraph):
         self.graph = graph
-        self._entries: list[BuildRecord] = []
-        self._seen: set[Configuration] = set()
+        self._built: dict[bytes, bool] = {}
 
-    def add(self, record: BuildRecord) -> None:
-        check_configuration(self.graph, record.config)
-        if record.config in self._seen:
-            digest = config_digest(self.graph, record.config)
-            raise ValueError(f"configuration {digest} already evaluated")
-        self._seen.add(record.config)
-        self._entries.append(record)
+    def add(self, row: np.ndarray, built: bool) -> None:
+        """Record row, an int vector of valid version indices (not checked
+        here), and its outcome; ValueError when row was evaluated before."""
+        key = _row_keys(row)[0]
+        if key in self._built:
+            raise ValueError(f"configuration {config_digest(self.graph, row.tolist())} "
+                             "already evaluated")
+        self._built[key] = built
 
-    def __contains__(self, config: Configuration) -> bool:
-        return config in self._seen
+    def unseen(self, rows: np.ndarray) -> np.ndarray:
+        """The distinct unevaluated rows of the int matrix rows, in order (read-only)."""
+        fresh = [key for key in dict.fromkeys(_row_keys(rows)) if key not in self._built]
+        return np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(len(fresh), rows.shape[1])
+
+    def __contains__(self, row) -> bool:
+        return _row_keys(row)[0] in self._built
+
+    @property
+    def dataset(self) -> Dataset:
+        rows = np.frombuffer(b"".join(self._built), dtype=np.int64)
+        return Dataset._checked(self.graph, rows.reshape(len(self), self.graph.n_packages),
+                                np.fromiter(self._built.values(), bool, len(self)))
 
     @property
     def entries(self) -> tuple[BuildRecord, ...]:
-        return tuple(self._entries)
+        return self.dataset.records
 
     @property
     def digests(self) -> tuple[str, ...]:
         """Canonical digest of each evaluated configuration, in order."""
-        return tuple(config_digest(self.graph, r.config) for r in self._entries)
+        return tuple(config_digest(self.graph, r.config) for r in self.entries)
 
     @property
     def good_count(self) -> int:
-        return sum(1 for r in self._entries if r.outcome)
+        return sum(self._built.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._built)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -207,14 +221,14 @@ class _Candidates:
         self._ratios: RatioIndex | None = None
         self._crowd: np.ndarray | None = None
 
-    def draw(self, rng: np.random.Generator) -> Configuration:
-        """One uniform bootstrap draw; a drawn fixed row closes."""
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One uniform bootstrap draw, a row; a drawn fixed row closes."""
         if self.rows is None:
-            return random_configuration(self.graph, rng)
+            return random_configurations(self.graph, rng, 1)[0]
         index = int(rng.integers(self.size))
         self._n_open -= bool(self._open[index])
         self._open[index] = False
-        return tuple(self.rows[index].tolist())
+        return self.rows[index]
 
     def _pool(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
         """Distinct unevaluated draws, or None when the retries find none."""
@@ -222,9 +236,9 @@ class _Candidates:
             drawn = np.column_stack(
                 [rng.integers(m, size=self.config.pool_size) for m in self.graph.domain_sizes]
             )
-            fresh = [c for c in dict.fromkeys(map(tuple, drawn.tolist())) if c not in history]
-            if fresh:
-                return np.asarray(fresh, dtype=np.int64)
+            fresh = history.unseen(drawn)
+            if fresh.shape[0]:
+                return fresh
         return None
 
     def select(
@@ -233,8 +247,8 @@ class _Candidates:
         history: ObservationHistory,
         rng_tie: np.random.Generator,
         rng_pool: np.random.Generator,
-    ) -> tuple[Configuration, float | None] | None:
-        """The unevaluated candidate with the best score, and the score, or
+    ) -> tuple[np.ndarray, float | None] | None:
+        """The unevaluated candidate row with the best score, and the score, or
         None when no candidate is left; a chosen fixed row closes."""
         strategy = self.config.strategy
         rows, open_rows = self.rows, self._open
@@ -263,16 +277,14 @@ class _Candidates:
         pick = int(tied[rng_tie.integers(tied.size)])
         open_rows[pick] = False
         self._n_open -= 1
-        return tuple(rows[pick].tolist()), score
+        return rows[pick], score
 
-    def observe(self, model: FactorModel, record: BuildRecord) -> None:
-        """Fold a selected record into the index, given the model before it.
-
-        A good record changes the crowd scores; a bad one leaves them as they are.
-        """
+    def observe(self, model: FactorModel, row: np.ndarray, built: bool) -> None:
+        """Fold a selected row and its outcome into the index, given the model
+        before it.  A good row changes the crowd scores; a bad one does not."""
         if self._ratios is not None:
-            self._ratios.add(model, record)
-        if record.outcome:
+            self._ratios.add(model, row, built)
+        if built:
             self._crowd = None
 
 
@@ -300,19 +312,19 @@ def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConf
 
 
 def _evaluate(
-    oracle: BuildOracle, history: ObservationHistory, config: Configuration, where: str
-) -> BuildRecord:
-    """Ask the oracle about config and record its answer, which must be a bool."""
+    oracle: BuildOracle, history: ObservationHistory, row: np.ndarray, where: str
+) -> bool:
+    """Ask the oracle about row, as a configuration tuple, and record its
+    answer, which must be a bool."""
     try:
-        outcome = oracle.evaluate(config)
+        outcome = oracle.evaluate(tuple(row.tolist()))
     except Exception as exc:
         raise RuntimeError(f"oracle evaluation failed at {where}: {exc}") from exc
     if not isinstance(outcome, (bool, np.bool_)):
         raise RuntimeError(
             f"oracle evaluation failed at {where}: answered {outcome!r}, not a bool")
-    record = BuildRecord(config, bool(outcome))
-    history.add(record)
-    return record
+    history.add(row, bool(outcome))
+    return bool(outcome)
 
 
 def run(
@@ -336,20 +348,20 @@ def run(
                                 f"a bootstrap of {config.bootstrap_size}")
     history = ObservationHistory(graph)
     while len(history) < config.bootstrap_size:
-        cand = source.draw(rng_boot)
-        if cand not in history:
-            _evaluate(oracle, history, cand, f"bootstrap draw {len(history) + 1}")
-    model = fit(history, graph, config.smoothing)
+        row = source.draw(rng_boot)
+        if row not in history:
+            _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
+    model = fit(history.dataset, graph, config.smoothing)
     scores: list[float | None] = []
 
     for t in range(1, config.budget + 1):
         selected = source.select(model, history, rng_tie, rng_pool)
         if selected is None:
             break
-        chosen, score = selected
-        record = _evaluate(oracle, history, chosen, f"iteration {t}")
+        row, score = selected
+        built = _evaluate(oracle, history, row, f"iteration {t}")
         scores.append(score)
-        source.observe(model, record)
-        model = refit_incremental(model, record)
+        source.observe(model, row, built)
+        model = refit_incremental(model, row, built)
 
     return RunResult(history=history, scores=tuple(scores), model=model)

@@ -5,7 +5,9 @@ configurations that built (the good side) and one to configurations that
 failed (the bad side).  Each density factorizes along the dependency graph
 into one categorical factor per package and one joint factor per edge, so
 a factor never spans more than two packages.  Factors are additive-smoothed
-normalized empirical frequencies.
+normalized empirical frequencies.  A configuration is an int64 row of
+version indices.  Rows from a Dataset or a sampler are not checked again;
+fit checks any other records once (check_rows).
 
 The acquisition score for a candidate is the expected improvement
 
@@ -23,7 +25,7 @@ pairwise, which for a single row of eight or more factors can differ in the
 last bit.
 
 Over a fixed candidate matrix, a RatioIndex keeps each row's log ratio up to
-date one record at a time instead of summing every factor again.  The score
+date one row at a time instead of summing every factor again.  The score
 falls strictly as the ratio grows, so the best open row is the one with the
 least log ratio, and no step exponentiates every row.
 """
@@ -37,8 +39,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .configspace import DependencyGraph, check_configuration, check_rows
-from .dataset import BuildRecord
+from .configspace import DependencyGraph, GraphError, check_rows
+from .dataset import BuildRecord, Dataset
 
 __all__ = [
     "FactorLayout",
@@ -231,20 +233,27 @@ def _check_smoothing(smoothing, what: str = "smoothing") -> None:
 
 
 def fit(
-    history: Iterable[BuildRecord], graph: DependencyGraph, smoothing: float = 1.0
+    history: Dataset | Iterable[BuildRecord], graph: DependencyGraph, smoothing: float = 1.0
 ) -> FactorModel:
     """Fit both factor tables from scratch.
 
-    An empty history yields uniform factors on both sides and a success
-    prior of one half.
+    A Dataset's rows and outcomes, checked when it was made, are read as
+    they are; it must be over graph (GraphError otherwise).  Any other
+    records are checked once, by check_rows.  An empty history yields
+    uniform factors on both sides and a success prior of one half.
     """
     _check_smoothing(smoothing)
-    records = list(history)
-    rows = check_rows(graph, [record.config for record in records])
-    mask = np.array([bool(record.outcome) for record in records], dtype=bool)
+    if isinstance(history, Dataset):
+        if history.graph != graph:
+            raise GraphError("the dataset is over another graph")
+        rows, built = history.rows, history.built
+    else:
+        records = list(history)
+        rows = check_rows(graph, [record.config for record in records])
+        built = np.array([bool(record.outcome) for record in records], dtype=bool)
     empty = SideStats.empty(FactorLayout(graph.domain_sizes, graph.edges))
-    good = empty.add(rows[mask])
-    bad = empty.add(rows[~mask])
+    good = empty.add(rows[built])
+    bad = empty.add(rows[~built])
     return FactorModel(
         graph=graph,
         smoothing=smoothing,
@@ -255,16 +264,13 @@ def fit(
     )
 
 
-def refit_incremental(model: FactorModel, record: BuildRecord) -> FactorModel:
-    """Fold one new record into the model.
-
-    Only the table on the record's outcome side changes; the result is
-    cell-for-cell identical to a full refit on the extended history.
-    """
-    check_configuration(model.graph, record.config)
-    side = "good" if record.outcome else "bad"
-    row = np.array([record.config], dtype=np.int64)
-    stats = getattr(model, f"{side}_stats").add(row)
+def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> FactorModel:
+    """Fold row, an int vector of valid version indices (not checked), and
+    its outcome into the model.  Only the table on the outcome's side
+    changes; the result is cell-for-cell identical to a full refit on the
+    extended history."""
+    side = "good" if built else "bad"
+    stats = getattr(model, f"{side}_stats").add(row[None])
     table = FactorTable.from_counts(stats, model.smoothing)
     return replace(model, **{f"{side}_stats": stats, side: table})
 
@@ -310,7 +316,7 @@ def _flat(table: FactorTable) -> bool:
 class RatioIndex:
     """Bad/good log density ratio of each row of a fixed matrix, kept up to date.
 
-    A new record changes only its own side's factors.  In each of them every
+    A new row changes only its own side's factors.  In each of them every
     cell's normalizer grows by the same amount, one constant shift of every
     row that offset absorbs, and one cell gains a count, whose change goes to
     the rows holding that cell, found through an inverted index over flat cells.
@@ -346,12 +352,13 @@ class RatioIndex:
         self._order = order.ravel()
         self._bounds = [0, *np.cumsum(per_cell).tolist()]
 
-    def add(self, model: FactorModel, record: BuildRecord) -> None:
-        """Fold in record, given the model these ratios agree with before it."""
-        stats = model.good_stats if record.outcome else model.bad_stats
-        sign = -1.0 if record.outcome else 1.0  # the good side is the denominator
+    def add(self, model: FactorModel, row: np.ndarray, built: bool) -> None:
+        """Fold in row, an int vector of valid version indices (not checked),
+        and its outcome, given the model these ratios agree with before it."""
+        stats = model.good_stats if built else model.bad_stats
+        sign = -1.0 if built else 1.0  # the good side is the denominator
         smoothing = model.smoothing
-        cells = stats.layout.cells(np.array([record.config]))[:, 0]
+        cells = stats.layout.cells(row[None])[:, 0]
         total = stats.n + smoothing * stats.layout.factor_sizes
         self.offset -= sign * float(np.sum(np.log(total + 1.0) - np.log(total)))
         held = stats.counts[cells] + smoothing

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildtuner import (
     BuildRecord,
@@ -25,7 +29,7 @@ from buildtuner import (
     run,
     substream,
 )
-from buildtuner import sampler
+from buildtuner import configspace, sampler
 from buildtuner.buildsim import SyntheticOracle
 from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
 from buildtuner.sampler import TraceEntry
@@ -87,31 +91,66 @@ class TestSamplerConfig:
             ({"bootstrap_size": 0}, "bootstrap_size"),
             ({"budget": -1}, "budget"),
             ({"pool_size": 0}, "pool_size"),
+            ({"smoothing": 0.0}, "smoothing must be finite and positive"),
+            ({"smoothing": math.nan}, "smoothing must be finite and positive"),
+            ({"smoothing": -1.0}, "smoothing must be finite and positive"),
         ],
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SamplerConfig(**kwargs)
 
+    @pytest.mark.parametrize("smoothing", [0.0, math.nan, -1.0])
+    def test_bad_smoothing_is_rejected_before_any_build(self, smoothing):
+        """The config refuses it, so no bootstrap build runs before a fit could."""
+        oracle = CountingOracle(lambda c: True)
+        with pytest.raises(ValueError, match="smoothing must be finite and positive"):
+            run(oracle, chain_graph(3, 3), replace(SamplerConfig(), smoothing=smoothing))
+        assert oracle.calls == []
+
 
 class TestHistory:
     def test_duplicate_rejected(self):
         graph = two_package_graph()
         history = ObservationHistory(graph)
-        history.add(BuildRecord((0, 0), True))
+        history.add(np.array([0, 0]), True)
         with pytest.raises(ValueError, match="already evaluated"):
-            history.add(BuildRecord((0, 0), False))
+            history.add(np.array([0, 0]), False)
 
     def test_counts_and_iteration(self):
         graph = two_package_graph()
         history = ObservationHistory(graph)
-        history.add(BuildRecord((0, 0), True))
-        history.add(BuildRecord((0, 1), False))
-        history.add(BuildRecord((1, 0), True))
+        history.add(np.array([0, 0]), True)
+        history.add(np.array([0, 1]), False)
+        history.add(np.array([1, 0]), True)
         assert len(history) == 3
         assert history.good_count == 2
         assert [r.outcome for r in history] == [True, False, True]
         assert len(set(history.digests)) == 3
+        assert history.entries == tuple(history.dataset.records)
+        assert history.dataset.rows.tolist() == [[0, 0], [0, 1], [1, 0]]
+        assert np.array([1, 0]) in history and np.array([1, 1]) not in history
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_unseen_matches_the_tuple_filter(self, data):
+        """The pool's byte-key filter keeps the rows, in draw order, that the
+        dict.fromkeys filter over tuples kept."""
+        graph = chain_graph(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))
+        config = st.tuples(*(st.integers(0, m - 1) for m in graph.domain_sizes))
+        drawn = data.draw(st.lists(config, min_size=1, max_size=40))
+        # Repeats of drawn rows, and evaluated rows both drawn and not drawn.
+        drawn += data.draw(st.lists(st.sampled_from(drawn), max_size=10))
+        evaluated = data.draw(st.lists(st.one_of(st.sampled_from(drawn), config),
+                                       max_size=12, unique=True))
+        history = ObservationHistory(graph)
+        for row in evaluated:
+            history.add(np.array(row), True)
+        matrix = np.array(drawn, dtype=np.int64)
+        fresh = history.unseen(matrix)
+        expected = [c for c in dict.fromkeys(map(tuple, matrix.tolist())) if c not in history]
+        assert fresh.dtype == np.int64 and fresh.shape == (len(expected), graph.n_packages)
+        assert list(map(tuple, fresh.tolist())) == expected
 
 
 def _bootstrap(oracle, graph, config):
@@ -441,6 +480,41 @@ class TestPoolMode:
         assert len(result.history) == 4
 
 
+@pytest.fixture()
+def checks(monkeypatch):
+    """Count check_configuration calls, wherever buildtuner binds it."""
+    calls = []
+    original = configspace.check_configuration
+
+    def counted(graph, config):
+        calls.append(tuple(config))
+        return original(graph, config)
+
+    for name, module in list(sys.modules.items()):
+        if name == "buildtuner" or name.startswith("buildtuner."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+@pytest.mark.parametrize("mode", ["exhaustive", "pool", "replay"])
+def test_each_evaluated_configuration_is_checked_once(checks, mode, strategy):
+    """By the oracle alone: the history, the fit and the refits check nothing,
+    and only reading the trace checks again, through its digests."""
+    graph, oracle = (_listed if mode == "replay" else _planted)(7)
+    config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=40, seed=7,
+                           candidate_mode="pool" if mode == "pool" else "exhaustive",
+                           pool_size=50)
+    checks.clear()
+    result = run(oracle, graph, config)
+    assert len(checks) == len(result.history) == 50
+    assert checks == [r.config for r in result.history]
+    trace = result.trace
+    assert len(checks) == len(result.history) + len(trace)
+
+
 def test_digest_bookkeeping_matches_configspace():
     graph = chain_graph(3, 2)
     config = SamplerConfig(bootstrap_size=3, budget=2, seed=31)
@@ -470,9 +544,9 @@ def _reference_run(oracle, graph, config):
     while len(history) < config.bootstrap_size:
         index = int(rng_boot.integers(rows.shape[0]))
         open_rows[index] = False
-        cand = tuple(rows[index].tolist())
-        if cand not in history:
-            history.add(BuildRecord(cand, oracle.evaluate(cand)))
+        row = rows[index]
+        if row not in history:
+            history.add(row, oracle.evaluate(tuple(row.tolist())))
     model = fit(history, graph, config.smoothing)
     trace, tie_sizes = [], []
     for t in range(1, config.budget + 1):
@@ -489,14 +563,14 @@ def _reference_run(oracle, graph, config):
             tied = np.flatnonzero(scores == scores.max())
         tie_sizes.append(tied.size)
         pick = int(tied[rng_tie.integers(tied.size)])
-        chosen = tuple(rows[offered[pick]].tolist())
+        row = rows[offered[pick]]
         open_rows[offered[pick]] = False
-        record = BuildRecord(chosen, oracle.evaluate(chosen))
-        history.add(record)
-        trace.append(TraceEntry(t=t, digest=config_digest(graph, chosen),
+        built = oracle.evaluate(tuple(row.tolist()))
+        history.add(row, built)
+        trace.append(TraceEntry(t=t, digest=config_digest(graph, tuple(row.tolist())),
                                 score=None if scores is None else float(scores[pick]),
-                                built=record.outcome))
-        model = refit_incremental(model, record)
+                                built=built))
+        model = refit_incremental(model, row, built)
     return history, tuple(trace), model, tie_sizes
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from buildtuner import (
     BuildRecord,
+    Dataset,
     DependencyGraph,
     FactorTable,
     crowd_score_many,
@@ -27,7 +28,7 @@ from buildtuner import (
     refit_incremental,
     save_model,
 )
-from buildtuner.configspace import enumerate_configurations, full_space_matrix
+from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
 from buildtuner.surrogate import RatioIndex
 from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
 
@@ -92,6 +93,21 @@ def test_success_prior_laplace():
     model = fit(history, graph, smoothing=1.0)
     assert model.n_good == 5 and model.n_bad == 15
     assert model.success_prior == pytest.approx(6 / 22, abs=0)
+
+
+def test_fit_reads_a_dataset_as_its_records():
+    """A Dataset's rows and outcomes fit the model its records fit, bit for
+    bit, and one over another graph is refused."""
+    graph = chain_graph(3, 3)
+    records = distinct_records(graph, 15, np.random.default_rng(8), lambda c: c[0] != c[1])
+    from_rows, from_records = fit(Dataset(graph, records), graph), fit(records, graph)
+    for side in ("good_stats", "bad_stats", "good", "bad"):
+        a, b = getattr(from_rows, side), getattr(from_records, side)
+        for field in ("counts", "weights", "log"):
+            if hasattr(a, field):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+    with pytest.raises(GraphError, match="another graph"):
+        fit(Dataset(graph, records), chain_graph(3, 4))
 
 
 def test_empty_history_uniform_and_half_prior():
@@ -337,7 +353,7 @@ class TestIncrementalRefit:
         rng = np.random.default_rng(4)
         records = distinct_records(graph, 8, rng, lambda c: c[0] == 0)
         model = fit(records[:-1], graph, smoothing=1.0)
-        updated = refit_incremental(model, records[-1])
+        updated = refit_incremental(model, np.array(records[-1].config), records[-1].outcome)
         full = fit(records, graph, smoothing=1.0)
         for side_a, side_b in ((updated.good, full.good), (updated.bad, full.bad)):
             for a, b in zip(side_a.node_weights, side_b.node_weights):
@@ -354,7 +370,7 @@ class TestIncrementalRefit:
         model = fit(history, graph)
         assert model.success_prior == pytest.approx(6 / 22)
         extra = distinct_records(graph, 21, np.random.default_rng(12), lambda c: False)[-1]
-        updated = refit_incremental(model, BuildRecord(extra.config, True))
+        updated = refit_incremental(model, np.array(extra.config), True)
         assert updated.success_prior == pytest.approx(7 / 23)
 
     def test_good_update_leaves_bad_side_untouched(self):
@@ -362,7 +378,7 @@ class TestIncrementalRefit:
         rng = np.random.default_rng(14)
         records = distinct_records(graph, 6, rng, lambda c: c[1] == 1)
         model = fit(records[:-1], graph)
-        updated = refit_incremental(model, BuildRecord(records[-1].config, True))
+        updated = refit_incremental(model, np.array(records[-1].config), True)
         assert updated.bad is model.bad
         assert updated.good is not model.good
 
@@ -380,7 +396,7 @@ class TestIncrementalRefit:
             records.append(BuildRecord((a, b, c), outcome))
         model = fit([], graph)
         for record in records:
-            model = refit_incremental(model, record)
+            model = refit_incremental(model, np.array(record.config), record.outcome)
         full = fit(records, graph)
         for side_a, side_b in ((model.good, full.good), (model.bad, full.bad)):
             for a, b in zip(side_a.node_weights, side_b.node_weights):
@@ -438,8 +454,9 @@ def _indexed(graph, records, start, smoothing):
     model = fit(records[:start], graph, smoothing)
     index = RatioIndex(model, rows)
     for record in records[start:]:
-        index.add(model, record)
-        model = refit_incremental(model, record)
+        row = np.array(record.config)
+        index.add(model, row, record.outcome)
+        model = refit_incremental(model, row, record.outcome)
     return index, model
 
 
@@ -525,8 +542,9 @@ class TestRatioIndex:
         model = fit(records[:start], graph, smoothing)
         index = RatioIndex(model, rows)
         for i in range(start, len(records)):
-            index.add(model, records[i])
-            model = refit_incremental(model, records[i])
+            row = np.array(records[i].config)
+            index.add(model, row, records[i].outcome)
+            model = refit_incremental(model, row, records[i].outcome)
             full = fit(records[:i + 1], graph, smoothing)
             expected = log_density_many(full.bad, rows) - log_density_many(full.good, rows)
             np.testing.assert_allclose(index.log_ratio + index.offset, expected,
@@ -597,7 +615,7 @@ class TestCounting:
         # model it started from as it was.
         for config, outcome in chain:
             before = _state_of(model)
-            updated = refit_incremental(model, BuildRecord(config, outcome))
+            updated = refit_incremental(model, np.array(config), outcome)
             assert all(np.array_equal(a, b) for a, b in zip(_state_of(model), before))
             records.append(BuildRecord(config, outcome))
             refitted = fit(records, _UNEVEN, smoothing)
