@@ -30,9 +30,9 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
+    _digest,
     check_configuration,
     check_rows,
-    config_digest,
     full_space_matrix,
     space_size,
     validate_graph,
@@ -456,7 +456,7 @@ class SyntheticOracle:
             if config[p] == pv and config[c] == cv:
                 return False
         if self.rules.noise > 0.0:
-            digest = config_digest(self.graph, config)
+            digest = _digest(self.graph, config)
             if derive_seed(self.seed, digest) / 2**64 < self.rules.noise:
                 return False
         return True
@@ -471,7 +471,7 @@ class SyntheticOracle:
         built = ~bad
         if self.rules.noise > 0.0:
             for i in np.flatnonzero(built).tolist():
-                digest = config_digest(self.graph, tuple(rows[i].tolist()))
+                digest = _digest(self.graph, rows[i].tolist())
                 built[i] = derive_seed(self.seed, digest) / 2**64 >= self.rules.noise
         return built
 

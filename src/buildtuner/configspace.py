@@ -5,6 +5,11 @@ of version labels.  A configuration assigns one version index to every
 package, the root included.  The engine holds it as an int64 row, an
 oracle takes it as a tuple, and files and traces name it, across runs and
 machines, by a canonical content digest.
+
+A graph caches, on first use, the tables its boundaries read: a
+{label: index} dict per package, through which labels become version
+indices, and the length-prefixed bytes of each (package, version), of which
+a digest hashes one join.
 """
 from __future__ import annotations
 
@@ -66,6 +71,25 @@ class DependencyGraph:
         return {name: i for i, name in enumerate(self.packages)}
 
     @cached_property
+    def _label_index(self) -> tuple[dict[str, int], ...]:
+        """Each package's {version label: version index}."""
+        return tuple({label: v for v, label in enumerate(domain)} for domain in self.domains)
+
+    @cached_property
+    def _digest_pieces(self) -> tuple[tuple[int, tuple[bytes, ...]], ...]:
+        """(package index, hashed bytes of each version) in sorted-name order.
+
+        The bytes of a version are the package name and the version label,
+        each as UTF-8 behind its 4-byte big-endian length.
+        """
+        pieces = []
+        for name in sorted(self.packages):
+            i = self._name_index[name]
+            raw = _length_prefixed(name)
+            pieces.append((i, tuple(raw + _length_prefixed(label) for label in self.domains[i])))
+        return tuple(pieces)
+
+    @cached_property
     def children_map(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in self.packages]
         for parent, child in self.edges:
@@ -88,8 +112,8 @@ class DependencyGraph:
 
     def version_index(self, package: int, label: str) -> int:
         try:
-            return self.domains[package].index(label)
-        except ValueError:
+            return self._label_index[package][label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise GraphError(
                 f"unknown version {label!r} for package {self.packages[package]!r}"
             ) from None
@@ -302,38 +326,52 @@ def full_space_matrix(graph: DependencyGraph) -> np.ndarray:
     return grid.reshape(graph.n_packages, -1).T.copy()
 
 
+def _length_prefixed(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw
+
+
 def config_digest(graph: DependencyGraph, config: Configuration) -> str:
     """Canonical 256-bit digest of a configuration.
 
     Package names are visited in sorted order, each paired with its assigned
     version label, both encoded as length-prefixed UTF-8.  The digest is
     therefore invariant under permutation of the package declaration order.
+    The configuration is checked, then hashed by _digest.
     """
     check_configuration(graph, config)
-    h = hashlib.sha256()
-    for name in sorted(graph.packages):
-        i = graph._name_index[name]
-        label = graph.domains[i][config[i]]
-        for text in (name, label):
-            raw = text.encode("utf-8")
-            h.update(len(raw).to_bytes(4, "big"))
-            h.update(raw)
-    return h.hexdigest()
+    return _digest(graph, config)
+
+
+def _digest(graph: DependencyGraph, config) -> str:
+    """config_digest of a configuration already checked: one sha256 over the
+    joined bytes that graph caches for each (package, version)."""
+    return hashlib.sha256(b"".join(
+        [by_version[config[i]] for i, by_version in graph._digest_pieces])).hexdigest()
 
 
 def config_from_labels(graph: DependencyGraph, versions: dict[str, str]) -> Configuration:
-    """Build a configuration from a {package name: version label} mapping."""
+    """Build a configuration from a {package name: version label} mapping.
+
+    Every label is looked up in its package's cached {label: index} dict at
+    once; an unknown or unhashable label falls back to one package at a
+    time, so the error names the first such package in declaration order.
+    """
     if not isinstance(versions, dict):
         raise GraphError(f"versions must map package names to labels, got {versions!r}")
-    if set(versions) != set(graph.packages):
+    if versions.keys() != graph._name_index.keys():
         extra = sorted(set(versions) - set(graph.packages))
         missing = sorted(set(graph.packages) - set(versions))
         if extra:
             raise GraphError(f"unknown package {extra[0]!r}")
         raise GraphError(f"missing version for package {missing[0]!r}")
-    return tuple(
-        graph.version_index(i, versions[name]) for i, name in enumerate(graph.packages)
-    )
+    try:
+        return tuple(map(dict.__getitem__, graph._label_index,
+                         map(versions.__getitem__, graph.packages)))
+    except (KeyError, TypeError):
+        return tuple(
+            graph.version_index(i, versions[name]) for i, name in enumerate(graph.packages)
+        )
 
 
 def load_graph(path: str) -> DependencyGraph:

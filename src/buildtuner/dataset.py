@@ -7,11 +7,14 @@ constructed or loaded.  A split takes rows of it, and a replay run lists
 them as its candidates, without a second check.  Digests identify
 configurations only in files, traces and messages.  On disk a dataset is
 JSONL: a header naming the graph file, then one record per line keyed by
-version labels.
+version labels.  save_dataset writes each line as joined entries of a few
+string tables built once; load_dataset parses and checks each line on its
+own, mapping labels through the graph's per-package indexes.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import operator
@@ -49,6 +52,11 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+# save_dataset tabulates a group of consecutive line pieces while the table,
+# the product of their sizes, has at most this many strings, and never more
+# strings than the dataset has rows.
+_TABLE_LIMIT = 4096
 
 
 class DatasetError(ValueError):
@@ -148,10 +156,17 @@ def summarize(dataset: Dataset) -> DatasetSummary:
 
 
 def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
-    """Load a JSONL dataset; the header's graph file resolves relative to it."""
+    """Load a JSONL dataset; the header's graph file resolves relative to it.
+
+    Lines split on "\n" only (reading turns "\r\n" into "\n"), since JSON
+    strings may hold other line separators such as U+2028.  Each record is
+    parsed and checked on its own line, so an error names that line, and its
+    labels map to version indices through the graph's per-package indexes
+    (config_from_labels).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise DatasetError("empty dataset file", line=1)
     try:
         header = json.loads(lines[0])
@@ -167,9 +182,7 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
     if graph is None:
         graph_path = os.path.join(os.path.dirname(os.path.abspath(path)), header["graph"])
         graph = load_graph(graph_path)
-    configs: list[Configuration] = []
-    outcomes: list[bool] = []
-    seen: set[Configuration] = set()
+    records: dict[Configuration, bool] = {}  # in line order
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -183,38 +196,57 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
             config = config_from_labels(graph, payload["versions"])
         except GraphError as exc:
             raise DatasetError(str(exc), line=lineno) from exc
-        if config in seen:
+        if config in records:
             raise DatasetError(_duplicate(graph, config), line=lineno)
-        seen.add(config)
         built = payload["built"]
         if not isinstance(built, bool):
             raise DatasetError(f"'built' must be true or false, not {built!r}",
                                line=lineno)
-        configs.append(config)
-        outcomes.append(built)
+        records[config] = built
     # Each line was checked above: labels name valid versions, no repeats.
-    rows = np.array(configs, dtype=np.int64).reshape(-1, graph.n_packages)
-    return Dataset._checked(graph, rows, np.array(outcomes, dtype=bool))
+    rows = np.array(list(records), dtype=np.int64).reshape(-1, graph.n_packages)
+    return Dataset._checked(graph, rows, np.fromiter(records.values(), bool, len(records)))
 
 
 def save_dataset(dataset: Dataset, path: str, graph_filename: str) -> None:
     """Write JSONL with a header pointing at graph_filename (relative to path).
 
-    Each record line is the bytes of json.dumps(..., sort_keys=True), joined
-    from "name": "label" fragments encoded once per package version.
+    Each record line is the bytes of json.dumps(..., sort_keys=True).  A line
+    is a sequence of pieces in key order: the '{"built": ..., "versions": {'
+    prefix, one '"name": "label"' fragment per package (sorted by name, each
+    but the first behind ", "), then '}}' and the newline.  Consecutive
+    pieces form groups whose joined strings are tabulated once, so a line
+    joins one table entry per group, looked up by a mixed-radix code that
+    numpy computes for every row at once.
     """
     graph = dataset.graph
     order = sorted(range(graph.n_packages), key=graph.packages.__getitem__)
-    fragments = [[f"{json.dumps(graph.packages[i])}: {json.dumps(label)}"
-                  for label in graph.domains[i]] for i in order]
-    starts = {built: f'{{"built": {json.dumps(built)}, "versions": {{' for built in (False, True)}
+    pieces = [[f'{{"built": {json.dumps(built)}, "versions": {{' for built in (False, True)]]
+    pieces += [[f"{', ' if k else ''}{json.dumps(graph.packages[i])}: {json.dumps(label)}"
+                for label in graph.domains[i]] for k, i in enumerate(order)]
+    pieces[-1] = [fragment + "}}\n" for fragment in pieces[-1]]
+    indices = np.column_stack([dataset.built.astype(np.int64), dataset.rows[:, order]])
+    limit = min(_TABLE_LIMIT, len(dataset))
+    groups, size = [[0]], len(pieces[0])
+    for k in range(1, len(pieces)):
+        if size * len(pieces[k]) <= limit:
+            groups[-1].append(k)
+            size *= len(pieces[k])
+        else:
+            groups.append([k])
+            size = len(pieces[k])
+    columns = []
+    for group in groups:
+        table = list(map("".join, itertools.product(*(pieces[k] for k in group))))
+        codes = np.zeros(len(dataset), dtype=np.int64)
+        for k in group:  # itertools.product varies the last piece fastest
+            codes = codes * len(pieces[k]) + indices[:, k]
+        columns.append(list(map(table.__getitem__, codes.tolist())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": FORMAT_VERSION, "graph": graph_filename},
                             sort_keys=True))
         fh.write("\n")
-        for config, built in zip(dataset.rows[:, order].tolist(), dataset.built.tolist()):
-            labels = ", ".join([f[v] for f, v in zip(fragments, config)])
-            fh.write(f"{starts[built]}{labels}}}}}\n")
+        fh.writelines(map("".join, zip(*columns)))
 
 
 def split_train_test(

@@ -115,8 +115,13 @@ class TraceEntry:
                 "built": self.built}
 
 
+def _row_key(row) -> bytes:
+    """The key of one int row: its int64 bytes."""
+    return np.asarray(row, dtype=np.int64).tobytes()
+
+
 def _row_keys(rows) -> list[bytes]:
-    """The key of each row of an int matrix, or of one row: its int64 bytes."""
+    """The _row_key of each row of an int matrix, through one void view."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel().tolist()
 
@@ -124,7 +129,7 @@ def _row_keys(rows) -> list[bytes]:
 class ObservationHistory:
     """Evaluated configurations in evaluation order, unique by configuration.
 
-    An insertion-ordered dict maps the key of each row (_row_keys) to its
+    An insertion-ordered dict maps the key of each row (_row_key) to its
     outcome, and answers membership.  ``dataset`` holds them as a Dataset's
     rows and outcomes; ``entries`` and ``digests`` derive from it.
     """
@@ -136,7 +141,7 @@ class ObservationHistory:
     def add(self, row: np.ndarray, built: bool) -> None:
         """Record row, an int vector of valid version indices (not checked
         here), and its outcome; ValueError when row was evaluated before."""
-        key = _row_keys(row)[0]
+        key = _row_key(row)
         if key in self._built:
             raise ValueError(f"configuration {config_digest(self.graph, row.tolist())} "
                              "already evaluated")
@@ -148,7 +153,7 @@ class ObservationHistory:
         return np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(len(fresh), rows.shape[1])
 
     def __contains__(self, row) -> bool:
-        return _row_keys(row)[0] in self._built
+        return _row_key(row) in self._built
 
     @property
     def dataset(self) -> Dataset:

@@ -1,6 +1,7 @@
 """Graph validation, space enumeration, and canonical digests."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -253,6 +254,33 @@ class TestDigest:
             config_digest(graph, (0,))
 
 
+def _documented_digest(graph, config) -> str:
+    """sha256 over each package name, in sorted order, and its version label,
+    each as UTF-8 behind its 4-byte big-endian length."""
+    h = hashlib.sha256()
+    for name in sorted(graph.packages):
+        i = graph.packages.index(name)
+        for text in (name, graph.domains[i][config[i]]):
+            raw = text.encode("utf-8")
+            h.update(len(raw).to_bytes(4, "big") + raw)
+    return h.hexdigest()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_digest_equals_the_documented_formula(data):
+    names = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True))
+    domains = [data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+               for _ in names]
+    graph = DependencyGraph(packages=tuple(names), domains=tuple(map(tuple, domains)),
+                            edges=tuple((0, i) for i in range(1, len(names))), root=0)
+    validate_graph(graph)
+    config = tuple(data.draw(st.integers(0, len(d) - 1)) for d in domains)
+    as_numpy = data.draw(st.booleans())
+    digest = config_digest(graph, np.array(config) if as_numpy else config)
+    assert digest == _documented_digest(graph, config)
+
+
 def test_labels_round_trip():
     graph = chain_graph(3, 2)
     assert config_from_labels(graph, {"A": "v2", "B": "v1", "C": "v2"}) == (1, 0, 1)
@@ -266,6 +294,26 @@ def test_config_from_labels_errors():
         config_from_labels(graph, {"A": "v1"})
     with pytest.raises(GraphError, match="unknown version"):
         config_from_labels(graph, {"A": "v1", "B": "v9"})
+
+
+@pytest.mark.parametrize("versions, message", [
+    ({"A": [], "B": "v9"}, "unknown version [] for package 'A'"),
+    ({"A": "v1", "B": {}}, "unknown version {} for package 'B'"),
+    ({"A": None, "B": []}, "unknown version None for package 'A'"),
+    ({"A": "v3", "B": None}, "unknown version 'v3' for package 'A'"),
+])
+def test_config_from_labels_names_the_first_bad_package(versions, message):
+    """An unknown or unhashable label is a GraphError naming the first such
+    package in declaration order."""
+    graph = two_package_graph()
+    with pytest.raises(GraphError) as info:
+        config_from_labels(graph, versions)
+    assert str(info.value) == message
+
+
+def test_version_index_rejects_an_unhashable_label():
+    with pytest.raises(GraphError, match=r"unknown version \[\] for package 'A'"):
+        two_package_graph().version_index(0, [])
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -23,8 +23,8 @@ from buildtuner import (
     split_train_test,
     summarize,
 )
-from buildtuner.configspace import first_occurrences, save_graph, validate_graph
-from helpers import chain_graph, distinct_records, wide_graph
+from buildtuner.configspace import first_occurrences, full_space_matrix, save_graph, validate_graph
+from helpers import chain_graph, distinct_records, reference_load_dataset, wide_graph
 
 
 def _write(tmp_path, lines):
@@ -65,6 +65,21 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(DatasetError, match="line 1: empty dataset"):
         load_dataset(str(path))
+
+
+def test_labels_holding_line_separators_load(tmp_path):
+    # JSON strings may hold U+2028, U+2029 and U+0085 unescaped, as
+    # json.dumps(..., ensure_ascii=False) writes them; only "\n" ends a line.
+    graph = _star_graph(["root", "dep\u2029"], [["a\u2028b", "\u0085"], ["\u2028", "c"]])
+    save_graph(graph, str(tmp_path / "graph.json"))
+    dataset = _labeled_space(graph, iter([True, False, False, True]))
+    lines = [_header()] + [
+        json.dumps({"built": r.outcome, "versions": {
+            name: domain[v] for name, domain, v in zip(graph.packages, graph.domains, r.config)}},
+            ensure_ascii=False) for r in dataset]
+    path = _write(tmp_path, lines)
+    assert "\u2028" in (tmp_path / "data.jsonl").read_text(encoding="utf-8")
+    assert load_dataset(path) == dataset
 
 
 def test_header_errors(tmp_path):
@@ -212,6 +227,46 @@ def test_saved_bytes_equal_reference_on_any_labels(tmp_path_factory, space, outc
     path = tmp_path_factory.mktemp("save") / "data.jsonl"
     save_dataset(dataset, str(path), "graph.json")
     assert path.read_bytes() == _reference_dataset_bytes(dataset, "graph.json")
+
+
+_EXOTIC_NAMES = ["zeta", 'q"uote', "back\\slash", "na\u00efve", "\u00c9mile", "a b", "\U0001f4e6"]
+_EXOTIC_LABELS = ["1.0", 'v"2', "\\3", "x", "\u00fc", "\t", "\n", "", "\u4e2d", "\"\\",
+                  "\U0001f600", "\x7f", "\u2028"]
+
+
+def _saved_equals_reference(tmp_path, graph, rows, outcomes):
+    dataset = Dataset(graph, [BuildRecord(tuple(row), bool(built))
+                              for row, built in zip(rows.tolist(), outcomes.tolist())])
+    path = tmp_path / "data.jsonl"
+    save_dataset(dataset, str(path), "graph.json")
+    assert path.read_bytes() == _reference_dataset_bytes(dataset, "graph.json")
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_saved_bytes_equal_reference_on_shuffled_rows(tmp_path_factory, data):
+    """0, 1 or many rows of a space, shuffled, with domain sizes that split
+    the line pieces into groups at several places."""
+    names = data.draw(st.lists(st.sampled_from(_EXOTIC_NAMES) | st.text(max_size=4),
+                               min_size=1, max_size=5, unique=True))
+    domains = [data.draw(st.lists(st.sampled_from(_EXOTIC_LABELS) | st.text(max_size=3),
+                                  min_size=1, max_size=7, unique=True)) for _ in names]
+    graph = _star_graph(names, domains)
+    size = space_size(graph)
+    n = data.draw(st.sampled_from([0, 1, min(2, size), size]) | st.integers(0, min(size, 400)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = full_space_matrix(graph)[rng.permutation(size)[:n]]
+    _saved_equals_reference(tmp_path_factory.mktemp("save"), graph, rows, rng.random(n) < 0.3)
+
+
+@pytest.mark.parametrize("sizes", [(3,) * 8, (5000, 2), (2, 4097)],
+                         ids=["6561 rows", "a piece over the table limit", "4097 versions"])
+def test_saved_bytes_equal_reference_beyond_the_table_limit(tmp_path, sizes):
+    graph = _star_graph([f"p{i}" for i in range(len(sizes))],
+                        [[f"v{j}" for j in range(m)] for m in sizes])
+    rng = np.random.default_rng(len(sizes))
+    rows = full_space_matrix(graph)[rng.permutation(space_size(graph))]
+    _saved_equals_reference(tmp_path, graph, rows, rng.random(rows.shape[0]) < 0.5)
 
 
 def test_summarize_counts():
@@ -375,3 +430,47 @@ def test_fuzzed_dataset_loads_valid_or_raises_typed_error(tmp_path_factory, data
     assert ((rows >= 0) & (rows < np.asarray(graph.domain_sizes))).all()
     assert first_occurrences(rows).all()
     assert built.dtype == bool and built.shape == (len(loaded),)
+
+
+def _load_outcome(loader, path):
+    try:
+        return loader(path)
+    except (DatasetError, GraphError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_dataset_loads_as_the_reference_loader(tmp_path_factory, data):
+    """The same Dataset, or the same error for the same line, as a per-line
+    loop that looks each label up by tuple.index."""
+    # Declared out of sorted order, so an error naming the first bad package
+    # tells declaration order from key order.
+    graph = _star_graph(["zlib", "cmake", "openssl", "bzip2"], [["v1", "v2", "v3"]] * 4)
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_graph(graph, str(folder / "graph.json"))
+    records = distinct_records(graph, 8, np.random.default_rng(2), lambda c: c[1] == 0)
+    path = str(folder / "data.jsonl")
+    save_dataset(Dataset(graph, records), path, "graph.json")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")[:-1]
+    lines = _mutated(data, lines)
+    index = data.draw(st.integers(1, len(lines)))
+    extra = data.draw(st.sampled_from(["none", "blank", "relabel"]))
+    if extra == "blank":
+        lines.insert(index, data.draw(st.sampled_from(["", " ", "\t"])))
+    elif extra == "relabel" and index < len(lines):
+        # Several labels at once: known, unknown, unhashable and non-string.
+        try:
+            payload = json.loads(lines[index])
+            versions = dict(payload["versions"])
+        except (ValueError, KeyError, TypeError):
+            versions = None
+        if isinstance(versions, dict):
+            for name in versions:
+                versions[name] = data.draw(st.sampled_from(["v1", "v3", "v9", [], {}, None, 2]))
+            payload["versions"] = versions
+            lines[index] = json.dumps(payload, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    assert _load_outcome(load_dataset, path) == _load_outcome(reference_load_dataset, path)

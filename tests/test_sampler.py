@@ -18,6 +18,7 @@ from buildtuner import (
     DatasetOracle,
     NoCandidatesError,
     ObservationHistory,
+    PlantedRuleSet,
     SamplerConfig,
     config_digest,
     crowd_score_many,
@@ -31,7 +32,13 @@ from buildtuner import (
 )
 from buildtuner import configspace, sampler
 from buildtuner.buildsim import SyntheticOracle
-from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
+from buildtuner.configspace import (
+    GraphError,
+    check_rows,
+    enumerate_configurations,
+    full_space_matrix,
+    random_configurations,
+)
 from buildtuner.sampler import TraceEntry
 from buildtuner.surrogate import RatioIndex
 from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
@@ -151,6 +158,31 @@ class TestHistory:
         expected = [c for c in dict.fromkeys(map(tuple, matrix.tolist())) if c not in history]
         assert fresh.dtype == np.int64 and fresh.shape == (len(expected), graph.n_packages)
         assert list(map(tuple, fresh.tolist())) == expected
+
+    def test_one_row_key_equals_the_matrix_key(self):
+        """add and __contains__ key one row by its bytes, unseen keys a matrix
+        through a void view: the keys agree for rows from every candidate
+        source, whatever their dtype and layout."""
+        graph = chain_graph(3, 3)
+        records = distinct_records(graph, 12, np.random.default_rng(2), lambda c: True)
+        history = ObservationHistory(graph)
+        history.add(np.array([2, 2, 2]), True)
+        draws = substream(5, "pool")
+        sources = {
+            "dataset": Dataset(graph, records).rows,
+            "listed": check_rows(graph, [r.config for r in records]),
+            "exhaustive": full_space_matrix(graph).astype(np.int64),
+            "full space int32": full_space_matrix(graph),
+            "bootstrap draws": np.array(
+                [random_configurations(graph, draws, 1)[0] for _ in range(8)]),
+            "pool": history.unseen(np.column_stack([draws.integers(m, size=30)
+                                                    for m in graph.domain_sizes])),
+            "column view": full_space_matrix(graph).astype(np.int64)[:, ::-1],
+        }
+        for name, rows in sources.items():
+            assert sampler._row_keys(rows) == [sampler._row_key(row) for row in rows], name
+            for row in rows:
+                assert (row in history) == (tuple(row.tolist()) == (2, 2, 2)), name
 
 
 def _bootstrap(oracle, graph, config):
@@ -499,11 +531,12 @@ def checks(monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
-@pytest.mark.parametrize("mode", ["exhaustive", "pool", "replay"])
+@pytest.mark.parametrize("mode", ["exhaustive", "pool", "replay", "noisy"])
 def test_each_evaluated_configuration_is_checked_once(checks, mode, strategy):
     """By the oracle alone: the history, the fit and the refits check nothing,
-    and only reading the trace checks again, through its digests."""
-    graph, oracle = (_listed if mode == "replay" else _planted)(7)
+    and only reading the trace checks again, through its digests.  A noisy
+    oracle hashes the configuration it has checked without a second check."""
+    graph, oracle = {"replay": _listed, "noisy": _noisy}.get(mode, _planted)(7)
     config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=40, seed=7,
                            candidate_mode="pool" if mode == "pool" else "exhaustive",
                            pool_size=50)
@@ -513,6 +546,15 @@ def test_each_evaluated_configuration_is_checked_once(checks, mode, strategy):
     assert checks == [r.config for r in result.history]
     trace = result.trace
     assert len(checks) == len(result.history) + len(trace)
+
+
+def test_noisy_outcomes_check_nothing(checks):
+    """outcomes hashes rows it takes as checked, and agrees with evaluate."""
+    graph, oracle = _noisy(7)
+    rows = full_space_matrix(graph).astype(np.int64)
+    built = oracle.outcomes(rows)
+    assert not checks
+    assert built.tolist() == [oracle.evaluate(c) for c in map(tuple, rows.tolist())]
 
 
 def test_digest_bookkeeping_matches_configspace():
@@ -588,6 +630,11 @@ def _assert_same_model(model, reference):
 def _planted(seed):
     graph, rules = generate_benchmark(7, 3, 0.5, 0.1, seed)
     return graph, SyntheticOracle(graph, rules)
+
+
+def _noisy(seed):
+    graph, rules = generate_benchmark(7, 3, 0.5, 0.1, seed)
+    return graph, SyntheticOracle(graph, PlantedRuleSet(rules.forbidden, noise=0.2))
 
 
 def _listed(seed):
