@@ -316,14 +316,20 @@ def full_space_matrix(graph: DependencyGraph) -> np.ndarray:
     Row order matches enumerate_configurations.  Refuses spaces larger
     than EXHAUSTIVE_LIMIT.
     """
+    return _space_columns(graph, np.int32).T.copy()
+
+
+def _space_columns(graph: DependencyGraph, dtype) -> np.ndarray:
+    """The transpose of full_space_matrix in dtype: a line per package,
+    holding its version in every configuration.  Refuses spaces larger
+    than EXHAUSTIVE_LIMIT."""
     size = space_size(graph)
     if size > EXHAUSTIVE_LIMIT:
         raise GraphError(
             f"space of {size} configurations exceeds the exhaustive limit "
             f"of {EXHAUSTIVE_LIMIT}"
         )
-    grid = np.indices(graph.domain_sizes, dtype=np.int32)
-    return grid.reshape(graph.n_packages, -1).T.copy()
+    return np.indices(graph.domain_sizes, dtype=dtype).reshape(graph.n_packages, -1)
 
 
 def _length_prefixed(text: str) -> bytes:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .configspace import config_digest
+from .configspace import _digest
 from .dataset import BuildRecord, Dataset, DatasetOracle, split_train_test
 from .rng import derive_seed, substream
 from .sampler import STRATEGIES, SamplerConfig, run
@@ -220,11 +220,14 @@ def auprc_experiment(
 def _descending(dataset: Dataset, scores: np.ndarray) -> list[int]:
     """Record indices by descending score, digest order breaking ties.
 
-    The sort key compares digests only between equal scores, so only the
-    records that share their score with another record are digested.
+    Digests are compared only between equal scores, so only the records
+    that share their score with another record are digested (their rows
+    were checked with the dataset), and ranked among themselves.
     """
     _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
     tied = np.flatnonzero(sizes[group] > 1)
-    digests = {i: config_digest(dataset.graph, tuple(config))
-               for i, config in zip(tied.tolist(), dataset.rows[tied].tolist())}
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], digests.get(i, "")))
+    digests = [_digest(dataset.graph, row) for row in dataset.rows[tied].tolist()]
+    rank = np.zeros(len(scores), dtype=np.intp)
+    rank[tied[sorted(range(tied.size), key=digests.__getitem__)]] = np.arange(tied.size)
+    # One distinct key per record: its score's place from the top, then its rank.
+    return np.argsort((sizes.size - 1 - group) * len(scores) + rank).tolist()

@@ -25,10 +25,11 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
+    _digest,
+    _space_columns,
     check_rows,
     config_digest,
     first_occurrences,
-    full_space_matrix,
     random_configurations,
     space_size,
 )
@@ -168,7 +169,7 @@ class ObservationHistory:
     @property
     def digests(self) -> tuple[str, ...]:
         """Canonical digest of each evaluated configuration, in order."""
-        return tuple(config_digest(self.graph, r.config) for r in self.entries)
+        return tuple(_digest(self.graph, row) for row in self.dataset.rows.tolist())
 
     @property
     def good_count(self) -> int:
@@ -198,7 +199,7 @@ class RunResult:
         history = self.history
         selected = history.entries[len(history) - len(self.scores):]
         return tuple(
-            TraceEntry(t=t, digest=config_digest(history.graph, record.config), score=score,
+            TraceEntry(t=t, digest=_digest(history.graph, record.config), score=score,
                        built=record.outcome)
             for t, (record, score) in enumerate(zip(selected, self.scores), start=1))
 
@@ -210,10 +211,11 @@ class _Candidates:
     uniform draws: one configuration per bootstrap draw and a fresh pool per
     selection.  One source serves one history, from its first draw on.
     Over fixed rows, bayesian selection goes through a RatioIndex, built at
-    the first selection and updated by observe(); crowd selection keeps the
-    crowd score of every row, computed at the first selection and again
-    after each good record; random selection ties the open rows.  A fresh
-    pool is selected from as fixed rows, all open, scored from scratch.
+    the first selection, told of each row that closes and updated by
+    observe(); crowd selection keeps the crowd score of every row, computed
+    at the first selection and again after each good record; random
+    selection ties the open rows.  A fresh pool is selected from as fixed
+    rows, all open, scored from scratch.
     """
 
     def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig):
@@ -268,8 +270,8 @@ class _Candidates:
             tied, score = np.flatnonzero(open_rows), None
         elif strategy == "bayesian" and self.rows is not None:
             if self._ratios is None:
-                self._ratios = RatioIndex(model, rows)
-            tied, score = self._ratios.best(model, open_rows)
+                self._ratios = RatioIndex(model, rows, open_rows)
+            tied, score = self._ratios.best(model)
         else:  # bayesian over a pool, or crowd
             if strategy == "bayesian":
                 scores = expected_improvement_many(model, rows)
@@ -282,6 +284,8 @@ class _Candidates:
         pick = int(tied[rng_tie.integers(tied.size)])
         open_rows[pick] = False
         self._n_open -= 1
+        if self._ratios is not None:
+            self._ratios.close(pick)
         return rows[pick], score
 
     def observe(self, model: FactorModel, row: np.ndarray, built: bool) -> None:
@@ -295,9 +299,10 @@ class _Candidates:
 
 def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig) -> _Candidates:
     """The oracle's candidates without repeats (first occurrence kept; a
-    Dataset's rows as they are), the whole space in exhaustive mode, or
-    uniform draws; ValueError when the oracle lists candidates and the
-    config asks for pool mode, which would ignore them."""
+    Dataset's rows as they are), the whole space in exhaustive mode (a
+    transposed view of its int64 columns, made without a copy), or uniform
+    draws; ValueError when the oracle lists candidates and the config asks
+    for pool mode, which would ignore them."""
     listed = oracle.candidate_configurations()
     if listed is not None and config.candidate_mode == "pool":
         raise ValueError("pool mode draws from the whole space, but the oracle lists "
@@ -310,7 +315,7 @@ def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConf
         rows = check_rows(graph, listed)
         rows = rows[first_occurrences(rows)]
     elif config.candidate_mode == "exhaustive":
-        rows = full_space_matrix(graph).astype(np.int64)
+        rows = _space_columns(graph, np.int64).T
     else:
         rows = None
     return _Candidates(graph, rows, config)

@@ -17,20 +17,24 @@ where ratio is the bad/good density ratio at the candidate and prior is the
 estimated probability that a fresh uniform sample builds.  The score is
 computed in log space so that long factor products cannot underflow.
 
-FactorLayout alone knows where a row's cells sit in a side's flat vectors.
-A log density is one gather of every factor's log weight through
+FactorLayout says where a row's cells sit in a side's flat vectors.  A log
+density is one gather of every factor's log weight through
 FactorLayout.cells, a line per factor (per block of rows), whose lines are
 then added in factor order: a sum over the lines' axis would let numpy add
 pairwise, which for a single row of eight or more factors can differ in the
-last bit.
+last bit.  The expected improvement gathers both sides' lines at once.
 
-Over a fixed candidate matrix, a RatioIndex keeps each row's log ratio up to
-date one row at a time instead of summing every factor again.  The score
+Over a fixed candidate matrix, a RatioIndex gives every row's log ratio at
+each selection without summing each factor of each row again.  Rows that
+agree on their first packages share that prefix's partial sum in a prefix
+trie, summed afresh from the tables level by level; the factors below the
+trie keep each row's sum, updated in place by each observation.  The score
 falls strictly as the ratio grows, so the best open row is the one with the
 least log ratio, and no step exponentiates every row.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, replace
@@ -60,17 +64,19 @@ __all__ = [
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
 _LOG_RATIO_CLAMP = 700.0
 
-# log_density_many and RatioIndex take at most this many rows' cells at once,
-# so that their temporaries stay small when a band or index spans a space.
+# The density sums and RatioIndex take at most this many rows' cells and logs
+# at once, so that their temporaries stay small when a band or index spans a
+# space.
 _DENSITY_BLOCK = 4096
 
-# RatioIndex.best rescores from scratch every open row whose incremental
-# score is within this relative distance of the best.  Incremental log ratios
-# drift from a from-scratch sum by float rounding only (far below 1e-9 over
-# any run), and the score's relative change never exceeds the log ratio's
-# change, so every exact maximum is rescored.  best() turns the band into a
-# limit on the log ratio at twice this width, so that the rounding of that
-# conversion cannot leave out a row the band holds.
+# RatioIndex.best rescores from scratch every open row whose indexed score
+# is within this relative distance of the best.  Indexed log ratios differ
+# from a from-scratch sum by float rounding only, the trie's from summing in
+# another order and the suffix's from its in-place updates (far below 1e-9
+# over any run), and the score's relative change never exceeds the log
+# ratio's change, so every exact maximum is rescored.  best() turns the band
+# into a limit on the log ratio at twice this width, so that the rounding of
+# that conversion cannot leave out a row the band holds.
 _NEAR_TIE = 1e-9
 
 
@@ -275,19 +281,27 @@ def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> Facto
     return replace(model, **{f"{side}_stats": stats, side: table})
 
 
+def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Log of the unnormalized factor product of each row of matrix (valid
+    version indices, check_rows) under each line of logs, a stack of log
+    tables over layout: one line of row sums per table."""
+    out = np.empty((logs.shape[0], matrix.shape[0]))
+    step = _DENSITY_BLOCK // logs.shape[0]  # rows whose logs fill a block
+    for start in range(0, matrix.shape[0], step):
+        # np.take gathers from a flat vector faster than indexing it does.
+        lines = np.take(logs, layout.cells(matrix[start:start + step]), axis=1)
+        block = out[:, start:start + step]
+        # Factor by factor, not a sum over the factors' axis: see the module docstring.
+        block[:] = lines[:, 0]
+        for factor in range(1, lines.shape[1]):
+            block += lines[:, factor]
+    return out
+
+
 def log_density_many(table: FactorTable, matrix: np.ndarray) -> np.ndarray:
     """Log of the unnormalized factor product for each row of matrix, whose
     rows must hold valid version indices (check_rows)."""
-    out = np.empty(matrix.shape[0])
-    for start in range(0, matrix.shape[0], _DENSITY_BLOCK):
-        # np.take gathers from a flat vector faster than indexing it does.
-        lines = np.take(table.log, table.layout.cells(matrix[start:start + _DENSITY_BLOCK]))
-        block = out[start:start + _DENSITY_BLOCK]
-        # Line by line, not lines.sum(axis=0): see the module docstring.
-        block[:] = lines[0]
-        for line in lines[1:]:
-            block += line
-    return out
+    return _log_densities(table.layout, table.log[None], matrix)[0]
 
 
 def _ei(ratio, prior: float):
@@ -300,9 +314,12 @@ def _ei(ratio, prior: float):
 
 
 def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    """Expected improvement of each row of matrix, from its bad/good density ratio."""
-    log_ratio = log_density_many(model.bad, matrix) - log_density_many(model.good, matrix)
-    ratio = np.exp(np.clip(log_ratio, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
+    """Expected improvement of each row of matrix, from its bad/good density
+    ratio; both sides' logs are gathered at once and summed in factor order,
+    so each log density equals log_density_many's bit for bit."""
+    good, bad = _log_densities(model.good.layout, np.stack((model.good.log, model.bad.log)),
+                               matrix)
+    ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
     return _ei(ratio, model.success_prior)
 
 
@@ -313,44 +330,159 @@ def _flat(table: FactorTable) -> bool:
                                np.maximum.reduceat(table.log, starts)))
 
 
-class RatioIndex:
-    """Bad/good log density ratio of each row of a fixed matrix, kept up to date.
+def _topological_order(graph: DependencyGraph) -> list[int]:
+    """The packages with each edge's parent before its child, the lowest
+    index first among those whose parents have all gone."""
+    waiting = [0] * graph.n_packages
+    for _, child in graph.edges:
+        waiting[child] += 1
+    ready = [i for i, count in enumerate(waiting) if count == 0]
+    order = []
+    while ready:
+        package = heapq.heappop(ready)
+        order.append(package)
+        for child in graph.children_map[package]:
+            waiting[child] -= 1
+            if waiting[child] == 0:
+                heapq.heappush(ready, child)
+    return order
 
-    A new row changes only its own side's factors.  In each of them every
-    cell's normalizer grows by the same amount, one constant shift of every
-    row that offset absorbs, and one cell gains a count, whose change goes to
-    the rows holding that cell, found through an inverted index over flat cells.
-    So log_ratio + offset equals log_density_many(bad) - log_density_many(good)
-    up to float rounding.  The score falls as the ratio grows, so the best
-    open row is the one with the least log ratio; best() turns the near-tie
-    band of scores into a limit on the log ratio once per step, and settles
-    the open rows within it on exact scores.
+
+class RatioIndex:
+    """Bad/good log density ratio of each row of a fixed matrix, for selection.
+
+    Packages go in a topological order.  The level of package c carries c's
+    factor and those of the edges from its parents.  Rows that agree on the
+    first packages share a node of a prefix trie (Fredkin 1960) over that
+    order.  A node holds one code into its level's table, which adds c's
+    cells to those of its first parent's edge, plus one flat cell for each
+    further parent.  Its sum is its parent node's plus those, so the trie is
+    summed from the model's tables at each selection, level by level.
+
+    A level joins the trie while it has at most half as many nodes as there
+    are rows, and while the pairs (node above, version) it ranks span at most
+    four per row, which only domains of more than eight versions can break.
+    Past that, summing a level at every selection costs more than keeping
+    its rows' sums: a trie of every level ran about three times slower a
+    step on 31,186 random rows of 61 packages.  The rows are distinct, so
+    the last level never joins: a dense space leaves that one out, a sparse
+    replay most of them.  The factors of the levels
+    left out, the suffix, keep each row's sum up to date.  A new row gives
+    one cell per factor a count, whose change goes to the rows holding that
+    cell, found through an inverted index over the suffix's cells; the shift
+    of every cell's normalizer is one amount for all rows, held at the
+    trie's root.
+
+    A closed row's suffix sum is +inf, so the best open row is the one with
+    the least log ratio: the score falls as the ratio grows.  best() turns
+    the near-tie band of scores into a limit on the log ratio once per
+    step, and settles the open rows within it on exact scores.
     """
 
-    def __init__(self, model: FactorModel, rows: np.ndarray):
+    def __init__(self, model: FactorModel, rows: np.ndarray, open_rows: np.ndarray):
+        """Index rows, an int matrix of distinct rows of valid version
+        indices, under model; the rows not set in open_rows start closed."""
+        layout, graph = model.good_stats.layout, model.graph
         self.rows = rows
-        self.log_ratio = np.zeros(rows.shape[0])
-        self.offset = 0.0
+        self.n_open = int(np.count_nonzero(open_rows))
+        self._shift = 0.0  # the suffix's normalizer changes, held by the root
+        self._root = np.zeros(1)
+        self._gap = np.zeros(layout.size + 1)  # the last cell stands for no parent
+        into = [[] for _ in graph.packages]  # (edge factor, parent) of each package
+        for e, (parent, child) in enumerate(graph.edges):
+            into[child].append((layout.n_nodes + e, parent))
+        order = _topological_order(graph)
+        # Each part in its own method, so that its temporaries are gone
+        # before the next part allocates.
+        self._index_prefixes(layout, graph, rows, order, into)
+        self._index_suffix(model, rows, order[len(self._levels):], into)
+        self._suffix[~open_rows] = np.inf
+        self._log_ratio = np.empty(rows.shape[0])
         self._mask = np.empty(rows.shape[0], dtype=bool)
-        # Rows holding flat cell v: order[bounds[v]:bounds[v + 1]].  Each
-        # factor's cells are a contiguous range, so sorting the rows factor by
-        # factor sorts them by flat cell.  The int32 buffer first takes every
-        # row's cells, a block of rows at a time; then each line, one factor,
-        # serves the starting ratios and the counts, and is replaced by its
-        # own stable argsort.  No temporary spans every factor of a large
-        # matrix, which would raise the peak memory of runs over a whole space.
-        layout = model.good_stats.layout
+
+    def _index_prefixes(self, layout, graph, rows, order, into) -> None:
+        """The trie's levels, each a node's parent node, its code into the
+        level table and its further parents' cells, with a buffer for its
+        sums; each row's node on the last level; the level tables' cells."""
+        sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
+        # Level by level, a row's node is the rank of (its node above, its
+        # version) among the pairs present, so nodes stay in prefix order.
+        # Each row's pair is made twice rather than held, which would raise
+        # the build's peak memory.
+        node, count = np.zeros(n, dtype=np.intp), 1
+        self._levels, node_cells, edge_cells = [], [], []
+        for c in order:
+            m = sizes[c]
+            if count * m > 4 * n:
+                break
+            present = np.zeros(count * m, dtype=bool)
+            present[node * m + rows[:, c]] = True
+            count = int(np.count_nonzero(present))
+            if count > n / 2:
+                break
+            node = (np.cumsum(present) - 1)[node * m + rows[:, c]]
+            pairs = np.flatnonzero(present)
+            extra = []
+            for f, p in into[c]:
+                # Each node's cell in edge f, from its version of p in any row it holds.
+                cells = np.empty(count, dtype=np.intp)
+                cells[node] = rows[:, p]
+                extra.append(offsets[f] + cells * m + pairs % m)
+            if extra:  # the first parent's edge joins c's cells in the level table
+                f, p = into[c][0]
+                code = extra.pop(0) + (len(node_cells) - offsets[f])
+                node_cells += [offsets[c] + w for _ in range(sizes[p]) for w in range(m)]
+                edge_cells += range(offsets[f], offsets[f + 1])
+            else:
+                code = pairs % m + len(node_cells)
+                node_cells += range(offsets[c], offsets[c] + m)
+                edge_cells += [layout.size] * m
+            self._levels.append((pairs // m, code, extra, np.empty(count)))
+        self._leaf = node
+        self._node_cells = np.array(node_cells, dtype=np.intp)
+        self._edge_cells = np.array(edge_cells, dtype=np.intp)
+        self._scratch = np.empty(max([0, *(level[3].size for level in self._levels)]))
+
+    def _index_suffix(self, model, rows, packages, into) -> None:
+        """The suffix factors, those of packages, in flat order; each row's
+        sum over them; the inverted index over their cells: the rows holding
+        flat cell v are order[bounds[v]:bounds[v + 1]].
+
+        A factor goes through one line of local cells, filled a block of
+        rows at a time along with the sums, which then serves the counts and
+        its stable argsort.  No temporary spans the rows, which would raise
+        the peak memory of runs over a whole space.
+        """
+        layout, graph = model.good_stats.layout, model.graph
+        sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
+        k = layout.n_nodes
+        self._factors = np.array(sorted(f for c in packages
+                                        for f in (c, *(f for f, _ in into[c]))), dtype=np.intp)
         gap = model.bad.log - model.good.log
-        order = np.empty((layout.factor_sizes.size, rows.shape[0]), dtype=np.int32)
-        for at in range(0, rows.shape[0], _DENSITY_BLOCK):
-            order[:, at:at + _DENSITY_BLOCK] = layout.cells(rows[at:at + _DENSITY_BLOCK])
+        self._suffix = np.zeros(n)
+        self._order = np.empty(self._factors.size * n, dtype=np.int32)
         per_cell = np.zeros(layout.size, dtype=np.int64)
-        for line in order:
-            self.log_ratio += gap[line]
-            per_cell += np.bincount(line, minlength=layout.size)
-            line[:] = np.argsort(line, kind="stable")
-        self._order = order.ravel()
+        for at, f in enumerate(self._factors.tolist()):
+            a, b = offsets[f], offsets[f + 1]
+            local = np.empty(n, dtype=np.min_scalar_type(b - a - 1))
+            for start in range(0, n, _DENSITY_BLOCK):
+                block = rows[start:start + _DENSITY_BLOCK]
+                if f < k:
+                    cells = block[:, f]
+                else:
+                    parent, child = graph.edges[f - k]
+                    cells = block[:, parent] * sizes[child] + block[:, child]
+                local[start:start + _DENSITY_BLOCK] = cells
+                self._suffix[start:start + _DENSITY_BLOCK] += gap[a:b][cells]
+            per_cell[a:b] = np.bincount(local, minlength=b - a)
+            # A stable sort of 8- or 16-bit keys is a radix sort.
+            self._order[at * n:(at + 1) * n] = np.argsort(local, kind="stable")
         self._bounds = [0, *np.cumsum(per_cell).tolist()]
+
+    def close(self, row: int) -> None:
+        """Close the open row at index row: it is no longer selected."""
+        self._suffix[row] = np.inf
+        self.n_open -= 1
 
     def add(self, model: FactorModel, row: np.ndarray, built: bool) -> None:
         """Fold in row, an int vector of valid version indices (not checked),
@@ -358,43 +490,65 @@ class RatioIndex:
         stats = model.good_stats if built else model.bad_stats
         sign = -1.0 if built else 1.0  # the good side is the denominator
         smoothing = model.smoothing
-        cells = stats.layout.cells(row[None])[:, 0]
-        total = stats.n + smoothing * stats.layout.factor_sizes
-        self.offset -= sign * float(np.sum(np.log(total + 1.0) - np.log(total)))
+        cells = stats.layout.cells(row[None])[self._factors, 0]
+        total = stats.n + smoothing * stats.layout.factor_sizes[self._factors]
+        self._shift -= sign * float(np.sum(np.log(total + 1.0) - np.log(total)))
         held = stats.counts[cells] + smoothing
         deltas = sign * (np.log(held + 1.0) - np.log(held))
         for cell, delta in zip(cells.tolist(), deltas.tolist()):
-            np.add.at(self.log_ratio, self._order[self._bounds[cell]:self._bounds[cell + 1]],
+            np.add.at(self._suffix, self._order[self._bounds[cell]:self._bounds[cell + 1]],
                       delta)
 
-    def near(self, model: FactorModel, open_rows: np.ndarray) -> np.ndarray:
-        """Open rows, ascending, whose incremental score is within a relative
+    def log_ratio(self, model: FactorModel) -> np.ndarray:
+        """Each row's log ratio under model, the one the adds have brought
+        the index to, and +inf for a closed row; up to float rounding, that
+        of log_density_many(bad) - log_density_many(good).  The vector is a
+        buffer that the next call overwrites."""
+        gap = self._gap
+        np.subtract(model.bad.log, model.good.log, out=gap[:-1])
+        table = gap[self._node_cells] + gap[self._edge_cells]
+        above = self._root
+        above[0] = self._shift
+        # mode="clip" lets take write into out without a buffer.
+        for parent, code, extra, values in self._levels:
+            scratch = self._scratch[:values.size]
+            above.take(parent, out=values, mode="clip")
+            values += table.take(code, out=scratch, mode="clip")
+            for cells in extra:
+                values += gap.take(cells, out=scratch, mode="clip")
+            above = values
+        above.take(self._leaf, out=self._log_ratio, mode="clip")
+        self._log_ratio += self._suffix
+        return self._log_ratio
+
+    def near(self, model: FactorModel) -> np.ndarray:
+        """Open rows, ascending, whose indexed score is within a relative
         _NEAR_TIE of the best, that of the open row with the least log ratio;
         the band is one limit on the log ratio, so a few more rows may pass."""
         prior = model.success_prior
-        least = float(np.min(self.log_ratio, where=open_rows, initial=np.inf)) + self.offset
+        log_ratio = self.log_ratio(model)
+        least = float(log_ratio.min())
         top = _ei(math.exp(min(max(least, -_LOG_RATIO_CLAMP), _LOG_RATIO_CLAMP)), prior)
         # score >= top * (1 - tol)  <=>  ratio <= (1 / (top * (1 - tol)) - prior) / (1 - prior).
         # The limit exceeds the least ratio, so it lies above the lower clamp
         # and every row clipped there passes; past the upper clamp every open
         # row clips to at most the limit.
         limit = math.log((1.0 / (top * (1.0 - 2.0 * _NEAR_TIE)) - prior) / (1.0 - prior))
-        if limit >= _LOG_RATIO_CLAMP:
-            return np.flatnonzero(open_rows)
-        np.less_equal(self.log_ratio, limit - self.offset, out=self._mask)
-        return np.flatnonzero(np.logical_and(self._mask, open_rows, out=self._mask))
+        if limit >= _LOG_RATIO_CLAMP:  # every open row
+            return np.flatnonzero(np.less(log_ratio, np.inf, out=self._mask))
+        return np.flatnonzero(np.less_equal(log_ratio, limit, out=self._mask))
 
-    def best(self, model: FactorModel, open_rows: np.ndarray) -> tuple[np.ndarray, float]:
+    def best(self, model: FactorModel) -> tuple[np.ndarray, float]:
         """Open rows with the highest expected improvement, ascending, and that score.
 
-        open_rows is a boolean mask over the rows with at least one row set.
-        The near() rows are rescored with expected_improvement_many, and only
-        its exact maxima are returned, with its exact score.  When every
-        factor of both sides weighs its cells alike, every row sums the same
-        logs in the same order and so scores exactly the same: one is rescored.
+        At least one row must be open.  The near() rows are rescored with
+        expected_improvement_many, and only its exact maxima are returned,
+        with its exact score.  When every factor of both sides weighs its
+        cells alike, every row sums the same logs in the same order and so
+        scores exactly the same: one is rescored.
         """
-        near = self.near(model, open_rows)
-        if (near.size > 1 and near.size == np.count_nonzero(open_rows)
+        near = self.near(model)
+        if (near.size > 1 and near.size == self.n_open
                 and _flat(model.good) and _flat(model.bad)):
             return near, float(expected_improvement_many(model, self.rows[near[:1]])[0])
         exact = expected_improvement_many(model, self.rows[near])

@@ -170,7 +170,7 @@ class TestSweepExperiment:
             digested.append(config)
             return config_digest(graph, config)
 
-        monkeypatch.setattr(sampler, "config_digest", counted)
+        monkeypatch.setattr(sampler, "_digest", counted)
         sweep_experiment(_replay_dataset(), ("bayesian", "crowd", "random"), (10, 20),
                          repetitions=2, base_seed=5, bootstrap_size=5)
         assert digested == []

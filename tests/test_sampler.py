@@ -263,7 +263,7 @@ class TestRun:
             digested.append(config)
             return config_digest(graph, config)
 
-        monkeypatch.setattr(sampler, "config_digest", counted)
+        monkeypatch.setattr(sampler, "_digest", counted)
         graph = chain_graph(3, 3)
         config = SamplerConfig(bootstrap_size=5, budget=7, seed=3)
         result = run(CountingOracle(lambda c: c[0] == 0), graph, config)
@@ -534,8 +534,8 @@ def checks(monkeypatch):
 @pytest.mark.parametrize("mode", ["exhaustive", "pool", "replay", "noisy"])
 def test_each_evaluated_configuration_is_checked_once(checks, mode, strategy):
     """By the oracle alone: the history, the fit and the refits check nothing,
-    and only reading the trace checks again, through its digests.  A noisy
-    oracle hashes the configuration it has checked without a second check."""
+    nor do the digests of the trace and the history.  A noisy oracle hashes
+    the configuration it has checked without a second check."""
     graph, oracle = {"replay": _listed, "noisy": _noisy}.get(mode, _planted)(7)
     config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=40, seed=7,
                            candidate_mode="pool" if mode == "pool" else "exhaustive",
@@ -544,8 +544,8 @@ def test_each_evaluated_configuration_is_checked_once(checks, mode, strategy):
     result = run(oracle, graph, config)
     assert len(checks) == len(result.history) == 50
     assert checks == [r.config for r in result.history]
-    trace = result.trace
-    assert len(checks) == len(result.history) + len(trace)
+    assert len(result.trace) == 40 and len(result.history.digests) == 50
+    assert len(checks) == len(result.history)
 
 
 def test_noisy_outcomes_check_nothing(checks):
@@ -665,15 +665,17 @@ class TestIncrementalSelectionParity:
         seen = {"calls": 0, "largest": 0.0, "all_tied": False}
         best = RatioIndex.best
 
-        def checked(index, model, open_rows):
+        def checked(index, model):
+            log_ratio = index.log_ratio(model)
+            open_rows = log_ratio < np.inf
+            assert np.count_nonzero(open_rows) == index.n_open
             scratch = (log_density_many(model.bad, index.rows)
                        - log_density_many(model.good, index.rows))[open_rows]
-            incremental = (index.log_ratio + index.offset)[open_rows]
-            np.testing.assert_allclose(incremental, scratch, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(log_ratio[open_rows], scratch, rtol=0, atol=1e-9)
             seen["calls"] += 1
             seen["largest"] = max(seen["largest"], float(np.abs(scratch).max()))
-            tied, score = best(index, model, open_rows)
-            seen["all_tied"] |= tied.size == np.count_nonzero(open_rows)
+            tied, score = best(index, model)
+            seen["all_tied"] |= tied.size == index.n_open
             return tied, score
 
         monkeypatch.setattr(RatioIndex, "best", checked)

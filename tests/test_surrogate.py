@@ -28,7 +28,12 @@ from buildtuner import (
     refit_incremental,
     save_model,
 )
-from buildtuner.configspace import GraphError, enumerate_configurations, full_space_matrix
+from buildtuner.configspace import (
+    GraphError,
+    enumerate_configurations,
+    first_occurrences,
+    full_space_matrix,
+)
 from buildtuner.surrogate import RatioIndex
 from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
 
@@ -333,6 +338,12 @@ class TestOneScoringPath:
                                           _factor_loop_log_density(table, model.graph, matrix))
         np.testing.assert_array_equal(crowd_score_many(model, matrix),
                                       _package_loop_crowd_score(model, matrix))
+        # Both sides gathered at once sum each side as the loops do.
+        log_ratio = (_factor_loop_log_density(model.bad, model.graph, matrix)
+                     - _factor_loop_log_density(model.good, model.graph, matrix))
+        np.testing.assert_array_equal(
+            expected_improvement_many(model, matrix),
+            ei_of_ratio(np.exp(np.clip(log_ratio, -700.0, 700.0)), model.success_prior))
 
     def test_matrix_of_several_blocks(self):
         """8,193 rows: log_density_many gathers two full blocks of rows and one
@@ -405,54 +416,89 @@ class TestIncrementalRefit:
                 np.testing.assert_array_equal(a, b)
 
 
-@st.composite
-def _observed_spaces(draw):
-    """A DAG of 1-4 packages with domains of 2-4 versions, distinct records
-    over it in random order, how many of them seed the model, and a smoothing."""
-    n = draw(st.integers(1, 4))
-    sizes = [draw(st.integers(2, 4)) for _ in range(n)]
+def _dag(draw, sizes, shared_child=False):
+    """A DAG over len(sizes) packages, each after the first with a nonempty
+    set of parents among the earlier ones; with shared_child the third
+    package has two, the first and the second."""
+    n = len(sizes)
     edges = sorted((p, c) for c in range(1, n)
-                   for p in draw(st.sets(st.integers(0, c - 1), min_size=1)))
-    graph = DependencyGraph(
+                   for p in draw(st.sets(st.integers(0, c - 1),
+                                         min_size=2 if shared_child and c == 2 else 1)))
+    return DependencyGraph(
         packages=tuple(f"p{i}" for i in range(n)),
         domains=tuple(tuple(f"v{j}" for j in range(m)) for m in sizes),
         edges=tuple(edges),
         root=0,
     )
-    configs = list(enumerate_configurations(graph))
-    order = draw(st.permutations(range(len(configs))))
-    outcomes = draw(st.lists(st.booleans(), min_size=1, max_size=min(len(configs), 30)))
-    records = [BuildRecord(configs[i], built) for i, built in zip(order, outcomes)]
+
+
+_SHAPES = ("space", "listed", "one-package", "two-parents", "sparse")
+
+
+@st.composite
+def _observed_spaces(draw):
+    """A graph, the distinct rows to index, distinct records over the graph
+    in random order, how many of them seed the model, and a smoothing.
+
+    The rows are the whole space of a DAG of 1-4 packages with 2-4
+    versions, in order, or shuffled as a listed replay may hold them; the
+    space of one package; that of a DAG whose third package has two
+    parents, in the trie when a fourth package follows it; or 30-200
+    random rows of a 6-9 package space, most of whose levels fall outside
+    the trie.  The records are drawn from the rows."""
+    shape = draw(st.sampled_from(_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "sparse":
+        sizes = [draw(st.integers(3, 4)) for _ in range(draw(st.integers(6, 9)))]
+    elif shape == "one-package":
+        sizes = [draw(st.integers(2, 6))]
+    else:
+        least = 3 if shape == "two-parents" else 1
+        sizes = [draw(st.integers(2, 4)) for _ in range(draw(st.integers(least, 4)))]
+    graph = _dag(draw, sizes, shared_child=shape == "two-parents")
+    if shape == "sparse":
+        drawn = rng.integers(0, sizes, size=(draw(st.integers(30, 200)), len(sizes)))
+        rows = drawn[first_occurrences(drawn)]
+    else:
+        rows = full_space_matrix(graph).astype(np.int64)
+        if shape == "listed":
+            rows = rows[rng.permutation(rows.shape[0])]
+    outcomes = draw(st.lists(st.booleans(), min_size=1, max_size=min(rows.shape[0], 30)))
+    records = [BuildRecord(tuple(rows[i].tolist()), built)
+               for i, built in zip(rng.permutation(rows.shape[0]).tolist(), outcomes)]
     start = draw(st.integers(0, len(records) - 1))
     smoothing = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-30]))
-    return graph, records, start, smoothing
+    return graph, rows, records, start, smoothing
 
 
 @st.composite
 def _selection_states(draw):
-    """A graph, records in random order, how many seed the model, a smoothing
-    of 1 or 1e-30, and a seed for an open mask.  Half the graphs are a root
-    with 6-11 dependencies, where smoothing 1e-30 puts log ratios past the
-    +/-700 clamp and saturates many rows at the score 1/prior."""
+    """A graph, rows, records in random order, how many seed the model, a
+    smoothing of 1 or 1e-30, and a seed for an open mask.  Half the graphs
+    are a root with 6-11 dependencies, where smoothing 1e-30 puts log
+    ratios past the +/-700 clamp and saturates many rows at the score
+    1/prior."""
     if draw(st.booleans()):
-        graph, records, start, _ = draw(_observed_spaces())
+        graph, rows, records, start, _ = draw(_observed_spaces())
     else:
         graph = wide_graph(draw(st.integers(6, 11)), 2)
-        configs = full_space_matrix(graph).tolist()
-        picks = draw(st.lists(st.integers(0, len(configs) - 1), min_size=1, max_size=30,
+        rows = full_space_matrix(graph).astype(np.int64)
+        picks = draw(st.lists(st.integers(0, rows.shape[0] - 1), min_size=1, max_size=30,
                               unique=True))
-        records = [BuildRecord(tuple(configs[i]), draw(st.booleans())) for i in picks]
+        records = [BuildRecord(tuple(rows[i].tolist()), draw(st.booleans())) for i in picks]
         start = draw(st.integers(0, len(records) - 1))
     smoothing = draw(st.sampled_from([1.0, 1e-30]))
-    return graph, records, start, smoothing, draw(st.integers(0, 2**32 - 1))
+    return graph, rows, records, start, smoothing, draw(st.integers(0, 2**32 - 1))
 
 
-def _indexed(graph, records, start, smoothing):
-    """A RatioIndex over the whole space, fitted on records[:start] and then
-    updated one record at a time, with the model it agrees with."""
-    rows = full_space_matrix(graph).astype(np.int64)
+def _indexed(graph, rows, records, start, smoothing, open_rows=None):
+    """A RatioIndex over rows, the ones open_rows leaves out closed (none by
+    default), fitted on records[:start] and then updated one record at a
+    time, with the model it agrees with."""
     model = fit(records[:start], graph, smoothing)
-    index = RatioIndex(model, rows)
+    if open_rows is None:
+        open_rows = np.ones(rows.shape[0], dtype=bool)
+    index = RatioIndex(model, rows, open_rows)
     for record in records[start:]:
         row = np.array(record.config)
         index.add(model, row, record.outcome)
@@ -460,38 +506,64 @@ def _indexed(graph, records, start, smoothing):
     return index, model
 
 
+def _from_scratch(model, rows):
+    return log_density_many(model.bad, rows) - log_density_many(model.good, rows)
+
+
 def _ei_band(index, model, open_rows, tol=1e-9):
     """Open rows whose incremental score is within tol of the best, computed
     as scores over every row: the band that RatioIndex.near must hold."""
     prior = model.success_prior
-    ratio = np.exp(np.clip(index.log_ratio + index.offset, -700.0, 700.0))
+    ratio = np.exp(np.clip(index.log_ratio(model), -700.0, 700.0))
     approx = np.where(open_rows, 1.0 / (prior + ratio * (1.0 - prior)), 0.0)
     return np.flatnonzero(approx >= approx.max() * (1.0 - tol))
 
 
 def _assert_best_is_exact(index, model, open_rows):
     """best() is the from-scratch maximum over the open rows, tie set and
-    score, and near() holds the whole score band; return the tie set."""
+    score, and near() holds the whole score band, open rows in ascending
+    order (the tie-break indexes into it); return the tie set."""
+    assert index.n_open == np.count_nonzero(open_rows)
     scratch = expected_improvement_many(model, index.rows)
     top = scratch[open_rows].max()
-    tied, score = index.best(model, open_rows)
+    tied, score = index.best(model)
     np.testing.assert_array_equal(tied, np.flatnonzero(open_rows & (scratch == top)))
     assert score == top
-    near = index.near(model, open_rows)
+    near = index.near(model)
+    assert (np.diff(near) > 0).all()
     assert open_rows[near].all()
     assert np.isin(_ei_band(index, model, open_rows), near).all()
     return tied
+
+
+def _trie_reference(graph, rows):
+    """How many packages lead the trie: in the index's package order (here
+    the graphs' own), a level joins while its distinct prefixes number at
+    most half the rows and the keys of the level above times its versions
+    at most four times the rows."""
+    n, width = rows.shape[0], 1
+    for depth, m in enumerate(graph.domain_sizes):
+        prefixes = np.unique(rows[:, :depth + 1], axis=0).shape[0]
+        if width * m > 4 * n or prefixes > n / 2:
+            return depth
+        width = prefixes
+    return graph.n_packages
 
 
 class TestRatioIndex:
     @settings(max_examples=150, deadline=None)
     @given(_selection_states(), st.sampled_from([1.0, 0.5, 0.02]))
     def test_property_best_is_the_exact_maximum(self, state, share_open):
-        graph, records, start, smoothing, seed = state
-        index, model = _indexed(graph, records, start, smoothing)
+        """Rows closed when the index is built and rows closed after the
+        updates both drop out of the selection."""
+        graph, rows, records, start, smoothing, seed = state
         rng = np.random.default_rng(seed)
-        open_rows = rng.random(index.rows.shape[0]) < share_open
+        open_rows = rng.random(rows.shape[0]) < share_open
         open_rows[rng.integers(open_rows.size)] = True
+        later = ~open_rows & (rng.random(rows.shape[0]) < 0.5)
+        index, model = _indexed(graph, rows, records, start, smoothing, open_rows | later)
+        for row in np.flatnonzero(later).tolist():
+            index.close(row)
         _assert_best_is_exact(index, model, open_rows)
 
     @pytest.mark.parametrize("which", ["all", "past-lower-clamp", "saturated",
@@ -502,8 +574,9 @@ class TestRatioIndex:
         graph = wide_graph(12, 2)
         records = [BuildRecord((0,) * 13, True), BuildRecord((1,) * 13, False),
                    BuildRecord((0,) * 12 + (1,), True)]
-        index, model = _indexed(graph, records, 1, 1e-30)
-        log_ratio = index.log_ratio + index.offset
+        rows = full_space_matrix(graph).astype(np.int64)
+        index, model = _indexed(graph, rows, records, 1, 1e-30)
+        log_ratio = index.log_ratio(model).copy()
         assert log_ratio.min() < -700 and log_ratio.max() > 700
         open_rows = {
             "all": np.ones(log_ratio.size, dtype=bool),
@@ -511,44 +584,114 @@ class TestRatioIndex:
             "saturated": (log_ratio > -700) & (log_ratio < -100),
             "past-upper-clamp": log_ratio > 710,  # where exp() overflows, too
         }[which]
+        for row in np.flatnonzero(~open_rows).tolist():
+            index.close(row)
         tied = _assert_best_is_exact(index, model, open_rows)
         if which != "all":
             # Every open row scores the same: the clamp or 1/prior in floats.
             assert tied.size == np.count_nonzero(open_rows) > 1
 
+    @pytest.mark.parametrize("space", ["dense", "dag", "sparse", "wide-domain"])
+    def test_trie_takes_the_levels_of_at_most_half_the_rows(self, space):
+        """The whole 3^9 space leaves its last level out of the trie, and so
+        does a 3^6 DAG, which has a package of two parents on either side;
+        500 random rows of a 12-package space leave most levels out; a
+        300-version package of which the rows hold 5 versions stops the trie
+        by the span of its keys, not by its prefixes."""
+        rng = np.random.default_rng(8)
+        if space == "dense":
+            graph = chain_graph(9, 3)
+            rows = full_space_matrix(graph).astype(np.int64)
+        elif space == "dag":
+            graph = DependencyGraph(
+                packages=tuple(f"p{i}" for i in range(6)),
+                domains=(("v0", "v1", "v2"),) * 6,
+                edges=((0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 5), (4, 5)), root=0)
+            rows = full_space_matrix(graph).astype(np.int64)
+        else:
+            sizes = (3, 3, 300, 3, 3) if space == "wide-domain" else (3,) * 12
+            graph = DependencyGraph(
+                packages=tuple(f"p{i}" for i in range(len(sizes))),
+                domains=tuple(tuple(f"v{j}" for j in range(m)) for m in sizes),
+                edges=tuple((i // 2, i) for i in range(1, len(sizes))), root=0)
+            drawn = rng.integers(0, np.minimum(sizes, 5), size=(500, len(sizes)))
+            rows = drawn[first_occurrences(drawn)]
+        records = [BuildRecord(tuple(row), bool(b))
+                   for row, b in zip(rows[:30].tolist(), rng.random(30) < 0.3)]
+        index, model = _indexed(graph, rows, records, 10, 1.0)
+        depth = _trie_reference(graph, rows)
+        assert len(index._levels) == depth == {"dense": 8, "dag": 5, "sparse": 5,
+                                               "wide-domain": 2}[space]
+        np.testing.assert_allclose(index.log_ratio(model), _from_scratch(model, rows),
+                                   rtol=0, atol=1e-9)
+
     def test_build_holds_one_copy_of_the_index(self):
-        """Building the index over a 3^9-row space traces no more memory than
-        the int32 index, the float ratios and a few one-factor temporaries."""
+        """Building the index over a 3^9-row space traces at most what it
+        holds plus one temporary of 8 bytes a row, less than an int32
+        inverted index over every factor would hold alone.  It holds, a
+        row, 8 bytes of log ratio, 8 of suffix sums, 1 of mask, 8 of leaf
+        node, 4 for each of the 2 suffix factors' inverted index, 12 for
+        the trie's N/2 nodes at 24 bytes each and 8/3 for their scratch."""
         graph = chain_graph(9, 3)
         rows = full_space_matrix(graph).astype(np.int64)
         records = distinct_records(graph, 40, np.random.default_rng(3),
                                    lambda c: c[0] == c[1])
         model = fit(records, graph)
         n_rows, n_factors = rows.shape[0], graph.n_packages + len(graph.edges)
-        kept = n_factors * n_rows * 4 + n_rows * (8 + 1)  # _order, log_ratio, mask
         tracemalloc.start()
         try:
-            RatioIndex(model, rows)
+            RatioIndex(model, rows, np.ones(n_rows, dtype=bool))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < kept + 4 * n_rows * 8
+        held = (8 + 8 + 1 + 8 + 2 * 4 + 12 + 8 / 3) * n_rows
+        assert peak < held + 8 * n_rows < n_factors * n_rows * 4 + 9 * n_rows
 
-    @settings(max_examples=80, deadline=None)
+    def test_selection_allocates_nothing_proportional_to_the_rows(self):
+        """Steps over the 3^11 space (177,147 rows) of summing, selecting,
+        closing and updating trace less than a byte per row."""
+        graph = chain_graph(11, 3)
+        rows = full_space_matrix(graph).astype(np.int64)
+        records = distinct_records(graph, 30, np.random.default_rng(4),
+                                   lambda c: c[2] != c[3])
+        model = fit(records[:20], graph)
+        index = RatioIndex(model, rows, np.ones(rows.shape[0], dtype=bool))
+        index.best(model)  # numpy's first calls may cache
+        tracemalloc.start()
+        try:
+            for record in records[20:]:
+                tied, _ = index.best(model)
+                index.close(int(tied[0]))
+                row = np.array(record.config)
+                index.add(model, row, record.outcome)
+                model = refit_incremental(model, row, record.outcome)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.shape[0]
+
+    @settings(max_examples=100, deadline=None)
     @given(_observed_spaces())
     def test_property_updates_match_full_fit(self, space):
-        graph, records, start, smoothing = space
-        rows = full_space_matrix(graph).astype(np.int64)
+        """After every update each open row's log ratio is the from-scratch
+        one, and each row closed along the way reads +inf."""
+        graph, rows, records, start, smoothing = space
         model = fit(records[:start], graph, smoothing)
-        index = RatioIndex(model, rows)
+        index = RatioIndex(model, rows, np.ones(rows.shape[0], dtype=bool))
+        closed = np.zeros(rows.shape[0], dtype=bool)
         for i in range(start, len(records)):
             row = np.array(records[i].config)
             index.add(model, row, records[i].outcome)
             model = refit_incremental(model, row, records[i].outcome)
             full = fit(records[:i + 1], graph, smoothing)
-            expected = log_density_many(full.bad, rows) - log_density_many(full.good, rows)
-            np.testing.assert_allclose(index.log_ratio + index.offset, expected,
+            if i % 2 and not closed.all():
+                shut = int(np.flatnonzero(~closed)[0])
+                index.close(shut)
+                closed[shut] = True
+            log_ratio = index.log_ratio(model)
+            np.testing.assert_allclose(log_ratio[~closed], _from_scratch(full, rows)[~closed],
                                        rtol=0, atol=1e-9)
+            assert (log_ratio[closed] == np.inf).all()
 
 
 # Unequal domains (3, 2, 4) so an edge table's row and column sizes differ.
