@@ -4,7 +4,11 @@ A set of configurations is compiled into one DAG whose nodes are unique
 (package, version, dependency-subtree) units, so configurations sharing a
 subtree share its nodes.  A farmer hands ready units to a bounded pool of
 workers; a unit is ready once all of its dependency units succeeded, and a
-failure marks every transitive dependent as skipped.
+failure marks every transitive dependent as skipped.  The campaign works on
+columns from the DAG to the report: a unit is its digest rank, and vectors
+indexed by rank give its package, version, outcome, latency and status.
+Unit digests appear as strings only in BuildDag.digests, origins and the
+report's text.
 
 The module also provides synthetic ground truth: oracles that fail a
 configuration exactly when it activates a planted forbidden version pair,
@@ -17,6 +21,7 @@ import hashlib
 import heapq
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -82,9 +87,9 @@ class BuildDag:
     lists every unit digest in sorted order, so ranks compare exactly as
     digests do.  ``package`` and ``version`` give each rank's package index
     and version index, and ``edges`` gives every (unit, dependency) pair by
-    rank.  ``origins`` maps each distinct input configuration to the digest
-    of its root unit, and is built from ``origin_rows`` on first read.  Only
-    build_dag makes one.
+    rank, both intp vectors.  ``origins`` maps each distinct input
+    configuration to the digest of its root unit, and is built from
+    ``origin_rows`` on first read.  Only build_dag makes one.
     """
 
     def __init__(self, digests: list[str], package: np.ndarray, version: np.ndarray,
@@ -102,11 +107,6 @@ class BuildDag:
         return len(self.digests)
 
 
-# Every dependency digest is 64 hex characters, so each one is hashed behind
-# the same 4-byte length prefix.
-_DIGEST_PREFIX = (64).to_bytes(4, "big").decode("ascii")
-
-
 def _hash_prefix(package: str, version: str):
     """A sha256 hasher fed the length-prefixed package and version."""
     h = hashlib.sha256()
@@ -117,20 +117,66 @@ def _hash_prefix(package: str, version: str):
     return h
 
 
-# build_dag folds each child's unit place into an int64 row key; a key that
+# Every dependency digest is 64 hex characters, so each one is hashed behind
+# the same 4-byte length prefix; build_dag keeps each unit's digest with that
+# prefix as one S68 item, so sorting items sorts the digests.
+_DIGEST_PREFIX = (64).to_bytes(4, "big").decode("ascii")
+_ITEM = np.dtype("S68")
+
+# build_dag folds each child's unit id into an int64 row key; a key that
 # could pass this bound is first made dense, below len(rows).
 _KEY_LIMIT = 2**62
+# Row keys below this many times the row count get their unit ids from a
+# presence vector; larger ones from np.unique, which sorts.
+_DENSE_SPAN = 4
+# Units hashed per block: only a block's dependency items and payloads exist
+# at once.
+_HASH_BLOCK = 512
+
+
+def _unit_ids(key: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Each row's unit id, dense and ascending in its key (every key below
+    bound), and the number of units."""
+    if 0 < bound <= _DENSE_SPAN * len(key):
+        present = np.zeros(bound, dtype=bool)
+        present[key] = True
+        ids = np.cumsum(present) - 1
+        return ids[key], int(ids[-1]) + 1
+    values, ids = np.unique(key, return_inverse=True)
+    return ids, len(values)
+
+
+def _unit_digests(package: str, domain: Sequence[str], versions: list[int],
+                  deps: list[np.ndarray]) -> list[str]:
+    """Each unit's digest: sha256 over the length-prefixed package, version
+    and sorted dependency digests.  deps holds one column of prefixed
+    dependency items per child; the units are hashed a block at a time, by
+    mapping the hasher's methods, from a copy of their version's prefix."""
+    prefixes = [_hash_prefix(package, version) for version in domain]
+    hasher = type(prefixes[0])
+    if not deps:
+        return list(map(hasher.hexdigest, map(prefixes.__getitem__, versions)))
+    payload = np.dtype((np.void, _ITEM.itemsize * len(deps)))
+    made: list[str] = []
+    for at in range(0, len(versions), _HASH_BLOCK):
+        block = np.column_stack([column[at:at + _HASH_BLOCK] for column in deps])
+        block.sort(axis=1)  # hex digits sort by byte as they do by character
+        hashers = list(map(hasher.copy, map(prefixes.__getitem__, versions[at:at + _HASH_BLOCK])))
+        deque(map(hasher.update, hashers, block.view(payload).ravel().tolist()), maxlen=0)
+        made += map(hasher.hexdigest, hashers)
+    return made
 
 
 def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> BuildDag:
     """Merge the given configurations into one deduplicated build DAG.
 
-    Each package's units get dense integer ids first: rows share a unit
-    exactly when they share its version and its children's units.  Only
-    then is each distinct unit digested, once: sha256 over the
-    length-prefixed package, version and sorted dependency digests, from
-    one prefix hasher per package version.  Every vector of the result is
-    indexed by digest rank.
+    Each package's units get dense integer ids first, children first: rows
+    share a unit exactly when they share its version and its children's
+    units, so a row's key is its version with each child's unit id folded
+    in.  Only then is each distinct unit digested, once, in blocks (see
+    _unit_digests), its dependency digests gathered from its children's
+    digest columns.  One argsort of all digests gives the ranks, and every
+    vector of the result is indexed by digest rank.
     """
     if not isinstance(configs, np.ndarray):
         configs = list(configs)
@@ -152,72 +198,84 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
         visit(i)
 
     names: list[str] = []  # every unit's digest, in the order made
-    packages: list[int] = []  # and its package and version index
-    versions: list[int] = []
-    places: dict[int, np.ndarray] = {}  # package -> place in names of each row's unit
+    ids: dict[int, np.ndarray] = {}  # package -> unit id of each row
+    items: dict[int, np.ndarray] = {}  # package -> prefixed digest of each unit id
+    start: dict[int, int] = {}  # package -> place in names of its unit id 0
+    packages: list[np.ndarray] = []  # each made unit's package and version index
+    versions: list[np.ndarray] = []
     pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (unit, dependency) places
     for node in order:
-        package, domain = graph.packages[node], graph.domains[node]
         children = graph.children_map[node]
-        key = rows[:, node]
+        key, bound = rows[:, node], graph.domain_sizes[node]
         for child in children:
-            if (int(key.max(initial=0)) + 1) * len(names) > _KEY_LIMIT:
-                key = np.unique(key, return_inverse=True)[1]
-            key = key * len(names) + places[child]
-        _, first, unit_ids = np.unique(key, return_index=True, return_inverse=True)
-        places[node] = len(names) + unit_ids
-        new_places = np.arange(len(names), len(names) + len(first))
-        dep_places = [places[c][first] for c in children]
-        pairs += [(new_places, dep) for dep in dep_places]
-        # Each unit's version and sorted dependency digests, read from its first
-        # row, hashed behind a copy of its package version's prefix.
-        made_versions = rows[first, node].tolist()
-        packages += [node] * len(first)
-        versions += made_versions
-        deps_of = [()] * len(first)
-        if children:
-            deps_of = [sorted(deps) for deps in zip(
-                *(map(names.__getitem__, dep.tolist()) for dep in dep_places))]
-        prefixes = [_hash_prefix(package, version) for version in domain]
-        made = []
-        for v, deps in zip(made_versions, deps_of):
-            h = prefixes[v].copy()
-            if deps:
-                h.update((_DIGEST_PREFIX + _DIGEST_PREFIX.join(deps)).encode("ascii"))
-            made.append(h.hexdigest())
+            count = len(items[child])
+            if bound * count > _KEY_LIMIT:
+                key, bound = _unit_ids(key, bound)
+            key, bound = key * count + ids[child], bound * count
+        ids[node], count = _unit_ids(key, bound)
+        # Any row of a unit gives its version and its children's units.
+        row_of = np.empty(count, dtype=np.intp)
+        row_of[ids[node]] = np.arange(len(rows))
+        child_ids = [ids[child][row_of] for child in children]
+        made_versions = rows[row_of, node]
+        made = _unit_digests(graph.packages[node], graph.domains[node], made_versions.tolist(),
+                             [items[child][i] for child, i in zip(children, child_ids)])
+        start[node] = len(names)
+        new_places = np.arange(len(names), len(names) + count)
+        pairs += [(new_places, start[child] + i) for child, i in zip(children, child_ids)]
+        packages.append(np.full(count, node, dtype=np.intp))
+        versions.append(made_versions)
+        items[node] = np.frombuffer(_DIGEST_PREFIX.join(["", *made]).encode("ascii"), dtype=_ITEM)
         names += made
     # The one sort of all digests: ranks replace places in every vector.
-    by_digest = sorted(range(len(names)), key=names.__getitem__)
+    by_digest = np.argsort(np.concatenate([items[node] for node in order]))
     rank = np.empty(len(names), dtype=np.intp)
     rank[by_digest] = np.arange(len(names))
     no_pair = [np.empty(0, dtype=np.intp)]
     edges = (rank[np.concatenate(no_pair + [unit for unit, _ in pairs])],
              rank[np.concatenate(no_pair + [dep for _, dep in pairs])])
-    return BuildDag([names[g] for g in by_digest], np.array(packages, dtype=np.intp)[by_digest],
-                    np.array(versions, dtype=np.intp)[by_digest], edges,
-                    (rows, places[graph.root], names))
+    return BuildDag(list(map(names.__getitem__, by_digest.tolist())),
+                    np.concatenate(packages)[by_digest],
+                    np.concatenate(versions).astype(np.intp)[by_digest], edges,
+                    (rows, start[graph.root] + ids[graph.root], names))
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One completed build attempt."""
-
-    unit: str
-    worker: int
-    start: float
-    end: float
-    succeeded: bool
+# Status codes of SimReport.codes: each status's place in NodeStatus.
+_STATUSES = tuple(NodeStatus)
+_SUCCEEDED, _FAILED, _SKIPPED = (_STATUSES.index(s) for s in
+                                 (NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimReport:
+    """The end of a simulated campaign, by digest rank.
+
+    ``digests`` lists every unit digest in ascending order, as
+    ``BuildDag.digests`` does, and ``codes[i]`` is the status of the unit
+    ranked i as its place in ``NodeStatus`` (succeeded 0, failed 1,
+    skipped 2).  Each attempt is one entry of the event columns, in the
+    order attempts ended: the unit's rank, the worker, the start and the end
+    time; whether it built is ``codes[event_rank] == 0``.  Units are named
+    by digest only in to_dict and json_chunks.  Reports compare by
+    identity; compare their fields.
+    """
+
     attempted: int
     succeeded: int
     failed: int
     skipped: int
     makespan: float
-    statuses: dict[str, NodeStatus]
-    events: tuple[SimEvent, ...]
+    digests: Sequence[str]
+    codes: np.ndarray
+    event_rank: np.ndarray
+    event_worker: np.ndarray
+    event_start: np.ndarray
+    event_end: np.ndarray
+
+    def __post_init__(self):
+        # json_chunks writes the units in this order, the order sort_keys gives.
+        if sorted(self.digests) != list(self.digests):
+            raise ValueError("report digests must be in ascending order")
 
     @property
     def failed_or_skipped(self) -> int:
@@ -226,7 +284,7 @@ class SimReport:
 
     def _counts(self) -> dict:
         return {
-            "nodes": len(self.statuses),
+            "nodes": len(self.digests),
             "attempted": self.attempted,
             "succeeded": self.succeeded,
             "failed": self.failed,
@@ -236,31 +294,31 @@ class SimReport:
         }
 
     def to_dict(self) -> dict:
-        return {**self._counts(),
-                "statuses": {d: s.value for d, s in self.statuses.items()}}
+        values = [s.value for s in _STATUSES]
+        return {**self._counts(), "statuses": dict(zip(
+            self.digests, map(values.__getitem__, self.codes.tolist())))}
 
     def json_chunks(self) -> Iterator[str]:
         """The text of json.dumps(self.to_dict(), indent=2, sort_keys=True)
         plus a newline, in chunks.
 
         The counts go through json.dumps; each status is one pre-encoded
-        line, written a few thousand at a time, so the report never passes
-        through the pure-Python indenting encoder nor exists as one string.
+        line, written a few thousand at a time in rank order, which is the
+        sorted key order, so the report never passes through the
+        pure-Python indenting encoder nor exists as one string.
         """
         text = json.dumps({**self._counts(), "statuses": None}, indent=2, sort_keys=True)
         head, _, tail = text.partition('"statuses": null')
-        if not self.statuses:
+        if not self.digests:
             yield f'{head}"statuses": {{}}{tail}\n'
             return
         yield f'{head}"statuses": {{\n'
-        # By _value_, a plain attribute: .value and a member's hash run Python code.
-        encoded = {s._value_: json.dumps(s._value_) for s in NodeStatus}
-        statuses = self.statuses
-        keys = sorted(statuses)
-        for at in range(0, len(keys), _REPORT_CHUNK):
-            lines = [f"    {_json_string(d)}: {encoded[statuses[d]._value_]}"
-                     for d in keys[at:at + _REPORT_CHUNK]]
-            yield ("" if at == 0 else ",\n") + ",\n".join(lines)
+        # Each line is its indent, its encoded digest and one of these.
+        values = [f": {json.dumps(s.value)}" for s in _STATUSES]
+        for at in range(0, len(self.digests), _REPORT_CHUNK):
+            lines = map(operator.add, map(_json_string, self.digests[at:at + _REPORT_CHUNK]),
+                        map(values.__getitem__, self.codes[at:at + _REPORT_CHUNK].tolist()))
+            yield ("    " if at == 0 else ",\n    ") + ",\n    ".join(lines)
         yield f"\n  }}{tail}\n"
 
 
@@ -283,10 +341,12 @@ def simulate(
     unit is attempted.  Units are scheduled by rank over ``dag.edges``, so
     every order is the digest order: ready units enter a FIFO queue in rank
     order within each wave and go to the lowest-numbered free worker, and
-    equal end times finish in rank order.  The schedule is a pure function
-    of the inputs.  Units are named by digest only in the returned statuses
-    and events.  Every unit ends succeeded, failed, or skipped, and
-    attempted + skipped equals the node count.
+    equal end times finish in rank order.  Each unit's count of dependencies
+    not yet built is one int vector; a unit that builds decrements its
+    dependents' counts in one step.  The schedule is a pure function of the
+    inputs, returned as status codes and event columns by rank.  Every unit
+    ends succeeded, failed, or skipped, and attempted + skipped equals the
+    node count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -297,30 +357,26 @@ def simulate(
     for name, vector in (("builds", builds), ("latencies", latencies)):
         if vector.shape != (n,):
             raise ValueError(f"{name} has shape {vector.shape}, not one entry for each of {n} units")
-    builds, latencies = builds.tolist(), latencies.tolist()
-    dep_counts = np.bincount(unit_rank, minlength=n)
-    waiting_on = dep_counts.tolist()
-    # The dependents of the unit ranked i are dependents[bounds[i]:bounds[i + 1]].
-    dependents = unit_rank[np.argsort(dep_rank, kind="stable")].tolist()
+    built, latency_of = builds.tolist(), latencies.tolist()
+    waiting_on = np.bincount(unit_rank, minlength=n)
+    # The dependents of the unit ranked i, ascending, are
+    # dependents[bounds[i]:bounds[i + 1]].
+    dependents = unit_rank[np.argsort(dep_rank * n + unit_rank)]
     bounds = [0, *np.cumsum(np.bincount(dep_rank, minlength=n)).tolist()]
 
-    # A unit never attempted is skipped: it waits on a dependency that
-    # failed, or that waits in turn on one that failed.
-    status = [NodeStatus.SKIPPED] * n
-    ready = deque(np.flatnonzero(dep_counts == 0).tolist())
+    ready = deque(np.flatnonzero(waiting_on == 0).tolist())
     # The lowest free worker is always taken and at most n units run at once,
     # so no worker numbered n or above is ever used.
     free_workers = list(range(min(workers, n)))  # sorted, so already a heap
     building: list[tuple[float, int, int, float]] = []  # (end, rank, worker, start)
-    events: list[SimEvent] = []
+    ended: list[tuple[float, int, int, float]] = []  # the same, as attempts end
     now = 0.0
-    makespan = 0.0
 
     def start_ready() -> None:
         while ready and free_workers:
             i = ready.popleft()
             worker = heapq.heappop(free_workers)
-            latency = latencies[i]
+            latency = latency_of[i]
             if not 0.0 <= latency < math.inf:
                 raise ValueError(
                     f"latency {latency} of unit {digests[i]} is not finite and >= 0")
@@ -328,35 +384,35 @@ def simulate(
 
     start_ready()
     while building:
-        end, i, worker, start = heapq.heappop(building)
-        now = end
-        makespan = max(makespan, end)
-        ok = builds[i]
-        events.append(SimEvent(unit=digests[i], worker=worker, start=start, end=end,
-                               succeeded=ok))
+        attempt = heapq.heappop(building)
+        ended.append(attempt)
+        now, i, worker, _ = attempt
         heapq.heappush(free_workers, worker)
-        if ok:
-            status[i] = NodeStatus.SUCCEEDED
-            newly_ready = []
-            for dep in dependents[bounds[i]:bounds[i + 1]]:
-                waiting_on[dep] -= 1
-                if not waiting_on[dep]:
-                    newly_ready.append(dep)
-            newly_ready.sort()
-            ready.extend(newly_ready)
-        else:
-            status[i] = NodeStatus.FAILED
+        if built[i]:
+            waiting = dependents[bounds[i]:bounds[i + 1]]
+            waiting_on[waiting] -= 1
+            ready.extend(waiting[waiting_on[waiting] == 0].tolist())
         start_ready()
 
-    succeeded = status.count(NodeStatus.SUCCEEDED)
+    # A unit never attempted is skipped: it waits on a dependency that
+    # failed, or that waits in turn on one that failed.
+    end, rank, worker, begin = np.array(ended, dtype=float).reshape(-1, 4).T
+    rank = rank.astype(np.intp)
+    codes = np.full(n, _SKIPPED, dtype=np.int8)
+    codes[rank] = np.where(builds[rank], _SUCCEEDED, _FAILED)
+    succeeded = int(np.count_nonzero(builds[rank]))
     return SimReport(
-        attempted=len(events),
+        attempted=len(ended),
         succeeded=succeeded,
-        failed=len(events) - succeeded,
-        skipped=n - len(events),
-        makespan=makespan,
-        statuses=dict(zip(digests, status)),
-        events=tuple(events),
+        failed=len(ended) - succeeded,
+        skipped=n - len(ended),
+        makespan=now,
+        digests=digests,
+        codes=codes,
+        event_rank=rank,
+        event_worker=worker.astype(np.intp),
+        event_start=begin,
+        event_end=end,
     )
 
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Iterable
@@ -213,6 +214,11 @@ def _cmd_simulate(args) -> int:
     rules.check_against(graph)
     if args.data and args.sample is not None:
         raise _UsageError("give either --data or --sample, not both")
+    if args.workers < 1:
+        raise ValueError(f"--workers {args.workers} must be at least 1")
+    if args.latency == "lognormal" and not 0.0 <= args.latency_sigma < math.inf:
+        raise ValueError(
+            f"latency sigma {args.latency_sigma} (--latency-sigma) is not finite and >= 0")
     if args.data:
         configs = _load_data(args.data, args.graph).rows
     elif args.sample is not None:

@@ -303,8 +303,8 @@ def test_08_simulation_accounting_and_makespan():
     chain_dag = build_dag([(0, 0, 0)], chain)
     chain_report = simulate(chain_dag, chain_dag.package != chain.index_of("B"))
     by_package = {
-        chain.packages[p]: chain_report.statuses[d]
-        for d, p in zip(chain_dag.digests, chain_dag.package.tolist())
+        chain.packages[p]: list(NodeStatus)[code]
+        for code, p in zip(chain_report.codes.tolist(), chain_dag.package.tolist())
     }
     assert by_package == {
         "C": NodeStatus.SUCCEEDED,

@@ -72,6 +72,28 @@ def _units_per_package(dag: BuildDag, graph: DependencyGraph) -> Counter:
     return Counter(package for package, _ in _unit_names(dag, graph))
 
 
+# SimReport.codes holds each status as its place in NodeStatus.
+_STATUS = tuple(NodeStatus)
+
+
+def _statuses(report: SimReport) -> dict[str, NodeStatus]:
+    """The digest-keyed view of a report's status codes."""
+    return dict(zip(report.digests, map(_STATUS.__getitem__, report.codes.tolist())))
+
+
+def _events(report: SimReport) -> list[tuple[int, int, float, float]]:
+    """Each attempt's (rank, worker, start, end), from the event columns."""
+    columns = (report.event_rank, report.event_worker, report.event_start, report.event_end)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _same_report(a: SimReport, b: SimReport) -> bool:
+    return (a.digests == b.digests and _events(a) == _events(b)
+            and a.codes.tolist() == b.codes.tolist()
+            and (a.attempted, a.succeeded, a.failed, a.skipped, a.makespan)
+            == (b.attempted, b.succeeded, b.failed, b.skipped, b.makespan))
+
+
 class TestDagConstruction:
     def test_shared_subtree_deduplicates(self):
         """Two configs differing only in the root produce 4 units, not 6."""
@@ -272,6 +294,62 @@ class TestRankedDag:
         graph, _ = generate_benchmark(7, [2, 3, 4, 1, 3, 2, 5], 0.3, 0.5, seed=2)
         _assert_same_dag(random_configurations(graph, np.random.default_rng(6), 300), graph)
 
+    @pytest.mark.parametrize("span, key_limit, uses_unique", [
+        (0, buildsim._KEY_LIMIT, True),
+        (0, 0, True),
+        (10**9, 0, False),
+    ], ids=["unique", "unique-dense-keys", "presence"])
+    def test_each_key_path_gives_the_same_dag(self, monkeypatch, span, key_limit, uses_unique):
+        """Unit ids from np.unique alone, or from presence vectors alone (the
+        keys made dense before each fold keep those vectors small), give the
+        reference's DAG."""
+        graph = _wide_diamond_graph()
+        cases = [(graph, random_configurations(graph, np.random.default_rng(5), 200)),
+                 (graph, full_space_matrix(graph))]
+        graph, _ = generate_benchmark(7, [2, 3, 4, 1, 3, 2, 5], 0.3, 0.5, seed=2)
+        cases.append((graph, random_configurations(graph, np.random.default_rng(6), 300)))
+        monkeypatch.setattr(buildsim, "_DENSE_SPAN", span)
+        monkeypatch.setattr(buildsim, "_KEY_LIMIT", key_limit)
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(buildsim.np, "unique", counted)
+        for graph, rows in cases:
+            calls.clear()
+            _assert_same_dag(rows, graph)
+            # Each package's ids come from np.unique at least once, or never.
+            assert len(calls) >= graph.n_packages if uses_unique else calls == []
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_hash_blocks_give_the_same_dag(self, monkeypatch, block):
+        monkeypatch.setattr(buildsim, "_HASH_BLOCK", block)
+        graph = _wide_diamond_graph()
+        _assert_same_dag(list(enumerate_configurations(graph)), graph)
+        graph, _ = generate_benchmark(7, [2, 3, 4, 1, 3, 2, 5], 0.3, 0.5, seed=3)
+        _assert_same_dag(random_configurations(graph, np.random.default_rng(7), 100), graph)
+
+    def test_dependency_digests_are_hashed_in_sorted_order(self):
+        """A unit with four children hashes their digests in sorted order,
+        which for most root units is not the order of its children."""
+        graph = DependencyGraph(
+            packages=("R", "A", "B", "C", "D"),
+            domains=(("r1", "r2"),) + (("v1", "v2", "v3"),) * 4,
+            edges=((0, 1), (0, 2), (0, 3), (0, 4)),
+            root=0,
+        )
+        validate_graph(graph)
+        dag = _assert_same_dag(list(enumerate_configurations(graph)), graph)
+        by_child = defaultdict(list)  # root unit rank -> dependency digests, in child order
+        unit, dep = (side.tolist() for side in dag.edges)
+        for u, d in sorted(zip(unit, dep), key=lambda pair: dag.package[pair[1]]):
+            by_child[u].append(dag.digests[d])
+        assert len(by_child) == 2 * 3**4
+        assert sum(deps != sorted(deps) for deps in by_child.values()) > len(by_child) // 2
+
     def test_origins_are_built_on_first_read(self):
         graph = chain_graph(3, 2)
         dag = build_dag([(1, 0, 1), (0, 0, 0), (1, 0, 1)], graph)
@@ -286,7 +364,9 @@ def _reference_simulate(units, builds, workers=1, latencies=None):
     from the front, and every failure's dependents marked skipped at once.
     units is a digest-keyed view (see _unit_view); builds and latencies are
     read at each digest's rank in the sorted digests.  Its passing states
-    (pending, ready, building) are plain strings."""
+    (pending, ready, building) are plain strings.  Returns the statuses by
+    digest, the events as (digest, worker, start, end, built) in the order
+    they ended, and the makespan."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     rank = {digest: i for i, digest in enumerate(sorted(units))}
@@ -332,8 +412,7 @@ def _reference_simulate(units, builds, workers=1, latencies=None):
         now = end
         makespan = max(makespan, end)
         ok = bool(builds[rank[digest]])
-        events.append(buildsim.SimEvent(unit=digest, worker=worker, start=start, end=end,
-                                        succeeded=ok))
+        events.append((digest, worker, start, end, ok))
         heapq.heappush(free_workers, worker)
         if ok:
             status[digest] = NodeStatus.SUCCEEDED
@@ -353,29 +432,29 @@ def _reference_simulate(units, builds, workers=1, latencies=None):
 
     assert all(s in (NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED)
                for s in status.values())
-    counts = {s: sum(1 for v in status.values() if v is s)
-              for s in (NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED)}
-    return SimReport(
-        attempted=counts[NodeStatus.SUCCEEDED] + counts[NodeStatus.FAILED],
-        succeeded=counts[NodeStatus.SUCCEEDED],
-        failed=counts[NodeStatus.FAILED],
-        skipped=counts[NodeStatus.SKIPPED],
-        makespan=makespan,
-        statuses=status,
-        events=tuple(events),
-    )
+    return status, events, makespan
 
 
 def _assert_same_schedule(dag, graph, builds, workers, latencies=None):
+    """simulate's codes and event columns equal the digest-keyed reference's
+    statuses and events, converted to ranks once."""
     report = simulate(dag, builds, workers=workers, latencies=latencies)
-    reference = _reference_simulate(_unit_view(dag, graph), builds, workers=workers,
-                                    latencies=latencies)
-    assert report.statuses == reference.statuses
-    assert list(report.statuses) == dag.digests
-    assert report.events == reference.events
-    assert report.makespan == reference.makespan
+    status, events, makespan = _reference_simulate(_unit_view(dag, graph), builds,
+                                                   workers=workers, latencies=latencies)
+    rank = {digest: i for i, digest in enumerate(dag.digests)}
+    assert report.digests == dag.digests
+    assert report.codes.dtype == np.int8 and report.codes.shape == (dag.node_count,)
+    assert report.codes.tolist() == [_STATUS.index(status[d]) for d in dag.digests]
+    assert all(c.dtype == np.intp for c in (report.event_rank, report.event_worker))
+    assert _events(report) == [(rank[d], worker, start, end)
+                               for d, worker, start, end, _ in events]
+    assert np.asarray(builds, dtype=bool)[report.event_rank].tolist() == [e[4] for e in events]
+    assert report.makespan == makespan
+    counts = Counter(status.values())
     assert ((report.attempted, report.succeeded, report.failed, report.skipped)
-            == (reference.attempted, reference.succeeded, reference.failed, reference.skipped))
+            == (counts[NodeStatus.SUCCEEDED] + counts[NodeStatus.FAILED],
+                counts[NodeStatus.SUCCEEDED], counts[NodeStatus.FAILED],
+                counts[NodeStatus.SKIPPED]))
     return report
 
 
@@ -418,8 +497,8 @@ class TestSimulateAgainstReference:
         graph = chain_graph(3, 3)
         dag = build_dag(list(enumerate_configurations(graph)), graph)
         reports = [simulate(dag, _always(dag), workers=w) for w in (dag.node_count, 10**20)]
-        assert reports[0] == reports[1]
-        assert max(e.worker for e in reports[0].events) < dag.node_count
+        assert _same_report(*reports)
+        assert reports[0].event_worker.max() < dag.node_count
 
 
 def _report_text(report: SimReport) -> str:
@@ -438,19 +517,33 @@ class TestStreamedReport:
     def test_empty_dag(self):
         dag = build_dag([], chain_graph(3, 2))
         report = simulate(dag, _always(dag), workers=4)
-        assert report.statuses == {} and report.events == ()
+        assert report.digests == [] and report.codes.size == report.event_rank.size == 0
         assert "".join(report.json_chunks()) == _report_text(report)
 
+    @staticmethod
+    def _report(statuses: dict[str, NodeStatus]) -> SimReport:
+        no_event = np.empty(0, dtype=np.intp)
+        return SimReport(attempted=4, succeeded=2, failed=2, skipped=3, makespan=2.5,
+                         digests=list(statuses),
+                         codes=np.array([_STATUS.index(s) for s in statuses.values()],
+                                        dtype=np.int8),
+                         event_rank=no_event, event_worker=no_event,
+                         event_start=np.empty(0), event_end=np.empty(0))
+
     def test_many_chunks_unsorted_and_escaped_keys(self, monkeypatch):
+        """Keys given out of order are written in sorted order, though their
+        escaped forms sort otherwise; a report out of order is refused."""
         monkeypatch.setattr(buildsim, "_REPORT_CHUNK", 3)
         statuses = {key: status for key, status in zip(
             ["zz", "a\"b", "\u00e9t\u00e9", "tab\t", "0", "m", "b\\"],
             [NodeStatus.SUCCEEDED, NodeStatus.FAILED, NodeStatus.SKIPPED] * 3)}
-        report = SimReport(attempted=4, succeeded=2, failed=2, skipped=3, makespan=2.5,
-                           statuses=statuses, events=())
+        report = self._report(dict(sorted(statuses.items())))
+        assert _statuses(report) == statuses
         chunks = list(report.json_chunks())
         assert len(chunks) == 5  # head, three chunks of status lines, tail
         assert "".join(chunks) == _report_text(report)
+        with pytest.raises(ValueError, match="ascending"):
+            self._report(statuses)
 
     def test_status_lines_hash_no_member(self, monkeypatch):
         """Status lines look nothing up by NodeStatus member, whose hash runs
@@ -467,8 +560,9 @@ class TestStreamedReport:
         assert "".join(report.json_chunks()) == expected
 
 
-# Bytes: this code peaks at 1.38-1.47 MB on the case below, the digest-keyed
-# code it replaced at 1.90-2.15 MB (Python 3.11, numpy 2.4).
+# Bytes: this code peaks at 1.33 MB on the case below, the code before it at
+# 1.38-1.47 MB, and the digest-keyed code before that at 1.90-2.15 MB
+# (Python 3.11, numpy 2.4).
 _PEAK_BOUND = 1_600_000
 
 
@@ -503,8 +597,8 @@ class TestSimulate:
         graph = chain_graph(3, 2)
         dag = build_dag([(0, 0, 0)], graph)
         report = simulate(dag, dag.package != graph.index_of("B"))
-        by_status = {package: report.statuses[d]
-                     for d, (package, _) in zip(dag.digests, _unit_names(dag, graph))}
+        by_status = {package: _STATUS[code]
+                     for code, (package, _) in zip(report.codes, _unit_names(dag, graph))}
         assert by_status == {
             "C": NodeStatus.SUCCEEDED,
             "B": NodeStatus.FAILED,
@@ -549,14 +643,14 @@ class TestSimulate:
         latencies = [1.0 + (d.encode()[1] % 5) / 4 for d in dag.digests]
         report = simulate(dag, dag.version == 0, workers=3, latencies=latencies)
         view = _unit_view(dag, graph)
-        end_of = {e.unit: e.end for e in report.events}
-        for event in report.events:
-            for dep in view[event.unit][2]:
+        end_of = {dag.digests[i]: end for i, _, _, end in _events(report)}
+        for i, _, start, _ in _events(report):
+            for dep in view[dag.digests[i]][2]:
                 assert dep in end_of, "dependency was never attempted"
-                assert event.start >= end_of[dep] - 1e-12
+                assert start >= end_of[dep] - 1e-12
         by_worker = defaultdict(list)
-        for event in report.events:
-            by_worker[event.worker].append((event.start, event.end))
+        for _, worker, start, end in _events(report):
+            by_worker[worker].append((start, end))
         for intervals in by_worker.values():
             intervals.sort()
             for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
@@ -567,7 +661,7 @@ class TestSimulate:
         dag = build_dag(list(enumerate_configurations(graph)), graph)
         a = simulate(dag, _always(dag), workers=2)
         b = simulate(dag, _always(dag), workers=2)
-        assert a.events == b.events
+        assert _events(a) == _events(b)
         assert a.makespan == b.makespan
 
     def test_worker_validation(self):
@@ -609,7 +703,7 @@ class TestSimulate:
         builds = [i == root for i in range(dag.node_count)]  # the leaf fails
         report = simulate(dag, builds, latencies=latencies)
         assert (report.attempted, report.failed, report.skipped) == (1, 1, 1)
-        assert report.statuses[dag.digests[root]] is NodeStatus.SKIPPED
+        assert _STATUS[report.codes[root]] is NodeStatus.SKIPPED
 
     @pytest.mark.parametrize("argument", ["builds", "latencies"])
     @pytest.mark.parametrize("shape", [(1,), (3,), (0,), (2, 1)], ids=str)
@@ -627,8 +721,9 @@ class TestSimulate:
         dag = build_dag(list(enumerate_configurations(graph)), graph)
         builds = dag.version != 2
         latencies = np.linspace(0.5, 2.0, dag.node_count)
-        assert (simulate(dag, builds, workers=3, latencies=latencies)
-                == simulate(dag, builds.tolist(), workers=3, latencies=latencies.tolist()))
+        assert _same_report(simulate(dag, builds, workers=3, latencies=latencies),
+                            simulate(dag, builds.tolist(), workers=3,
+                                     latencies=latencies.tolist()))
 
 
 class TestPlantedRules:
@@ -859,10 +954,10 @@ class TestPlantedOutcome:
         oracle = SyntheticOracle(graph, rules)
         configs = list(enumerate_configurations(graph))
         dag = build_dag(configs, graph)
-        report = simulate(dag, planted_outcome(dag, rules, graph), workers=4)
+        statuses = _statuses(simulate(dag, planted_outcome(dag, rules, graph), workers=4))
         for config in configs:
             root = dag.origins[config]
-            built = report.statuses[root] == NodeStatus.SUCCEEDED
+            built = statuses[root] == NodeStatus.SUCCEEDED
             assert built == oracle.evaluate(config)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -889,9 +984,10 @@ class TestPlantedOutcome:
         oracle = SyntheticOracle(graph, PlantedRuleSet(forbidden))
         for noise in (0.0, 0.3):
             rules = PlantedRuleSet(forbidden, noise=noise)
-            report = simulate(dag, planted_outcome(dag, rules, graph, seed=7), workers=workers)
+            statuses = _statuses(simulate(dag, planted_outcome(dag, rules, graph, seed=7),
+                                          workers=workers))
             for config in rows:
-                built = report.statuses[dag.origins[tuple(config)]] is NodeStatus.SUCCEEDED
+                built = statuses[dag.origins[tuple(config)]] is NodeStatus.SUCCEEDED
                 if noise == 0.0:
                     assert built == oracle.evaluate(config)
                 else:

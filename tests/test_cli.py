@@ -462,6 +462,36 @@ class TestSimulateCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: latency")
 
+    def test_negative_sigma_names_the_flag(self, capsys, workspace):
+        code, out, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "4",
+             "--latency", "lognormal", "--latency-sigma", "-1", "--seed", "2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: latency sigma -1.0 (--latency-sigma) is not finite and >= 0"]
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
+                                             ("--latency-sigma", "-1"),
+                                             ("--latency-sigma", "nan"),
+                                             ("--latency-sigma", "inf")])
+    def test_bad_flag_refused_before_build_dag(self, capsys, workspace, monkeypatch,
+                                               flag, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_dag ran")
+
+        monkeypatch.setattr(buildsim, "build_dag", refuse)
+        code, out, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "4",
+             "--latency", "lognormal", flag, value],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
     @pytest.mark.parametrize("field, value", [("root", ["A"]), ("versions", "v12"),
                                               ("name", None)])
     def test_malformed_graph_exits_two(self, capsys, workspace, field, value):
