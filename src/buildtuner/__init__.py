@@ -30,7 +30,6 @@ from .configspace import (
     DependencyGraph,
     GraphError,
     config_digest,
-    enumerate_configurations,
     load_graph,
     random_configuration,
     save_graph,
@@ -52,8 +51,6 @@ from .metrics import (
     ExperimentReport,
     auprc,
     auprc_experiment,
-    precision,
-    recall,
     sweep_experiment,
 )
 from .rng import derive_seed, substream

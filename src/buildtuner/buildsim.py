@@ -181,22 +181,8 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
     if not isinstance(configs, np.ndarray):
         configs = list(configs)
     rows = check_rows(graph, configs)
-    # Children-first order so each unit's dependency digests already exist.
-    order: list[int] = []
-    visited: set[int] = set()
-
-    def visit(node: int) -> None:
-        if node in visited:
-            return
-        visited.add(node)
-        for child in graph.children_map[node]:
-            visit(child)
-        order.append(node)
-
-    visit(graph.root)
-    for i in range(graph.n_packages):
-        visit(i)
-
+    # Children first, so each unit's dependency digests already exist.
+    order = graph.topological_order[::-1]
     names: list[str] = []  # every unit's digest, in the order made
     ids: dict[int, np.ndarray] = {}  # package -> unit id of each row
     items: dict[int, np.ndarray] = {}  # package -> prefixed digest of each unit id
@@ -566,7 +552,7 @@ def planted_outcome(
 
 def enumerate_records(oracle: SyntheticOracle) -> Dataset:
     """The whole space labeled by the oracle, as a dataset in
-    enumerate_configurations order; for spaces within the enumeration limit."""
+    full_space_matrix order; for spaces within the enumeration limit."""
     rows = full_space_matrix(oracle.graph).astype(np.int64)
     return Dataset._checked(oracle.graph, rows, oracle.outcomes(rows))
 

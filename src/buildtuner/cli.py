@@ -214,11 +214,13 @@ def _cmd_simulate(args) -> int:
     rules.check_against(graph)
     if args.data and args.sample is not None:
         raise _UsageError("give either --data or --sample, not both")
+    if args.latency_sigma is not None and args.latency != "lognormal":
+        raise _UsageError("--latency-sigma needs --latency lognormal")
+    sigma = 0.5 if args.latency_sigma is None else args.latency_sigma
     if args.workers < 1:
         raise ValueError(f"--workers {args.workers} must be at least 1")
-    if args.latency == "lognormal" and not 0.0 <= args.latency_sigma < math.inf:
-        raise ValueError(
-            f"latency sigma {args.latency_sigma} (--latency-sigma) is not finite and >= 0")
+    if args.latency == "lognormal" and not 0.0 <= sigma < math.inf:
+        raise ValueError(f"latency sigma {sigma} (--latency-sigma) is not finite and >= 0")
     if args.data:
         configs = _load_data(args.data, args.graph).rows
     elif args.sample is not None:
@@ -233,7 +235,7 @@ def _cmd_simulate(args) -> int:
     latencies = None
     if args.latency == "lognormal":
         rng = substream(args.seed, "simulate-latency")
-        latencies = rng.lognormal(mean=0.0, sigma=args.latency_sigma, size=dag.node_count)
+        latencies = rng.lognormal(mean=0.0, sigma=sigma, size=dag.node_count)
     report = buildsim.simulate(dag, builds, workers=args.workers, latencies=latencies)
     _write_chunks(args.out, report.json_chunks())
     return 0
@@ -357,7 +359,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample", type=int, help="or draw this many at random")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--latency", choices=("unit", "lognormal"), default="unit")
-    p.add_argument("--latency-sigma", type=float, default=0.5)
+    p.add_argument("--latency-sigma", type=float, help="lognormal spread (default 0.5)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)

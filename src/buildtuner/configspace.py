@@ -2,23 +2,23 @@
 
 A configuration space is a rooted DAG of packages, each with a finite domain
 of version labels.  A configuration assigns one version index to every
-package, the root included.  The engine holds it as an int64 row, an
-oracle takes it as a tuple, and files and traces name it, across runs and
-machines, by a canonical content digest.
+package, the root included.  The engine holds it as an int64 row, keyed
+by that row's bytes (_row_key), an oracle takes it as a tuple, and files
+and traces name it, across runs and machines, by a canonical content digest.
 
 A graph caches, on first use, the tables its boundaries read: a
 {label: index} dict per package, through which labels become version
 indices, and the length-prefixed bytes of each (package, version), of which
-a digest hashes one join.
+a digest hashes one join; and its one topological order.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
+import heapq
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "check_rows",
     "config_digest",
     "config_from_labels",
-    "enumerate_configurations",
     "first_occurrences",
     "full_space_matrix",
     "load_graph",
@@ -57,8 +56,7 @@ class DependencyGraph:
     """A rooted DAG of packages with per-package version domains.
 
     Edges are directed parent -> child, meaning the parent package depends
-    on the child.  The direction is metadata only; no operation in this
-    module conditions on it.
+    on the child; topological_order puts every parent before its children.
     """
 
     packages: tuple[str, ...]
@@ -95,6 +93,24 @@ class DependencyGraph:
         for parent, child in self.edges:
             out[parent].append(child)
         return tuple(tuple(sorted(cs)) for cs in out)
+
+    @cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """Each edge's parent before its child, the lowest ready index first
+        (Kahn 1962, over a heap); packages on or below a cycle are left out."""
+        waiting = [0] * self.n_packages
+        for _, child in self.edges:
+            waiting[child] += 1
+        ready = [i for i, count in enumerate(waiting) if count == 0]
+        order = []
+        while ready:
+            package = heapq.heappop(ready)
+            order.append(package)
+            for child in self.children_map[package]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    heapq.heappush(ready, child)
+        return tuple(order)
 
     @property
     def n_packages(self) -> int:
@@ -200,21 +216,9 @@ def validate_graph(graph: DependencyGraph) -> None:
             raise GraphError(f"dangling edge ({parent}, {child})")
         if parent == child:
             raise GraphError(f"self-edge at package {parent}")
-    # Kahn's algorithm; leftover nodes sit on a directed cycle.
-    indegree = [0] * n
-    for _, child in graph.edges:
-        indegree[child] += 1
-    queue = [i for i in range(n) if indegree[i] == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for child in graph.children_map[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                queue.append(child)
-    if seen != n:
-        cyclic = min(i for i in range(n) if indegree[i] > 0)
+    left_out = set(range(n)).difference(graph.topological_order)
+    if left_out:
+        cyclic = min(left_out)
         raise GraphError(f"cycle through package {cyclic} ({graph.packages[cyclic]!r})")
     reachable = {graph.root}
     stack = [graph.root]
@@ -305,16 +309,10 @@ def random_configurations(graph: DependencyGraph, rng: np.random.Generator,
     return rng.integers(0, graph.domain_sizes, size=(n, graph.n_packages))
 
 
-def enumerate_configurations(graph: DependencyGraph) -> Iterator[Configuration]:
-    """Yield every configuration, last package index varying fastest."""
-    return itertools.product(*(range(len(d)) for d in graph.domains))
-
-
 def full_space_matrix(graph: DependencyGraph) -> np.ndarray:
-    """The whole space as an int32 matrix, one row per configuration.
-
-    Row order matches enumerate_configurations.  Refuses spaces larger
-    than EXHAUSTIVE_LIMIT.
+    """The whole space as an int32 matrix, one row per configuration, the
+    last package's version varying fastest (itertools.product order).
+    Refuses spaces larger than EXHAUSTIVE_LIMIT.
     """
     return _space_columns(graph, np.int32).T.copy()
 
@@ -329,7 +327,22 @@ def _space_columns(graph: DependencyGraph, dtype) -> np.ndarray:
             f"space of {size} configurations exceeds the exhaustive limit "
             f"of {EXHAUSTIVE_LIMIT}"
         )
-    return np.indices(graph.domain_sizes, dtype=dtype).reshape(graph.n_packages, -1)
+    sizes = graph.domain_sizes
+    columns = np.empty((len(sizes), size), dtype=dtype)
+    for i, m in enumerate(sizes):  # (packages before i, version of i, packages after i)
+        columns[i].reshape(math.prod(sizes[:i]), m, -1)[...] = np.arange(m)[:, None]
+    return columns
+
+
+def _row_key(row) -> bytes:
+    """The engine's key of one configuration, a sequence of ints: its int64 bytes."""
+    return np.asarray(row, dtype=np.int64).tobytes()
+
+
+def _row_keys(rows) -> list[bytes]:
+    """The _row_key of each row of an int matrix, through one void view."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel().tolist()
 
 
 def _length_prefixed(text: str) -> bytes:

@@ -13,11 +13,9 @@ own, mapping labels through the graph's per-package indexes.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,13 +27,14 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
+    _row_key,
+    _row_keys,
     check_configuration,
     check_rows,
     config_digest,
     config_from_labels,
     first_occurrences,
     load_graph,
-    space_size,
 )
 
 __all__ = [
@@ -269,23 +268,12 @@ def split_train_test(
 
 
 class DatasetOracle:
-    """Replay oracle: evaluates only configurations present in the dataset.
-
-    A configuration is looked up by its mixed-radix index in the space, with
-    a binary search over the dataset's row indices, computed and sorted once.
-    """
+    """Replay oracle: evaluates only configurations present in the dataset,
+    looked up by their row keys (configspace._row_key) in one dict."""
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        graph = dataset.graph
-        self._strides = [math.prod(graph.domain_sizes[i + 1:]) for i in range(graph.n_packages)]
-        # Python ints where the space's indices do not fit in int64.
-        dtype = np.int64 if space_size(graph) <= np.iinfo(np.int64).max else object
-        index = dataset.rows.astype(dtype) @ np.array(self._strides, dtype=dtype)
-        order = np.argsort(index)
-        # Lists, because bisect on one key is several times faster than
-        # np.searchsorted on one scalar.
-        self._index, self._built = index[order].tolist(), dataset.built[order].tolist()
+        self._built = dict(zip(_row_keys(dataset.rows), dataset.built.tolist()))
 
     @property
     def graph(self) -> DependencyGraph:
@@ -297,9 +285,8 @@ class DatasetOracle:
 
     def evaluate(self, config: Configuration) -> bool:
         check_configuration(self._dataset.graph, config)
-        key = sum(map(operator.mul, map(int, config), self._strides))
-        pos = bisect.bisect_left(self._index, key)
-        if pos < len(self._index) and self._index[pos] == key:
-            return self._built[pos]
-        digest = config_digest(self._dataset.graph, config)
-        raise ValueError(f"configuration {digest} not present in the replay dataset")
+        try:
+            return self._built[_row_key(config)]
+        except KeyError:
+            digest = config_digest(self._dataset.graph, config)
+            raise ValueError(f"configuration {digest} not present in the replay dataset") from None

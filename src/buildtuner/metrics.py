@@ -1,19 +1,20 @@
-"""Precision, recall, ranking quality, and the two evaluation protocols.
+"""Ranking quality and the two evaluation protocols.
 
-Precision and recall are prefix statistics of an evaluation history; the
-recall denominator is the total number of good configurations in the ground
+The sweep reports precision and recall at each prefix of an evaluation
+history, both from one running count of good records; the recall
+denominator is the total number of good configurations in the ground
 truth, not in the history.  Ranking quality is the area under the
 precision-recall curve evaluated at every prefix of a ranked list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .configspace import _digest
-from .dataset import BuildRecord, Dataset, DatasetOracle, split_train_test
+from .dataset import Dataset, DatasetOracle, split_train_test
 from .rng import derive_seed, substream
 from .sampler import STRATEGIES, SamplerConfig, run
 from .surrogate import crowd_score_many, expected_improvement_many
@@ -22,26 +23,8 @@ __all__ = [
     "ExperimentReport",
     "auprc",
     "auprc_experiment",
-    "precision",
-    "recall",
     "sweep_experiment",
 ]
-
-
-def precision(history: Iterable[BuildRecord]) -> float:
-    """Fraction of evaluated configurations that built."""
-    outcomes = [r.outcome for r in history]
-    if not outcomes:
-        raise ValueError("precision of an empty history is undefined")
-    return sum(outcomes) / len(outcomes)
-
-
-def recall(history: Iterable[BuildRecord], total_good: int) -> float:
-    """Fraction of all good configurations that the history has found."""
-    if total_good <= 0:
-        raise ValueError("recall needs a positive total good count")
-    found = sum(1 for r in history if r.outcome)
-    return found / total_good
 
 
 def auprc(ranked: Sequence[tuple[float, bool]]) -> float:
@@ -157,11 +140,9 @@ def sweep_experiment(
                 raise ValueError(
                     f"strategy {strategy!r} with seed {seed}: {exc}"
                 ) from exc
-            entries = result.history.entries
-            for j, size in enumerate(sizes):
-                prefix = entries[:size]
-                p_values[rep, j] = precision(prefix)
-                r_values[rep, j] = recall(prefix, total_good)
+            found = np.cumsum(result.history.dataset.built)[np.subtract(sizes, 1)]
+            p_values[rep] = found / sizes
+            r_values[rep] = found / total_good
         reports[strategy] = ExperimentReport(
             strategy=strategy,
             sample_sizes=sizes,

@@ -26,6 +26,8 @@ from .configspace import (
     DependencyGraph,
     GraphError,
     _digest,
+    _row_key,
+    _row_keys,
     _space_columns,
     check_rows,
     config_digest,
@@ -114,17 +116,6 @@ class TraceEntry:
     def to_dict(self) -> dict:
         return {"t": self.t, "digest": self.digest, "score": self.score,
                 "built": self.built}
-
-
-def _row_key(row) -> bytes:
-    """The key of one int row: its int64 bytes."""
-    return np.asarray(row, dtype=np.int64).tobytes()
-
-
-def _row_keys(rows) -> list[bytes]:
-    """The _row_key of each row of an int matrix, through one void view."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel().tolist()
 
 
 class ObservationHistory:

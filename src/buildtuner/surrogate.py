@@ -34,7 +34,6 @@ least log ratio, and no step exponentiates every row.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, replace
@@ -330,24 +329,6 @@ def _flat(table: FactorTable) -> bool:
                                np.maximum.reduceat(table.log, starts)))
 
 
-def _topological_order(graph: DependencyGraph) -> list[int]:
-    """The packages with each edge's parent before its child, the lowest
-    index first among those whose parents have all gone."""
-    waiting = [0] * graph.n_packages
-    for _, child in graph.edges:
-        waiting[child] += 1
-    ready = [i for i, count in enumerate(waiting) if count == 0]
-    order = []
-    while ready:
-        package = heapq.heappop(ready)
-        order.append(package)
-        for child in graph.children_map[package]:
-            waiting[child] -= 1
-            if waiting[child] == 0:
-                heapq.heappush(ready, child)
-    return order
-
-
 class RatioIndex:
     """Bad/good log density ratio of each row of a fixed matrix, for selection.
 
@@ -391,7 +372,7 @@ class RatioIndex:
         into = [[] for _ in graph.packages]  # (edge factor, parent) of each package
         for e, (parent, child) in enumerate(graph.edges):
             into[child].append((layout.n_nodes + e, parent))
-        order = _topological_order(graph)
+        order = graph.topological_order
         # Each part in its own method, so that its temporaries are gone
         # before the next part allocates.
         self._index_prefixes(layout, graph, rows, order, into)

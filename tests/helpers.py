@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite: small graphs and record builders."""
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -14,6 +15,12 @@ from buildtuner import (
     random_configuration,
     validate_graph,
 )
+
+
+def all_configurations(graph: DependencyGraph):
+    """Every configuration as a tuple, the last package varying fastest: the
+    reference order of configspace.full_space_matrix."""
+    return itertools.product(*(range(len(domain)) for domain in graph.domains))
 
 
 def chain_graph(n: int = 3, versions: int = 2) -> DependencyGraph:

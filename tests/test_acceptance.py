@@ -41,8 +41,7 @@ from buildtuner import (
 )
 from buildtuner.buildsim import SyntheticOracle, enumerate_records, save_rules
 from buildtuner.cli import dispatch
-from buildtuner.configspace import enumerate_configurations
-from helpers import chain_graph, diamond_graph
+from helpers import all_configurations, chain_graph, diamond_graph
 
 
 def _report(name: str, detail: str) -> None:
@@ -111,7 +110,7 @@ def test_01_expected_improvement_matches_brute_force():
     alpha = (len(good) + 1) / (len(history) + 2)
     model = fit(history, graph, smoothing=smoothing)
     worst = 0.0
-    for config in enumerate_configurations(graph):
+    for config in all_configurations(graph):
         ratio = naive_density(bad, config) / naive_density(good, config)
         expected = 1.0 / (alpha + ratio * (1.0 - alpha))
         actual = expected_improvement_many(model, np.asarray([config]))[0]
@@ -292,7 +291,7 @@ def test_08_simulation_accounting_and_makespan():
     start = time.perf_counter()
     # Accounting identity on a merged multi-config DAG with failures.
     graph = chain_graph(4, 2)
-    dag = build_dag(list(enumerate_configurations(graph)), graph)
+    dag = build_dag(list(all_configurations(graph)), graph)
     report = simulate(dag, dag.version == 0, workers=3)
     assert report.attempted + report.skipped == dag.node_count
     assert report.attempted == report.succeeded + report.failed

@@ -16,8 +16,7 @@ from buildtuner import (
     js_divergence,
     pair_compatibility,
 )
-from buildtuner.configspace import enumerate_configurations
-from helpers import chain_graph, distinct_records, two_package_graph
+from helpers import all_configurations, chain_graph, distinct_records, two_package_graph
 
 
 def plain_js(p, q):
@@ -86,7 +85,7 @@ def _planted_model():
     graph = chain_graph(3, 2)
     records = [
         BuildRecord(c, not (c[0] == 1 and c[1] == 0))
-        for c in enumerate_configurations(graph)
+        for c in all_configurations(graph)
     ]
     return fit(records, graph)
 
@@ -215,7 +214,7 @@ class TestExtractConstraints:
     def test_orders_by_score_then_versions(self):
         graph = chain_graph(2, 3)
         records = []
-        for config in enumerate_configurations(graph):
+        for config in all_configurations(graph):
             # v3 parents fail with everything; v2 parents fail with v1 child.
             good = not (config[0] == 2 or (config[0] == 1 and config[1] == 0))
             records.append(BuildRecord(config, good))

@@ -38,13 +38,12 @@ from buildtuner.configspace import (
     DependencyGraph,
     GraphError,
     check_configuration,
-    enumerate_configurations,
     full_space_matrix,
     random_configurations,
     validate_graph,
 )
 from buildtuner.rng import derive_seed
-from helpers import chain_graph, diamond_graph, two_package_graph
+from helpers import all_configurations, chain_graph, diamond_graph, two_package_graph
 
 
 def _always(dag: BuildDag) -> list[bool]:
@@ -212,7 +211,7 @@ class TestDagAgainstReference:
     def test_diamond_dags(self):
         _assert_same_dag([(0, 0, 0, 0)], diamond_graph())
         graph = _wide_diamond_graph()
-        _assert_same_dag(list(enumerate_configurations(graph)), graph)
+        _assert_same_dag(list(all_configurations(graph)), graph)
 
     def test_duplicated_configurations(self):
         graph = _wide_diamond_graph()
@@ -226,7 +225,7 @@ class TestDagAgainstReference:
 
     def test_generator_input(self):
         graph = chain_graph(4, 3)
-        configs = list(enumerate_configurations(graph))
+        configs = list(all_configurations(graph))
         dag = build_dag(iter(configs), graph)
         assert (_unit_view(dag, graph), dag.origins) == _reference_build_dag(configs, graph)
 
@@ -328,7 +327,7 @@ class TestRankedDag:
     def test_hash_blocks_give_the_same_dag(self, monkeypatch, block):
         monkeypatch.setattr(buildsim, "_HASH_BLOCK", block)
         graph = _wide_diamond_graph()
-        _assert_same_dag(list(enumerate_configurations(graph)), graph)
+        _assert_same_dag(list(all_configurations(graph)), graph)
         graph, _ = generate_benchmark(7, [2, 3, 4, 1, 3, 2, 5], 0.3, 0.5, seed=3)
         _assert_same_dag(random_configurations(graph, np.random.default_rng(7), 100), graph)
 
@@ -342,7 +341,7 @@ class TestRankedDag:
             root=0,
         )
         validate_graph(graph)
-        dag = _assert_same_dag(list(enumerate_configurations(graph)), graph)
+        dag = _assert_same_dag(list(all_configurations(graph)), graph)
         by_child = defaultdict(list)  # root unit rank -> dependency digests, in child order
         unit, dep = (side.tolist() for side in dag.edges)
         for u, d in sorted(zip(unit, dep), key=lambda pair: dag.package[pair[1]]):
@@ -486,7 +485,7 @@ class TestSimulateAgainstReference:
                              ids=["unit", "tied-by-digest"])
     def test_failures_skip_subtrees(self, workers, latency_of):
         graph = _wide_diamond_graph()
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         assert dag.node_count < 1000
         builds = [unit not in {("L", "l2"), ("M2", "y")} for unit in _unit_names(dag, graph)]
         latencies = None if latency_of is None else np.array(list(map(latency_of, dag.digests)))
@@ -495,7 +494,7 @@ class TestSimulateAgainstReference:
 
     def test_workers_past_the_unit_count_change_nothing(self):
         graph = chain_graph(3, 3)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         reports = [simulate(dag, _always(dag), workers=w) for w in (dag.node_count, 10**20)]
         assert _same_report(*reports)
         assert reports[0].event_worker.max() < dag.node_count
@@ -509,7 +508,7 @@ class TestStreamedReport:
     @pytest.mark.parametrize("makespan", [0.0, 0.1 + 0.2, 1e-7, 1e16, 3.0, 12345.678])
     def test_equals_json_dumps(self, makespan):
         graph = chain_graph(3, 3)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         report = dataclasses.replace(simulate(dag, dag.version != 1, workers=2),
                                      makespan=makespan)
         assert "".join(report.json_chunks()) == _report_text(report)
@@ -549,7 +548,7 @@ class TestStreamedReport:
         """Status lines look nothing up by NodeStatus member, whose hash runs
         Python-level enum code."""
         graph = chain_graph(3, 3)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         report = simulate(dag, dag.version != 1, workers=2)
         expected = _report_text(report)
 
@@ -585,7 +584,7 @@ def test_build_and_simulate_peak_memory():
 class TestSimulate:
     def test_all_succeed_accounting(self):
         graph = chain_graph(3, 2)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         report = simulate(dag, _always(dag), workers=3)
         assert report.attempted == dag.node_count
         assert report.succeeded == dag.node_count
@@ -609,7 +608,7 @@ class TestSimulate:
 
     def test_accounting_identity_with_failures(self):
         graph = chain_graph(4, 2)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         report = simulate(dag, dag.version == 0, workers=2)
         assert report.attempted + report.skipped == dag.node_count
         assert report.attempted == report.succeeded + report.failed
@@ -623,14 +622,14 @@ class TestSimulate:
 
     def test_single_worker_makespan_is_total_latency(self):
         graph = chain_graph(3, 2)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         latencies = [0.5 + (d.encode()[0] % 7) / 8 for d in dag.digests]
         report = simulate(dag, _always(dag), workers=1, latencies=latencies)
         assert report.makespan == pytest.approx(sum(latencies))
 
     def test_makespan_monotone_in_workers(self):
         graph = chain_graph(4, 2)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         spans = [
             simulate(dag, _always(dag), workers=w).makespan for w in (1, 2, 4, 8, 32)
         ]
@@ -639,7 +638,7 @@ class TestSimulate:
     def test_schedule_is_valid(self):
         """Events respect dependency order and workers never overlap."""
         graph = chain_graph(4, 2)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         latencies = [1.0 + (d.encode()[1] % 5) / 4 for d in dag.digests]
         report = simulate(dag, dag.version == 0, workers=3, latencies=latencies)
         view = _unit_view(dag, graph)
@@ -658,7 +657,7 @@ class TestSimulate:
 
     def test_deterministic_schedule(self):
         graph = chain_graph(3, 3)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         a = simulate(dag, _always(dag), workers=2)
         b = simulate(dag, _always(dag), workers=2)
         assert _events(a) == _events(b)
@@ -718,7 +717,7 @@ class TestSimulate:
     def test_vectors_are_read_by_rank(self):
         """A list and an array of the same entries give the same report."""
         graph = chain_graph(3, 3)
-        dag = build_dag(list(enumerate_configurations(graph)), graph)
+        dag = build_dag(list(all_configurations(graph)), graph)
         builds = dag.version != 2
         latencies = np.linspace(0.5, 2.0, dag.node_count)
         assert _same_report(simulate(dag, builds, workers=3, latencies=latencies),
@@ -867,7 +866,7 @@ class TestSyntheticOracle:
     def test_noise_is_deterministic(self):
         a = self._oracle(noise=0.4, seed=9)
         b = self._oracle(noise=0.4, seed=9)
-        configs = list(enumerate_configurations(a.graph))
+        configs = list(all_configurations(a.graph))
         assert [a.evaluate(c) for c in configs] == [b.evaluate(c) for c in configs]
         c = self._oracle(noise=0.4, seed=10)
         assert [a.evaluate(x) for x in configs] != [c.evaluate(x) for x in configs]
@@ -875,7 +874,7 @@ class TestSyntheticOracle:
     def test_noise_only_removes_good(self):
         clean = self._oracle()
         noisy = self._oracle(noise=0.4, seed=3)
-        for config in enumerate_configurations(clean.graph):
+        for config in all_configurations(clean.graph):
             if not clean.evaluate(config):
                 assert not noisy.evaluate(config)
 
@@ -885,7 +884,7 @@ class TestSyntheticOracle:
         space = enumerate_records(oracle)
         good = set(map(tuple, space.rows[space.built].tolist()))
         assert len(good) == space.good_count
-        for config in enumerate_configurations(oracle.graph):
+        for config in all_configurations(oracle.graph):
             assert (config in good) == oracle.evaluate(config)
 
     def test_enumerate_records_labels_whole_space(self):
@@ -898,7 +897,7 @@ class TestSyntheticOracle:
         graph, rules = generate_benchmark(6, 3, 0.5, 0.3, seed=11)
         oracle = SyntheticOracle(graph, PlantedRuleSet(rules.forbidden, noise=0.05), seed=3)
         space = enumerate_records(oracle)
-        configs = list(enumerate_configurations(graph))
+        configs = list(all_configurations(graph))
         assert [r.config for r in space] == configs
         assert [r.outcome for r in space] == [oracle.evaluate(c) for c in configs]
         # The noise hash turned some rule-abiding configurations bad.
@@ -952,7 +951,7 @@ class TestPlantedOutcome:
         rules = PlantedRuleSet(forbidden=frozenset({("A", "v1", "B", "v2"),
                                                     ("B", "v1", "C", "v2")}))
         oracle = SyntheticOracle(graph, rules)
-        configs = list(enumerate_configurations(graph))
+        configs = list(all_configurations(graph))
         dag = build_dag(configs, graph)
         statuses = _statuses(simulate(dag, planted_outcome(dag, rules, graph), workers=4))
         for config in configs:

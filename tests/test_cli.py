@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 import buildtuner
 from buildtuner import (
     Dataset,
+    DependencyGraph,
     GraphError,
     PlantedRuleSet,
-    enumerate_configurations,
     fit,
     load_dataset,
     load_graph,
@@ -36,7 +36,8 @@ from buildtuner import (
 from buildtuner import buildsim
 from buildtuner.buildsim import SyntheticOracle, enumerate_records, save_rules
 from buildtuner.cli import dispatch
-from helpers import chain_graph, distinct_records
+from buildtuner.configspace import full_space_matrix
+from helpers import all_configurations, chain_graph, distinct_records
 
 
 @pytest.fixture()
@@ -473,6 +474,19 @@ class TestSimulateCommand:
         assert err.splitlines() == [
             "error: latency sigma -1.0 (--latency-sigma) is not finite and >= 0"]
 
+    @pytest.mark.parametrize("latency, sigma", [([], "2"), (["--latency", "unit"], "nan")])
+    def test_sigma_without_lognormal_is_a_usage_error(self, capsys, workspace, latency, sigma):
+        out = workspace / "sim.json"
+        code, _, err = _run(
+            ["simulate", "--graph", str(workspace / "graph.json"),
+             "--rules", str(workspace / "rules.json"), "--sample", "4", *latency,
+             "--latency-sigma", sigma, "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err.splitlines() == ["--latency-sigma needs --latency lognormal"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
                                              ("--latency-sigma", "-1"),
                                              ("--latency-sigma", "nan"),
@@ -703,6 +717,57 @@ class TestGenSyntheticCommand:
         assert code == 2
 
 
+class TestLargeGraphs:
+    """Graphs deeper than the interpreter's recursion limit, and with more
+    packages than numpy has array dimensions."""
+
+    def test_deep_chain_simulates(self, capsys, tmp_path):
+        n = 1200
+        graph = DependencyGraph(
+            packages=tuple(f"p{i:04d}" for i in range(n)),
+            domains=(("v1", "v2"),) * n,
+            edges=tuple((i, i + 1) for i in range(n - 1)),
+            root=0,
+        )
+        save_graph(graph, str(tmp_path / "graph.json"))
+        save_rules(PlantedRuleSet(forbidden=frozenset()), str(tmp_path / "rules.json"))
+        code, out, err = _run(
+            ["simulate", "--graph", str(tmp_path / "graph.json"),
+             "--rules", str(tmp_path / "rules.json"), "--sample", "1"],
+            capsys,
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["nodes"] == report["succeeded"] == n
+
+    def test_seventy_packages_enumerate_and_run(self, capsys, tmp_path):
+        """Five packages of three versions among 70: a space of 243 rows."""
+        versions = ",".join("3" if i % 14 == 0 else "1" for i in range(70))
+        code, _, err = _run(
+            ["gen-synthetic", "--packages", "70", "--versions", versions,
+             "--target-rate", "0.5", "--rule-density", "0.5", "--seed", "3",
+             "--out-graph", str(tmp_path / "graph.json"),
+             "--out-rules", str(tmp_path / "rules.json"),
+             "--emit-data", str(tmp_path / "data.jsonl")],
+            capsys,
+        )
+        assert code == 0, err
+        graph = load_graph(str(tmp_path / "graph.json"))
+        assert graph.n_packages == 70
+        matrix = full_space_matrix(graph)
+        assert matrix.dtype == np.int32
+        assert list(map(tuple, matrix.tolist())) == list(all_configurations(graph))
+        assert len(load_dataset(str(tmp_path / "data.jsonl"))) == 243
+        code, _, err = _run(
+            ["run", "--oracle", f"synthetic:{tmp_path / 'rules.json'}",
+             "--graph", str(tmp_path / "graph.json"), "--candidate-mode", "exhaustive",
+             "--bootstrap", "5", "--budget", "10", "--out", str(tmp_path / "trace.jsonl")],
+            capsys,
+        )
+        assert code == 0, err
+        assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == 10
+
+
 class TestSummaryCommand:
     def test_table(self, capsys, workspace):
         code, out, _ = _run(
@@ -727,7 +792,7 @@ def test_workspace_dataset_good_count(workspace):
     dataset = load_dataset(str(workspace / "data.jsonl"))
     graph = chain_graph(3, 3)
     bad = sum(
-        1 for c in enumerate_configurations(graph) if c[0] == 0 and c[1] == 1
+        1 for c in all_configurations(graph) if c[0] == 0 and c[1] == 1
     )
     assert len(dataset) - dataset.good_count == bad == 3
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from buildtuner import (
     DependencyGraph,
     GraphError,
     config_digest,
-    enumerate_configurations,
     load_graph,
     random_configuration,
     save_graph,
@@ -28,7 +28,7 @@ from buildtuner.configspace import (
     full_space_matrix,
     random_configurations,
 )
-from helpers import chain_graph, two_package_graph
+from helpers import all_configurations, chain_graph, two_package_graph
 
 
 def test_valid_chain_passes():
@@ -105,7 +105,7 @@ def test_space_size_is_domain_product():
 
 def test_enumeration_matches_space_size():
     graph = chain_graph(3, 3)
-    configs = list(enumerate_configurations(graph))
+    configs = list(all_configurations(graph))
     assert len(configs) == space_size(graph) == 27
     assert len(set(configs)) == 27
     matrix = full_space_matrix(graph)
@@ -193,6 +193,77 @@ def test_check_rows_agrees_with_check_configuration(configs):
         assert check_rows(graph, configs).tolist() == [[int(v) for v in c] for c in configs]
 
 
+def test_cycle_below_an_acyclic_prefix_names_its_lowest_package():
+    graph = DependencyGraph(
+        packages=("R", "A", "B", "C"),
+        domains=(("v1",),) * 4,
+        edges=((0, 1), (1, 2), (2, 3), (3, 2)),
+        root=0,
+    )
+    with pytest.raises(GraphError) as raised:
+        validate_graph(graph)
+    assert str(raised.value) == "cycle through package 2 ('B')"
+    assert graph.topological_order == (0, 1)
+
+
+def _reference_topological_order(graph):
+    """Kahn's sort over a heap of ready packages, written out as the
+    reference for DependencyGraph.topological_order."""
+    waiting = [0] * graph.n_packages
+    for _, child in graph.edges:
+        waiting[child] += 1
+    ready = [i for i, count in enumerate(waiting) if count == 0]
+    order = []
+    while ready:
+        package = heapq.heappop(ready)
+        order.append(package)
+        for child in graph.children_map[package]:
+            waiting[child] -= 1
+            if waiting[child] == 0:
+                heapq.heappush(ready, child)
+    return order
+
+
+@st.composite
+def _digraphs(draw, acyclic: bool):
+    """A graph of up to 9 one-version packages and its edges; acyclic ones
+    point down a drawn ranking of the packages, so a parent may have any index."""
+    n = draw(st.integers(1, 9))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda pair: pair[0] != pair[1]), max_size=3 * n))
+    if acyclic:
+        pairs = {(rank[min(a, b)], rank[max(a, b)]) for a, b in pairs}
+    return DependencyGraph(packages=tuple(f"p{i}" for i in range(n)), domains=(("v1",),) * n,
+                           edges=tuple(sorted(pairs)), root=rank[0])
+
+
+@given(_digraphs(acyclic=True))
+@settings(max_examples=150, deadline=None)
+def test_topological_order_puts_parents_first_and_equals_the_reference(graph):
+    order = graph.topological_order
+    assert sorted(order) == list(range(graph.n_packages))
+    place = {package: at for at, package in enumerate(order)}
+    assert all(place[parent] < place[child] for parent, child in graph.edges)
+    assert list(order) == _reference_topological_order(graph)
+
+
+@given(_digraphs(acyclic=False))
+@settings(max_examples=150, deadline=None)
+def test_cycle_message_names_the_lowest_package_left_out(graph):
+    left_out = set(range(graph.n_packages)).difference(_reference_topological_order(graph))
+    try:
+        validate_graph(graph)
+    except GraphError as exc:
+        if left_out:
+            cyclic = min(left_out)
+            assert str(exc) == f"cycle through package {cyclic} ({graph.packages[cyclic]!r})"
+        else:
+            assert "cycle" not in str(exc)
+    else:
+        assert not left_out
+
+
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_first_occurrences_keeps_each_rows_first_copy(configs):
@@ -226,7 +297,7 @@ class TestDigest:
 
     def test_distinct_configs_distinct_digests(self):
         graph = chain_graph(3, 3)
-        digests = {config_digest(graph, c) for c in enumerate_configurations(graph)}
+        digests = {config_digest(graph, c) for c in all_configurations(graph)}
         assert len(digests) == space_size(graph)
 
     def test_single_version_change_changes_digest(self):
@@ -408,5 +479,5 @@ def test_random_trees_validate_and_sample(graph, seed):
     validate_graph(graph)
     config = random_configuration(graph, np.random.default_rng(seed))
     check_configuration(graph, config)
-    assert len(set(config_digest(graph, c) for c in enumerate_configurations(graph))) \
+    assert len(set(config_digest(graph, c) for c in all_configurations(graph))) \
         == space_size(graph)

@@ -16,7 +16,6 @@ from buildtuner import (
     DatasetOracle,
     GraphError,
     config_digest,
-    enumerate_configurations,
     load_dataset,
     save_dataset,
     space_size,
@@ -24,7 +23,13 @@ from buildtuner import (
     summarize,
 )
 from buildtuner.configspace import first_occurrences, full_space_matrix, save_graph, validate_graph
-from helpers import chain_graph, distinct_records, reference_load_dataset, wide_graph
+from helpers import (
+    all_configurations,
+    chain_graph,
+    distinct_records,
+    reference_load_dataset,
+    wide_graph,
+)
 
 
 def _write(tmp_path, lines):
@@ -196,7 +201,7 @@ def _star_graph(names, domains) -> DependencyGraph:
 
 
 def _labeled_space(graph, outcomes) -> Dataset:
-    configs = list(enumerate_configurations(graph))
+    configs = list(all_configurations(graph))
     return Dataset(graph, [BuildRecord(c, next(outcomes)) for c in configs])
 
 

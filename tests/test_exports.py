@@ -1,7 +1,9 @@
-"""Every name a buildtuner module exports in __all__, and every name the
-benchmark tracer wraps, exists on its module."""
+"""Every name a buildtuner module exports in __all__, every name the
+benchmark tracer wraps, and every module attribute the benchmark workloads
+and their tests read, exists on its module."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -49,4 +51,51 @@ def test_traced_names_resolve():
                if not callable(getattr(module(name), attr, None))]
     missing += [f"{name}.{cls}.{method}" for name, cls, method, _ in tracing.METHODS
                 if method not in vars(getattr(module(name), cls, object))]
+    assert missing == []
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _module_reads(tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, attribute) for each ``module.attr``, ``workloads.module.attr``
+    and ``setattr(workloads.module, "attr", ...)`` in tree, where module is
+    one of the buildtuner modules named in modules."""
+
+    def module_of(node) -> str | None:
+        if isinstance(node, ast.Name) and node.id in modules:
+            return node.id
+        if (isinstance(node, ast.Attribute) and node.attr in modules
+                and isinstance(node.value, ast.Name) and node.value.id == "workloads"):
+            return node.attr
+        return None
+
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and module_of(node.value):
+            reads.add((module_of(node.value), node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setattr" and len(node.args) >= 2
+              and module_of(node.args[0]) and isinstance(node.args[1], ast.Constant)):
+            reads.add((module_of(node.args[0]), node.args[1].value))
+    return reads
+
+
+def test_benchmark_reads_resolve():
+    """Every buildtuner module attribute that benchmarks/workloads.py and
+    benchmarks/test_benchmark.py read exists, so that deleting one fails
+    here rather than in a benchmark run."""
+    workloads = ast.parse((BENCHMARKS / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(workloads)
+               if isinstance(node, ast.ImportFrom) and node.module == "buildtuner"
+               for alias in node.names if alias.name in MODULES}
+    assert {"configspace", "metrics", "sampler"} <= modules
+    reads = set()
+    for name in ("workloads.py", "test_benchmark.py"):
+        reads |= _module_reads(ast.parse((BENCHMARKS / name).read_text(encoding="utf-8")),
+                               modules)
+    assert {("configspace", "random_configuration"), ("buildsim", "synthetic_oracle"),
+            ("metrics", "run")} <= reads
+    missing = [f"{module}.{attr}" for module, attr in sorted(reads)
+               if not hasattr(importlib.import_module(f"buildtuner.{module}"), attr)]
     assert missing == []

@@ -1,4 +1,4 @@
-"""Prefix precision/recall, ranking area, and the two evaluation protocols."""
+"""Ranking area, and the two evaluation protocols with their prefix precision/recall."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from buildtuner import (
-    BuildRecord,
     Dataset,
     DatasetOracle,
     SamplerConfig,
@@ -17,8 +16,6 @@ from buildtuner import (
     crowd_score_many,
     derive_seed,
     expected_improvement_many,
-    precision,
-    recall,
     run,
     split_train_test,
     substream,
@@ -39,26 +36,6 @@ def brute_force_auprc(ranked):
             hits = sum(1 for _, y in prefix if y)
             area += (hits / k) / total_true
     return area
-
-
-class TestPrecisionRecall:
-    def test_values(self):
-        history = [BuildRecord((0,), True), BuildRecord((1,), False),
-                   BuildRecord((2,), True)]
-        assert precision(history) == pytest.approx(2 / 3)
-        assert recall(history, 4) == pytest.approx(0.5)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError, match="empty history"):
-            precision([])
-
-    def test_nonpositive_total_rejected(self):
-        with pytest.raises(ValueError, match="positive total good"):
-            recall([BuildRecord((0,), True)], 0)
-
-    def test_recall_denominator_is_ground_truth(self):
-        history = [BuildRecord((i,), True) for i in range(3)]
-        assert recall(history, 10) == pytest.approx(0.3)
 
 
 class TestAuprc:
@@ -145,6 +122,32 @@ class TestSweepExperiment:
             assert reports[strategy].mean_p == reference.mean_p
             assert reports[strategy].mean_r == reference.mean_r
             assert reports[strategy].sd_p == reference.sd_p
+
+    def test_prefix_values_from_the_replayed_histories(self):
+        """A prefix's precision is its good records over its length, and its
+        recall those over the dataset's good count, not the history's."""
+        dataset = _replay_dataset()
+        sizes = (1, 5, 7, 20, 33)
+        reports = sweep_experiment(dataset, ("bayesian", "crowd", "random"), sizes,
+                                   repetitions=3, base_seed=11, bootstrap_size=5)
+        for strategy, report in reports.items():
+            p_values, r_values = [], []
+            for seed in report.seeds:
+                cfg = SamplerConfig(strategy=strategy, bootstrap_size=5,
+                                    budget=max(sizes) - 5, seed=seed)
+                history = run(DatasetOracle(dataset), dataset.graph, cfg).history
+                found = [sum(r.outcome for r in history.entries[:size]) for size in sizes]
+                p_values.append([good / size for good, size in zip(found, sizes)])
+                r_values.append([good / dataset.good_count for good in found])
+            p_values, r_values = np.array(p_values), np.array(r_values)
+            assert report.mean_p == tuple(float(np.mean(p_values[:, j]))
+                                          for j in range(len(sizes)))
+            assert report.sd_p == tuple(float(np.std(p_values[:, j], ddof=1))
+                                        for j in range(len(sizes)))
+            assert report.mean_r == tuple(float(np.mean(r_values[:, j]))
+                                          for j in range(len(sizes)))
+            assert report.sd_r == tuple(float(np.std(r_values[:, j], ddof=1))
+                                        for j in range(len(sizes)))
 
     def test_single_repetition_has_zero_spread(self):
         dataset = _replay_dataset()

@@ -35,13 +35,12 @@ from buildtuner.buildsim import SyntheticOracle
 from buildtuner.configspace import (
     GraphError,
     check_rows,
-    enumerate_configurations,
     full_space_matrix,
     random_configurations,
 )
 from buildtuner.sampler import TraceEntry
 from buildtuner.surrogate import RatioIndex
-from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
+from helpers import all_configurations, chain_graph, distinct_records, two_package_graph, wide_graph
 
 
 class CountingOracle:
@@ -180,7 +179,7 @@ class TestHistory:
             "column view": full_space_matrix(graph).astype(np.int64)[:, ::-1],
         }
         for name, rows in sources.items():
-            assert sampler._row_keys(rows) == [sampler._row_key(row) for row in rows], name
+            assert configspace._row_keys(rows) == [configspace._row_key(row) for row in rows], name
             for row in rows:
                 assert (row in history) == (tuple(row.tolist()) == (2, 2, 2)), name
 
@@ -212,7 +211,7 @@ class TestBootstrap:
         config = SamplerConfig(bootstrap_size=4, seed=2)
         history = _bootstrap(CountingOracle(lambda c: True), graph, config)
         assert sorted(r.config for r in history) == sorted(
-            enumerate_configurations(graph)
+            all_configurations(graph)
         )
 
     def test_space_too_small(self):
@@ -289,7 +288,7 @@ class TestRun:
         result = run(CountingOracle(lambda c: True), graph, config)
         assert len(result.history) == 4
         assert sorted(r.config for r in result.history) == sorted(
-            enumerate_configurations(graph)
+            all_configurations(graph)
         )
 
     def test_no_duplicate_evaluations(self):
@@ -374,19 +373,19 @@ class TestRun:
         # Each config appears in a 3-of-8 draw with probability 3/8.
         expected = 3 / 8
         sigma = (expected * (1 - expected) / trials) ** 0.5
-        for config_key in enumerate_configurations(graph):
+        for config_key in all_configurations(graph):
             assert abs(hits[config_key] / trials - expected) < 4 * sigma
 
     @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
     def test_repeated_candidates_never_evaluated_twice(self, strategy):
         graph = chain_graph(3, 2)
-        listed = [c for c in enumerate_configurations(graph) for _ in range(3)]
+        listed = [c for c in all_configurations(graph) for _ in range(3)]
         oracle = ListedOracle(listed[::-1], lambda c: c[0] == 0)
         config = SamplerConfig(strategy=strategy, bootstrap_size=3, budget=20, seed=12)
         result = run(oracle, graph, config)
         assert len(oracle.calls) == len(set(oracle.calls)) == 8
         assert sorted(r.config for r in result.history) == sorted(
-            enumerate_configurations(graph)
+            all_configurations(graph)
         )
 
     def test_dataset_oracle_replay(self):

@@ -30,12 +30,11 @@ from buildtuner import (
 )
 from buildtuner.configspace import (
     GraphError,
-    enumerate_configurations,
     first_occurrences,
     full_space_matrix,
 )
 from buildtuner.surrogate import RatioIndex
-from helpers import chain_graph, distinct_records, two_package_graph, wide_graph
+from helpers import all_configurations, chain_graph, distinct_records, two_package_graph, wide_graph
 
 
 def direct_log_density(table: FactorTable, graph, config) -> float:
@@ -136,7 +135,7 @@ class TestLogDensity:
         matrix = full_space_matrix(graph)
         for side in (model.good, model.bad):
             many = log_density_many(side, matrix)
-            for row, config in zip(many, enumerate_configurations(graph)):
+            for row, config in zip(many, all_configurations(graph)):
                 assert row == pytest.approx(direct_log_density(side, graph, config), abs=1e-12)
 
     @pytest.mark.parametrize("graph", [chain_graph(3, 2), wide_graph(10, 2)],
@@ -146,7 +145,7 @@ class TestLogDensity:
         model = fit(distinct_records(graph, 6, rng, lambda c: c[0] == 0), graph)
         matrix = full_space_matrix(graph)
         many = log_density_many(model.good, matrix)
-        for row, config in zip(many, enumerate_configurations(graph)):
+        for row, config in zip(many, all_configurations(graph)):
             assert log_density_many(model.good, np.asarray([config]))[0] == row
 
 
@@ -170,7 +169,7 @@ class TestExpectedImprovement:
         model = fit(distinct_records(graph, 7, rng, lambda c: c[1] == 0), graph)
         matrix = full_space_matrix(graph)
         many = expected_improvement_many(model, matrix)
-        for row, config in zip(many, enumerate_configurations(graph)):
+        for row, config in zip(many, all_configurations(graph)):
             score = expected_improvement_many(model, np.asarray([config]))[0]
             assert score == pytest.approx(row, abs=1e-15)
             # Direct recomputation from the two log densities.
@@ -264,7 +263,7 @@ class TestCrowdScore:
         matrix = full_space_matrix(graph)
         many = crowd_score_many(model, matrix)
         assert np.count_nonzero(many) > 0
-        for row, config in zip(many, enumerate_configurations(graph)):
+        for row, config in zip(many, all_configurations(graph)):
             assert crowd_score_many(model, np.asarray([config]))[0] == row
 
 
@@ -905,7 +904,7 @@ def test_argmax_agrees_with_bruteforce_selection():
     many = expected_improvement_many(model, matrix)
     brute = np.array([
         expected_improvement_many(model, np.asarray([config]))[0]
-        for config in enumerate_configurations(graph)
+        for config in all_configurations(graph)
     ])
     assert int(np.argmax(many)) == int(np.argmax(brute))
     np.testing.assert_allclose(many, brute, atol=1e-15)
