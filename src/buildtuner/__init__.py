@@ -41,11 +41,9 @@ from .dataset import (
     Dataset,
     DatasetError,
     DatasetOracle,
-    DatasetSummary,
     load_dataset,
     save_dataset,
     split_train_test,
-    summarize,
 )
 from .metrics import (
     ExperimentReport,

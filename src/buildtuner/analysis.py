@@ -9,7 +9,7 @@ candidate constraints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +67,7 @@ class ImportanceEntry:
     score: float
 
     def to_dict(self) -> dict:
-        return {"target": self.target, "score": self.score}
+        return asdict(self)
 
 
 def importance_ranking(
@@ -150,13 +150,7 @@ class ForbiddenPair:
     ei: float
 
     def to_dict(self) -> dict:
-        return {
-            "parent": self.parent,
-            "parent_version": self.parent_version,
-            "child": self.child,
-            "child_version": self.child_version,
-            "ei": self.ei,
-        }
+        return asdict(self)
 
 
 def extract_constraints(

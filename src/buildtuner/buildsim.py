@@ -36,6 +36,8 @@ from .configspace import (
     DependencyGraph,
     GraphError,
     _digest,
+    _read_json,
+    _write_json,
     check_configuration,
     check_rows,
     full_space_matrix,
@@ -460,18 +462,11 @@ class PlantedRuleSet:
 
 
 def load_rules(path: str) -> PlantedRuleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RulesError(f"{path}: invalid JSON: {exc}") from exc
-    return PlantedRuleSet.from_dict(payload)
+    return PlantedRuleSet.from_dict(_read_json(path, RulesError))
 
 
 def save_rules(rules: PlantedRuleSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rules.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, rules.to_dict())
 
 
 class SyntheticOracle:

@@ -20,13 +20,7 @@ import numpy as np
 
 from . import analysis, buildsim, metrics, sampler, surrogate
 from .configspace import load_graph, random_configurations, save_graph, space_size
-from .dataset import (
-    Dataset,
-    DatasetOracle,
-    load_dataset,
-    save_dataset,
-    summarize,
-)
+from .dataset import Dataset, DatasetOracle, load_dataset, save_dataset
 from .rng import derive_seed, substream
 
 __all__ = ["dispatch", "main"]
@@ -166,7 +160,7 @@ def _cmd_auprc(args) -> int:
         "seeds": seeds,
         "values": values,
         "mean": float(arr.mean()),
-        "sd": float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0,
+        "sd": metrics._spread(arr),
     }
     _write_text(args.out, _json_text(payload))
     return 0
@@ -253,15 +247,15 @@ def _cmd_gen_synthetic(args) -> int:
         target_rate=args.target_rate,
         seed=args.seed,
     )
+    if args.emit_data and space_size(graph) > _ENUMERATION_EMIT_LIMIT:
+        raise ValueError(
+            f"space of {space_size(graph)} configurations is too large to "
+            f"enumerate into a dataset (limit {_ENUMERATION_EMIT_LIMIT})"
+        )
     save_graph(graph, args.out_graph)
     buildsim.save_rules(rules, args.out_rules)
     if args.emit_data:
         oracle = buildsim.SyntheticOracle(graph, rules, seed=args.seed)
-        if space_size(graph) > _ENUMERATION_EMIT_LIMIT:
-            raise ValueError(
-                f"space of {space_size(graph)} configurations is too large to "
-                f"enumerate into a dataset (limit {_ENUMERATION_EMIT_LIMIT})"
-            )
         dataset = buildsim.enumerate_records(oracle)
         graph_rel = os.path.relpath(
             os.path.abspath(args.out_graph),
@@ -273,14 +267,14 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_summary(args) -> int:
     dataset = _load_data(args.data, None)
-    summary = summarize(dataset)
+    # Dependencies are the packages other than the root.
+    counts = {"configs": len(dataset), "good": dataset.good_count,
+              "deps": dataset.graph.n_packages - 1}
     if args.format == "json":
-        _write_text(args.out, _json_text(summary.to_dict()))
+        _write_text(args.out, _json_text(counts))
     else:
-        pairs = [("configs", summary.configs), ("good", summary.good),
-                 ("deps", summary.deps)]
-        width = max(len(k) for k, _ in pairs)
-        lines = [f"{k:<{width}}  {v}" for k, v in pairs]
+        width = max(map(len, counts))
+        lines = [f"{k:<{width}}  {v}" for k, v in counts.items()]
         _write_text(args.out, "".join(line + "\n" for line in lines))
     return 0
 
@@ -398,7 +392,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -195,7 +195,8 @@ def validate_graph(graph: DependencyGraph) -> None:
     """Check all structural invariants; raise GraphError at the first failure.
 
     Checks run in a fixed order: root index, domains (empty, duplicates),
-    edges (dangling, self-edge), acyclicity, reachability from the root.
+    edges (dangling, self-edge), acyclicity (naming a cycle's lowest
+    package), reachability from the root (naming the lowest orphan).
     """
     n = graph.n_packages
     if n == 0:
@@ -218,18 +219,17 @@ def validate_graph(graph: DependencyGraph) -> None:
             raise GraphError(f"self-edge at package {parent}")
     left_out = set(range(n)).difference(graph.topological_order)
     if left_out:
-        cyclic = min(left_out)
+        # Each package left out has a parent left out: walking up meets a cycle.
+        walk, package = [], min(left_out)
+        while package not in walk:
+            walk.append(package)
+            package = min(p for p, c in graph.edges if c == package and p in left_out)
+        cyclic = min(walk[walk.index(package):])
         raise GraphError(f"cycle through package {cyclic} ({graph.packages[cyclic]!r})")
-    reachable = {graph.root}
-    stack = [graph.root]
-    while stack:
-        node = stack.pop()
-        for child in graph.children_map[node]:
-            if child not in reachable:
-                reachable.add(child)
-                stack.append(child)
-    if len(reachable) != n:
-        missing = min(set(range(n)) - reachable)
+    # Acyclic: the root reaches every package unless another has no parent.
+    orphans = set(range(n)).difference([graph.root], (c for _, c in graph.edges))
+    if orphans:
+        missing = min(orphans)
         raise GraphError(
             f"package {missing} ({graph.packages[missing]!r}) unreachable from root"
         )
@@ -393,16 +393,25 @@ def config_from_labels(graph: DependencyGraph, versions: dict[str, str]) -> Conf
         )
 
 
-def load_graph(path: str) -> DependencyGraph:
+def _read_json(path: str, error: type[ValueError]):
+    """The JSON value in the file at path; error, naming path, if it is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: invalid JSON: {exc}") from exc
-    return DependencyGraph.from_dict(payload)
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _write_json(path: str, payload) -> None:
+    """Write payload to path as JSON, indented, keys sorted, and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_graph(path: str) -> DependencyGraph:
+    return DependencyGraph.from_dict(_read_json(path, GraphError))
 
 
 def save_graph(graph: DependencyGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, graph.to_dict())

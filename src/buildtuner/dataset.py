@@ -42,12 +42,10 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "DatasetOracle",
-    "DatasetSummary",
     "FORMAT_VERSION",
     "load_dataset",
     "save_dataset",
     "split_train_test",
-    "summarize",
 ]
 
 FORMAT_VERSION = 1
@@ -74,16 +72,6 @@ class BuildRecord:
 
     config: Configuration
     outcome: bool
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    configs: int
-    good: int
-    deps: int
-
-    def to_dict(self) -> dict:
-        return {"configs": self.configs, "good": self.good, "deps": self.deps}
 
 
 class Dataset:
@@ -143,15 +131,6 @@ class Dataset:
 
 def _duplicate(graph: DependencyGraph, config: Configuration) -> str:
     return f"duplicate configuration with digest {config_digest(graph, config)}"
-
-
-def summarize(dataset: Dataset) -> DatasetSummary:
-    """Counts of records, good records, and dependencies (packages minus root)."""
-    return DatasetSummary(
-        configs=len(dataset),
-        good=dataset.good_count,
-        deps=dataset.graph.n_packages - 1,
-    )
 
 
 def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:

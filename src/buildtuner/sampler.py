@@ -15,7 +15,7 @@ tuple only there, and a digest only when the run's trace is read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Protocol, Sequence
 
@@ -114,8 +114,7 @@ class TraceEntry:
     built: bool
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "digest": self.digest, "score": self.score,
-                "built": self.built}
+        return asdict(self)
 
 
 class ObservationHistory:

@@ -34,7 +34,6 @@ least log ratio, and no step exponentiates every row.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -42,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .configspace import DependencyGraph, GraphError, check_rows
+from .configspace import DependencyGraph, GraphError, _read_json, _write_json, check_rows
 from .dataset import BuildRecord, Dataset
 
 __all__ = [
@@ -93,24 +92,24 @@ class FactorLayout:
         self.offsets = np.concatenate(([0], np.cumsum(self.factor_sizes)))
         self.size = int(self.offsets[-1])
         self.cell_sizes = np.repeat(self.factor_sizes, self.factor_sizes)
-        k = self.n_nodes = len(sizes)
+        self.n_nodes = len(sizes)
         self._parents = np.array([p for p, _ in edges], dtype=np.intp)
         self._children = np.array([c for _, c in edges], dtype=np.intp)
-        self._strides = np.array([sizes[c] for _, c in edges], dtype=np.int32)[:, None]
-        self._node_offsets = self.offsets[:k, None].astype(np.int32)
-        self._edge_offsets = self.offsets[k:-1, None].astype(np.int32)
+        self._strides = np.array([sizes[c] for _, c in edges], dtype=np.intp)[:, None]
 
     def cells(self, rows: np.ndarray) -> np.ndarray:
-        """Flat cell of each row of the int matrix rows in each factor, as a
-        matrix with a line per factor and a column per row of rows."""
+        """Flat cell of each row of the int matrix rows in each factor, as an
+        intp matrix with a line per factor and a column per row of rows;
+        np.take would convert any other index type at every call."""
         k = self.n_nodes
-        by_package = rows.T.astype(np.int32)
-        cells = np.empty((self.factor_sizes.size, rows.shape[0]), dtype=np.int32)
-        np.add(by_package, self._node_offsets, out=cells[:k])
+        cells = np.empty((self.factor_sizes.size, rows.shape[0]), dtype=np.intp)
+        by_package = cells[:k]
+        by_package[...] = rows.T
         edges = cells[k:]
         np.multiply(by_package[self._parents], self._strides, out=edges)
         edges += by_package[self._children]
-        edges += self._edge_offsets
+        edges += self.offsets[k:-1, None]
+        by_package += self.offsets[:k, None]
         return cells
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -257,8 +256,12 @@ def fit(
         rows = check_rows(graph, [record.config for record in records])
         built = np.array([bool(record.outcome) for record in records], dtype=bool)
     empty = SideStats.empty(FactorLayout(graph.domain_sizes, graph.edges))
-    good = empty.add(rows[built])
-    bad = empty.add(rows[~built])
+    return _from_counts(graph, smoothing, empty.add(rows[built]), empty.add(rows[~built]))
+
+
+def _from_counts(graph: DependencyGraph, smoothing: float, good: SideStats,
+                 bad: SideStats) -> FactorModel:
+    """The model whose tables are smoothed from the counts good and bad."""
     return FactorModel(
         graph=graph,
         smoothing=smoothing,
@@ -583,9 +586,7 @@ def save_model(model: FactorModel, path: str) -> None:
         "good": side_payload(model.good_stats),
         "bad": side_payload(model.bad_stats),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def _field(data, key: str, kind, what: str, where: str = ""):
@@ -614,8 +615,7 @@ def _counts(value, shape: tuple[int, ...], n: int, where: str) -> np.ndarray:
 
 def load_model(path: str) -> FactorModel:
     """Read a saved model, checking every field; raise ValueError on a bad one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path, ValueError)
     version = payload.get("format") if isinstance(payload, dict) else None
     if type(version) is not int or version != 1:  # JSON true and 1.0 equal 1
         raise ValueError(f"unsupported model format {version!r}")
@@ -658,16 +658,7 @@ def load_model(path: str) -> FactorModel:
         counts = np.concatenate([c.ravel() for c in (*node_counts, *edges)])
         return SideStats(n=n, counts=counts, layout=layout)
 
-    good = side_stats("good")
-    bad = side_stats("bad")
-    model = FactorModel(
-        graph=graph,
-        smoothing=smoothing,
-        good_stats=good,
-        bad_stats=bad,
-        good=FactorTable.from_counts(good, smoothing),
-        bad=FactorTable.from_counts(bad, smoothing),
-    )
+    model = _from_counts(graph, smoothing, side_stats("good"), side_stats("bad"))
     prior = _field(payload, "success_prior", (int, float), "a number")
     if prior != model.success_prior:
         raise ValueError(

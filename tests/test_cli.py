@@ -290,6 +290,14 @@ class TestImportanceCommand:
         assert err.startswith("error: model field good.n is missing")
         assert "Traceback" not in err
 
+    def test_model_that_is_not_json_exits_two_naming_the_file(self, capsys, workspace):
+        model_path = workspace / "model.json"
+        model_path.write_text("{not json\n")
+        code, _, err = _run(["importance", "--model", str(model_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {model_path}: invalid JSON: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "0"])
     def test_smoothing_not_finite_and_positive_exits_two(self, capsys, workspace, smoothing):
         code, _, err = _run(["importance", "--data", str(workspace / "data.jsonl"),
@@ -705,6 +713,19 @@ class TestGenSyntheticCommand:
         from buildtuner import load_graph
 
         assert load_graph(str(tmp_path / "g.json")).domain_sizes == (2, 3, 4)
+
+    def test_space_too_large_to_emit_writes_nothing(self, capsys, tmp_path):
+        code, _, err = _run(
+            ["gen-synthetic", "--packages", "12", "--versions", "3",
+             "--target-rate", "0.5",
+             "--out-graph", str(tmp_path / "g.json"),
+             "--out-rules", str(tmp_path / "r.json"),
+             "--emit-data", str(tmp_path / "d.jsonl")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: space of 531441 configurations is too large")
+        assert list(tmp_path.iterdir()) == []
 
     def test_infeasible_exits_two(self, capsys, tmp_path):
         code, _, err = _run(

@@ -206,6 +206,20 @@ def test_cycle_below_an_acyclic_prefix_names_its_lowest_package():
     assert graph.topological_order == (0, 1)
 
 
+def test_cycle_message_names_a_package_on_the_cycle_not_one_below_it():
+    """L is left out of the order only because C, on the cycle, depends on it."""
+    graph = DependencyGraph(
+        packages=("R", "L", "B", "C"),
+        domains=(("v1",),) * 4,
+        edges=((0, 2), (2, 3), (3, 1), (3, 2)),
+        root=0,
+    )
+    with pytest.raises(GraphError) as raised:
+        validate_graph(graph)
+    assert str(raised.value) == "cycle through package 2 ('B')"
+    assert graph.topological_order == (0,)
+
+
 def _reference_topological_order(graph):
     """Kahn's sort over a heap of ready packages, written out as the
     reference for DependencyGraph.topological_order."""
@@ -248,20 +262,43 @@ def test_topological_order_puts_parents_first_and_equals_the_reference(graph):
     assert list(order) == _reference_topological_order(graph)
 
 
+def _reference_cycle_package(graph, left_out):
+    """From the lowest package left out, step to its lowest parent left out
+    until a package comes round again; the lowest package of that round."""
+    path = [min(left_out)]
+    while path.count(path[-1]) == 1:
+        path.append(min(p for p, c in graph.edges if c == path[-1] and p in left_out))
+    return min(path[path.index(path[-1]):-1])
+
+
+def _descendants(graph, package):
+    """Every package reached from package along one or more edges."""
+    seen, stack = set(), list(graph.children_map[package])
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(graph.children_map[node])
+    return seen
+
+
 @given(_digraphs(acyclic=False))
 @settings(max_examples=150, deadline=None)
-def test_cycle_message_names_the_lowest_package_left_out(graph):
+def test_cycle_message_names_a_package_that_reaches_itself(graph):
     left_out = set(range(graph.n_packages)).difference(_reference_topological_order(graph))
+    unreachable = set(range(graph.n_packages)) - {graph.root} - _descendants(graph, graph.root)
     try:
         validate_graph(graph)
     except GraphError as exc:
         if left_out:
-            cyclic = min(left_out)
+            cyclic = _reference_cycle_package(graph, left_out)
+            assert cyclic in _descendants(graph, cyclic)
             assert str(exc) == f"cycle through package {cyclic} ({graph.packages[cyclic]!r})"
         else:
             assert "cycle" not in str(exc)
+            assert unreachable and str(exc).endswith("unreachable from root")
     else:
-        assert not left_out
+        assert not left_out and not unreachable
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=30))

@@ -1,4 +1,4 @@
-"""Dataset parsing, persistence, splitting, and summaries."""
+"""Dataset parsing, persistence, and splitting."""
 from __future__ import annotations
 
 import json
@@ -20,7 +20,6 @@ from buildtuner import (
     save_dataset,
     space_size,
     split_train_test,
-    summarize,
 )
 from buildtuner.configspace import first_occurrences, full_space_matrix, save_graph, validate_graph
 from helpers import (
@@ -272,20 +271,6 @@ def test_saved_bytes_equal_reference_beyond_the_table_limit(tmp_path, sizes):
     rng = np.random.default_rng(len(sizes))
     rows = full_space_matrix(graph)[rng.permutation(space_size(graph))]
     _saved_equals_reference(tmp_path, graph, rows, rng.random(rows.shape[0]) < 0.5)
-
-
-def test_summarize_counts():
-    graph = wide_graph(36, versions=4)
-    rng = np.random.default_rng(11)
-    records = distinct_records(graph, 892, rng, lambda c: False)
-    records = [
-        BuildRecord(r.config, i < 133) for i, r in enumerate(records)
-    ]
-    summary = summarize(Dataset(graph, records))
-    assert summary.configs == 892
-    assert summary.good == 133
-    assert summary.deps == 36
-    assert summary.to_dict() == {"configs": 892, "good": 133, "deps": 36}
 
 
 class TestSplit:

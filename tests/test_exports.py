@@ -99,3 +99,20 @@ def test_benchmark_reads_resolve():
     missing = [f"{module}.{attr}" for module, attr in sorted(reads)
                if not hasattr(importlib.import_module(f"buildtuner.{module}"), attr)]
     assert missing == []
+
+
+def test_json_files_have_one_reader_and_one_writer():
+    """Graph, rules and model files are read and written by configspace's
+    _read_json and _write_json: no other module uses json.load or json.dump,
+    the file forms.  The string forms json.loads and json.dumps are free."""
+    uses = []
+    for name in MODULES:
+        path = Path(importlib.import_module(f"buildtuner.{name}").__file__)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "dump")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                uses.append((name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                uses += [(name, alias.name) for alias in node.names
+                         if alias.name in ("load", "dump")]
+    assert sorted(uses) == [("configspace", "dump"), ("configspace", "load")]

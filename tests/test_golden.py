@@ -59,6 +59,7 @@ def _commands(root) -> list[list[str]]:
          "--latency", "lognormal", "--seed", "3", "--out", out("simulate-data.json")],
         ["summary", "--data", data, "--format", "json",
          "--out", out("summary.json")],
+        ["summary", "--data", data, "--out", out("summary.txt")],
     ]
     return commands
 
@@ -131,6 +132,9 @@ GOLDEN = {
     "space-rules.json": "de3f3fb2e1a7a642b0647d0dc7fedc8489b676b4eea069c025836a9497d41281",
     "space.json": "66798754aaffea954871fc24f18549940e5a22917a185fd71ec9be05f58c7e36",
     "summary.json": "2db997b263e363a0b5c2fa1bc44dfbda37754dd550642f878043ee99cd6ad5bb",
+    # Recorded later, before the summary counts stopped going through a
+    # DatasetSummary.
+    "summary.txt": "8890cd87741d4b1e5e55a79912239f5fef9e2aed0287b83fbd8ee4546bdd8248",
 }
 
 
