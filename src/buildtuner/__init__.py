@@ -68,7 +68,6 @@ from .surrogate import (
     expected_improvement_many,
     fit,
     load_model,
-    log_density_many,
     refit_incremental,
     save_model,
 )

@@ -109,16 +109,6 @@ class BuildDag:
         return len(self.digests)
 
 
-def _hash_prefix(package: str, version: str):
-    """A sha256 hasher fed the length-prefixed package and version."""
-    h = hashlib.sha256()
-    for text in (package, version):
-        raw = text.encode("utf-8")
-        h.update(len(raw).to_bytes(4, "big"))
-        h.update(raw)
-    return h
-
-
 # Every dependency digest is 64 hex characters, so each one is hashed behind
 # the same 4-byte length prefix; build_dag keeps each unit's digest with that
 # prefix as one S68 item, so sorting items sorts the digests.
@@ -148,13 +138,14 @@ def _unit_ids(key: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     return ids, len(values)
 
 
-def _unit_digests(package: str, domain: Sequence[str], versions: list[int],
+def _unit_digests(version_bytes: Sequence[bytes], versions: list[int],
                   deps: list[np.ndarray]) -> list[str]:
-    """Each unit's digest: sha256 over the length-prefixed package, version
-    and sorted dependency digests.  deps holds one column of prefixed
-    dependency items per child; the units are hashed a block at a time, by
-    mapping the hasher's methods, from a copy of their version's prefix."""
-    prefixes = [_hash_prefix(package, version) for version in domain]
+    """Each unit's digest: sha256 over its version's _version_bytes entry,
+    the bytes a configuration digest hashes too, then its sorted dependency
+    items.  deps holds one column of prefixed dependency items per child;
+    the units are hashed a block at a time, by mapping the hasher's methods,
+    from a copy of a hasher seeded with their version's bytes."""
+    prefixes = list(map(hashlib.sha256, version_bytes))
     hasher = type(prefixes[0])
     if not deps:
         return list(map(hasher.hexdigest, map(prefixes.__getitem__, versions)))
@@ -206,7 +197,7 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
         row_of[ids[node]] = np.arange(len(rows))
         child_ids = [ids[child][row_of] for child in children]
         made_versions = rows[row_of, node]
-        made = _unit_digests(graph.packages[node], graph.domains[node], made_versions.tolist(),
+        made = _unit_digests(graph._version_bytes[node], made_versions.tolist(),
                              [items[child][i] for child, i in zip(children, child_ids)])
         start[node] = len(names)
         new_places = np.arange(len(names), len(names) + count)
@@ -265,11 +256,6 @@ class SimReport:
         if sorted(self.digests) != list(self.digests):
             raise ValueError("report digests must be in ascending order")
 
-    @property
-    def failed_or_skipped(self) -> int:
-        """Units that never produced an artifact, whatever the reason."""
-        return self.failed + self.skipped
-
     def _counts(self) -> dict:
         return {
             "nodes": len(self.digests),
@@ -277,7 +263,7 @@ class SimReport:
             "succeeded": self.succeeded,
             "failed": self.failed,
             "skipped": self.skipped,
-            "failed_or_skipped": self.failed_or_skipped,
+            "failed_or_skipped": self.failed + self.skipped,  # no artifact, whatever the reason
             "makespan": self.makespan,
         }
 
@@ -469,6 +455,12 @@ def save_rules(rules: PlantedRuleSet, path: str) -> None:
     _write_json(path, rules.to_dict())
 
 
+def _noise_fails(seed: int, digest: str, noise: float) -> bool:
+    """Whether noise fails the configuration or unit named by digest: a
+    uniform draw on [0, 1), hashed from seed and digest, falls below noise."""
+    return derive_seed(seed, digest) / 2**64 < noise
+
+
 class SyntheticOracle:
     """Ground-truth oracle: a configuration builds iff no planted rule fires.
 
@@ -492,11 +484,8 @@ class SyntheticOracle:
         for p, pv, c, cv in self._forbidden:
             if config[p] == pv and config[c] == cv:
                 return False
-        if self.rules.noise > 0.0:
-            digest = _digest(self.graph, config)
-            if derive_seed(self.seed, digest) / 2**64 < self.rules.noise:
-                return False
-        return True
+        return not (self.rules.noise > 0.0
+                    and _noise_fails(self.seed, _digest(self.graph, config), self.rules.noise))
 
     def outcomes(self, rows: np.ndarray) -> np.ndarray:
         """What evaluate returns for each of the rows, which must already be
@@ -508,8 +497,8 @@ class SyntheticOracle:
         built = ~bad
         if self.rules.noise > 0.0:
             for i in np.flatnonzero(built).tolist():
-                digest = _digest(self.graph, rows[i].tolist())
-                built[i] = derive_seed(self.seed, digest) / 2**64 >= self.rules.noise
+                built[i] = not _noise_fails(self.seed, _digest(self.graph, rows[i].tolist()),
+                                            self.rules.noise)
         return built
 
 
@@ -541,7 +530,7 @@ def planted_outcome(
     built[unit[np.isin(flat[unit] * total + flat[dep], keys)]] = False
     if rules.noise > 0.0:
         for i in np.flatnonzero(built).tolist():
-            built[i] = derive_seed(seed, dag.digests[i]) / 2**64 >= rules.noise
+            built[i] = not _noise_fails(seed, dag.digests[i], rules.noise)
     return built
 
 

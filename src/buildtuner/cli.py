@@ -80,6 +80,8 @@ def _fit_or_load_model(args) -> surrogate.FactorModel:
 
 
 def _cmd_run(args) -> int:
+    if args.pool_size is not None and args.candidate_mode != "pool":
+        raise _UsageError("--pool-size needs --candidate-mode pool")
     kind, _, path = args.oracle.partition(":")
     if kind == "dataset":
         dataset = _load_data(path, args.graph)
@@ -100,7 +102,7 @@ def _cmd_run(args) -> int:
         bootstrap_size=args.bootstrap,
         budget=args.budget,
         candidate_mode=args.candidate_mode,
-        pool_size=args.pool_size,
+        pool_size=sampler.SamplerConfig.pool_size if args.pool_size is None else args.pool_size,
         seed=args.seed,
         smoothing=args.smoothing,
     )
@@ -125,15 +127,11 @@ def _cmd_eval(args) -> int:
         bootstrap_size=args.bootstrap,
         smoothing=args.smoothing,
     )
-    rows = [["strategy", "size", "mean_p", "sd_p", "mean_r", "sd_r"]]
-    for strategy in strategies:
-        for row in reports[strategy].rows():
-            rows.append([row["strategy"], row["size"], row["mean_p"],
-                         row["sd_p"], row["mean_r"], row["sd_r"]])
+    payload = [row for strategy in strategies for row in reports[strategy].rows()]
     if args.format == "csv":
-        _write_text(args.out, _csv_text(rows))
+        header = ["strategy", "size", "mean_p", "sd_p", "mean_r", "sd_r"]
+        _write_text(args.out, _csv_text([header, *(list(row.values()) for row in payload)]))
     else:
-        payload = [report for s in strategies for report in reports[s].rows()]
         _write_text(args.out, _json_text(payload))
     return 0
 
@@ -294,7 +292,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bootstrap", type=int, default=20)
     p.add_argument("--candidate-mode", choices=sampler.CANDIDATE_MODES,
                    default="exhaustive")
-    p.add_argument("--pool-size", type=int, default=1000)
+    p.add_argument("--pool-size", type=int, help="draws per selection in pool mode (default 1000)")
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="trace JSONL path (default stdout)")

@@ -8,8 +8,9 @@ and traces name it, across runs and machines, by a canonical content digest.
 
 A graph caches, on first use, the tables its boundaries read: a
 {label: index} dict per package, through which labels become version
-indices, and the length-prefixed bytes of each (package, version), of which
-a digest hashes one join; and its one topological order.
+indices; the length-prefixed bytes of each (package, version), the one
+encoding that configuration digests and build-unit digests both hash; and
+its one topological order.
 """
 from __future__ import annotations
 
@@ -74,18 +75,18 @@ class DependencyGraph:
         return tuple({label: v for v, label in enumerate(domain)} for domain in self.domains)
 
     @cached_property
-    def _digest_pieces(self) -> tuple[tuple[int, tuple[bytes, ...]], ...]:
-        """(package index, hashed bytes of each version) in sorted-name order.
+    def _version_bytes(self) -> tuple[tuple[bytes, ...], ...]:
+        """The hashed bytes of each (package, version), by package index: the
+        package name and the version label, each as UTF-8 behind its 4-byte
+        big-endian length."""
+        return tuple(tuple(prefix + _length_prefixed(label) for label in domain)
+                     for prefix, domain in zip(map(_length_prefixed, self.packages), self.domains))
 
-        The bytes of a version are the package name and the version label,
-        each as UTF-8 behind its 4-byte big-endian length.
-        """
-        pieces = []
-        for name in sorted(self.packages):
-            i = self._name_index[name]
-            raw = _length_prefixed(name)
-            pieces.append((i, tuple(raw + _length_prefixed(label) for label in self.domains[i])))
-        return tuple(pieces)
+    @cached_property
+    def _digest_pieces(self) -> tuple[tuple[int, tuple[bytes, ...]], ...]:
+        """(package index, _version_bytes of the package) in sorted-name order."""
+        order = sorted(range(self.n_packages), key=self.packages.__getitem__)
+        return tuple((i, self._version_bytes[i]) for i in order)
 
     @cached_property
     def children_map(self) -> tuple[tuple[int, ...], ...]:
@@ -394,12 +395,14 @@ def config_from_labels(graph: DependencyGraph, versions: dict[str, str]) -> Conf
 
 
 def _read_json(path: str, error: type[ValueError]):
-    """The JSON value in the file at path; error, naming path, if it is not JSON."""
+    """The JSON value in the file at path; error, naming path, if it is not UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8: {exc}") from exc
 
 
 def _write_json(path: str, payload) -> None:

@@ -143,7 +143,10 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
     (config_from_labels).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8: {exc}") from exc
     if lines == [""]:
         raise DatasetError("empty dataset file", line=1)
     try:
@@ -152,11 +155,9 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
         raise DatasetError(f"invalid JSON in header: {exc}", line=1) from exc
     if not isinstance(header, dict) or not isinstance(header.get("graph"), str):
         raise DatasetError("header must be an object naming the graph file", line=1)
-    if header.get("format") != FORMAT_VERSION:
-        raise DatasetError(
-            f"unsupported format {header.get('format')!r}, expected {FORMAT_VERSION}",
-            line=1,
-        )
+    version = header.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:  # JSON true and 1.0 equal 1
+        raise DatasetError(f"unsupported format {version!r}, expected {FORMAT_VERSION}", line=1)
     if graph is None:
         graph_path = os.path.join(os.path.dirname(os.path.abspath(path)), header["graph"])
         graph = load_graph(graph_path)
@@ -253,10 +254,6 @@ class DatasetOracle:
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
         self._built = dict(zip(_row_keys(dataset.rows), dataset.built.tolist()))
-
-    @property
-    def graph(self) -> DependencyGraph:
-        return self._dataset.graph
 
     def candidate_configurations(self) -> Dataset:
         """The dataset itself: its rows are the candidates, already checked."""

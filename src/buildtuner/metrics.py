@@ -8,7 +8,7 @@ precision-recall curve evaluated at every prefix of a ranked list.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .configspace import _digest
 from .dataset import Dataset, DatasetOracle, split_train_test
 from .rng import derive_seed, substream
-from .sampler import STRATEGIES, SamplerConfig, run
+from .sampler import SamplerConfig, run
 from .surrogate import crowd_score_many, expected_improvement_many
 
 __all__ = [
@@ -63,7 +63,6 @@ class ExperimentReport:
     sd_p: tuple[float, ...]
     mean_r: tuple[float, ...]
     sd_r: tuple[float, ...]
-    repetitions: int
     seeds: tuple[int, ...]
 
     def rows(self) -> list[dict]:
@@ -101,9 +100,6 @@ def sweep_experiment(
     Repetition seeds are derived from base_seed independently of the
     strategy, so strategies are compared on identical bootstrap draws.
     """
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
     sizes = tuple(int(s) for s in sample_sizes)
     if not sizes:
         raise ValueError("no sample sizes requested")
@@ -119,23 +115,19 @@ def sweep_experiment(
     if total_good == 0:
         raise ValueError("dataset has no good configurations; recall is undefined")
 
-    seeds = tuple(derive_seed(base_seed, "rep", r) for r in range(repetitions))
     budget = max(0, max(sizes) - bootstrap_size)
+    configs = [SamplerConfig(strategy=strategy, bootstrap_size=bootstrap_size, budget=budget,
+                             smoothing=smoothing) for strategy in strategies]
+    seeds = tuple(derive_seed(base_seed, "rep", r) for r in range(repetitions))
     oracle = DatasetOracle(dataset)
     reports: dict[str, ExperimentReport] = {}
-    for strategy in strategies:
+    for config in configs:
+        strategy = config.strategy
         p_values = np.zeros((repetitions, len(sizes)))
         r_values = np.zeros((repetitions, len(sizes)))
         for rep, seed in enumerate(seeds):
-            cfg = SamplerConfig(
-                strategy=strategy,
-                bootstrap_size=bootstrap_size,
-                budget=budget,
-                seed=seed,
-                smoothing=smoothing,
-            )
             try:
-                result = run(oracle, dataset.graph, cfg)
+                result = run(oracle, dataset.graph, replace(config, seed=seed))
             except ValueError as exc:
                 raise ValueError(
                     f"strategy {strategy!r} with seed {seed}: {exc}"
@@ -150,7 +142,6 @@ def sweep_experiment(
             sd_p=tuple(_spread(p_values[:, j]) for j in range(len(sizes))),
             mean_r=tuple(float(np.mean(r_values[:, j])) for j in range(len(sizes))),
             sd_r=tuple(_spread(r_values[:, j]) for j in range(len(sizes))),
-            repetitions=repetitions,
             seeds=seeds,
         )
     return reports
@@ -169,8 +160,8 @@ def auprc_experiment(
     The model fitted after the adaptive run scores every test configuration;
     the ranking is descending by score with digest order breaking ties.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    config = SamplerConfig(strategy=strategy, bootstrap_size=bootstrap_size, budget=selections,
+                           seed=seed, smoothing=smoothing)
     train, test = split_train_test(dataset, 0.5, substream(seed, "split"))
     if len(train) < selections + bootstrap_size:
         raise ValueError(
@@ -179,14 +170,7 @@ def auprc_experiment(
         )
     if len(test) == 0:
         raise ValueError("test half is empty")
-    cfg = SamplerConfig(
-        strategy=strategy,
-        bootstrap_size=bootstrap_size,
-        budget=selections,
-        seed=seed,
-        smoothing=smoothing,
-    )
-    result = run(DatasetOracle(train), dataset.graph, cfg)
+    result = run(DatasetOracle(train), dataset.graph, config)
     if strategy == "bayesian":
         scores = expected_improvement_many(result.model, test.rows)
     elif strategy == "crowd":

@@ -18,11 +18,12 @@ estimated probability that a fresh uniform sample builds.  The score is
 computed in log space so that long factor products cannot underflow.
 
 FactorLayout says where a row's cells sit in a side's flat vectors.  A log
-density is one gather of every factor's log weight through
+density (_log_densities) is one gather of every factor's log weight through
 FactorLayout.cells, a line per factor (per block of rows), whose lines are
 then added in factor order: a sum over the lines' axis would let numpy add
 pairwise, which for a single row of eight or more factors can differ in the
-last bit.  The expected improvement gathers both sides' lines at once.
+last bit.  The expected improvement gathers both sides' lines at once, so
+each side's log densities equal those of its table alone.
 
 Over a fixed candidate matrix, a RatioIndex gives every row's log ratio at
 each selection without summing each factor of each row again.  Rows that
@@ -54,7 +55,6 @@ __all__ = [
     "expected_improvement_many",
     "fit",
     "load_model",
-    "log_density_many",
     "refit_incremental",
     "save_model",
 ]
@@ -300,12 +300,6 @@ def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray) -
     return out
 
 
-def log_density_many(table: FactorTable, matrix: np.ndarray) -> np.ndarray:
-    """Log of the unnormalized factor product for each row of matrix, whose
-    rows must hold valid version indices (check_rows)."""
-    return _log_densities(table.layout, table.log[None], matrix)[0]
-
-
 def _ei(ratio, prior: float):
     """Expected improvement for a float or an array of bad/good density ratios.
 
@@ -318,7 +312,7 @@ def _ei(ratio, prior: float):
 def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
     """Expected improvement of each row of matrix, from its bad/good density
     ratio; both sides' logs are gathered at once and summed in factor order,
-    so each log density equals log_density_many's bit for bit."""
+    so each log density equals that of its side's table alone bit for bit."""
     good, bad = _log_densities(model.good.layout, np.stack((model.good.log, model.bad.log)),
                                matrix)
     ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
@@ -485,8 +479,8 @@ class RatioIndex:
 
     def log_ratio(self, model: FactorModel) -> np.ndarray:
         """Each row's log ratio under model, the one the adds have brought
-        the index to, and +inf for a closed row; up to float rounding, that
-        of log_density_many(bad) - log_density_many(good).  The vector is a
+        the index to, and +inf for a closed row; up to float rounding, the
+        bad side's _log_densities less the good side's.  The vector is a
         buffer that the next call overwrites."""
         gap = self._gap
         np.subtract(model.bad.log, model.good.log, out=gap[:-1])

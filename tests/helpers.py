@@ -15,12 +15,19 @@ from buildtuner import (
     random_configuration,
     validate_graph,
 )
+from buildtuner.surrogate import FactorTable, _log_densities
 
 
 def all_configurations(graph: DependencyGraph):
     """Every configuration as a tuple, the last package varying fastest: the
     reference order of configspace.full_space_matrix."""
     return itertools.product(*(range(len(domain)) for domain in graph.domains))
+
+
+def log_density_many(table: FactorTable, matrix):
+    """Log of the unnormalized factor product of each row of matrix under one
+    side's table alone, summed as every score sums it (_log_densities)."""
+    return _log_densities(table.layout, table.log[None], matrix)[0]
 
 
 def chain_graph(n: int = 3, versions: int = 2) -> DependencyGraph:

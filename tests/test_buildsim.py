@@ -612,7 +612,7 @@ class TestSimulate:
         report = simulate(dag, dag.version == 0, workers=2)
         assert report.attempted + report.skipped == dag.node_count
         assert report.attempted == report.succeeded + report.failed
-        assert report.failed_or_skipped == report.failed + report.skipped
+        assert report.to_dict()["failed_or_skipped"] == report.failed + report.skipped
 
     def test_diamond_makespans(self):
         """Unit latencies: the two middle units run in parallel with 2 workers."""

@@ -95,6 +95,23 @@ class TestDispatchErrors:
         assert code == 1
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("data.jsonl", ["summary", "--data", "{bad}"]),
+    ("graph.json", ["simulate", "--graph", "{bad}", "--rules", "{ws}/rules.json",
+                    "--sample", "4"]),
+    ("rules.json", ["simulate", "--graph", "{ws}/graph.json", "--rules", "{bad}",
+                    "--sample", "4"]),
+    ("model.json", ["importance", "--model", "{bad}"]),
+])
+def test_file_that_is_not_utf8_exits_two_naming_the_file(capsys, workspace, kind, argv):
+    bad = workspace / "bad" / kind
+    bad.parent.mkdir()
+    bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    code, out, err = _run([a.format(bad=bad, ws=workspace) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not UTF-8: ") and err.count("\n") == 1
+
+
 class TestRunCommand:
     def test_trace_jsonl_on_disk(self, capsys, workspace):
         out = workspace / "trace.jsonl"
@@ -134,6 +151,19 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: pool mode") and err.count("\n") == 1
         assert not trace.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--candidate-mode", "exhaustive"]])
+    def test_pool_size_without_pool_mode_is_a_usage_error(self, capsys, workspace, mode):
+        """Exhaustive mode draws no pool, so the flag would be ignored."""
+        trace, model = workspace / "trace.jsonl", workspace / "model.json"
+        code, out, err = _run(
+            ["run", "--oracle", f"dataset:{workspace / 'data.jsonl'}", *mode,
+             "--pool-size", "3", "--out", str(trace), "--model-out", str(model)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["--pool-size needs --candidate-mode pool"]
+        assert not trace.exists() and not model.exists()
 
     def test_synthetic_oracle_with_model_export(self, capsys, workspace):
         model_path = workspace / "model.json"

@@ -95,6 +95,13 @@ def test_header_errors(tmp_path):
         load_dataset(_write(tmp_path, [json.dumps({"format": 99, "graph": "g.json"})]))
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_format_must_be_the_integer_version(tmp_path, version):
+    """JSON true and 1.0 compare equal to 1, yet neither is format 1."""
+    with pytest.raises(DatasetError, match=rf"line 1: unsupported format {version!r}, expected 1"):
+        load_dataset(_write(tmp_path, [json.dumps({"format": version, "graph": "g.json"})]))
+
+
 def test_record_parse_errors_carry_line_numbers(tmp_path):
     path = _prepared(tmp_path, [
         json.dumps({"versions": {"A": "v1", "B": "v1"}, "built": True}),

@@ -116,3 +116,26 @@ def test_json_files_have_one_reader_and_one_writer():
                 uses += [(name, alias.name) for alias in node.names
                          if alias.name in ("load", "dump")]
     assert sorted(uses) == [("configspace", "dump"), ("configspace", "load")]
+
+
+def _names_read(path: Path) -> set[str]:
+    """The id of every Name and the attr of every Attribute that the code in
+    the file at path reads (docstrings and other strings are not code)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_is_read_outside_the_tests():
+    """Each name in a module's __all__ is read by the package's code (any
+    module but the __init__.py re-export, __main__.py included) or by
+    benchmarks/*.py: a public name that only tests call is not part of the
+    system."""
+    package = Path(buildtuner.__file__).resolve().parent
+    reads = set().union(*map(_names_read, BENCHMARKS.glob("*.py")),
+                        *(_names_read(path) for path in package.glob("*.py")
+                          if path.name != "__init__.py"))
+    unread = [f"{name}.{e}" for name in MODULES
+              for e in getattr(importlib.import_module(f"buildtuner.{name}"), "__all__", [])
+              if e not in reads]
+    assert unread == []

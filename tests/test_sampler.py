@@ -25,7 +25,6 @@ from buildtuner import (
     expected_improvement_many,
     fit,
     generate_benchmark,
-    log_density_many,
     refit_incremental,
     run,
     substream,
@@ -40,7 +39,8 @@ from buildtuner.configspace import (
 )
 from buildtuner.sampler import TraceEntry
 from buildtuner.surrogate import RatioIndex
-from helpers import all_configurations, chain_graph, distinct_records, two_package_graph, wide_graph
+from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
+                     two_package_graph, wide_graph)
 
 
 class CountingOracle:

@@ -24,7 +24,6 @@ from buildtuner import (
     expected_improvement_many,
     fit,
     load_model,
-    log_density_many,
     refit_incremental,
     save_model,
 )
@@ -34,7 +33,8 @@ from buildtuner.configspace import (
     full_space_matrix,
 )
 from buildtuner.surrogate import RatioIndex
-from helpers import all_configurations, chain_graph, distinct_records, two_package_graph, wide_graph
+from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
+                     two_package_graph, wide_graph)
 
 
 def direct_log_density(table: FactorTable, graph, config) -> float:
