@@ -60,6 +60,7 @@ from .sampler import (
     RunResult,
     SamplerConfig,
     run,
+    run_many,
 )
 from .surrogate import (
     FactorModel,
@@ -68,7 +69,6 @@ from .surrogate import (
     expected_improvement_many,
     fit,
     load_model,
-    refit_incremental,
     save_model,
 )
 

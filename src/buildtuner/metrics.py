@@ -16,7 +16,7 @@ import numpy as np
 from .configspace import _digest
 from .dataset import Dataset, DatasetOracle, split_train_test
 from .rng import derive_seed, substream
-from .sampler import SamplerConfig, run
+from .sampler import SamplerConfig, run, run_many
 from .surrogate import crowd_score_many, expected_improvement_many
 
 __all__ = [
@@ -98,9 +98,16 @@ def sweep_experiment(
     """Replay each strategy on the dataset and report prefix P/R curves.
 
     Repetition seeds are derived from base_seed independently of the
-    strategy, so strategies are compared on identical bootstrap draws.
+    strategy, so strategies are compared on identical bootstrap draws.  A
+    strategy's repetitions run in lockstep (run_many).  ValueError for a
+    strategy listed twice or none, and for a bootstrap that covers every
+    sample size, whose prefixes would not depend on the strategy.
     """
     sizes = tuple(int(s) for s in sample_sizes)
+    if not strategies:
+        raise ValueError("no strategies requested")
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"strategies {list(strategies)} repeat a strategy")
     if not sizes:
         raise ValueError("no sample sizes requested")
     if min(sizes) < 1:
@@ -114,27 +121,25 @@ def sweep_experiment(
     total_good = dataset.good_count
     if total_good == 0:
         raise ValueError("dataset has no good configurations; recall is undefined")
-
-    budget = max(0, max(sizes) - bootstrap_size)
-    configs = [SamplerConfig(strategy=strategy, bootstrap_size=bootstrap_size, budget=budget,
+    configs = [SamplerConfig(strategy=strategy, bootstrap_size=bootstrap_size,
                              smoothing=smoothing) for strategy in strategies]
+    if bootstrap_size >= max(sizes):
+        raise ValueError(f"bootstrap size {bootstrap_size} covers every sample size; "
+                         f"the largest is {max(sizes)}")
+    budget = max(sizes) - bootstrap_size
     seeds = tuple(derive_seed(base_seed, "rep", r) for r in range(repetitions))
     oracle = DatasetOracle(dataset)
     reports: dict[str, ExperimentReport] = {}
     for config in configs:
         strategy = config.strategy
-        p_values = np.zeros((repetitions, len(sizes)))
-        r_values = np.zeros((repetitions, len(sizes)))
-        for rep, seed in enumerate(seeds):
-            try:
-                result = run(oracle, dataset.graph, replace(config, seed=seed))
-            except ValueError as exc:
-                raise ValueError(
-                    f"strategy {strategy!r} with seed {seed}: {exc}"
-                ) from exc
-            found = np.cumsum(result.history.dataset.built)[np.subtract(sizes, 1)]
-            p_values[rep] = found / sizes
-            r_values[rep] = found / total_good
+        try:
+            results = run_many(oracle, dataset.graph,
+                               [replace(config, budget=budget, seed=seed) for seed in seeds])
+        except ValueError as exc:
+            raise ValueError(f"strategy {strategy!r}: {exc}") from exc
+        built = np.array([result.history.dataset.built for result in results])
+        found = np.cumsum(built, axis=1)[:, np.subtract(sizes, 1)]
+        p_values, r_values = found / sizes, found / total_good
         reports[strategy] = ExperimentReport(
             strategy=strategy,
             sample_sizes=sizes,

@@ -8,6 +8,12 @@ strategies are supported: "bayesian" (expected improvement), "crowd"
 the same choice, and draws the same tie-break, as rescoring every open
 candidate would (see _Candidates).
 
+There is one selection loop, run_many, which advances R runs of one
+strategy over one set of candidates in lockstep, each from its own seed's
+substreams; run is its one-run call.  The runs' models are one
+FactorStack, refitted in place, and a step selects for all runs at once:
+over fixed rows every run evaluates one row a step, so all stop together.
+
 A configuration is an int64 row of version indices from selection through
 the history to the model.  Rows come from a checked matrix or from the
 domains, so the oracle's evaluate is the one check of each: a row becomes a
@@ -15,7 +21,7 @@ tuple only there, and a digest only when the run's trace is read.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Protocol, Sequence
 
@@ -37,15 +43,7 @@ from .configspace import (
 )
 from .dataset import BuildRecord, Dataset
 from .rng import substream
-from .surrogate import (
-    FactorModel,
-    RatioIndex,
-    _check_smoothing,
-    crowd_score_many,
-    expected_improvement_many,
-    fit,
-    refit_incremental,
-)
+from .surrogate import FactorModel, FactorStack, RatioIndex, _check_smoothing, fit
 
 __all__ = [
     "STRATEGIES",
@@ -56,6 +54,7 @@ __all__ = [
     "SamplerConfig",
     "TraceEntry",
     "run",
+    "run_many",
 ]
 
 STRATEGIES = ("bayesian", "crowd", "random")
@@ -195,36 +194,45 @@ class RunResult:
 
 
 class _Candidates:
-    """Where a run's candidates come from, and how the next one is chosen.
+    """Where R lockstep runs' candidates come from, and how each run's next
+    one is chosen.
 
-    Either a fixed matrix of distinct rows with a mask of rows still open, or
-    uniform draws: one configuration per bootstrap draw and a fresh pool per
-    selection.  One source serves one history, from its first draw on.
-    Over fixed rows, bayesian selection goes through a RatioIndex, built at
-    the first selection, told of each row that closes and updated by
-    observe(); crowd selection keeps the crowd score of every row, computed
-    at the first selection and again after each good record; random
+    Either a fixed matrix of distinct rows with a line per run of the rows
+    still open to it, or, for one run, uniform draws: one configuration per
+    bootstrap draw and a fresh pool per selection.  Every run evaluates its
+    bootstrap and then one row a step, so over fixed rows all runs have the
+    same number of rows open and run out at the same step.  Over fixed rows,
+    bayesian selection goes through a RatioIndex, built at the first
+    selection, told of each row that closes and updated by observe(); crowd
+    selection keeps each run's crowd score of every row, computed at the
+    first selection and again after each good record of the run; random
     selection ties the open rows.  A fresh pool is selected from as fixed
     rows, all open, scored from scratch.
     """
 
-    def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig):
+    def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig,
+                 runs: int):
         self.graph = graph
         self.rows = rows
         self.config = config
         self.size = space_size(graph) if rows is None else rows.shape[0]
-        self._open = None if rows is None else np.ones(self.size, dtype=bool)
-        self._n_open = self.size  # rows of _open still set; unread for pools
+        self._open = None if rows is None else np.ones((runs, self.size), dtype=bool)
+        self._open_lines = [] if rows is None else list(self._open)  # views, one per run
+        self.n_open = self.size - config.bootstrap_size  # each run's, after the bootstrap
         self._ratios: RatioIndex | None = None
-        self._crowd: np.ndarray | None = None
+        # Over fixed rows, crowd selection keeps each run's scores of every
+        # row, computed from the rows' columns, which gather fastest.
+        keeps_crowd = rows is not None and config.strategy == "crowd"
+        self._crowd = np.empty((runs, self.size)) if keeps_crowd else None
+        self._columns = np.ascontiguousarray(rows.T) if keeps_crowd else None
+        self._stale = np.ones(runs, dtype=bool)  # runs whose crowd scores need computing
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform bootstrap draw, a row; a drawn fixed row closes."""
+    def draw(self, run: int, rng: np.random.Generator) -> np.ndarray:
+        """One uniform bootstrap draw of run, a row; a drawn fixed row closes."""
         if self.rows is None:
             return random_configurations(self.graph, rng, 1)[0]
         index = int(rng.integers(self.size))
-        self._n_open -= bool(self._open[index])
-        self._open[index] = False
+        self._open_lines[run][index] = False
         return self.rows[index]
 
     def _pool(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
@@ -240,59 +248,68 @@ class _Candidates:
 
     def select(
         self,
-        model: FactorModel,
-        history: ObservationHistory,
-        rng_tie: np.random.Generator,
+        stack: FactorStack,
+        histories: Sequence[ObservationHistory],
+        rngs_tie: Sequence[np.random.Generator],
         rng_pool: np.random.Generator,
-    ) -> tuple[np.ndarray, float | None] | None:
-        """The unevaluated candidate row with the best score, and the score, or
-        None when no candidate is left; a chosen fixed row closes."""
+    ) -> tuple[np.ndarray, list[float | None]] | None:
+        """Each run's unevaluated candidate row with the best score, a line
+        per run, and the scores, or None when no candidate is left; a chosen
+        fixed row closes."""
         strategy = self.config.strategy
         rows, open_rows = self.rows, self._open
         if rows is None:
-            rows = self._pool(history, rng_pool)
+            rows = self._pool(histories[0], rng_pool)
             if rows is None:
                 return None
-            open_rows, self._crowd = np.ones(rows.shape[0], dtype=bool), None
-        elif self._n_open == 0:
+            open_rows = np.ones((1, rows.shape[0]), dtype=bool)
+        elif self.n_open == 0:
             return None
         if strategy == "random":
-            tied, score = np.flatnonzero(open_rows), None
+            tied, scores = [np.flatnonzero(line) for line in open_rows], [None] * len(open_rows)
         elif strategy == "bayesian" and self.rows is not None:
             if self._ratios is None:
-                self._ratios = RatioIndex(model, rows, open_rows)
-            tied, score = self._ratios.best(model)
+                self._ratios = RatioIndex(stack, rows, open_rows)
+            tied, scores = self._ratios.best(stack)
         else:  # bayesian over a pool, or crowd
             if strategy == "bayesian":
-                scores = expected_improvement_many(model, rows)
+                scored = stack.expected_improvement(rows)[None]
+            elif self.rows is None:
+                scored = stack.crowd(rows.T, [0])
             else:
-                if self._crowd is None:
-                    self._crowd = crowd_score_many(model, rows)
-                scores = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
-            top = scores.max()
-            tied, score = np.flatnonzero(scores == top), float(top)
-        pick = int(tied[rng_tie.integers(tied.size)])
-        open_rows[pick] = False
-        self._n_open -= 1
+                stale = np.flatnonzero(self._stale)
+                if stale.size:
+                    self._crowd[stale] = stack.crowd(self._columns, stale)
+                    self._stale[:] = False
+                scored = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
+            top = scored.max(axis=1)
+            tied = [np.flatnonzero(line == best) for line, best in zip(scored, top)]
+            scores = top.tolist()
+        picks = [int(t[rng.integers(t.size)]) for t, rng in zip(tied, rngs_tie)]
+        for line, pick in zip(self._open_lines, picks):
+            line[pick] = False
+        self.n_open -= 1
         if self._ratios is not None:
-            self._ratios.close(pick)
-        return rows[pick], score
+            self._ratios.close(picks)
+        return rows[picks], scores
 
-    def observe(self, model: FactorModel, row: np.ndarray, built: bool) -> None:
-        """Fold a selected row and its outcome into the index, given the model
-        before it.  A good row changes the crowd scores; a bad one does not."""
+    def observe(self, stack: FactorStack, cells: np.ndarray, sides: np.ndarray) -> None:
+        """Fold each run's selected row and its outcome, as FactorStack.fold
+        takes them, into the index, given the stack before them.  A good row
+        changes its run's crowd scores; a bad one does not."""
         if self._ratios is not None:
-            self._ratios.add(model, row, built)
-        if built:
-            self._crowd = None
+            self._ratios.add(stack, cells, sides)
+        if self._crowd is not None:
+            self._stale |= sides == 0
 
 
-def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConfig) -> _Candidates:
+def _candidate_rows(oracle: BuildOracle, graph: DependencyGraph,
+                    config: SamplerConfig) -> np.ndarray | None:
     """The oracle's candidates without repeats (first occurrence kept; a
     Dataset's rows as they are), the whole space in exhaustive mode (a
-    transposed view of its int64 columns, made without a copy), or uniform
-    draws; ValueError when the oracle lists candidates and the config asks
-    for pool mode, which would ignore them."""
+    transposed view of its int64 columns, made without a copy), or None for
+    uniform draws; ValueError when the oracle lists candidates and the
+    config asks for pool mode, which would ignore them."""
     listed = oracle.candidate_configurations()
     if listed is not None and config.candidate_mode == "pool":
         raise ValueError("pool mode draws from the whole space, but the oracle lists "
@@ -300,15 +317,13 @@ def _candidates(oracle: BuildOracle, graph: DependencyGraph, config: SamplerConf
     if isinstance(listed, Dataset):
         if listed.graph != graph:
             raise GraphError("the candidate dataset is over another graph")
-        rows = listed.rows
-    elif listed is not None:
+        return listed.rows
+    if listed is not None:
         rows = check_rows(graph, listed)
-        rows = rows[first_occurrences(rows)]
-    elif config.candidate_mode == "exhaustive":
-        rows = _space_columns(graph, np.int64).T
-    else:
-        rows = None
-    return _Candidates(graph, rows, config)
+        return rows[first_occurrences(rows)]
+    if config.candidate_mode == "exhaustive":
+        return _space_columns(graph, np.int64).T
+    return None
 
 
 def _evaluate(
@@ -338,30 +353,59 @@ def run(
     exhaustive mode the history ends with exactly
     bootstrap_size + min(budget, remaining distinct candidates) records.
     """
-    rng_boot = substream(config.seed, "bootstrap")
-    rng_tie = substream(config.seed, "tie-break")
-    rng_pool = substream(config.seed, "pool")
+    return run_many(oracle, graph, [config])[0]
 
-    source = _candidates(oracle, graph, config)
+
+def run_many(
+    oracle: BuildOracle, graph: DependencyGraph, configs: Sequence[SamplerConfig]
+) -> list[RunResult]:
+    """run() of each config, which differ in their seeds alone, advanced in
+    lockstep: one selection loop over all runs' array state.
+
+    Each run draws from its own seed's substreams, so its result equals that
+    of run(oracle, graph, config) bit for bit.  Several runs need fixed
+    candidates (listed ones, or exhaustive mode); ValueError otherwise, or
+    when configs is empty or differs in more than the seed.
+    """
+    if len({replace(config, seed=0) for config in configs}) != 1:
+        raise ValueError("lockstep runs need one or more configs that differ in the seed alone")
+    config = configs[0]
+    rows = _candidate_rows(oracle, graph, config)
+    if rows is None and len(configs) > 1:
+        raise ValueError("lockstep runs need fixed candidates, not pool draws")
+    source = _Candidates(graph, rows, config, len(configs))
     if source.size < config.bootstrap_size:
         raise NoCandidatesError(f"{source.size} distinct configurations cannot seed "
                                 f"a bootstrap of {config.bootstrap_size}")
-    history = ObservationHistory(graph)
-    while len(history) < config.bootstrap_size:
-        row = source.draw(rng_boot)
-        if row not in history:
-            _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
-    model = fit(history.dataset, graph, config.smoothing)
-    scores: list[float | None] = []
+    histories, models = [], []
+    for run_index, seed in enumerate(c.seed for c in configs):
+        rng_boot = substream(seed, "bootstrap")
+        history = ObservationHistory(graph)
+        while len(history) < config.bootstrap_size:
+            row = source.draw(run_index, rng_boot)
+            if row not in history:
+                _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
+        histories.append(history)
+        models.append(fit(history.dataset, graph, config.smoothing))
+    stack = FactorStack(models)
+    rngs_tie = [substream(c.seed, "tie-break") for c in configs]
+    rng_pool = substream(config.seed, "pool")
+    scores: list[list[float | None]] = [[] for _ in configs]
 
     for t in range(1, config.budget + 1):
-        selected = source.select(model, history, rng_tie, rng_pool)
+        selected = source.select(stack, histories, rngs_tie, rng_pool)
         if selected is None:
             break
-        row, score = selected
-        built = _evaluate(oracle, history, row, f"iteration {t}")
-        scores.append(score)
-        source.observe(model, row, built)
-        model = refit_incremental(model, row, built)
+        chosen, step_scores = selected
+        # Each run's outcome side: 0 for a build, 1 for a failure.
+        sides = np.array([0 if _evaluate(oracle, history, row, f"iteration {t}") else 1
+                          for history, row in zip(histories, chosen)])
+        # The chosen rows' cells serve both the index update and the refit.
+        cells = stack.layout.cells(chosen)
+        source.observe(stack, cells, sides)
+        stack.fold(cells, sides)
+        for run_scores, score in zip(scores, step_scores):
+            run_scores.append(score)
 
-    return RunResult(history=history, scores=tuple(scores), model=model)
+    return [RunResult(history=history, scores=tuple(run_scores), model=stack.model(r))
+            for r, (history, run_scores) in enumerate(zip(histories, scores))]

@@ -25,20 +25,24 @@ pairwise, which for a single row of eight or more factors can differ in the
 last bit.  The expected improvement gathers both sides' lines at once, so
 each side's log densities equal those of its table alone.
 
-Over a fixed candidate matrix, a RatioIndex gives every row's log ratio at
-each selection without summing each factor of each row again.  Rows that
-agree on their first packages share that prefix's partial sum in a prefix
-trie, summed afresh from the tables level by level; the factors below the
-trie keep each row's sum, updated in place by each observation.  The score
-falls strictly as the ratio grows, so the best open row is the one with the
-least log ratio, and no step exponentiates every row.
+A FactorStack holds the models of R runs as arrays, which a step refits
+in place, and scores rows under each run's model in one call, a row's run
+choosing its tables.  Over a fixed candidate matrix, a RatioIndex gives
+every row's log ratio under each run's model at each selection without
+summing each factor of each row again.  Rows that agree on their first
+packages share that prefix's partial sum in a prefix trie, summed afresh
+from the tables level by level; the factors below the trie keep each row's
+sum, updated in place by each observation.  The score falls strictly as
+the ratio grows, so the best open row is the one with the least log ratio,
+and no step exponentiates every row.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .dataset import BuildRecord, Dataset
 __all__ = [
     "FactorLayout",
     "FactorModel",
+    "FactorStack",
     "FactorTable",
     "RatioIndex",
     "SideStats",
@@ -55,7 +60,6 @@ __all__ = [
     "expected_improvement_many",
     "fit",
     "load_model",
-    "refit_incremental",
     "save_model",
 ]
 
@@ -67,6 +71,13 @@ _LOG_RATIO_CLAMP = 700.0
 # space.
 _DENSITY_BLOCK = 4096
 
+# Up to this many rows, a block's factor lines are added by one
+# np.add.accumulate along the factors, which adds them in factor order as
+# the loop over factors does, for a fraction of its per-call cost; past it
+# the loop is faster (8 packages: 2.6 against 18 us at 1 row, 25 against 41
+# us at 100, 98 against 69 us at 500).
+_ACCUMULATE_ROWS = 128
+
 # RatioIndex.best rescores from scratch every open row whose indexed score
 # is within this relative distance of the best.  Indexed log ratios differ
 # from a from-scratch sum by float rounding only, the trie's from summing in
@@ -76,6 +87,10 @@ _DENSITY_BLOCK = 4096
 # into a limit on the log ratio at twice this width, so that the rounding of
 # that conversion cannot leave out a row the band holds.
 _NEAR_TIE = 1e-9
+
+# The sign of a record's change to the bad/good log ratio, by its side: the
+# good side is the denominator.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 class FactorLayout:
@@ -190,11 +205,22 @@ class FactorTable:
         overflows its normalizer.  It is checked first, on Python floats,
         which neither warn nor raise where the arrays would warn.
         """
-        if not smoothing / (stats.n + smoothing * stats.layout.largest_factor) > 0:
-            raise ValueError(
-                f"smoothing {smoothing!r} over {stats.n} records rounds a factor weight to 0")
-        weights = (stats.counts + smoothing) / (stats.n + smoothing * stats.layout.cell_sizes)
+        _check_weights(stats.n, smoothing, stats.layout)
+        weights = _smoothed(stats.counts, stats.n, smoothing, stats.layout)
         return cls(weights=weights, log=np.log(weights), layout=stats.layout)
+
+
+def _check_weights(n: int, smoothing: float, layout: FactorLayout) -> None:
+    """Raise ValueError when smoothing over n records rounds the least
+    factor weight, that of an unseen cell of the largest factor, to 0."""
+    if not smoothing / (n + smoothing * layout.largest_factor) > 0:
+        raise ValueError(f"smoothing {smoothing!r} over {n} records rounds a factor weight to 0")
+
+
+def _smoothed(counts: np.ndarray, n, smoothing: float, layout: FactorLayout) -> np.ndarray:
+    """Smoothed frequencies of counts, a flat vector over layout (or a line
+    of them per model) of n records (a number, or a column of them)."""
+    return (counts + smoothing) / (n + smoothing * layout.cell_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +245,11 @@ class FactorModel:
     @property
     def success_prior(self) -> float:
         """Rule-of-succession estimate of the uniform-sample success rate."""
-        return (self.n_good + 1) / (self.n_good + self.n_bad + 2)
+        return _success_prior(self.n_good, self.n_bad)
+
+
+def _success_prior(n_good: int, n_bad: int) -> float:
+    return (n_good + 1) / (n_good + n_bad + 2)
 
 
 def _check_smoothing(smoothing, what: str = "smoothing") -> None:
@@ -276,31 +306,41 @@ def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> Facto
     """Fold row, an int vector of valid version indices (not checked), and
     its outcome into the model.  Only the table on the outcome's side
     changes; the result is cell-for-cell identical to a full refit on the
-    extended history."""
+    extended history.  The sampler refits a FactorStack in place instead;
+    this one-model form is the reference its tests compare against."""
     side = "good" if built else "bad"
     stats = getattr(model, f"{side}_stats").add(row[None])
     table = FactorTable.from_counts(stats, model.smoothing)
     return replace(model, **{f"{side}_stats": stats, side: table})
 
 
-def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray,
+                   tables: np.ndarray | None = None) -> np.ndarray:
     """Log of the unnormalized factor product of each row of matrix (valid
     version indices, check_rows) under each line of logs, a stack of log
-    tables over layout: one line of row sums per table."""
+    tables over layout: one line of row sums per table.  A line may hold
+    several tables end to end; tables then gives each row the index of the
+    one it is summed under (by default, the first)."""
     out = np.empty((logs.shape[0], matrix.shape[0]))
     step = _DENSITY_BLOCK // logs.shape[0]  # rows whose logs fill a block
     for start in range(0, matrix.shape[0], step):
+        cells = layout.cells(matrix[start:start + step])
+        if tables is not None:
+            cells += tables[start:start + step] * layout.size
         # np.take gathers from a flat vector faster than indexing it does.
-        lines = np.take(logs, layout.cells(matrix[start:start + step]), axis=1)
+        lines = np.take(logs, cells, axis=1)
         block = out[:, start:start + step]
         # Factor by factor, not a sum over the factors' axis: see the module docstring.
+        if block.shape[1] <= _ACCUMULATE_ROWS:
+            block[:] = np.add.accumulate(lines, axis=1)[:, -1]
+            continue
         block[:] = lines[:, 0]
         for factor in range(1, lines.shape[1]):
             block += lines[:, factor]
     return out
 
 
-def _ei(ratio, prior: float):
+def _ei(ratio, prior):
     """Expected improvement for a float or an array of bad/good density ratios.
 
     Equals 1/prior at ratio 0, 1 at ratio 1, and decreases strictly as the
@@ -310,24 +350,105 @@ def _ei(ratio, prior: float):
 
 
 def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    """Expected improvement of each row of matrix, from its bad/good density
-    ratio; both sides' logs are gathered at once and summed in factor order,
-    so each log density equals that of its side's table alone bit for bit."""
-    good, bad = _log_densities(model.good.layout, np.stack((model.good.log, model.bad.log)),
-                               matrix)
-    ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
-    return _ei(ratio, model.success_prior)
+    """Expected improvement of each row of matrix, from its bad/good density ratio."""
+    return FactorStack([model]).expected_improvement(matrix)
 
 
-def _flat(table: FactorTable) -> bool:
-    """Whether every factor of table has one log weight for all its cells."""
-    starts = table.layout.offsets[:-1]
-    return bool(np.array_equal(np.minimum.reduceat(table.log, starts),
-                               np.maximum.reduceat(table.log, starts)))
+def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
+    """Product of raw good-side per-package frequencies for each row.
+
+    Frequencies are unsmoothed; with no good observations (or a version
+    never seen good) the product is zero.  The rows of matrix must hold
+    valid version indices (check_rows).
+    """
+    return FactorStack([model]).crowd(matrix.T, [0])[0]
+
+
+class FactorStack:
+    """The factor models of R runs over one graph, as arrays refitted in place.
+
+    Side 0 is the good side and side 1 the bad one: counts[s, r] and log[s, r]
+    are run r's flat vectors over the layout, and n[s, r] its record count.
+    A fold adds one record per run to its outcome's side and smooths that
+    side again as FactorTable.from_counts does, so run r's logs are bit for
+    bit those of model(r), the FactorModel that its counts give.
+    """
+
+    def __init__(self, models: Sequence[FactorModel]):
+        """Stack models, which share a graph and a smoothing."""
+        first = models[0]
+        self.graph, self.smoothing = first.graph, first.smoothing
+        self.layout = first.good_stats.layout
+        sides = ([m.good_stats for m in models], [m.bad_stats for m in models])
+        self.n = np.array([[stats.n for stats in side] for side in sides], dtype=np.int64)
+        self.counts = np.array([[stats.counts for stats in side] for side in sides])
+        self.log = np.array([[m.good.log for m in models], [m.bad.log for m in models]])
+        self.runs = np.arange(len(models))
+        self.priors = [m.success_prior for m in models]
+
+    def model(self, run: int) -> FactorModel:
+        """Run's model, its tables smoothed from its counts."""
+        good, bad = (SideStats(n=int(self.n[side, run]), counts=self.counts[side, run].copy(),
+                               layout=self.layout) for side in (0, 1))
+        return _from_counts(self.graph, self.smoothing, good, bad)
+
+    def fold(self, cells: np.ndarray, sides: np.ndarray) -> None:
+        """Add a record to each run, on its side in sides (0 for a build, 1
+        for a failure); cells holds the records' rows as layout.cells gives
+        them, a line per factor and a column per run."""
+        runs = self.runs
+        n = self.n[sides, runs] + 1
+        for count in n.tolist():
+            _check_weights(count, self.smoothing, self.layout)
+        self.counts[sides, runs, cells] += 1  # a run's cells lie in distinct factors
+        self.n[sides, runs] = n
+        self.log[sides, runs] = np.log(_smoothed(self.counts[sides, runs], n[:, None],
+                                                 self.smoothing, self.layout))
+        self.priors = list(map(_success_prior, *self.n.tolist()))
+
+    def expected_improvement(self, matrix: np.ndarray,
+                             runs: np.ndarray | None = None) -> np.ndarray:
+        """Expected improvement of each row of matrix under the model of its
+        run, given by runs (by default, run 0 for every row).  Both sides'
+        logs are gathered at once and summed in factor order, so each log
+        density equals that of its side's table alone bit for bit."""
+        if runs is None or self.runs.size == 1:  # one table: no offsets, one prior
+            runs, prior = None, self.priors[0]
+        else:
+            prior = np.take(self.priors, runs)
+        good, bad = _log_densities(self.layout, self.log.reshape(2, -1), matrix, runs)
+        ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
+        return _ei(ratio, prior)
+
+    def crowd(self, columns: np.ndarray, runs) -> np.ndarray:
+        """Crowd score of every row whose versions columns holds, a line per
+        package (a contiguous line gathers fastest), under each of runs'
+        models, from its good side's counts: a line per run."""
+        k, n = self.layout.n_nodes, self.n[0, runs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(self.counts[0, runs, :self.layout.offsets[k]] / n[:, None])
+        logs[n == 0] = -np.inf  # no good record: every product is 0
+        # Package by package, each version indexing the logs from its
+        # package's first cell on: one gather of every package's cells at
+        # once is slower over thousands of rows.
+        starts = self.layout.offsets[:k].tolist()
+        total = np.take(logs, columns[0], axis=1)
+        for i in range(1, k):
+            total += np.take(logs[:, starts[i]:], columns[i], axis=1)
+        return np.exp(total)
+
+
+def _flat(layout: FactorLayout, log: np.ndarray) -> np.ndarray:
+    """Whether every factor of both sides of each run's logs, a stack's log
+    array, has one log weight for all its cells: a bool per run."""
+    starts = layout.offsets[:-1]
+    return (np.minimum.reduceat(log, starts, axis=2)
+            == np.maximum.reduceat(log, starts, axis=2)).all(axis=(0, 2))
 
 
 class RatioIndex:
-    """Bad/good log density ratio of each row of a fixed matrix, for selection.
+    """Bad/good log density ratio of each row of a fixed matrix under each
+    model of a FactorStack, for selection.
 
     Packages go in a topological order.  The level of package c carries c's
     factor and those of the edges from its parents.  Rows that agree on the
@@ -335,7 +456,8 @@ class RatioIndex:
     order.  A node holds one code into its level's table, which adds c's
     cells to those of its first parent's edge, plus one flat cell for each
     further parent.  Its sum is its parent node's plus those, so the trie is
-    summed from the model's tables at each selection, level by level.
+    summed from the models' tables at each selection, level by level, all
+    runs at once.
 
     A level joins the trie while it has at most half as many nodes as there
     are rows, and while the pairs (node above, version) it ranks span at most
@@ -345,43 +467,48 @@ class RatioIndex:
     step on 31,186 random rows of 61 packages.  The rows are distinct, so
     the last level never joins: a dense space leaves that one out, a sparse
     replay most of them.  The factors of the levels
-    left out, the suffix, keep each row's sum up to date.  A new row gives
-    one cell per factor a count, whose change goes to the rows holding that
-    cell, found through an inverted index over the suffix's cells; the shift
-    of every cell's normalizer is one amount for all rows, held at the
-    trie's root.
+    left out, the suffix, keep each row's sum up to date, a line per run.  A
+    new row gives one cell per factor a count, whose change goes to the rows
+    holding that cell, found through an inverted index over the suffix's
+    cells; the shift of every cell's normalizer is one amount for all rows,
+    held at the trie's root.  The rows, the trie and the inverted index are
+    the runs' common part.
 
-    A closed row's suffix sum is +inf, so the best open row is the one with
-    the least log ratio: the score falls as the ratio grows.  best() turns
-    the near-tie band of scores into a limit on the log ratio once per
-    step, and settles the open rows within it on exact scores.
+    A closed row's suffix sum is +inf, so a run's best open row is the one
+    with the least log ratio: the score falls as the ratio grows.  best()
+    turns each run's near-tie band of scores into a limit on the log ratio
+    once per step, and settles the open rows within it on exact scores.
     """
 
-    def __init__(self, model: FactorModel, rows: np.ndarray, open_rows: np.ndarray):
+    def __init__(self, stack: FactorStack, rows: np.ndarray, open_rows: np.ndarray):
         """Index rows, an int matrix of distinct rows of valid version
-        indices, under model; the rows not set in open_rows start closed."""
-        layout, graph = model.good_stats.layout, model.graph
+        indices, under each model of stack; the rows not set in a run's line
+        of open_rows start closed for it."""
+        layout, graph = stack.layout, stack.graph
+        runs = open_rows.shape[0]
         self.rows = rows
-        self.n_open = int(np.count_nonzero(open_rows))
-        self._shift = 0.0  # the suffix's normalizer changes, held by the root
-        self._root = np.zeros(1)
-        self._gap = np.zeros(layout.size + 1)  # the last cell stands for no parent
+        self.n_open = int(np.count_nonzero(open_rows[0]))  # each run's, one count in lockstep
+        self._shift = np.zeros(runs)  # the suffix's normalizer changes, held by the root
+        self._root = np.zeros((runs, 1))
+        self._gap = np.zeros((runs, layout.size + 1))  # the last cell stands for no parent
         into = [[] for _ in graph.packages]  # (edge factor, parent) of each package
         for e, (parent, child) in enumerate(graph.edges):
             into[child].append((layout.n_nodes + e, parent))
         order = graph.topological_order
         # Each part in its own method, so that its temporaries are gone
         # before the next part allocates.
-        self._index_prefixes(layout, graph, rows, order, into)
-        self._index_suffix(model, rows, order[len(self._levels):], into)
+        self._index_prefixes(layout, graph, rows, order, into, runs)
+        self._index_suffix(stack, rows, order[len(self._levels):], into)
         self._suffix[~open_rows] = np.inf
-        self._log_ratio = np.empty(rows.shape[0])
-        self._mask = np.empty(rows.shape[0], dtype=bool)
+        self._lines = list(self._suffix)  # each run's suffix sums, a view
+        self._log_ratio = np.empty((runs, rows.shape[0]))
+        self._mask = np.empty((runs, rows.shape[0]), dtype=bool)
 
-    def _index_prefixes(self, layout, graph, rows, order, into) -> None:
+    def _index_prefixes(self, layout, graph, rows, order, into, runs) -> None:
         """The trie's levels, each a node's parent node, its code into the
-        level table and its further parents' cells, with a buffer for its
-        sums; each row's node on the last level; the level tables' cells."""
+        level table and its further parents' cells, with a buffer for the
+        runs' sums; each row's node on the last level; the level tables'
+        cells."""
         sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
         # Level by level, a row's node is the rank of (its node above, its
         # version) among the pairs present, so nodes stay in prefix order.
@@ -415,29 +542,35 @@ class RatioIndex:
                 code = pairs % m + len(node_cells)
                 node_cells += range(offsets[c], offsets[c] + m)
                 edge_cells += [layout.size] * m
-            self._levels.append((pairs // m, code, extra, np.empty(count)))
+            self._levels.append((pairs // m, code, extra, np.empty((runs, count))))
         self._leaf = node
         self._node_cells = np.array(node_cells, dtype=np.intp)
         self._edge_cells = np.array(edge_cells, dtype=np.intp)
-        self._scratch = np.empty(max([0, *(level[3].size for level in self._levels)]))
+        # One scratch buffer, viewed in each level's shape.
+        scratch = np.empty(max([0, *(level[3].size for level in self._levels)]))
+        self._levels = [(*level, scratch[:level[3].size].reshape(level[3].shape))
+                        for level in self._levels]
 
-    def _index_suffix(self, model, rows, packages, into) -> None:
-        """The suffix factors, those of packages, in flat order; each row's
-        sum over them; the inverted index over their cells: the rows holding
-        flat cell v are order[bounds[v]:bounds[v + 1]].
+    def _index_suffix(self, stack, rows, packages, into) -> None:
+        """The suffix factors, those of packages, in flat order; each run's
+        sum over them for each row; the inverted index over their cells: the
+        rows holding flat cell v are order[bounds[v]:bounds[v + 1]].
 
         A factor goes through one line of local cells, filled a block of
         rows at a time along with the sums, which then serves the counts and
         its stable argsort.  No temporary spans the rows, which would raise
         the peak memory of runs over a whole space.
         """
-        layout, graph = model.good_stats.layout, model.graph
+        layout, graph = stack.layout, stack.graph
         sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
         k = layout.n_nodes
         self._factors = np.array(sorted(f for c in packages
                                         for f in (c, *(f for f, _ in into[c]))), dtype=np.intp)
-        gap = model.bad.log - model.good.log
-        self._suffix = np.zeros(n)
+        self._smoothing_terms = np.concatenate((
+            np.full(self._factors.size, stack.smoothing),
+            stack.smoothing * layout.factor_sizes[self._factors]))
+        gap = stack.log[1] - stack.log[0]
+        self._suffix = np.zeros((gap.shape[0], n))
         self._order = np.empty(self._factors.size * n, dtype=np.int32)
         per_cell = np.zeros(layout.size, dtype=np.int64)
         for at, f in enumerate(self._factors.tolist()):
@@ -451,109 +584,118 @@ class RatioIndex:
                     parent, child = graph.edges[f - k]
                     cells = block[:, parent] * sizes[child] + block[:, child]
                 local[start:start + _DENSITY_BLOCK] = cells
-                self._suffix[start:start + _DENSITY_BLOCK] += gap[a:b][cells]
+                sums = self._suffix[:, start:start + _DENSITY_BLOCK]
+                sums += np.take(gap[:, a:b], cells, axis=1)
             per_cell[a:b] = np.bincount(local, minlength=b - a)
             # A stable sort of 8- or 16-bit keys is a radix sort.
             self._order[at * n:(at + 1) * n] = np.argsort(local, kind="stable")
         self._bounds = [0, *np.cumsum(per_cell).tolist()]
 
-    def close(self, row: int) -> None:
-        """Close the open row at index row: it is no longer selected."""
-        self._suffix[row] = np.inf
+    def close(self, rows: Sequence[int]) -> None:
+        """Close each run's open row at index rows[r]: it is no longer selected."""
+        for line, row in zip(self._lines, rows):
+            line[row] = np.inf
         self.n_open -= 1
 
-    def add(self, model: FactorModel, row: np.ndarray, built: bool) -> None:
-        """Fold in row, an int vector of valid version indices (not checked),
-        and its outcome, given the model these ratios agree with before it."""
-        stats = model.good_stats if built else model.bad_stats
-        sign = -1.0 if built else 1.0  # the good side is the denominator
-        smoothing = model.smoothing
-        cells = stats.layout.cells(row[None])[self._factors, 0]
-        total = stats.n + smoothing * stats.layout.factor_sizes[self._factors]
-        self._shift -= sign * float(np.sum(np.log(total + 1.0) - np.log(total)))
-        held = stats.counts[cells] + smoothing
-        deltas = sign * (np.log(held + 1.0) - np.log(held))
-        for cell, delta in zip(cells.tolist(), deltas.tolist()):
-            np.add.at(self._suffix, self._order[self._bounds[cell]:self._bounds[cell + 1]],
-                      delta)
+    def add(self, stack: FactorStack, cells: np.ndarray, sides: np.ndarray) -> None:
+        """Fold in a record per run, its row's cells and its side as
+        FactorStack.fold takes them, given the stack these ratios agree with
+        before the fold."""
+        runs, width = stack.runs, self._factors.size
+        own = cells[self._factors].T
+        # A line per run: the smoothed counts of its row's suffix cells, then
+        # its side's smoothed normalizer of each suffix factor.  Adding one
+        # record moves the log of each by log(x + 1) - log(x): a cell's move
+        # goes to the rows holding it, and the normalizers' moves sum to the
+        # shift of every row.
+        held = np.empty((runs.size, 2 * width))
+        held[:, :width] = stack.counts[sides[:, None], runs[:, None], own]
+        held[:, width:] = stack.n[sides, runs][:, None]
+        held += self._smoothing_terms
+        change = _SIGNS[sides][:, None] * (np.log(held + 1.0) - np.log(held))
+        self._shift -= change[:, width:].sum(axis=1)
+        # An add.at per run and cell, in factor order: one over the runs' and
+        # cells' rows concatenated ran slower and allocates a copy of them.
+        order, bounds = self._order, self._bounds
+        for line, run_cells, deltas in zip(self._lines, own.tolist(),
+                                           change[:, :width].tolist()):
+            for cell, delta in zip(run_cells, deltas):
+                np.add.at(line, order[bounds[cell]:bounds[cell + 1]], delta)
 
-    def log_ratio(self, model: FactorModel) -> np.ndarray:
-        """Each row's log ratio under model, the one the adds have brought
-        the index to, and +inf for a closed row; up to float rounding, the
-        bad side's _log_densities less the good side's.  The vector is a
-        buffer that the next call overwrites."""
+    def log_ratio(self, stack: FactorStack) -> np.ndarray:
+        """Each run's log ratio of each row, under the stack the adds have
+        brought the index to, and +inf for a closed row: a line per run, up
+        to float rounding the bad side's _log_densities less the good side's.
+        The array is a buffer that the next call overwrites."""
         gap = self._gap
-        np.subtract(model.bad.log, model.good.log, out=gap[:-1])
-        table = gap[self._node_cells] + gap[self._edge_cells]
+        np.subtract(stack.log[1], stack.log[0], out=gap[:, :-1])
+        table = gap.take(self._node_cells, axis=1)
+        table += gap.take(self._edge_cells, axis=1)
         above = self._root
-        above[0] = self._shift
+        above[:, 0] = self._shift
         # mode="clip" lets take write into out without a buffer.
-        for parent, code, extra, values in self._levels:
-            scratch = self._scratch[:values.size]
-            above.take(parent, out=values, mode="clip")
-            values += table.take(code, out=scratch, mode="clip")
+        for parent, code, extra, values, scratch in self._levels:
+            above.take(parent, axis=1, out=values, mode="clip")
+            values += table.take(code, axis=1, out=scratch, mode="clip")
             for cells in extra:
-                values += gap.take(cells, out=scratch, mode="clip")
+                values += gap.take(cells, axis=1, out=scratch, mode="clip")
             above = values
-        above.take(self._leaf, out=self._log_ratio, mode="clip")
+        above.take(self._leaf, axis=1, out=self._log_ratio, mode="clip")
         self._log_ratio += self._suffix
         return self._log_ratio
 
-    def near(self, model: FactorModel) -> np.ndarray:
-        """Open rows, ascending, whose indexed score is within a relative
-        _NEAR_TIE of the best, that of the open row with the least log ratio;
-        the band is one limit on the log ratio, so a few more rows may pass."""
-        prior = model.success_prior
-        log_ratio = self.log_ratio(model)
-        least = float(log_ratio.min())
-        top = _ei(math.exp(min(max(least, -_LOG_RATIO_CLAMP), _LOG_RATIO_CLAMP)), prior)
-        # score >= top * (1 - tol)  <=>  ratio <= (1 / (top * (1 - tol)) - prior) / (1 - prior).
-        # The limit exceeds the least ratio, so it lies above the lower clamp
-        # and every row clipped there passes; past the upper clamp every open
-        # row clips to at most the limit.
-        limit = math.log((1.0 / (top * (1.0 - 2.0 * _NEAR_TIE)) - prior) / (1.0 - prior))
-        if limit >= _LOG_RATIO_CLAMP:  # every open row
-            return np.flatnonzero(np.less(log_ratio, np.inf, out=self._mask))
-        return np.flatnonzero(np.less_equal(log_ratio, limit, out=self._mask))
+    def near(self, stack: FactorStack) -> tuple[np.ndarray, np.ndarray]:
+        """Each run's open rows whose indexed score is within a relative
+        _NEAR_TIE of its best, that of its open row with the least log ratio,
+        as a run and a row index each, by run and then row ascending; the
+        band is one limit on a run's log ratio, so a few more rows may pass."""
+        log_ratio = self.log_ratio(stack)
+        limits = []
+        for least, prior in zip(log_ratio.min(axis=1).tolist(), stack.priors):
+            top = _ei(math.exp(min(max(least, -_LOG_RATIO_CLAMP), _LOG_RATIO_CLAMP)), prior)
+            # score >= top * (1 - tol)  <=>  ratio <= (1 / (top * (1 - tol)) - prior) / (1 - prior).
+            # The limit exceeds the least ratio, so it lies above the lower
+            # clamp and every row clipped there passes; past the upper clamp
+            # every open row clips to at most the limit, and the largest
+            # float passes every open row.
+            limit = math.log((1.0 / (top * (1.0 - 2.0 * _NEAR_TIE)) - prior) / (1.0 - prior))
+            limits.append(limit if limit < _LOG_RATIO_CLAMP else sys.float_info.max)
+        # One flat index and a divmod: np.nonzero of a matrix is several times slower.
+        return np.divmod(np.flatnonzero(np.less_equal(log_ratio, np.array(limits)[:, None],
+                                                      out=self._mask)), log_ratio.shape[1])
 
-    def best(self, model: FactorModel) -> tuple[np.ndarray, float]:
-        """Open rows with the highest expected improvement, ascending, and that score.
+    def best(self, stack: FactorStack) -> tuple[list[np.ndarray], list[float]]:
+        """Each run's open rows with the highest expected improvement,
+        ascending, and that score.
 
-        At least one row must be open.  The near() rows are rescored with
-        expected_improvement_many, and only its exact maxima are returned,
-        with its exact score.  When every factor of both sides weighs its
-        cells alike, every row sums the same logs in the same order and so
-        scores exactly the same: one is rescored.
+        Every run needs an open row.  The near() rows are rescored, all runs'
+        at once, and only each run's exact maxima are returned, with its
+        exact score.  When every factor of both sides of a run's model weighs
+        its cells alike, each of its rows sums the same logs in the same
+        order and so scores exactly the same: if its band is all its open
+        rows, one is rescored.
         """
-        near = self.near(model)
-        if (near.size > 1 and near.size == self.n_open
-                and _flat(model.good) and _flat(model.bad)):
-            return near, float(expected_improvement_many(model, self.rows[near[:1]])[0])
-        exact = expected_improvement_many(model, self.rows[near])
-        top = exact.max()
-        return near[exact == top], float(top)
-
-
-def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    """Product of raw good-side per-package frequencies for each row.
-
-    Frequencies are unsmoothed; with no good observations (or a version
-    never seen good) the product is zero.  The rows of matrix must hold
-    valid version indices (check_rows).
-    """
-    layout, n = model.good_stats.layout, model.good_stats.n
-    k = layout.n_nodes
-    node_counts = model.good_stats.counts[:layout.offsets[k]]
-    with np.errstate(divide="ignore"):
-        logs = np.log(node_counts / n) if n > 0 else np.full(node_counts.size, -np.inf)
-    # Package by package, each version indexing the logs from its package's
-    # first cell on: one gather of every package's cells at once is slower
-    # over thousands of rows.
-    starts = layout.offsets[:k].tolist()
-    total = logs[matrix[:, 0]]
-    for i in range(1, k):
-        total += logs[starts[i]:][matrix[:, i]]
-    return np.exp(total)
+        runs, rows = self.near(stack)
+        ends = np.searchsorted(runs, stack.runs, side="right").tolist()
+        starts = [0, *ends[:-1]]
+        whole = [b - a > 1 and b - a == self.n_open for a, b in zip(starts, ends)]
+        flat = (_flat(stack.layout, stack.log) & whole).tolist() if any(whole) else whole
+        if any(flat):
+            rescored = np.ones(runs.size, dtype=bool)
+            for a, b, one in zip(starts, ends, flat):
+                rescored[a + 1:b] = not one
+            runs, rows_rescored = runs[rescored], rows[rescored]
+        else:
+            rows_rescored = rows
+        exact = stack.expected_improvement(self.rows[rows_rescored], runs)
+        tied, scores, at = [], [], 0
+        for a, b, one in zip(starts, ends, flat):
+            scored = exact[at:at + (1 if one else b - a)]
+            at += scored.size
+            top = scored.max()
+            tied.append(rows[a:b] if one else rows[a:b][scored == top])
+            scores.append(float(top))
+        return tied, scores
 
 
 def save_model(model: FactorModel, path: str) -> None:

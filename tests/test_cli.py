@@ -205,19 +205,19 @@ class TestEvalCommand:
     def test_bootstrap_size_rows_match_across_strategies(self, capsys, workspace):
         code, out, _ = _run(
             ["eval", "--data", str(workspace / "data.jsonl"),
-             "--strategies", "bayesian,crowd,random", "--sizes", "5",
+             "--strategies", "bayesian,crowd,random", "--sizes", "5,10",
              "--reps", "3", "--bootstrap", "5", "--seed", "4"],
             capsys,
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
-        numeric = {row[0]: row[2:] for row in rows}
+        numeric = {row[0]: row[2:] for row in rows if row[1] == "5"}
         assert numeric["bayesian"] == numeric["crowd"] == numeric["random"]
 
     def test_json_format(self, capsys, workspace):
         code, out, _ = _run(
             ["eval", "--data", str(workspace / "data.jsonl"),
-             "--strategies", "random", "--sizes", "5", "--reps", "2",
+             "--strategies", "random", "--sizes", "5,10", "--reps", "2",
              "--bootstrap", "5", "--format", "json"],
             capsys,
         )
@@ -225,6 +225,29 @@ class TestEvalCommand:
         payload = json.loads(out)
         assert payload[0]["strategy"] == "random"
         assert payload[0]["size"] == 5
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--strategies", "bayesian,bayesian"], "--strategies"),
+        (["--strategies", ","], "--strategies"),
+        (["--sizes", "10,abc"], "--sizes"),
+    ])
+    def test_strategy_and_size_lists_are_usage_errors(self, capsys, workspace, flags, named):
+        """A strategy listed twice or none, or a size that is not an integer,
+        exits 1 naming the flag, and writes nothing."""
+        out = workspace / "eval.csv"
+        code, _, err = _run(["eval", "--data", str(workspace / "data.jsonl"), *flags,
+                             "--reps", "1", "--bootstrap", "5", "--out", str(out)], capsys)
+        assert code == 1
+        assert f"argument {named}:" in err
+        assert not out.exists()
+
+    def test_bootstrap_covering_every_size_exits_two(self, capsys, workspace):
+        out = workspace / "eval.csv"
+        code, _, err = _run(["eval", "--data", str(workspace / "data.jsonl"), "--sizes", "10",
+                             "--bootstrap", "10", "--reps", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: bootstrap size 10 covers every sample size; the largest is 10\n"
+        assert not out.exists()
 
     def test_oversized_request_exits_two(self, capsys, workspace):
         code, _, err = _run(

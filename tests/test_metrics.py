@@ -115,13 +115,13 @@ class TestSweepExperiment:
     def test_bootstrap_only_prefix_identical_across_strategies(self):
         """At sizes up to the bootstrap, all strategies share the same draws."""
         dataset = _replay_dataset()
-        reports = sweep_experiment(dataset, ("bayesian", "crowd", "random"), (5,),
+        reports = sweep_experiment(dataset, ("bayesian", "crowd", "random"), (5, 10),
                                    repetitions=4, base_seed=3, bootstrap_size=5)
         reference = reports["bayesian"]
         for strategy in ("crowd", "random"):
-            assert reports[strategy].mean_p == reference.mean_p
-            assert reports[strategy].mean_r == reference.mean_r
-            assert reports[strategy].sd_p == reference.sd_p
+            assert reports[strategy].mean_p[0] == reference.mean_p[0]
+            assert reports[strategy].mean_r[0] == reference.mean_r[0]
+            assert reports[strategy].sd_p[0] == reference.sd_p[0]
 
     def test_prefix_values_from_the_replayed_histories(self):
         """A prefix's precision is its good records over its length, and its
@@ -194,12 +194,24 @@ class TestSweepExperiment:
         with pytest.raises(ValueError, match="no good configurations"):
             sweep_experiment(all_bad, ("random",), (10,), 1, 0)
 
-    def test_error_names_strategy_and_seed(self):
+    def test_error_names_strategy(self):
         dataset = _replay_dataset(n_records=12)
-        with pytest.raises(ValueError, match=r"strategy 'bayesian' with seed \d+"):
-            # Bootstrap of 20 cannot be seeded from 12 records.
-            sweep_experiment(dataset, ("bayesian",), (12,), 1, 5,
-                             bootstrap_size=20)
+        with pytest.raises(ValueError, match=r"strategy 'bayesian': smoothing 5e-324 over"):
+            # The least weight of a side of two or more records rounds to 0.
+            sweep_experiment(dataset, ("bayesian",), (12,), 2, 5, bootstrap_size=5,
+                             smoothing=5e-324)
+
+    @pytest.mark.parametrize("strategies", [(), ("crowd", "random", "crowd")])
+    def test_strategies_listed_once(self, strategies):
+        with pytest.raises(ValueError, match="no strategies|repeat a strategy"):
+            sweep_experiment(_replay_dataset(), strategies, (10,), 1, 0, bootstrap_size=5)
+
+    @pytest.mark.parametrize("bootstrap_size", [10, 11])
+    def test_bootstrap_must_leave_a_sample_size_to_select(self, bootstrap_size):
+        """Prefixes within the bootstrap do not depend on the strategy."""
+        with pytest.raises(ValueError, match="covers every sample size"):
+            sweep_experiment(_replay_dataset(), ("random",), (5, 10), 1, 0,
+                             bootstrap_size=bootstrap_size)
 
 
 class TestAuprcExperiment:

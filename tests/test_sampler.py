@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,12 +26,11 @@ from buildtuner import (
     expected_improvement_many,
     fit,
     generate_benchmark,
-    refit_incremental,
     run,
     substream,
 )
 from buildtuner import configspace, sampler
-from buildtuner.buildsim import SyntheticOracle
+from buildtuner.buildsim import SyntheticOracle, enumerate_records
 from buildtuner.configspace import (
     GraphError,
     check_rows,
@@ -38,7 +38,7 @@ from buildtuner.configspace import (
     random_configurations,
 )
 from buildtuner.sampler import TraceEntry
-from buildtuner.surrogate import RatioIndex
+from buildtuner.surrogate import FactorStack, RatioIndex, refit_incremental
 from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
                      two_package_graph, wide_graph)
 
@@ -446,9 +446,9 @@ class TestRun:
         graph = chain_graph(3, 3)
         dataset = Dataset(graph, distinct_records(graph, 15, np.random.default_rng(6),
                                                   lambda c: c[0] == 0))
-        source = sampler._candidates(Delegating(DatasetOracle(dataset)), graph,
-                                     SamplerConfig())
-        assert np.shares_memory(source.rows, dataset.rows)
+        rows = sampler._candidate_rows(Delegating(DatasetOracle(dataset)), graph,
+                                       SamplerConfig())
+        assert np.shares_memory(rows, dataset.rows)
 
     def test_dataset_over_another_graph_rejected(self):
         dataset = Dataset(chain_graph(2, 3), [BuildRecord((0, 0), True)])
@@ -664,18 +664,20 @@ class TestIncrementalSelectionParity:
         seen = {"calls": 0, "largest": 0.0, "all_tied": False}
         best = RatioIndex.best
 
-        def checked(index, model):
-            log_ratio = index.log_ratio(model)
+        def checked(index, stack):
+            log_ratio = index.log_ratio(stack)
             open_rows = log_ratio < np.inf
-            assert np.count_nonzero(open_rows) == index.n_open
-            scratch = (log_density_many(model.bad, index.rows)
-                       - log_density_many(model.good, index.rows))[open_rows]
-            np.testing.assert_allclose(log_ratio[open_rows], scratch, rtol=0, atol=1e-9)
+            assert (np.count_nonzero(open_rows, axis=1) == index.n_open).all()
+            for run_index, (line, open_line) in enumerate(zip(log_ratio, open_rows)):
+                model = stack.model(run_index)
+                scratch = (log_density_many(model.bad, index.rows)
+                           - log_density_many(model.good, index.rows))[open_line]
+                np.testing.assert_allclose(line[open_line], scratch, rtol=0, atol=1e-9)
+                seen["largest"] = max(seen["largest"], float(np.abs(scratch).max()))
             seen["calls"] += 1
-            seen["largest"] = max(seen["largest"], float(np.abs(scratch).max()))
-            tied, score = best(index, model)
-            seen["all_tied"] |= tied.size == index.n_open
-            return tied, score
+            tied, scores = best(index, stack)
+            seen["all_tied"] |= any(t.size == index.n_open for t in tied)
+            return tied, scores
 
         monkeypatch.setattr(RatioIndex, "best", checked)
         return seen
@@ -714,12 +716,13 @@ class TestIncrementalSelectionParity:
         graph, oracle = space(seed)
         history, trace, model, tie_sizes = _reference_run(oracle, graph, config)
         scored = []
+        crowd = FactorStack.crowd
 
-        def counted(*args, **kwargs):
-            scored.append(args[1].shape[0])
-            return crowd_score_many(*args, **kwargs)
+        def counted(stack, columns, runs):
+            scored.append(columns.shape[1])
+            return crowd(stack, columns, runs)
 
-        monkeypatch.setattr(sampler, "crowd_score_many", counted)
+        monkeypatch.setattr(FactorStack, "crowd", counted)
         result = run(oracle, graph, config)
         assert result.history.entries == history.entries
         assert result.trace == trace
@@ -730,3 +733,104 @@ class TestIncrementalSelectionParity:
         if space is _always_fail:
             # Nothing ever builds: every open row ties at every step.
             assert tie_sizes == list(range(tie_sizes[0], tie_sizes[0] - len(trace), -1))
+
+
+class TestLockstepRuns:
+    """run_many advances R runs in one loop, each equal to its own run call."""
+
+    @staticmethod
+    def _assert_each_equals_its_run(oracle, graph, configs):
+        results = sampler.run_many(oracle, graph, configs)
+        assert len(results) == len(configs)
+        for result, config in zip(results, configs):
+            alone = run(oracle, graph, config)
+            mine, theirs = result.history.dataset, alone.history.dataset
+            assert np.array_equal(mine.rows, theirs.rows)
+            assert np.array_equal(mine.built, theirs.built)
+            assert result.scores == alone.scores
+            _assert_same_model(result.model, alone.model)
+        return results
+
+    @pytest.mark.parametrize("runs", [1, 3, 10])
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_budget_past_the_open_rows(self, runs, strategy):
+        """60 listed rows, a bootstrap of 10 and a budget of 80: every run
+        stops on the same step, once its 50 open rows are evaluated."""
+        graph, planted = _planted(4)
+        records = distinct_records(graph, 60, np.random.default_rng(4), planted.evaluate)
+        oracle = DatasetOracle(Dataset(graph, records))
+        configs = [SamplerConfig(strategy=strategy, bootstrap_size=10, budget=80, seed=seed)
+                   for seed in range(runs)]
+        results = self._assert_each_equals_its_run(oracle, graph, configs)
+        assert [len(result.scores) for result in results] == [50] * runs
+        assert all(len(result.history) == 60 for result in results)
+
+    @pytest.mark.parametrize("runs", [1, 3, 10])
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_all_bad_bootstrap(self, runs, strategy, monkeypatch):
+        """One good configuration of 2^11: every bootstrap is all bad, so the
+        good side is uniform.  The expected improvement then saturates at
+        1/prior for most rows, so some bayesian bands hold every open row of
+        a run, and those bands are exact ties."""
+        bands = []
+        best = RatioIndex.best
+
+        def recorded(index, stack):
+            runs_of, _ = index.near(stack)
+            tied, scores = best(index, stack)
+            bands.extend((int(np.count_nonzero(runs_of == r)), index.n_open, t.size)
+                         for r, t in enumerate(tied))
+            return tied, scores
+
+        monkeypatch.setattr(RatioIndex, "best", recorded)
+        graph, oracle = wide_graph(10, 2), CountingOracle(lambda c: sum(c) == 0)
+        configs = [SamplerConfig(strategy=strategy, bootstrap_size=10, budget=30, seed=seed)
+                   for seed in range(runs)]
+        results = self._assert_each_equals_its_run(oracle, graph, configs)
+        assert not any(result.history.dataset.built[:10].any() for result in results)
+        whole = [(band, tied) for band, n_open, tied in bands if band == n_open]
+        if strategy == "bayesian":
+            assert whole and all(band == tied for band, tied in whole)
+
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_pool_mode_is_one_run(self, strategy):
+        """Pool draws are one run's: run_many of one config is run, and of
+        several is refused before the oracle is asked anything."""
+        graph = wide_graph(10, 2)
+        config = SamplerConfig(strategy=strategy, candidate_mode="pool", pool_size=30,
+                               bootstrap_size=4, budget=12, seed=23)
+        self._assert_each_equals_its_run(CountingOracle(lambda c: c[1] == 1), graph, [config])
+        oracle = CountingOracle(lambda c: c[1] == 1)
+        with pytest.raises(ValueError, match="fixed candidates"):
+            sampler.run_many(oracle, graph, [config, replace(config, seed=24)])
+        assert oracle.calls == []
+
+    @pytest.mark.parametrize("configs", [
+        [],
+        [SamplerConfig(seed=1), SamplerConfig(seed=2, budget=5)],
+        [SamplerConfig(strategy="crowd"), SamplerConfig(strategy="random")],
+    ], ids=["none", "budgets", "strategies"])
+    def test_configs_differ_in_the_seed_alone(self, configs):
+        graph, oracle = _listed(3)
+        with pytest.raises(ValueError, match="seed alone"):
+            sampler.run_many(oracle, graph, configs)
+
+    def test_batched_sweep_memory(self):
+        """At replay-eval's size, 6,561 rows and 10 repetitions, a bayesian
+        sweep's runs trace under 4 MB at their peak: each run's suffix sums,
+        log ratios and open rows, 17 bytes a row, and the bands rescored a
+        block at a time.  One run after another peaked near 1.3 MB."""
+        graph, rules = generate_benchmark(8, 3, 0.5, 0.05, 21)
+        dataset = enumerate_records(SyntheticOracle(graph, rules))
+        assert len(dataset) == 6561
+        config = SamplerConfig(bootstrap_size=20, budget=100)
+        configs = [replace(config, seed=seed) for seed in range(10)]
+        oracle = DatasetOracle(dataset)
+        sampler.run_many(oracle, graph, configs[:2])  # numpy's first calls may cache
+        tracemalloc.start()
+        try:
+            sampler.run_many(oracle, graph, configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000

@@ -24,7 +24,6 @@ from buildtuner import (
     expected_improvement_many,
     fit,
     load_model,
-    refit_incremental,
     save_model,
 )
 from buildtuner.configspace import (
@@ -32,7 +31,7 @@ from buildtuner.configspace import (
     first_occurrences,
     full_space_matrix,
 )
-from buildtuner.surrogate import RatioIndex
+from buildtuner.surrogate import FactorStack, RatioIndex, refit_incremental
 from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
                      two_package_graph, wide_graph)
 
@@ -345,8 +344,9 @@ class TestOneScoringPath:
             ei_of_ratio(np.exp(np.clip(log_ratio, -700.0, 700.0)), model.success_prior))
 
     def test_matrix_of_several_blocks(self):
-        """8,193 rows: log_density_many gathers two full blocks of rows and one
-        of a single row."""
+        """8,193 rows: log_density_many gathers two full blocks of rows, whose
+        lines it adds in a loop over the factors, and one of a single row,
+        whose lines one np.add.accumulate adds."""
         graph = wide_graph(12, 2)
         records = distinct_records(graph, 30, np.random.default_rng(5), lambda c: c[1] == c[2])
         model = fit(records, graph)
@@ -491,47 +491,54 @@ def _selection_states(draw):
 
 
 def _indexed(graph, rows, records, start, smoothing, open_rows=None):
-    """A RatioIndex over rows, the ones open_rows leaves out closed (none by
-    default), fitted on records[:start] and then updated one record at a
-    time, with the model it agrees with."""
-    model = fit(records[:start], graph, smoothing)
+    """A RatioIndex over rows for one run, the ones open_rows leaves out
+    closed (none by default), fitted on records[:start] and then updated one
+    record at a time, with the FactorStack it agrees with."""
+    stack = FactorStack([fit(records[:start], graph, smoothing)])
     if open_rows is None:
         open_rows = np.ones(rows.shape[0], dtype=bool)
-    index = RatioIndex(model, rows, open_rows)
+    index = RatioIndex(stack, rows, open_rows[None])
     for record in records[start:]:
-        row = np.array(record.config)
-        index.add(model, row, record.outcome)
-        model = refit_incremental(model, row, record.outcome)
-    return index, model
+        _fold(index, stack, record.config, record.outcome)
+    return index, stack
+
+
+def _fold(index, stack, config, built):
+    """Fold one record into a one-run index and its stack, as run does."""
+    cells = stack.layout.cells(np.array([config], dtype=np.int64))
+    sides = np.array([0 if built else 1])
+    index.add(stack, cells, sides)
+    stack.fold(cells, sides)
 
 
 def _from_scratch(model, rows):
     return log_density_many(model.bad, rows) - log_density_many(model.good, rows)
 
 
-def _ei_band(index, model, open_rows, tol=1e-9):
+def _ei_band(index, stack, open_rows, tol=1e-9):
     """Open rows whose incremental score is within tol of the best, computed
     as scores over every row: the band that RatioIndex.near must hold."""
-    prior = model.success_prior
-    ratio = np.exp(np.clip(index.log_ratio(model), -700.0, 700.0))
+    (prior,) = stack.priors
+    ratio = np.exp(np.clip(index.log_ratio(stack)[0], -700.0, 700.0))
     approx = np.where(open_rows, 1.0 / (prior + ratio * (1.0 - prior)), 0.0)
     return np.flatnonzero(approx >= approx.max() * (1.0 - tol))
 
 
-def _assert_best_is_exact(index, model, open_rows):
+def _assert_best_is_exact(index, stack, open_rows):
     """best() is the from-scratch maximum over the open rows, tie set and
     score, and near() holds the whole score band, open rows in ascending
     order (the tie-break indexes into it); return the tie set."""
     assert index.n_open == np.count_nonzero(open_rows)
-    scratch = expected_improvement_many(model, index.rows)
+    scratch = expected_improvement_many(stack.model(0), index.rows)
     top = scratch[open_rows].max()
-    tied, score = index.best(model)
+    (tied,), (score,) = index.best(stack)
     np.testing.assert_array_equal(tied, np.flatnonzero(open_rows & (scratch == top)))
     assert score == top
-    near = index.near(model)
+    runs, near = index.near(stack)
+    assert (runs == 0).all()
     assert (np.diff(near) > 0).all()
     assert open_rows[near].all()
-    assert np.isin(_ei_band(index, model, open_rows), near).all()
+    assert np.isin(_ei_band(index, stack, open_rows), near).all()
     return tied
 
 
@@ -560,10 +567,10 @@ class TestRatioIndex:
         open_rows = rng.random(rows.shape[0]) < share_open
         open_rows[rng.integers(open_rows.size)] = True
         later = ~open_rows & (rng.random(rows.shape[0]) < 0.5)
-        index, model = _indexed(graph, rows, records, start, smoothing, open_rows | later)
+        index, stack = _indexed(graph, rows, records, start, smoothing, open_rows | later)
         for row in np.flatnonzero(later).tolist():
-            index.close(row)
-        _assert_best_is_exact(index, model, open_rows)
+            index.close([row])
+        _assert_best_is_exact(index, stack, open_rows)
 
     @pytest.mark.parametrize("which", ["all", "past-lower-clamp", "saturated",
                                        "past-upper-clamp"])
@@ -574,8 +581,8 @@ class TestRatioIndex:
         records = [BuildRecord((0,) * 13, True), BuildRecord((1,) * 13, False),
                    BuildRecord((0,) * 12 + (1,), True)]
         rows = full_space_matrix(graph).astype(np.int64)
-        index, model = _indexed(graph, rows, records, 1, 1e-30)
-        log_ratio = index.log_ratio(model).copy()
+        index, stack = _indexed(graph, rows, records, 1, 1e-30)
+        log_ratio = index.log_ratio(stack)[0].copy()
         assert log_ratio.min() < -700 and log_ratio.max() > 700
         open_rows = {
             "all": np.ones(log_ratio.size, dtype=bool),
@@ -584,8 +591,8 @@ class TestRatioIndex:
             "past-upper-clamp": log_ratio > 710,  # where exp() overflows, too
         }[which]
         for row in np.flatnonzero(~open_rows).tolist():
-            index.close(row)
-        tied = _assert_best_is_exact(index, model, open_rows)
+            index.close([row])
+        tied = _assert_best_is_exact(index, stack, open_rows)
         if which != "all":
             # Every open row scores the same: the clamp or 1/prior in floats.
             assert tied.size == np.count_nonzero(open_rows) > 1
@@ -617,12 +624,12 @@ class TestRatioIndex:
             rows = drawn[first_occurrences(drawn)]
         records = [BuildRecord(tuple(row), bool(b))
                    for row, b in zip(rows[:30].tolist(), rng.random(30) < 0.3)]
-        index, model = _indexed(graph, rows, records, 10, 1.0)
+        index, stack = _indexed(graph, rows, records, 10, 1.0)
         depth = _trie_reference(graph, rows)
         assert len(index._levels) == depth == {"dense": 8, "dag": 5, "sparse": 5,
                                                "wide-domain": 2}[space]
-        np.testing.assert_allclose(index.log_ratio(model), _from_scratch(model, rows),
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(index.log_ratio(stack)[0],
+                                   _from_scratch(stack.model(0), rows), rtol=0, atol=1e-9)
 
     def test_build_holds_one_copy_of_the_index(self):
         """Building the index over a 3^9-row space traces at most what it
@@ -635,11 +642,12 @@ class TestRatioIndex:
         rows = full_space_matrix(graph).astype(np.int64)
         records = distinct_records(graph, 40, np.random.default_rng(3),
                                    lambda c: c[0] == c[1])
-        model = fit(records, graph)
+        stack = FactorStack([fit(records, graph)])
         n_rows, n_factors = rows.shape[0], graph.n_packages + len(graph.edges)
+        open_rows = np.ones((1, n_rows), dtype=bool)
         tracemalloc.start()
         try:
-            RatioIndex(model, rows, np.ones(n_rows, dtype=bool))
+            RatioIndex(stack, rows, open_rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -653,17 +661,15 @@ class TestRatioIndex:
         rows = full_space_matrix(graph).astype(np.int64)
         records = distinct_records(graph, 30, np.random.default_rng(4),
                                    lambda c: c[2] != c[3])
-        model = fit(records[:20], graph)
-        index = RatioIndex(model, rows, np.ones(rows.shape[0], dtype=bool))
-        index.best(model)  # numpy's first calls may cache
+        stack = FactorStack([fit(records[:20], graph)])
+        index = RatioIndex(stack, rows, np.ones((1, rows.shape[0]), dtype=bool))
+        index.best(stack)  # numpy's first calls may cache
         tracemalloc.start()
         try:
             for record in records[20:]:
-                tied, _ = index.best(model)
-                index.close(int(tied[0]))
-                row = np.array(record.config)
-                index.add(model, row, record.outcome)
-                model = refit_incremental(model, row, record.outcome)
+                (tied,), _ = index.best(stack)
+                index.close([int(tied[0])])
+                _fold(index, stack, record.config, record.outcome)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -675,19 +681,16 @@ class TestRatioIndex:
         """After every update each open row's log ratio is the from-scratch
         one, and each row closed along the way reads +inf."""
         graph, rows, records, start, smoothing = space
-        model = fit(records[:start], graph, smoothing)
-        index = RatioIndex(model, rows, np.ones(rows.shape[0], dtype=bool))
+        index, stack = _indexed(graph, rows, records[:start], start, smoothing)
         closed = np.zeros(rows.shape[0], dtype=bool)
         for i in range(start, len(records)):
-            row = np.array(records[i].config)
-            index.add(model, row, records[i].outcome)
-            model = refit_incremental(model, row, records[i].outcome)
+            _fold(index, stack, records[i].config, records[i].outcome)
             full = fit(records[:i + 1], graph, smoothing)
             if i % 2 and not closed.all():
                 shut = int(np.flatnonzero(~closed)[0])
-                index.close(shut)
+                index.close([shut])
                 closed[shut] = True
-            log_ratio = index.log_ratio(model)
+            log_ratio = index.log_ratio(stack)[0]
             np.testing.assert_allclose(log_ratio[~closed], _from_scratch(full, rows)[~closed],
                                        rtol=0, atol=1e-9)
             assert (log_ratio[closed] == np.inf).all()
