@@ -114,33 +114,30 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _comma_list(kind, distinct: bool = False):
-    """An argparse type: a comma list of kind values, blanks dropped; it
-    must list one or more, and none twice if distinct is set."""
+def _comma_list(kind):
+    """An argparse type: a comma list of kind values, blanks dropped."""
     def parse(text: str) -> list:
         try:
-            items = [kind(item.strip()) for item in text.split(",") if item.strip()]
+            return [kind(item.strip()) for item in text.split(",") if item.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {kind.__name__}")
-        if not items:
-            raise argparse.ArgumentTypeError(f"{text!r} lists nothing")
-        if distinct and len(set(items)) != len(items):
-            raise argparse.ArgumentTypeError(f"{text!r} lists a value twice")
-        return items
     return parse
 
 
 def _cmd_eval(args) -> int:
     dataset = _load_data(args.data, None)
-    reports = metrics.sweep_experiment(
-        dataset,
-        args.strategies,
-        args.sizes,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        bootstrap_size=args.bootstrap,
-        smoothing=args.smoothing,
-    )
+    try:
+        reports = metrics.sweep_experiment(
+            dataset,
+            args.strategies,
+            args.sizes,
+            repetitions=args.reps,
+            base_seed=args.seed,
+            bootstrap_size=args.bootstrap,
+            smoothing=args.smoothing,
+        )
+    except metrics.StrategyListError as exc:
+        raise _UsageError(f"argument --strategies: {exc}") from exc
     payload = [row for strategy in args.strategies for row in reports[strategy].rows()]
     if args.format == "csv":
         header = ["strategy", "size", "mean_p", "sd_p", "mean_r", "sd_r"]
@@ -315,8 +312,7 @@ def _build_parser() -> _Parser:
 
     p = commands.add_parser("eval", help="precision/recall sweep over strategies")
     p.add_argument("--data", required=True)
-    p.add_argument("--strategies", type=_comma_list(str, distinct=True),
-                   default="bayesian,crowd,random")
+    p.add_argument("--strategies", type=_comma_list(str), default="bayesian,crowd,random")
     p.add_argument("--sizes", type=_comma_list(int), default="20,40,60,80,100")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--bootstrap", type=int, default=20)

@@ -17,10 +17,11 @@ from .configspace import _digest
 from .dataset import Dataset, DatasetOracle, split_train_test
 from .rng import derive_seed, substream
 from .sampler import SamplerConfig, run, run_many
-from .surrogate import crowd_score_many, expected_improvement_many
+from .surrogate import RunError, crowd_score_many, expected_improvement_many
 
 __all__ = [
     "ExperimentReport",
+    "StrategyListError",
     "auprc",
     "auprc_experiment",
     "sweep_experiment",
@@ -51,6 +52,10 @@ def auprc(ranked: Sequence[tuple[float, bool]]) -> float:
         true_seen += 1
         area += (true_seen / k) / total_true
     return area
+
+
+class StrategyListError(ValueError):
+    """A sweep's strategy list names no strategy, or one twice."""
 
 
 @dataclass(frozen=True)
@@ -99,15 +104,16 @@ def sweep_experiment(
 
     Repetition seeds are derived from base_seed independently of the
     strategy, so strategies are compared on identical bootstrap draws.  A
-    strategy's repetitions run in lockstep (run_many).  ValueError for a
-    strategy listed twice or none, and for a bootstrap that covers every
-    sample size, whose prefixes would not depend on the strategy.
+    strategy's repetitions run in lockstep (run_many); a ValueError of one
+    of them names its seed.  StrategyListError for a strategy listed twice
+    or none; ValueError for a bootstrap that covers every sample size,
+    whose prefixes would not depend on the strategy.
     """
     sizes = tuple(int(s) for s in sample_sizes)
     if not strategies:
-        raise ValueError("no strategies requested")
+        raise StrategyListError("no strategies requested")
     if len(set(strategies)) != len(strategies):
-        raise ValueError(f"strategies {list(strategies)} repeat a strategy")
+        raise StrategyListError(f"strategies {list(strategies)} repeat a strategy")
     if not sizes:
         raise ValueError("no sample sizes requested")
     if min(sizes) < 1:
@@ -136,7 +142,8 @@ def sweep_experiment(
             results = run_many(oracle, dataset.graph,
                                [replace(config, budget=budget, seed=seed) for seed in seeds])
         except ValueError as exc:
-            raise ValueError(f"strategy {strategy!r}: {exc}") from exc
+            where = f" with seed {seeds[exc.run]}" if isinstance(exc, RunError) else ""
+            raise ValueError(f"strategy {strategy!r}{where}: {exc}") from exc
         built = np.array([result.history.dataset.built for result in results])
         found = np.cumsum(built, axis=1)[:, np.subtract(sizes, 1)]
         p_values, r_values = found / sizes, found / total_good

@@ -43,7 +43,7 @@ from .configspace import (
 )
 from .dataset import BuildRecord, Dataset
 from .rng import substream
-from .surrogate import FactorModel, FactorStack, RatioIndex, _check_smoothing, fit
+from .surrogate import FactorModel, FactorStack, RatioIndex, RunError, _check_smoothing, fit
 
 __all__ = [
     "STRATEGIES",
@@ -365,7 +365,9 @@ def run_many(
     Each run draws from its own seed's substreams, so its result equals that
     of run(oracle, graph, config) bit for bit.  Several runs need fixed
     candidates (listed ones, or exhaustive mode); ValueError otherwise, or
-    when configs is empty or differs in more than the seed.
+    when configs is empty or differs in more than the seed.  A ValueError
+    of one run's own, from fitting its bootstrap or refitting, is a RunError
+    whose run is the index of its config.
     """
     if len({replace(config, seed=0) for config in configs}) != 1:
         raise ValueError("lockstep runs need one or more configs that differ in the seed alone")
@@ -381,12 +383,15 @@ def run_many(
     for run_index, seed in enumerate(c.seed for c in configs):
         rng_boot = substream(seed, "bootstrap")
         history = ObservationHistory(graph)
-        while len(history) < config.bootstrap_size:
-            row = source.draw(run_index, rng_boot)
-            if row not in history:
-                _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
+        try:
+            while len(history) < config.bootstrap_size:
+                row = source.draw(run_index, rng_boot)
+                if row not in history:
+                    _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
+            models.append(fit(history.dataset, graph, config.smoothing))
+        except ValueError as exc:
+            raise RunError(run_index, str(exc)) from exc
         histories.append(history)
-        models.append(fit(history.dataset, graph, config.smoothing))
     stack = FactorStack(models)
     rngs_tie = [substream(c.seed, "tie-break") for c in configs]
     rng_pool = substream(config.seed, "pool")

@@ -55,6 +55,7 @@ __all__ = [
     "FactorStack",
     "FactorTable",
     "RatioIndex",
+    "RunError",
     "SideStats",
     "crowd_score_many",
     "expected_improvement_many",
@@ -70,13 +71,6 @@ _LOG_RATIO_CLAMP = 700.0
 # at once, so that their temporaries stay small when a band or index spans a
 # space.
 _DENSITY_BLOCK = 4096
-
-# Up to this many rows, a block's factor lines are added by one
-# np.add.accumulate along the factors, which adds them in factor order as
-# the loop over factors does, for a fraction of its per-call cost; past it
-# the loop is faster (8 packages: 2.6 against 18 us at 1 row, 25 against 41
-# us at 100, 98 against 69 us at 500).
-_ACCUMULATE_ROWS = 128
 
 # RatioIndex.best rescores from scratch every open row whose indexed score
 # is within this relative distance of the best.  Indexed log ratios differ
@@ -210,6 +204,15 @@ class FactorTable:
         return cls(weights=weights, log=np.log(weights), layout=stats.layout)
 
 
+class RunError(ValueError):
+    """A ValueError of one of several runs, such as the models of a
+    FactorStack: run is its index among them."""
+
+    def __init__(self, run: int, message: str):
+        super().__init__(message)
+        self.run = run
+
+
 def _check_weights(n: int, smoothing: float, layout: FactorLayout) -> None:
     """Raise ValueError when smoothing over n records rounds the least
     factor weight, that of an unseen cell of the largest factor, to 0."""
@@ -315,25 +318,26 @@ def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> Facto
 
 
 def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray,
-                   tables: np.ndarray | None = None) -> np.ndarray:
+                   tables: np.ndarray | None = None,
+                   picks: np.ndarray | None = None) -> np.ndarray:
     """Log of the unnormalized factor product of each row of matrix (valid
-    version indices, check_rows) under each line of logs, a stack of log
-    tables over layout: one line of row sums per table.  A line may hold
-    several tables end to end; tables then gives each row the index of the
-    one it is summed under (by default, the first)."""
-    out = np.empty((logs.shape[0], matrix.shape[0]))
+    version indices, check_rows), or of its rows at the indices picks, under
+    each line of logs, a stack of log tables over layout: one line of row
+    sums per table.  A line may hold several tables end to end; tables then
+    gives each row summed the index of the one it is summed under (by
+    default, the first).  Picked rows are gathered a block at a time."""
+    n = matrix.shape[0] if picks is None else picks.size
+    out = np.empty((logs.shape[0], n))
     step = _DENSITY_BLOCK // logs.shape[0]  # rows whose logs fill a block
-    for start in range(0, matrix.shape[0], step):
-        cells = layout.cells(matrix[start:start + step])
+    for start in range(0, n, step):
+        rows = matrix[start:start + step] if picks is None else matrix[picks[start:start + step]]
+        cells = layout.cells(rows)
         if tables is not None:
             cells += tables[start:start + step] * layout.size
         # np.take gathers from a flat vector faster than indexing it does.
         lines = np.take(logs, cells, axis=1)
         block = out[:, start:start + step]
         # Factor by factor, not a sum over the factors' axis: see the module docstring.
-        if block.shape[1] <= _ACCUMULATE_ROWS:
-            block[:] = np.add.accumulate(lines, axis=1)[:, -1]
-            continue
         block[:] = lines[:, 0]
         for factor in range(1, lines.shape[1]):
             block += lines[:, factor]
@@ -395,28 +399,33 @@ class FactorStack:
     def fold(self, cells: np.ndarray, sides: np.ndarray) -> None:
         """Add a record to each run, on its side in sides (0 for a build, 1
         for a failure); cells holds the records' rows as layout.cells gives
-        them, a line per factor and a column per run."""
+        them, a line per factor and a column per run.  RunError, before any
+        change, when a run's new side would round a weight to 0."""
         runs = self.runs
         n = self.n[sides, runs] + 1
-        for count in n.tolist():
-            _check_weights(count, self.smoothing, self.layout)
+        for run, count in enumerate(n.tolist()):
+            try:
+                _check_weights(count, self.smoothing, self.layout)
+            except ValueError as exc:
+                raise RunError(run, str(exc)) from exc
         self.counts[sides, runs, cells] += 1  # a run's cells lie in distinct factors
         self.n[sides, runs] = n
         self.log[sides, runs] = np.log(_smoothed(self.counts[sides, runs], n[:, None],
                                                  self.smoothing, self.layout))
         self.priors = list(map(_success_prior, *self.n.tolist()))
 
-    def expected_improvement(self, matrix: np.ndarray,
-                             runs: np.ndarray | None = None) -> np.ndarray:
-        """Expected improvement of each row of matrix under the model of its
-        run, given by runs (by default, run 0 for every row).  Both sides'
-        logs are gathered at once and summed in factor order, so each log
-        density equals that of its side's table alone bit for bit."""
+    def expected_improvement(self, matrix: np.ndarray, runs: np.ndarray | None = None,
+                             picks: np.ndarray | None = None) -> np.ndarray:
+        """Expected improvement of each row of matrix, or of its rows at the
+        indices picks, under the model of its run, given by runs (by default,
+        run 0 for every row).  Both sides' logs are gathered at once and
+        summed in factor order, so each log density equals that of its
+        side's table alone bit for bit."""
         if runs is None or self.runs.size == 1:  # one table: no offsets, one prior
             runs, prior = None, self.priors[0]
         else:
             prior = np.take(self.priors, runs)
-        good, bad = _log_densities(self.layout, self.log.reshape(2, -1), matrix, runs)
+        good, bad = _log_densities(self.layout, self.log.reshape(2, -1), matrix, runs, picks)
         ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
         return _ei(ratio, prior)
 
@@ -644,11 +653,12 @@ class RatioIndex:
         self._log_ratio += self._suffix
         return self._log_ratio
 
-    def near(self, stack: FactorStack) -> tuple[np.ndarray, np.ndarray]:
+    def near(self, stack: FactorStack) -> np.ndarray:
         """Each run's open rows whose indexed score is within a relative
         _NEAR_TIE of its best, that of its open row with the least log ratio,
-        as a run and a row index each, by run and then row ascending; the
-        band is one limit on a run's log ratio, so a few more rows may pass."""
+        as a mask with a line per run; the band is one limit on a run's log
+        ratio, so a few more rows may pass.  The mask is a buffer that the
+        next call overwrites."""
         log_ratio = self.log_ratio(stack)
         limits = []
         for least, prior in zip(log_ratio.min(axis=1).tolist(), stack.priors):
@@ -660,41 +670,49 @@ class RatioIndex:
             # float passes every open row.
             limit = math.log((1.0 / (top * (1.0 - 2.0 * _NEAR_TIE)) - prior) / (1.0 - prior))
             limits.append(limit if limit < _LOG_RATIO_CLAMP else sys.float_info.max)
-        # One flat index and a divmod: np.nonzero of a matrix is several times slower.
-        return np.divmod(np.flatnonzero(np.less_equal(log_ratio, np.array(limits)[:, None],
-                                                      out=self._mask)), log_ratio.shape[1])
+        return np.less_equal(log_ratio, np.array(limits)[:, None], out=self._mask)
 
     def best(self, stack: FactorStack) -> tuple[list[np.ndarray], list[float]]:
         """Each run's open rows with the highest expected improvement,
         ascending, and that score.
 
-        Every run needs an open row.  The near() rows are rescored, all runs'
-        at once, and only each run's exact maxima are returned, with its
-        exact score.  When every factor of both sides of a run's model weighs
-        its cells alike, each of its rows sums the same logs in the same
-        order and so scores exactly the same: if its band is all its open
-        rows, one is rescored.
+        Every run needs an open row.  The near() rows are rescored, and only
+        each run's exact maxima are returned, with its exact score.  All
+        runs' bands are one call while together they hold at most as many
+        rows as the matrix, and otherwise each run's band is a call, so that
+        wide bands take no more memory than one run's would.  When every
+        factor of both sides of a run's model weighs its cells alike, each
+        of its rows sums the same logs in the same order and so scores
+        exactly the same: if its band is all its open rows, one is rescored.
         """
-        runs, rows = self.near(stack)
-        ends = np.searchsorted(runs, stack.runs, side="right").tolist()
-        starts = [0, *ends[:-1]]
-        whole = [b - a > 1 and b - a == self.n_open for a, b in zip(starts, ends)]
-        flat = (_flat(stack.layout, stack.log) & whole).tolist() if any(whole) else whole
-        if any(flat):
-            rescored = np.ones(runs.size, dtype=bool)
+        mask = self.near(stack)
+        n = mask.shape[1]
+        together = np.count_nonzero(mask) <= n
+        spans = [(0, mask.shape[0])] if together else [(r, r + 1) for r in range(mask.shape[0])]
+        tied, scores = [], []
+        for first, last in spans:
+            # One flat index and a divmod: np.nonzero of a matrix is several times slower.
+            runs, rows = np.divmod(np.flatnonzero(mask[first:last]), n)
+            ends = np.searchsorted(runs, stack.runs[:last - first], side="right").tolist()
+            starts = [0, *ends[:-1]]
+            runs += first
+            whole = [b - a > 1 and b - a == self.n_open for a, b in zip(starts, ends)]
+            flat = ((_flat(stack.layout, stack.log[:, first:last]) & whole).tolist()
+                    if any(whole) else whole)
+            if any(flat):
+                rescored = np.ones(runs.size, dtype=bool)
+                for a, b, one in zip(starts, ends, flat):
+                    rescored[a + 1:b] = not one
+                exact = stack.expected_improvement(self.rows, runs[rescored], rows[rescored])
+            else:
+                exact = stack.expected_improvement(self.rows, runs, rows)
+            at = 0
             for a, b, one in zip(starts, ends, flat):
-                rescored[a + 1:b] = not one
-            runs, rows_rescored = runs[rescored], rows[rescored]
-        else:
-            rows_rescored = rows
-        exact = stack.expected_improvement(self.rows[rows_rescored], runs)
-        tied, scores, at = [], [], 0
-        for a, b, one in zip(starts, ends, flat):
-            scored = exact[at:at + (1 if one else b - a)]
-            at += scored.size
-            top = scored.max()
-            tied.append(rows[a:b] if one else rows[a:b][scored == top])
-            scores.append(float(top))
+                scored = exact[at:at + (1 if one else b - a)]
+                at += scored.size
+                top = scored.max()
+                tied.append(rows[a:b] if one else rows[a:b][scored == top])
+                scores.append(float(top))
         return tied, scores
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,12 +195,27 @@ class TestSweepExperiment:
         with pytest.raises(ValueError, match="no good configurations"):
             sweep_experiment(all_bad, ("random",), (10,), 1, 0)
 
-    def test_error_names_strategy(self):
+    def test_error_names_strategy_and_seed(self):
         dataset = _replay_dataset(n_records=12)
-        with pytest.raises(ValueError, match=r"strategy 'bayesian': smoothing 5e-324 over"):
-            # The least weight of a side of two or more records rounds to 0.
-            sweep_experiment(dataset, ("bayesian",), (12,), 2, 5, bootstrap_size=5,
+        with pytest.raises(ValueError, match=r"strategy 'bayesian' with seed \d+"):
+            # The least weight of a side of two or more bootstrap records rounds to 0.
+            sweep_experiment(dataset, ("bayesian",), (12,), 1, 5, bootstrap_size=5,
                              smoothing=5e-324)
+
+    def test_refit_error_names_the_seed_of_its_run(self):
+        """The repetitions run in lockstep, and a refit that rounds a weight
+        to 0 names the seed of the run whose side reached 20 records; that
+        run alone fails the same way."""
+        dataset = _replay_dataset()
+        with pytest.raises(ValueError, match=r"strategy 'bayesian' with seed (\d+): "
+                           r"smoothing 5e-323 over 20 records") as raised:
+            sweep_experiment(dataset, ("bayesian",), (40,), 3, 5, bootstrap_size=5,
+                             smoothing=5e-323)
+        seed = int(re.search(r"with seed (\d+)", str(raised.value)).group(1))
+        assert seed in [derive_seed(5, "rep", r) for r in range(3)]
+        config = SamplerConfig(bootstrap_size=5, budget=35, seed=seed, smoothing=5e-323)
+        with pytest.raises(ValueError, match="5e-323 over 20 records"):
+            run(DatasetOracle(dataset), dataset.graph, config)
 
     @pytest.mark.parametrize("strategies", [(), ("crowd", "random", "crowd")])
     def test_strategies_listed_once(self, strategies):

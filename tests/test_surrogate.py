@@ -344,9 +344,8 @@ class TestOneScoringPath:
             ei_of_ratio(np.exp(np.clip(log_ratio, -700.0, 700.0)), model.success_prior))
 
     def test_matrix_of_several_blocks(self):
-        """8,193 rows: log_density_many gathers two full blocks of rows, whose
-        lines it adds in a loop over the factors, and one of a single row,
-        whose lines one np.add.accumulate adds."""
+        """8,193 rows: log_density_many gathers two full blocks of rows and one
+        of a single row."""
         graph = wide_graph(12, 2)
         records = distinct_records(graph, 30, np.random.default_rng(5), lambda c: c[1] == c[2])
         model = fit(records, graph)
@@ -355,6 +354,18 @@ class TestOneScoringPath:
         for table in (model.good, model.bad):
             np.testing.assert_array_equal(log_density_many(table, matrix),
                                           _factor_loop_log_density(table, graph, matrix))
+
+    def test_picked_rows_score_as_the_rows_gathered(self):
+        """5,000 rows picked by index, in blocks gathered one at a time,
+        score under their runs' models as the same rows gathered first."""
+        graph = wide_graph(12, 2)
+        records = distinct_records(graph, 30, np.random.default_rng(5), lambda c: c[1] == c[2])
+        stack = FactorStack([fit(records, graph), fit(records[:10], graph)])
+        space = full_space_matrix(graph).astype(np.int64)
+        picks = np.random.default_rng(6).integers(space.shape[0], size=5000)
+        runs = picks % 2
+        np.testing.assert_array_equal(stack.expected_improvement(space, runs, picks),
+                                      stack.expected_improvement(space[picks], runs))
 
 
 class TestIncrementalRefit:
@@ -526,17 +537,16 @@ def _ei_band(index, stack, open_rows, tol=1e-9):
 
 def _assert_best_is_exact(index, stack, open_rows):
     """best() is the from-scratch maximum over the open rows, tie set and
-    score, and near() holds the whole score band, open rows in ascending
-    order (the tie-break indexes into it); return the tie set."""
+    score, in ascending order (the tie-break indexes into it), and near()
+    holds the whole score band of open rows; return the tie set."""
     assert index.n_open == np.count_nonzero(open_rows)
     scratch = expected_improvement_many(stack.model(0), index.rows)
     top = scratch[open_rows].max()
     (tied,), (score,) = index.best(stack)
     np.testing.assert_array_equal(tied, np.flatnonzero(open_rows & (scratch == top)))
     assert score == top
-    runs, near = index.near(stack)
-    assert (runs == 0).all()
-    assert (np.diff(near) > 0).all()
+    assert (np.diff(tied) > 0).all()
+    near = np.flatnonzero(index.near(stack)[0])
     assert open_rows[near].all()
     assert np.isin(_ei_band(index, stack, open_rows), near).all()
     return tied
