@@ -680,39 +680,48 @@ class RatioIndex:
         each run's exact maxima are returned, with its exact score.  All
         runs' bands are one call while together they hold at most as many
         rows as the matrix, and otherwise each run's band is a call, so that
-        wide bands take no more memory than one run's would.  When every
-        factor of both sides of a run's model weighs its cells alike, each
-        of its rows sums the same logs in the same order and so scores
-        exactly the same: if its band is all its open rows, one is rescored.
+        wide bands take no more memory than one run's would.
         """
         mask = self.near(stack)
-        n = mask.shape[1]
-        together = np.count_nonzero(mask) <= n
-        spans = [(0, mask.shape[0])] if together else [(r, r + 1) for r in range(mask.shape[0])]
+        if mask.shape[0] == 1 or np.count_nonzero(mask) <= mask.shape[1]:
+            return self._settle(stack, mask, 0)
         tied, scores = [], []
-        for first, last in spans:
-            # One flat index and a divmod: np.nonzero of a matrix is several times slower.
-            runs, rows = np.divmod(np.flatnonzero(mask[first:last]), n)
-            ends = np.searchsorted(runs, stack.runs[:last - first], side="right").tolist()
-            starts = [0, *ends[:-1]]
+        for run in range(mask.shape[0]):
+            (run_tied,), (score,) = self._settle(stack, mask[run:run + 1], run)
+            tied.append(run_tied)
+            scores.append(score)
+        return tied, scores
+
+    def _settle(self, stack: FactorStack, mask: np.ndarray,
+                first: int) -> tuple[list[np.ndarray], list[float]]:
+        """best() of the runs from first on whose bands mask holds, a line
+        per run.  When every factor of both sides of a run's model weighs
+        its cells alike, each of its rows sums the same logs in the same
+        order and so scores exactly the same: if its band is all its open
+        rows, one is rescored."""
+        runs, rows = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        ends = runs.searchsorted(stack.runs[:mask.shape[0]], side="right").tolist()
+        starts = [0, *ends[:-1]]
+        if first:
             runs += first
-            whole = [b - a > 1 and b - a == self.n_open for a, b in zip(starts, ends)]
-            flat = ((_flat(stack.layout, stack.log[:, first:last]) & whole).tolist()
-                    if any(whole) else whole)
-            if any(flat):
-                rescored = np.ones(runs.size, dtype=bool)
-                for a, b, one in zip(starts, ends, flat):
-                    rescored[a + 1:b] = not one
-                exact = stack.expected_improvement(self.rows, runs[rescored], rows[rescored])
-            else:
-                exact = stack.expected_improvement(self.rows, runs, rows)
-            at = 0
+        whole = [b - a > 1 and b - a == self.n_open for a, b in zip(starts, ends)]
+        flat = (((_flat(stack.layout, stack.log[:, first:first + mask.shape[0]]) & whole).tolist())
+                if any(whole) else whole)
+        if any(flat):
+            rescored = np.ones(runs.size, dtype=bool)
             for a, b, one in zip(starts, ends, flat):
-                scored = exact[at:at + (1 if one else b - a)]
-                at += scored.size
-                top = scored.max()
-                tied.append(rows[a:b] if one else rows[a:b][scored == top])
-                scores.append(float(top))
+                rescored[a + 1:b] = not one
+            runs, picks = runs[rescored], rows[rescored]
+        else:
+            picks = rows
+        exact = stack.expected_improvement(self.rows, runs, picks)
+        tied, scores, at = [], [], 0
+        for a, b, one in zip(starts, ends, flat):
+            scored = exact[at:at + (1 if one else b - a)]
+            at += scored.size
+            top = scored.max()
+            tied.append(rows[a:b] if one else rows[a:b][scored == top])
+            scores.append(float(top))
         return tied, scores
 
 
