@@ -840,7 +840,7 @@ class TestLockstepRuns:
         holds no more than one run's would.  Beyond one run's peak, each
         further run holds about 25 bytes a row of index state (suffix sums,
         log ratios, masks and trie sums) and 8 of its tie set: 40 bound it.
-        Rescoring all the bands as one call traced 35 MB here, 4 MB past it."""
+        Rescoring all the bands as one call traced 35 MB, 5 MB past the bound."""
         graph = generate_benchmark(10, 3, 0.3, 0.02, 335)[0]
         n_rows = 3 ** 10
         oracle = CountingOracle(lambda c: False)
