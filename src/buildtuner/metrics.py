@@ -37,21 +37,16 @@ def auprc(ranked: Sequence[tuple[float, bool]]) -> float:
     items = list(ranked)
     if not items:
         raise ValueError("auprc of an empty ranking is undefined")
-    scores = [s for s, _ in items]
-    for a, b in zip(scores, scores[1:]):
-        if b > a:
-            raise ValueError("ranking is not sorted by descending score")
-    total_true = sum(1 for _, y in items if y)
-    if total_true == 0:
+    scores, outcomes = zip(*items)
+    scores = np.array(scores, dtype=float)
+    if (scores[1:] > scores[:-1]).any():
+        raise ValueError("ranking is not sorted by descending score")
+    prefixes = np.flatnonzero(np.array(outcomes, dtype=bool)) + 1  # k of each true item
+    if prefixes.size == 0:
         raise ValueError("auprc needs at least one true outcome")
-    area = 0.0
-    true_seen = 0
-    for k, (_, y) in enumerate(items, start=1):
-        if not y:
-            continue
-        true_seen += 1
-        area += (true_seen / k) / total_true
-    return area
+    terms = np.arange(1, prefixes.size + 1) / prefixes / prefixes.size
+    # cumsum adds in list order, one term at a time, as a running sum would.
+    return float(np.cumsum(terms)[-1])
 
 
 class StrategyListError(ValueError):
@@ -107,7 +102,8 @@ def sweep_experiment(
     strategy's repetitions run in lockstep (run_many); a ValueError of one
     of them names its seed.  StrategyListError for a strategy listed twice
     or none; ValueError for a bootstrap that covers every sample size,
-    whose prefixes would not depend on the strategy.
+    whose prefixes would not depend on the strategy, and for sample sizes
+    that repeat or do not ascend.
     """
     sizes = tuple(int(s) for s in sample_sizes)
     if not strategies:
@@ -116,6 +112,8 @@ def sweep_experiment(
         raise StrategyListError(f"strategies {list(strategies)} repeat a strategy")
     if not sizes:
         raise ValueError("no sample sizes requested")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sample sizes {list(sizes)} must ascend, each listed once")
     if min(sizes) < 1:
         raise ValueError("sample sizes must be positive")
     if max(sizes) > len(dataset):
@@ -170,7 +168,8 @@ def auprc_experiment(
     """Split in half, adapt on the training half, then rank and score the test half.
 
     The model fitted after the adaptive run scores every test configuration;
-    the ranking is descending by score with digest order breaking ties.
+    the ranking is descending by score with digest order breaking ties
+    between outcomes.
     """
     config = SamplerConfig(strategy=strategy, bootstrap_size=bootstrap_size, budget=selections,
                            seed=seed, smoothing=smoothing)
@@ -189,22 +188,24 @@ def auprc_experiment(
         scores = crowd_score_many(result.model, test.rows)
     else:
         scores = substream(seed, "rank").random(len(test))
-    built = test.built.tolist()
-    ranked = [(float(scores[i]), built[i]) for i in _descending(test, scores)]
-    return auprc(ranked)
+    order = _descending(test, scores)
+    return auprc(list(zip(scores[order].tolist(), test.built[order].tolist())))
 
 
-def _descending(dataset: Dataset, scores: np.ndarray) -> list[int]:
-    """Record indices by descending score, digest order breaking ties.
+def _descending(dataset: Dataset, scores: np.ndarray) -> np.ndarray:
+    """Record indices by descending score, digest order breaking ties
+    between records of different outcomes.
 
-    Digests are compared only between equal scores, so only the records
-    that share their score with another record are digested (their rows
-    were checked with the dataset), and ranked among themselves.
+    Any order of records that share a score and an outcome ranks the same
+    (score, outcome) pairs, so only the records of a score that holds both
+    outcomes are digested (their rows were checked with the dataset), and
+    ranked among themselves; the others keep record order.
     """
     _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
-    tied = np.flatnonzero(sizes[group] > 1)
+    built = np.bincount(group[dataset.built], minlength=sizes.size)
+    tied = np.flatnonzero(((built > 0) & (built < sizes))[group])
     digests = [_digest(dataset.graph, row) for row in dataset.rows[tied].tolist()]
     rank = np.zeros(len(scores), dtype=np.intp)
     rank[tied[sorted(range(tied.size), key=digests.__getitem__)]] = np.arange(tied.size)
-    # One distinct key per record: its score's place from the top, then its rank.
-    return np.argsort((sizes.size - 1 - group) * len(scores) + rank).tolist()
+    # A key per record: its score's place from the top, then its rank.
+    return np.argsort((sizes.size - 1 - group) * len(scores) + rank, kind="stable")

@@ -13,6 +13,8 @@ strategy over one set of candidates in lockstep, each from its own seed's
 substreams; run is its one-run call.  The runs' models are one
 FactorStack, refitted in place, and a step selects for all runs at once:
 over fixed rows every run evaluates one row a step, so all stop together.
+A step finds each run's tie set and nothing else; the score of each
+selection is computed on first read of the run's scores, from its history.
 
 A configuration is an int64 row of version indices from selection through
 the history to the model.  Rows come from a checked matrix or from the
@@ -43,7 +45,15 @@ from .configspace import (
 )
 from .dataset import BuildRecord, Dataset
 from .rng import substream
-from .surrogate import FactorModel, FactorStack, RatioIndex, RunError, _check_smoothing, fit
+from .surrogate import (
+    FactorModel,
+    FactorStack,
+    RatioIndex,
+    RunError,
+    _check_smoothing,
+    fit,
+    selection_scores,
+)
 
 __all__ = [
     "STRATEGIES",
@@ -173,20 +183,34 @@ class ObservationHistory:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's history, the score of each adaptive selection, and its final model."""
+    """A run's history, its final model, and the config it ran."""
 
     history: ObservationHistory
-    scores: tuple[float | None, ...]
     model: FactorModel
+    config: SamplerConfig
+
+    @cached_property
+    def scores(self) -> tuple[float | None, ...]:
+        """The score of each adaptive selection, under the model of the
+        records before it: None for random selection.
+
+        Computed on first access only, from the history (selection_scores).
+        """
+        data, config = self.history.dataset, self.config
+        if config.strategy == "random":
+            return (None,) * (len(data) - config.bootstrap_size)
+        return tuple(selection_scores(data, config.bootstrap_size, config.strategy,
+                                      config.smoothing).tolist())
 
     @cached_property
     def trace(self) -> tuple[TraceEntry, ...]:
         """One entry per adaptive selection: the records after the bootstrap.
 
-        Built, and its configurations digested, on first access only.
+        Built, its configurations digested and its scores computed, on first
+        access only.
         """
         history = self.history
-        selected = history.entries[len(history) - len(self.scores):]
+        selected = history.entries[self.config.bootstrap_size:]
         return tuple(
             TraceEntry(t=t, digest=_digest(history.graph, record.config), score=score,
                        built=record.outcome)
@@ -252,10 +276,11 @@ class _Candidates:
         histories: Sequence[ObservationHistory],
         rngs_tie: Sequence[np.random.Generator],
         rng_pool: np.random.Generator,
-    ) -> tuple[np.ndarray, list[float | None]] | None:
+    ) -> np.ndarray | None:
         """Each run's unevaluated candidate row with the best score, a line
-        per run, and the scores, or None when no candidate is left; a chosen
-        fixed row closes."""
+        per run, or None when no candidate is left; a chosen fixed row
+        closes.  A tie set of one row is taken without a draw, which would
+        consume nothing from the generator: Generator.integers(1) is 0."""
         strategy = self.config.strategy
         rows, open_rows = self.rows, self._open
         if rows is None:
@@ -266,11 +291,11 @@ class _Candidates:
         elif self.n_open == 0:
             return None
         if strategy == "random":
-            tied, scores = [np.flatnonzero(line) for line in open_rows], [None] * len(open_rows)
+            tied = [np.flatnonzero(line) for line in open_rows]
         elif strategy == "bayesian" and self.rows is not None:
             if self._ratios is None:
                 self._ratios = RatioIndex(stack, rows, open_rows)
-            tied, scores = self._ratios.best(stack)
+            tied = self._ratios.best(stack)
         else:  # bayesian over a pool, or crowd
             if strategy == "bayesian":
                 scored = stack.expected_improvement(rows)[None]
@@ -282,16 +307,15 @@ class _Candidates:
                     self._crowd[stale] = stack.crowd(self._columns, stale)
                     self._stale[:] = False
                 scored = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
-            top = scored.max(axis=1)
-            tied = [np.flatnonzero(line == best) for line, best in zip(scored, top)]
-            scores = top.tolist()
-        picks = [int(t[rng.integers(t.size)]) for t, rng in zip(tied, rngs_tie)]
+            tied = [np.flatnonzero(line == best) for line, best in zip(scored, scored.max(axis=1))]
+        picks = [int(t[0] if t.size == 1 else t[rng.integers(t.size)])
+                 for t, rng in zip(tied, rngs_tie)]
         for line, pick in zip(self._open_lines, picks):
             line[pick] = False
         self.n_open -= 1
         if self._ratios is not None:
             self._ratios.close(picks)
-        return rows[picks], scores
+        return rows[picks]
 
     def observe(self, stack: FactorStack, cells: np.ndarray, sides: np.ndarray) -> None:
         """Fold each run's selected row and its outcome, as FactorStack.fold
@@ -395,13 +419,11 @@ def run_many(
     stack = FactorStack(models)
     rngs_tie = [substream(c.seed, "tie-break") for c in configs]
     rng_pool = substream(config.seed, "pool")
-    scores: list[list[float | None]] = [[] for _ in configs]
 
     for t in range(1, config.budget + 1):
-        selected = source.select(stack, histories, rngs_tie, rng_pool)
-        if selected is None:
+        chosen = source.select(stack, histories, rngs_tie, rng_pool)
+        if chosen is None:
             break
-        chosen, step_scores = selected
         # Each run's outcome side: 0 for a build, 1 for a failure.
         sides = np.array([0 if _evaluate(oracle, history, row, f"iteration {t}") else 1
                           for history, row in zip(histories, chosen)])
@@ -409,8 +431,6 @@ def run_many(
         cells = stack.layout.cells(chosen)
         source.observe(stack, cells, sides)
         stack.fold(cells, sides)
-        for run_scores, score in zip(scores, step_scores):
-            run_scores.append(score)
 
-    return [RunResult(history=history, scores=tuple(run_scores), model=stack.model(r))
-            for r, (history, run_scores) in enumerate(zip(histories, scores))]
+    return [RunResult(history=history, model=stack.model(r), config=c)
+            for r, (history, c) in enumerate(zip(histories, configs))]

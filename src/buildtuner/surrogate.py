@@ -35,6 +35,11 @@ from the tables level by level; the factors below the trie keep each row's
 sum, updated in place by each observation.  The score falls strictly as
 the ratio grows, so the best open row is the one with the least log ratio,
 and no step exponentiates every row.
+
+Selection returns tie sets only.  The score of each selection is computed
+on first read of a run's scores, by selection_scores, which rebuilds each
+step's tables from the run's history and scores every selected row under
+its own step's tables in one call.
 """
 from __future__ import annotations
 
@@ -62,6 +67,7 @@ __all__ = [
     "fit",
     "load_model",
     "save_model",
+    "selection_scores",
 ]
 
 # exp() overflows float64 just above 709; +/-700 keeps the ratio finite.
@@ -71,6 +77,10 @@ _LOG_RATIO_CLAMP = 700.0
 # at once, so that their temporaries stay small when a band or index spans a
 # space.
 _DENSITY_BLOCK = 4096
+
+# selection_scores rebuilds the tables of a block of steps at a time, at most
+# this many cells of each side.
+_STEP_CELLS = 1 << 14
 
 # RatioIndex.best rescores from scratch every open row whose indexed score
 # is within this relative distance of the best.  Indexed log ratios differ
@@ -381,14 +391,27 @@ class FactorStack:
     def __init__(self, models: Sequence[FactorModel]):
         """Stack models, which share a graph and a smoothing."""
         first = models[0]
-        self.graph, self.smoothing = first.graph, first.smoothing
-        self.layout = first.good_stats.layout
         sides = ([m.good_stats for m in models], [m.bad_stats for m in models])
-        self.n = np.array([[stats.n for stats in side] for side in sides], dtype=np.int64)
-        self.counts = np.array([[stats.counts for stats in side] for side in sides])
-        self.log = np.array([[m.good.log for m in models], [m.bad.log for m in models]])
-        self.runs = np.arange(len(models))
-        self.priors = [m.success_prior for m in models]
+        self._hold(first.graph, first.smoothing, first.good_stats.layout,
+                   np.array([[stats.counts for stats in side] for side in sides]),
+                   np.array([[stats.n for stats in side] for side in sides], dtype=np.int64),
+                   np.array([[m.good.log for m in models], [m.bad.log for m in models]]))
+
+    @classmethod
+    def of_counts(cls, graph: DependencyGraph, smoothing: float, layout: FactorLayout,
+                  counts: np.ndarray, n: np.ndarray) -> "FactorStack":
+        """The stack whose run r has the counts counts[:, r] of n[:, r]
+        records, smoothed as fold smooths them; the weights are not checked."""
+        stack = cls.__new__(cls)
+        stack._hold(graph, smoothing, layout, counts, n,
+                    np.log(_smoothed(counts, n[..., None], smoothing, layout)))
+        return stack
+
+    def _hold(self, graph, smoothing, layout, counts, n, log) -> None:
+        self.graph, self.smoothing, self.layout = graph, smoothing, layout
+        self.counts, self.n, self.log = counts, n, log
+        self.runs = np.arange(n.shape[1])
+        self.priors = list(map(_success_prior, *n.tolist()))
 
     def model(self, run: int) -> FactorModel:
         """Run's model, its tables smoothed from its counts."""
@@ -429,22 +452,72 @@ class FactorStack:
         ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
         return _ei(ratio, prior)
 
-    def crowd(self, columns: np.ndarray, runs) -> np.ndarray:
+    def crowd(self, columns: np.ndarray, runs, each: bool = False) -> np.ndarray:
         """Crowd score of every row whose versions columns holds, a line per
         package (a contiguous line gathers fastest), under each of runs'
-        models, from its good side's counts: a line per run."""
+        models, from its good side's counts: a line per run.  With each, row
+        i is scored under the model of runs[i] alone, in one gather: one
+        line.  Either way a row's logs are summed in package order."""
         k, n = self.layout.n_nodes, self.n[0, runs]
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(self.counts[0, runs, :self.layout.offsets[k]] / n[:, None])
         logs[n == 0] = -np.inf  # no good record: every product is 0
+        starts = self.layout.offsets[:k]
+        if each:  # row i's cells, in line i of the logs
+            lines = np.take(logs, columns + starts[:, None] + np.arange(n.size) * logs.shape[1])
+            total = lines[0]
+            for line in lines[1:]:
+                total += line
+            return np.exp(total)
         # Package by package, each version indexing the logs from its
         # package's first cell on: one gather of every package's cells at
         # once is slower over thousands of rows.
-        starts = self.layout.offsets[:k].tolist()
+        starts = starts.tolist()
         total = np.take(logs, columns[0], axis=1)
         for i in range(1, k):
             total += np.take(logs[:, starts[i]:], columns[i], axis=1)
         return np.exp(total)
+
+
+def selection_scores(history: Dataset, start: int, strategy: str,
+                     smoothing: float) -> np.ndarray:
+    """The score under strategy, "bayesian" or "crowd", of each record of
+    history from start on, under the model of the records before it: the
+    scores of a run's selections, start being its bootstrap size.
+
+    A step's tables are the counts of the first start records plus a
+    cumulative sum of the selected rows' cells, smoothed and logged as
+    FactorStack.fold does, so each score is bit for bit the one the run's
+    step would have computed.  A block of steps is one FactorStack, whose
+    run i is step i's model, and its rows are scored in one call; the blocks
+    keep the rebuilt tables small.
+    """
+    graph, rows = history.graph, history.rows
+    layout = FactorLayout(graph.domain_sizes, graph.edges)
+    sides = (~history.built).astype(np.intp)  # 0 for a build, 1 for a failure
+    cells = layout.cells(rows)
+    counts = np.zeros((2, layout.size), dtype=np.int64)
+    np.add.at(counts, (sides[:start], cells[:, :start]), 1)
+    scores = np.empty(rows.shape[0] - start)
+    width = max(1, _STEP_CELLS // layout.size)
+    for a in range(start, rows.shape[0], width):
+        steps = np.arange(min(width, rows.shape[0] - a))
+        b = a + steps.size
+        # Each step's record on its side, summed along the steps: the counts
+        # after each step, less its own record: those before it.
+        added = np.zeros((2, steps.size, layout.size), dtype=np.int64)
+        added[sides[a:b], steps, cells[:, a:b]] = 1
+        after = np.cumsum(added, axis=1)
+        after += counts[:, None]
+        before = np.subtract(after, added, out=added)
+        n = before[..., :layout.offsets[1]].sum(axis=2)  # each record holds one first version
+        stack = FactorStack.of_counts(graph, smoothing, layout, before, n)
+        if strategy == "bayesian":
+            scores[a - start:b - start] = stack.expected_improvement(rows[a:b], steps)
+        else:
+            scores[a - start:b - start] = stack.crowd(rows[a:b].T, steps, each=True)
+        counts = after[:, -1]
+    return scores
 
 
 def _flat(layout: FactorLayout, log: np.ndarray) -> np.ndarray:
@@ -486,7 +559,10 @@ class RatioIndex:
     A closed row's suffix sum is +inf, so a run's best open row is the one
     with the least log ratio: the score falls as the ratio grows.  best()
     turns each run's near-tie band of scores into a limit on the log ratio
-    once per step, and settles the open rows within it on exact scores.
+    once per step, and settles the open rows within it: only a band that can
+    hold rows of unequal exact scores is rescored.  Selection needs the tie
+    set alone; the score of a selection is computed when a run's scores are
+    read (selection_scores).
     """
 
     def __init__(self, stack: FactorStack, rows: np.ndarray, open_rows: np.ndarray):
@@ -672,57 +748,47 @@ class RatioIndex:
             limits.append(limit if limit < _LOG_RATIO_CLAMP else sys.float_info.max)
         return np.less_equal(log_ratio, np.array(limits)[:, None], out=self._mask)
 
-    def best(self, stack: FactorStack) -> tuple[list[np.ndarray], list[float]]:
-        """Each run's open rows with the highest expected improvement,
-        ascending, and that score.
+    def best(self, stack: FactorStack) -> list[np.ndarray]:
+        """Each run's open rows with the highest expected improvement, ascending.
 
-        Every run needs an open row.  The near() rows are rescored, and only
-        each run's exact maxima are returned, with its exact score.  All
-        runs' bands are one call while together they hold at most as many
-        rows as the matrix, and otherwise each run's band is a call, so that
-        wide bands take no more memory than one run's would.
+        Every run needs an open row.  Only each run's exact maxima among the
+        near() rows are returned.  All runs' bands are settled in one call
+        while together they hold at most as many rows as the matrix, and
+        otherwise each run's band is a call, so that wide bands take no more
+        memory than one run's would.
         """
         mask = self.near(stack)
         if mask.shape[0] == 1 or np.count_nonzero(mask) <= mask.shape[1]:
             return self._settle(stack, mask, 0)
-        tied, scores = [], []
-        for run in range(mask.shape[0]):
-            (run_tied,), (score,) = self._settle(stack, mask[run:run + 1], run)
-            tied.append(run_tied)
-            scores.append(score)
-        return tied, scores
+        return [self._settle(stack, mask[run:run + 1], run)[0] for run in range(mask.shape[0])]
 
-    def _settle(self, stack: FactorStack, mask: np.ndarray,
-                first: int) -> tuple[list[np.ndarray], list[float]]:
+    def _settle(self, stack: FactorStack, mask: np.ndarray, first: int) -> list[np.ndarray]:
         """best() of the runs from first on whose bands mask holds, a line
-        per run.  When every factor of both sides of a run's model weighs
-        its cells alike, each of its rows sums the same logs in the same
-        order and so scores exactly the same: if its band is all its open
-        rows, one is rescored."""
+        per run.  A band holds every exact maximum, so a band of one row is
+        its tie set.  When every factor of both sides of a run's model
+        weighs its cells alike, each of its rows sums the same logs in the
+        same order and so scores exactly the same: a band of all its open
+        rows is then its tie set too.  Only the other bands are rescored."""
         runs, rows = np.divmod(np.flatnonzero(mask), mask.shape[1])
         ends = runs.searchsorted(stack.runs[:mask.shape[0]], side="right").tolist()
-        starts = [0, *ends[:-1]]
-        if first:
-            runs += first
-        whole = [b - a > 1 and b - a == self.n_open for a, b in zip(starts, ends)]
-        flat = (((_flat(stack.layout, stack.log[:, first:first + mask.shape[0]]) & whole).tolist())
-                if any(whole) else whole)
-        if any(flat):
-            rescored = np.ones(runs.size, dtype=bool)
-            for a, b, one in zip(starts, ends, flat):
-                rescored[a + 1:b] = not one
-            runs, picks = runs[rescored], rows[rescored]
-        else:
-            picks = rows
-        exact = stack.expected_improvement(self.rows, runs, picks)
-        tied, scores, at = [], [], 0
-        for a, b, one in zip(starts, ends, flat):
-            scored = exact[at:at + (1 if one else b - a)]
-            at += scored.size
-            top = scored.max()
-            tied.append(rows[a:b] if one else rows[a:b][scored == top])
-            scores.append(float(top))
-        return tied, scores
+        spans = list(zip([0, *ends[:-1]], ends))
+        whole = [b - a > 1 and b - a == self.n_open for a, b in spans]
+        flat = whole
+        if any(whole):
+            flat = (_flat(stack.layout, stack.log[:, first:first + mask.shape[0]]) & whole).tolist()
+        rescored = [b - a > 1 and not one for (a, b), one in zip(spans, flat)]
+        if any(rescored):
+            picked = np.repeat(rescored, np.diff([0, *ends]))
+            exact = stack.expected_improvement(self.rows, runs[picked] + first, rows[picked])
+        tied, at = [], 0
+        for (a, b), rescore in zip(spans, rescored):
+            if rescore:
+                scored = exact[at:at + b - a]
+                at += b - a
+                tied.append(rows[a:b][scored == scored.max()])
+            else:
+                tied.append(rows[a:b])
+        return tied
 
 
 def save_model(model: FactorModel, path: str) -> None:

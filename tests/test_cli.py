@@ -249,6 +249,16 @@ class TestEvalCommand:
         assert err == "error: bootstrap size 10 covers every sample size; the largest is 10\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", ["20,15,20", "15,15", "20,15"])
+    def test_sizes_that_repeat_or_fall_exit_two(self, capsys, workspace, sizes):
+        out = workspace / "eval.csv"
+        code, _, err = _run(["eval", "--data", str(workspace / "data.jsonl"), "--sizes", sizes,
+                             "--strategies", "random", "--bootstrap", "10", "--reps", "2",
+                             "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: sample sizes [") and "must ascend" in err
+        assert not out.exists()
+
     def test_oversized_request_exits_two(self, capsys, workspace):
         code, _, err = _run(
             ["eval", "--data", str(workspace / "data.jsonl"),

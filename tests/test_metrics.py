@@ -22,7 +22,7 @@ from buildtuner import (
     substream,
     sweep_experiment,
 )
-from buildtuner import sampler
+from buildtuner import metrics, sampler
 from buildtuner.metrics import _descending
 from helpers import chain_graph, distinct_records
 
@@ -79,6 +79,23 @@ class TestAuprc:
             ranked = [(float(s), bool(y)) for s, y in zip(scores, labels)]
             assert auprc(ranked) == pytest.approx(brute_force_auprc(ranked),
                                                   abs=1e-12)
+
+    def test_sum_is_the_running_sum_in_list_order(self):
+        """The terms are added one at a time in list order, so the area is
+        bit for bit that of a running sum, over lists long enough that
+        pairwise summation would differ."""
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 7, 500, 3000):
+            labels = rng.random(n) < 0.3
+            labels[int(rng.integers(n))] = True
+            ranked = [(float(s), bool(y))
+                      for s, y in zip(np.sort(rng.random(n))[::-1], labels)]
+            area, seen = 0.0, 0
+            for k, (_, y) in enumerate(ranked, start=1):
+                if y:
+                    seen += 1
+                    area += (seen / k) / int(labels.sum())
+            assert auprc(ranked) == area
 
     def test_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(55)
@@ -222,6 +239,11 @@ class TestSweepExperiment:
         with pytest.raises(ValueError, match="no strategies|repeat a strategy"):
             sweep_experiment(_replay_dataset(), strategies, (10,), 1, 0, bootstrap_size=5)
 
+    @pytest.mark.parametrize("sizes", [(30, 20, 30), (20, 20), (30, 20), (10, 20, 20)])
+    def test_sample_sizes_ascend_each_once(self, sizes):
+        with pytest.raises(ValueError, match="must ascend, each listed once"):
+            sweep_experiment(_replay_dataset(), ("random",), sizes, 2, 0, bootstrap_size=5)
+
     @pytest.mark.parametrize("bootstrap_size", [10, 11])
     def test_bootstrap_must_leave_a_sample_size_to_select(self, bootstrap_size):
         """Prefixes within the bootstrap do not depend on the strategy."""
@@ -275,8 +297,10 @@ class TestAuprcExperiment:
         ("crowd", crowd_score_many),
         ("bayesian", expected_improvement_many),
     ])
-    def test_tie_break_matches_full_digest_sort(self, strategy, score):
-        """Digesting only the tied scores ranks as digesting every record."""
+    def test_tie_break_matches_full_digest_sort(self, strategy, score, monkeypatch):
+        """Digesting only the ties that hold both outcomes ranks the same
+        (score, outcome) pairs as digesting every record, and digests
+        nothing else."""
         dataset = _replay_dataset(n_records=80, seed=4)
         train, test = split_train_test(dataset, 0.5, substream(2, "split"))
         config = SamplerConfig(strategy=strategy, bootstrap_size=5, budget=10, seed=2)
@@ -284,9 +308,24 @@ class TestAuprcExperiment:
         scores = score(model, np.asarray([r.config for r in test.records]))
         digests = [config_digest(test.graph, r.config) for r in test]
         full = sorted(range(len(test)), key=lambda i: (-scores[i], digests[i]))
-        assert _descending(test, scores) == full
+        ranked = [(float(scores[i]), test.records[i].outcome) for i in full]
+        digested = []
+
+        def counted(graph, row):
+            digested.append(tuple(row))
+            return config_digest(graph, row)
+
+        monkeypatch.setattr(metrics, "_digest", counted)
+        order = _descending(test, scores)
+        assert [(float(scores[i]), test.records[i].outcome) for i in order] == ranked
         # Ties occur, and the digests reorder them.
         assert full != sorted(range(len(test)), key=lambda i: -scores[i])
-        ranked = [(float(scores[i]), test.records[i].outcome) for i in full]
+        mixed = {value for value in scores.tolist()
+                 if len({r.outcome for r, s in zip(test.records, scores) if s == value}) == 2}
+        assert sorted(digested) == sorted(r.config for r, s in zip(test.records, scores)
+                                          if s in mixed)
+        counts = np.unique(scores, return_counts=True)[1]
+        assert len(digested) < counts[counts > 1].sum()
+        monkeypatch.undo()
         assert auprc_experiment(dataset, strategy, seed=2, selections=10,
                                 bootstrap_size=5) == auprc(ranked)

@@ -29,7 +29,7 @@ from buildtuner import (
     run,
     substream,
 )
-from buildtuner import configspace, sampler
+from buildtuner import configspace, sampler, surrogate
 from buildtuner.buildsim import SyntheticOracle, enumerate_records
 from buildtuner.configspace import (
     GraphError,
@@ -38,7 +38,7 @@ from buildtuner.configspace import (
     random_configurations,
 )
 from buildtuner.sampler import TraceEntry
-from buildtuner.surrogate import FactorStack, RatioIndex, refit_incremental
+from buildtuner.surrogate import FactorStack, RatioIndex, refit_incremental, selection_scores
 from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
                      two_package_graph, wide_graph)
 
@@ -256,17 +256,24 @@ class TestRun:
         assert [entry.t for entry in result.trace] == list(range(1, 8))
 
     def test_trace_is_digested_on_first_read(self, monkeypatch):
-        digested = []
+        """A run digests nothing and computes no score until its trace (or
+        its scores) is read, and then once."""
+        digested, scored = [], []
 
         def counted(graph, config):
             digested.append(config)
             return config_digest(graph, config)
 
+        def counted_scores(*args):
+            scored.append(args)
+            return selection_scores(*args)
+
         monkeypatch.setattr(sampler, "_digest", counted)
+        monkeypatch.setattr(sampler, "selection_scores", counted_scores)
         graph = chain_graph(3, 3)
         config = SamplerConfig(bootstrap_size=5, budget=7, seed=3)
         result = run(CountingOracle(lambda c: c[0] == 0), graph, config)
-        assert digested == []
+        assert digested == [] and scored == []
         trace = result.trace
         selected = [record.config for record in result.history.entries[5:]]
         assert digested == selected
@@ -274,6 +281,7 @@ class TestRun:
         assert [entry.built for entry in trace] == [r.outcome for r in result.history.entries[5:]]
         assert [entry.score for entry in trace] == list(result.scores)
         assert result.trace is trace and len(digested) == 7
+        assert result.scores is result.scores and len(scored) == 1
 
     def test_zero_budget(self):
         graph = chain_graph(3, 3)
@@ -675,9 +683,9 @@ class TestIncrementalSelectionParity:
                 np.testing.assert_allclose(line[open_line], scratch, rtol=0, atol=1e-9)
                 seen["largest"] = max(seen["largest"], float(np.abs(scratch).max()))
             seen["calls"] += 1
-            tied, scores = best(index, stack)
+            tied = best(index, stack)
             seen["all_tied"] |= any(t.size == index.n_open for t in tied)
-            return tied, scores
+            return tied
 
         monkeypatch.setattr(RatioIndex, "best", checked)
         return seen
@@ -718,18 +726,19 @@ class TestIncrementalSelectionParity:
         scored = []
         crowd = FactorStack.crowd
 
-        def counted(stack, columns, runs):
+        def counted(stack, columns, runs, each=False):
             scored.append(columns.shape[1])
-            return crowd(stack, columns, runs)
+            return crowd(stack, columns, runs, each)
 
         monkeypatch.setattr(FactorStack, "crowd", counted)
         result = run(oracle, graph, config)
+        selecting = len(scored)  # the trace's scores are computed when it is read
         assert result.history.entries == history.entries
         assert result.trace == trace
         _assert_same_model(result.model, model)
         # Only a good record makes crowd selection score the rows again.
         goods = sum(entry.built for entry in trace[:-1])
-        assert len(scored) == (1 + goods if strategy == "crowd" else 0)
+        assert selecting == (1 + goods if strategy == "crowd" else 0)
         if space is _always_fail:
             # Nothing ever builds: every open row ties at every step.
             assert tie_sizes == list(range(tie_sizes[0], tie_sizes[0] - len(trace), -1))
@@ -777,9 +786,9 @@ class TestLockstepRuns:
 
         def recorded(index, stack):
             widths = np.count_nonzero(index.near(stack), axis=1).tolist()
-            tied, scores = best(index, stack)
+            tied = best(index, stack)
             bands.extend((width, index.n_open, t.size) for width, t in zip(widths, tied))
-            return tied, scores
+            return tied
 
         monkeypatch.setattr(RatioIndex, "best", recorded)
         graph, oracle = wide_graph(10, 2), CountingOracle(lambda c: sum(c) == 0)
@@ -866,3 +875,129 @@ class TestLockstepRuns:
         sampler.run_many(oracle, graph, configs)
         assert max(widest) == 10 * (n_rows - 20 - widest.index(max(widest)))
         assert peaks[1] < peaks[0] + 9 * 40 * n_rows
+
+
+def _score_under(strategy):
+    return {"bayesian": expected_improvement_many, "crowd": crowd_score_many}.get(strategy)
+
+
+class TestOnReadScores:
+    """Selection returns tie sets only; RunResult.scores, computed when
+    read, against a fit of the history before each selection."""
+
+    @staticmethod
+    def _assert_scores_from_scratch(result, graph, candidates=None):
+        """Each selection's score is bit for bit its row's score under fit
+        of the records before it (None for random selection); over fixed
+        candidates it is also the from-scratch maximum over the rows still
+        open, which the tie set holds."""
+        config, entries = result.config, result.history.entries
+        boot, score = config.bootstrap_size, _score_under(config.strategy)
+        assert len(result.scores) == len(entries) - boot
+        for t, value in enumerate(result.scores):
+            if score is None:
+                assert value is None
+                continue
+            model = fit(entries[:boot + t], graph, config.smoothing)
+            assert type(value) is float
+            assert value == score(model, np.asarray([entries[boot + t].config]))[0]
+            if candidates is not None:
+                seen = {record.config for record in entries[:boot + t]}
+                open_rows = [c for c in map(tuple, candidates.tolist()) if c not in seen]
+                assert value == score(model, np.asarray(open_rows)).max()
+
+    @pytest.mark.parametrize("mode, runs", [("exhaustive", 1), ("exhaustive", 3), ("pool", 1),
+                                            ("replay", 1), ("replay", 3)])
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_scores_match_a_fit_of_each_history(self, strategy, mode, runs):
+        graph, oracle = (_listed if mode == "replay" else _planted)(5)
+        config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=25,
+                               candidate_mode="pool" if mode == "pool" else "exhaustive",
+                               pool_size=50)
+        results = sampler.run_many(oracle, graph, [replace(config, seed=s) for s in range(runs)])
+        candidates = None
+        if mode != "pool":
+            listed = oracle.candidate_configurations()
+            candidates = full_space_matrix(graph) if listed is None else listed.rows
+        for result in results:
+            self._assert_scores_from_scratch(result, graph, candidates)
+
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd"])
+    def test_blocks_of_steps(self, strategy, monkeypatch):
+        """Scores rebuilt three steps at a time, the last block shorter,
+        equal those of one block."""
+        graph, oracle = _listed(5)
+        config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=25, seed=2)
+        whole = run(oracle, graph, config).scores
+        cells = FactorStack([fit([], graph)]).layout.size
+        monkeypatch.setattr(surrogate, "_STEP_CELLS", 3 * cells + 1)
+        result = run(oracle, graph, config)
+        assert result.scores == whole
+        self._assert_scores_from_scratch(result, graph, oracle.candidate_configurations().rows)
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_all_bad_bootstrap(self, strategy, runs):
+        """One good configuration of 2^11: the good side stays uniform, the
+        expected improvement saturates, and bands span the open rows."""
+        graph, oracle = wide_graph(10, 2), CountingOracle(lambda c: sum(c) == 0)
+        config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=20)
+        results = sampler.run_many(oracle, graph, [replace(config, seed=s) for s in range(runs)])
+        for result in results:
+            assert not result.history.dataset.built.any()
+            self._assert_scores_from_scratch(result, graph, full_space_matrix(graph))
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_flat_model_selects_without_rescoring(self, runs, monkeypatch):
+        """A smoothing of 1e20 swamps every count, so each factor of both
+        sides weighs its cells alike: every band is all the open rows, and
+        those tie exactly, so selection scores no row."""
+        calls = []
+        score = FactorStack.expected_improvement
+
+        def counted(stack, *args, **kwargs):
+            calls.append(args)
+            return score(stack, *args, **kwargs)
+
+        monkeypatch.setattr(FactorStack, "expected_improvement", counted)
+        graph, oracle = _planted(5)
+        config = SamplerConfig(bootstrap_size=10, budget=15, smoothing=1e20)
+        results = sampler.run_many(oracle, graph, [replace(config, seed=s) for s in range(runs)])
+        assert calls == []
+        for result in results:
+            self._assert_scores_from_scratch(result, graph, full_space_matrix(graph))
+            assert set(result.scores) == {1.0}
+
+    def test_one_row_bands_are_not_rescored(self, monkeypatch):
+        """Replaying 500 listed rows, each of this run's 40 bands holds one
+        row, so selection makes no FactorStack.expected_improvement call;
+        reading the scores makes one, for all 40 selections."""
+        widths, calls = [], []
+        near, score = RatioIndex.near, FactorStack.expected_improvement
+
+        def counted_near(index, stack):
+            mask = near(index, stack)
+            widths.append(int(np.count_nonzero(mask)))
+            return mask
+
+        def counted(stack, *args, **kwargs):
+            calls.append(args)
+            return score(stack, *args, **kwargs)
+
+        monkeypatch.setattr(RatioIndex, "near", counted_near)
+        monkeypatch.setattr(FactorStack, "expected_improvement", counted)
+        graph, oracle = _listed(3)
+        result = run(oracle, graph, SamplerConfig(bootstrap_size=10, budget=40, seed=3))
+        assert widths == [1] * 40
+        assert calls == []
+        assert len(result.scores) == 40 and len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_a_draw_from_one_row_consumes_nothing(self, seed):
+        """Selection skips the tie-break draw of a one-row tie set, which
+        leaves the same generator state as drawing it would."""
+        rng, fresh = substream(seed, "tie-break"), substream(seed, "tie-break")
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state
+        assert rng.integers(2**62) == fresh.integers(2**62)
