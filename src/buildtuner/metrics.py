@@ -9,6 +9,7 @@ precision-recall curve evaluated at every prefix of a ranked list.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +38,11 @@ def auprc(ranked: Sequence[tuple[float, bool]]) -> float:
     items = list(ranked)
     if not items:
         raise ValueError("auprc of an empty ranking is undefined")
-    scores, outcomes = zip(*items)
-    scores = np.array(scores, dtype=float)
+    scores = np.fromiter(map(itemgetter(0), items), float, len(items))
     if (scores[1:] > scores[:-1]).any():
         raise ValueError("ranking is not sorted by descending score")
-    prefixes = np.flatnonzero(np.array(outcomes, dtype=bool)) + 1  # k of each true item
+    outcomes = np.fromiter(map(itemgetter(1), items), bool, len(items))
+    prefixes = np.flatnonzero(outcomes) + 1  # k of each true item
     if prefixes.size == 0:
         raise ValueError("auprc needs at least one true outcome")
     terms = np.arange(1, prefixes.size + 1) / prefixes / prefixes.size

@@ -196,11 +196,11 @@ class RunResult:
 
         Computed on first access only, from the history (selection_scores).
         """
-        data, config = self.history.dataset, self.config
+        config = self.config
         if config.strategy == "random":
-            return (None,) * (len(data) - config.bootstrap_size)
-        return tuple(selection_scores(data, config.bootstrap_size, config.strategy,
-                                      config.smoothing).tolist())
+            return (None,) * (len(self.history) - config.bootstrap_size)
+        return tuple(selection_scores(self.history.dataset, config.bootstrap_size,
+                                      config.strategy, config.smoothing).tolist())
 
     @cached_property
     def trace(self) -> tuple[TraceEntry, ...]:
