@@ -877,10 +877,6 @@ class TestLockstepRuns:
         assert peaks[1] < peaks[0] + 9 * 40 * n_rows
 
 
-def _score_under(strategy):
-    return {"bayesian": expected_improvement_many, "crowd": crowd_score_many}.get(strategy)
-
-
 class TestOnReadScores:
     """Selection returns tie sets only; RunResult.scores, computed when
     read, against a fit of the history before each selection."""
@@ -892,7 +888,9 @@ class TestOnReadScores:
         candidates it is also the from-scratch maximum over the rows still
         open, which the tie set holds."""
         config, entries = result.config, result.history.entries
-        boot, score = config.bootstrap_size, _score_under(config.strategy)
+        boot = config.bootstrap_size
+        score = {"bayesian": expected_improvement_many,
+                 "crowd": crowd_score_many}.get(config.strategy)
         assert len(result.scores) == len(entries) - boot
         for t, value in enumerate(result.scores):
             if score is None:
