@@ -64,7 +64,6 @@ from .sampler import (
 )
 from .surrogate import (
     FactorModel,
-    FactorTable,
     crowd_score_many,
     expected_improvement_many,
     fit,

@@ -79,15 +79,13 @@ def importance_ranking(
     categorical distributions over version pairs.  Ties order by target
     name.
     """
-    graph = model.graph
+    graph, good, bad = model.graph, model.good, model.bad
     entries: list[ImportanceEntry] = []
     for i, name in enumerate(graph.packages):
-        score = js_divergence(model.good.node_weights[i], model.bad.node_weights[i])
+        score = js_divergence(good.node_weights[i], bad.node_weights[i])
         entries.append(ImportanceEntry(target=name, score=score))
     for j, (p, c) in enumerate(graph.edges):
-        score = js_divergence(
-            model.good.edge_weights[j].ravel(), model.bad.edge_weights[j].ravel()
-        )
+        score = js_divergence(good.edge_weights[j].ravel(), bad.edge_weights[j].ravel())
         target = f"{graph.packages[p]}{EDGE_SEPARATOR}{graph.packages[c]}"
         entries.append(ImportanceEntry(target=target, score=score))
     entries.sort(key=lambda e: (-e.score, e.target))

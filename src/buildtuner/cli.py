@@ -245,13 +245,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    if "," in args.versions:
-        domain_sizes: int | list[int] = [int(s) for s in args.versions.split(",")]
-    else:
-        domain_sizes = int(args.versions)
+    versions = args.versions
     graph, rules = buildsim.generate_benchmark(
         n_packages=args.packages,
-        domain_sizes=domain_sizes,
+        domain_sizes=versions[0] if len(versions) == 1 else versions,
         rule_density=args.rule_density,
         target_rate=args.target_rate,
         seed=args.seed,
@@ -370,7 +367,7 @@ def _build_parser() -> _Parser:
     p = commands.add_parser("gen-synthetic",
                             help="random benchmark graph with planted rules")
     p.add_argument("--packages", type=int, required=True)
-    p.add_argument("--versions", default="3",
+    p.add_argument("--versions", type=_comma_list(int), default="3",
                    help="versions per package: one int or a comma list")
     p.add_argument("--rule-density", type=float, default=0.3)
     p.add_argument("--target-rate", type=float, required=True)

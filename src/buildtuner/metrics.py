@@ -9,7 +9,6 @@ precision-recall curve evaluated at every prefix of a ranked list.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -29,19 +28,20 @@ __all__ = [
 ]
 
 
-def auprc(ranked: Sequence[tuple[float, bool]]) -> float:
-    """Area under the precision-recall curve of a descending-ranked list.
+def auprc(scores: np.ndarray, outcomes: np.ndarray) -> float:
+    """Area under the precision-recall curve of a ranked list, given as its
+    scores, which must descend, and each item's outcome.
 
     Each true item at prefix k contributes precision(k) / G where G is the
     number of true items in the whole list.
     """
-    items = list(ranked)
-    if not items:
+    scores, outcomes = np.asarray(scores, dtype=float), np.asarray(outcomes, dtype=bool)
+    if len(scores) != len(outcomes):
+        raise ValueError(f"auprc of {len(scores)} scores and {len(outcomes)} outcomes")
+    if not len(scores):
         raise ValueError("auprc of an empty ranking is undefined")
-    scores = np.fromiter(map(itemgetter(0), items), float, len(items))
     if (scores[1:] > scores[:-1]).any():
         raise ValueError("ranking is not sorted by descending score")
-    outcomes = np.fromiter(map(itemgetter(1), items), bool, len(items))
     prefixes = np.flatnonzero(outcomes) + 1  # k of each true item
     if prefixes.size == 0:
         raise ValueError("auprc needs at least one true outcome")
@@ -190,7 +190,7 @@ def auprc_experiment(
     else:
         scores = substream(seed, "rank").random(len(test))
     order = _descending(test, scores)
-    return auprc(list(zip(scores[order].tolist(), test.built[order].tolist())))
+    return auprc(scores[order], test.built[order])
 
 
 def _descending(dataset: Dataset, scores: np.ndarray) -> np.ndarray:

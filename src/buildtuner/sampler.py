@@ -10,8 +10,8 @@ candidate would (see _Candidates).
 
 There is one selection loop, run_many, which advances R runs of one
 strategy over one set of candidates in lockstep, each from its own seed's
-substreams; run is its one-run call.  The runs' models are one
-FactorStack, refitted in place, and a step selects for all runs at once:
+substreams; run is its one-run call.  The runs share one FactorModel,
+refitted in place, and a step selects for all runs at once:
 over fixed rows every run evaluates one row a step, so all stop together.
 A step finds each run's tie set and nothing else; the score of each
 selection is computed on first read of the run's scores, from its history.
@@ -45,15 +45,7 @@ from .configspace import (
 )
 from .dataset import BuildRecord, Dataset
 from .rng import substream
-from .surrogate import (
-    FactorModel,
-    FactorStack,
-    RatioIndex,
-    RunError,
-    _check_smoothing,
-    fit,
-    selection_scores,
-)
+from .surrogate import FactorModel, RatioIndex, _check_smoothing, _fitted, selection_scores
 
 __all__ = [
     "STRATEGIES",
@@ -272,7 +264,7 @@ class _Candidates:
 
     def select(
         self,
-        stack: FactorStack,
+        model: FactorModel,
         histories: Sequence[ObservationHistory],
         rngs_tie: Sequence[np.random.Generator],
         rng_pool: np.random.Generator,
@@ -294,17 +286,17 @@ class _Candidates:
             tied = [np.flatnonzero(line) for line in open_rows]
         elif strategy == "bayesian" and self.rows is not None:
             if self._ratios is None:
-                self._ratios = RatioIndex(stack, rows, open_rows)
-            tied = self._ratios.best(stack)
+                self._ratios = RatioIndex(model, rows, open_rows)
+            tied = self._ratios.best(model)
         else:  # bayesian over a pool, or crowd
             if strategy == "bayesian":
-                scored = stack.expected_improvement(rows)[None]
+                scored = model.expected_improvement(rows)[None]
             elif self.rows is None:
-                scored = stack.crowd(rows.T, [0])
+                scored = model.crowd(rows.T, [0])
             else:
                 stale = np.flatnonzero(self._stale)
                 if stale.size:
-                    self._crowd[stale] = stack.crowd(self._columns, stale)
+                    self._crowd[stale] = model.crowd(self._columns, stale)
                     self._stale[:] = False
                 scored = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
             tied = [np.flatnonzero(line == best) for line, best in zip(scored, scored.max(axis=1))]
@@ -317,12 +309,12 @@ class _Candidates:
             self._ratios.close(picks)
         return rows[picks]
 
-    def observe(self, stack: FactorStack, cells: np.ndarray, sides: np.ndarray) -> None:
-        """Fold each run's selected row and its outcome, as FactorStack.fold
-        takes them, into the index, given the stack before them.  A good row
+    def observe(self, model: FactorModel, cells: np.ndarray, sides: np.ndarray) -> None:
+        """Fold each run's selected row and its outcome, as FactorModel.fold
+        takes them, into the index, given the model before them.  A good row
         changes its run's crowd scores; a bad one does not."""
         if self._ratios is not None:
-            self._ratios.add(stack, cells, sides)
+            self._ratios.add(model, cells, sides)
         if self._crowd is not None:
             self._stale |= sides == 0
 
@@ -403,34 +395,34 @@ def run_many(
     if source.size < config.bootstrap_size:
         raise NoCandidatesError(f"{source.size} distinct configurations cannot seed "
                                 f"a bootstrap of {config.bootstrap_size}")
-    histories, models = [], []
+    histories = []
     for run_index, seed in enumerate(c.seed for c in configs):
         rng_boot = substream(seed, "bootstrap")
         history = ObservationHistory(graph)
-        try:
-            while len(history) < config.bootstrap_size:
-                row = source.draw(run_index, rng_boot)
-                if row not in history:
-                    _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
-            models.append(fit(history.dataset, graph, config.smoothing))
-        except ValueError as exc:
-            raise RunError(run_index, str(exc)) from exc
+        while len(history) < config.bootstrap_size:
+            row = source.draw(run_index, rng_boot)
+            if row not in history:
+                _evaluate(oracle, history, row, f"bootstrap draw {len(history) + 1}")
         histories.append(history)
-    stack = FactorStack(models)
+    boot = [history.dataset for history in histories]
+    model = _fitted(graph, config.smoothing, np.concatenate([d.rows for d in boot]),
+                    np.concatenate([d.built for d in boot]),
+                    np.repeat(np.arange(len(boot)), config.bootstrap_size), len(boot))
     rngs_tie = [substream(c.seed, "tie-break") for c in configs]
     rng_pool = substream(config.seed, "pool")
 
     for t in range(1, config.budget + 1):
-        chosen = source.select(stack, histories, rngs_tie, rng_pool)
+        chosen = source.select(model, histories, rngs_tie, rng_pool)
         if chosen is None:
             break
         # Each run's outcome side: 0 for a build, 1 for a failure.
         sides = np.array([0 if _evaluate(oracle, history, row, f"iteration {t}") else 1
                           for history, row in zip(histories, chosen)])
         # The chosen rows' cells serve both the index update and the refit.
-        cells = stack.layout.cells(chosen)
-        source.observe(stack, cells, sides)
-        stack.fold(cells, sides)
+        cells = model.layout.cells(chosen)
+        source.observe(model, cells, sides)
+        model.fold(cells, sides)
 
-    return [RunResult(history=history, model=stack.model(r), config=c)
+    return [RunResult(history=history, config=c,
+                      model=FactorModel(graph, c.smoothing, model.counts[:, [r]], model.layout))
             for r, (history, c) in enumerate(zip(histories, configs))]

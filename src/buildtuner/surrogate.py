@@ -25,16 +25,20 @@ pairwise, which for a single row of eight or more factors can differ in the
 last bit.  The expected improvement gathers both sides' lines at once, so
 each side's log densities equal those of its table alone.
 
-A FactorStack holds the models of R runs as arrays, which a step refits
-in place, and scores rows under each run's model in one call, a row's run
-choosing its tables.  Over a fixed candidate matrix, a RatioIndex gives
-every row's log ratio under each run's model at each selection without
-summing each factor of each row again.  Rows that agree on their first
-packages share that prefix's partial sum in a prefix trie, summed afresh
-from the tables level by level; the factors below the trie keep each row's
-sum, updated in place by each observation.  The score falls strictly as
-the ratio grows, so the best open row is the one with the least log ratio,
-and no step exponentiates every row.
+There is one model class, FactorModel: the counts and log weights of
+each side of R runs, as arrays.  fit and load_model make a model of one
+run; the sampler's lockstep runs share one, which a step refits in place.
+It scores rows under each run's model in one call, a row's run choosing
+its tables, and FactorSide reads one side of a one-run model.
+
+Over a fixed candidate matrix, a RatioIndex gives every row's log ratio
+under each run's model at each selection without summing each factor of
+each row again.  Rows that agree on their first packages share that
+prefix's partial sum in a prefix trie, summed afresh from the tables level
+by level; the factors below the trie keep each row's sum, updated in place
+by each observation.  The score falls strictly as the ratio grows, so the
+best open row is the one with the least log ratio, and no step
+exponentiates every row.
 
 Selection returns tie sets only.  The score of each selection is computed
 on first read of a run's scores, by selection_scores, which rebuilds each
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -57,11 +60,8 @@ from .dataset import BuildRecord, Dataset
 __all__ = [
     "FactorLayout",
     "FactorModel",
-    "FactorStack",
-    "FactorTable",
     "RatioIndex",
     "RunError",
-    "SideStats",
     "crowd_score_many",
     "expected_improvement_many",
     "fit",
@@ -137,131 +137,41 @@ class FactorLayout:
                      in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist(), self.shapes))
 
 
-@dataclass(frozen=True, eq=False)
-class SideStats:
-    """Raw observation counts for one outcome side, one flat vector over the layout.
-
-    node_counts[i][v] counts records with package i at version v;
-    edge_counts[(p, c)][u, w] counts records with the pair (u, w) active.
-    Both are views of counts.
-    """
-
-    n: int
-    counts: np.ndarray
-    layout: FactorLayout
-
-    @classmethod
-    def empty(cls, layout: FactorLayout) -> "SideStats":
-        return cls(n=0, counts=np.zeros(layout.size, dtype=np.int64), layout=layout)
-
-    @cached_property
-    def factors(self) -> tuple[np.ndarray, ...]:
-        """Every factor's counts: packages in order, then edges."""
-        return self.layout.views(self.counts)
-
-    @property
-    def node_counts(self) -> tuple[np.ndarray, ...]:
-        return self.factors[:self.layout.n_nodes]
-
-    @property
-    def edge_counts(self) -> tuple[np.ndarray, ...]:
-        return self.factors[self.layout.n_nodes:]
-
-    def add(self, rows: np.ndarray) -> "SideStats":
-        """These counts plus one record per row of the int matrix rows, in a new buffer."""
-        added = np.bincount(self.layout.cells(rows).ravel(), minlength=self.layout.size)
-        return SideStats(n=self.n + rows.shape[0], counts=self.counts + added,
-                         layout=self.layout)
-
-
-@dataclass(frozen=True, eq=False)
-class FactorTable:
-    """Per-package and per-edge factor weights, with cached logarithms.
-
-    weights and log are flat vectors over the layout; node_weights and
-    edge_weights are views of weights shaped like the factors.  Fitted
-    tables are normalized (every factor sums to 1); the density operations
-    only require strictly positive weights.
-    """
-
-    weights: np.ndarray
-    log: np.ndarray
-    layout: FactorLayout
-
-    @cached_property
-    def _weight_factors(self) -> tuple[np.ndarray, ...]:
-        return self.layout.views(self.weights)
-
-    @property
-    def node_weights(self) -> tuple[np.ndarray, ...]:
-        return self._weight_factors[:self.layout.n_nodes]
-
-    @property
-    def edge_weights(self) -> tuple[np.ndarray, ...]:
-        return self._weight_factors[self.layout.n_nodes:]
-
-    @classmethod
-    def from_counts(cls, stats: SideStats, smoothing: float) -> "FactorTable":
-        """Smoothed frequencies; raise ValueError unless every one is positive.
-
-        The smallest is that of an unseen cell of the largest factor.  A
-        tiny smoothing over many records rounds it to 0, and a huge one
-        overflows its normalizer.  It is checked first, on Python floats,
-        which neither warn nor raise where the arrays would warn.
-        """
-        _check_weights(stats.n, smoothing, stats.layout)
-        weights = _smoothed(stats.counts, stats.n, smoothing, stats.layout)
-        return cls(weights=weights, log=np.log(weights), layout=stats.layout)
-
-
 class RunError(ValueError):
-    """A ValueError of one of several runs, such as the models of a
-    FactorStack: run is its index among them."""
+    """A ValueError of one of several runs, such as the runs of a
+    FactorModel: run is its index among them."""
 
     def __init__(self, run: int, message: str):
         super().__init__(message)
         self.run = run
 
 
-def _check_weights(n: int, smoothing: float, layout: FactorLayout) -> None:
-    """Raise ValueError when smoothing over n records rounds the least
-    factor weight, that of an unseen cell of the largest factor, to 0."""
-    if not smoothing / (n + smoothing * layout.largest_factor) > 0:
-        raise ValueError(f"smoothing {smoothing!r} over {n} records rounds a factor weight to 0")
+def _check_weights(n: np.ndarray, smoothing: float, layout: FactorLayout) -> None:
+    """RunError for the first run, a column of n (its record count on each
+    side, good first), whose smoothing over a side's records rounds the
+    least factor weight, that of an unseen cell of the largest factor, to 0.
+
+    A tiny smoothing over many records rounds the weight to 0, and a huge
+    one overflows its normalizer; the check computes in Python floats,
+    which neither warn nor raise where the arrays would warn.
+    """
+    if smoothing / (int(n.max()) + smoothing * layout.largest_factor) > 0:
+        return  # the weight falls as n grows, so no run's side rounds it to 0
+    for run, counts in enumerate(n.T.tolist()):
+        for count in counts:
+            if not smoothing / (count + smoothing * layout.largest_factor) > 0:
+                raise RunError(run, f"smoothing {smoothing!r} over {count} records "
+                                    "rounds a factor weight to 0")
 
 
 def _smoothed(counts: np.ndarray, n, smoothing: float, layout: FactorLayout) -> np.ndarray:
-    """Smoothed frequencies of counts, a flat vector over layout (or a line
-    of them per model) of n records (a number, or a column of them)."""
+    """Smoothed frequencies of counts, a flat vector over layout (or one
+    per side and run) of n records (a number, or a column of them)."""
     return (counts + smoothing) / (n + smoothing * layout.cell_sizes)
 
 
-@dataclass(frozen=True, eq=False)
-class FactorModel:
-    """Good-side and bad-side factor tables plus the build success prior."""
-
-    graph: DependencyGraph
-    smoothing: float
-    good_stats: SideStats
-    bad_stats: SideStats
-    good: FactorTable
-    bad: FactorTable
-
-    @property
-    def n_good(self) -> int:
-        return self.good_stats.n
-
-    @property
-    def n_bad(self) -> int:
-        return self.bad_stats.n
-
-    @property
-    def success_prior(self) -> float:
-        """Rule-of-succession estimate of the uniform-sample success rate."""
-        return _success_prior(self.n_good, self.n_bad)
-
-
 def _success_prior(n_good: int, n_bad: int) -> float:
+    """Rule-of-succession estimate of the uniform-sample success rate."""
     return (n_good + 1) / (n_good + n_bad + 2)
 
 
@@ -279,158 +189,56 @@ def _check_smoothing(smoothing, what: str = "smoothing") -> None:
         raise ValueError(f"{what} must be finite and positive, got {smoothing!r}")
 
 
-def fit(
-    history: Dataset | Iterable[BuildRecord], graph: DependencyGraph, smoothing: float = 1.0
-) -> FactorModel:
-    """Fit both factor tables from scratch.
-
-    A Dataset's rows and outcomes, checked when it was made, are read as
-    they are; it must be over graph (GraphError otherwise).  Any other
-    records are checked once, by check_rows.  An empty history yields
-    uniform factors on both sides and a success prior of one half.
-    """
-    _check_smoothing(smoothing)
-    if isinstance(history, Dataset):
-        if history.graph != graph:
-            raise GraphError("the dataset is over another graph")
-        rows, built = history.rows, history.built
-    else:
-        records = list(history)
-        rows = check_rows(graph, [record.config for record in records])
-        built = np.array([bool(record.outcome) for record in records], dtype=bool)
-    empty = SideStats.empty(FactorLayout(graph.domain_sizes, graph.edges))
-    return _from_counts(graph, smoothing, empty.add(rows[built]), empty.add(rows[~built]))
-
-
-def _from_counts(graph: DependencyGraph, smoothing: float, good: SideStats,
-                 bad: SideStats) -> FactorModel:
-    """The model whose tables are smoothed from the counts good and bad."""
-    return FactorModel(
-        graph=graph,
-        smoothing=smoothing,
-        good_stats=good,
-        bad_stats=bad,
-        good=FactorTable.from_counts(good, smoothing),
-        bad=FactorTable.from_counts(bad, smoothing),
-    )
-
-
-def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> FactorModel:
-    """Fold row, an int vector of valid version indices (not checked), and
-    its outcome into the model.  Only the table on the outcome's side
-    changes; the result is cell-for-cell identical to a full refit on the
-    extended history.  The sampler refits a FactorStack in place instead;
-    this one-model form is the reference its tests compare against."""
-    side = "good" if built else "bad"
-    stats = getattr(model, f"{side}_stats").add(row[None])
-    table = FactorTable.from_counts(stats, model.smoothing)
-    return replace(model, **{f"{side}_stats": stats, side: table})
-
-
-def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray,
-                   tables: np.ndarray | None = None,
-                   picks: np.ndarray | None = None) -> np.ndarray:
-    """Log of the unnormalized factor product of each row of matrix (valid
-    version indices, check_rows), or of its rows at the indices picks, under
-    each line of logs, a stack of log tables over layout: one line of row
-    sums per table.  A line may hold several tables end to end; tables then
-    gives each row summed the index of the one it is summed under (by
-    default, the first).  Picked rows are gathered a block at a time."""
-    n = matrix.shape[0] if picks is None else picks.size
-    out = np.empty((logs.shape[0], n))
-    step = _DENSITY_BLOCK // logs.shape[0]  # rows whose logs fill a block
-    for start in range(0, n, step):
-        rows = matrix[start:start + step] if picks is None else matrix[picks[start:start + step]]
-        cells = layout.cells(rows)
-        if tables is not None:
-            cells += tables[start:start + step] * layout.size
-        # np.take gathers from a flat vector faster than indexing it does.
-        lines = np.take(logs, cells, axis=1)
-        block = out[:, start:start + step]
-        # Factor by factor, not a sum over the factors' axis: see the module docstring.
-        block[:] = lines[:, 0]
-        for factor in range(1, lines.shape[1]):
-            block += lines[:, factor]
-    return out
-
-
-def _ei(ratio, prior):
-    """Expected improvement for a float or an array of bad/good density ratios.
-
-    Equals 1/prior at ratio 0, 1 at ratio 1, and decreases strictly as the
-    ratio grows.
-    """
-    return 1.0 / (prior + ratio * (1.0 - prior))
-
-
-def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    """Expected improvement of each row of matrix, from its bad/good density ratio."""
-    return FactorStack([model]).expected_improvement(matrix)
-
-
-def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    """Product of raw good-side per-package frequencies for each row.
-
-    Frequencies are unsmoothed; with no good observations (or a version
-    never seen good) the product is zero.  The rows of matrix must hold
-    valid version indices (check_rows).
-    """
-    return FactorStack([model]).crowd(matrix.T, [0])[0]
-
-
-class FactorStack:
-    """The factor models of R runs over one graph, as arrays refitted in place.
+class FactorModel:
+    """The good-side and bad-side factor tables of R runs over one graph, as arrays.
 
     Side 0 is the good side and side 1 the bad one: counts[s, r] and log[s, r]
-    are run r's flat vectors over the layout, and n[s, r] its record count.
-    A fold adds one record per run to its outcome's side and smooths that
-    side again as FactorTable.from_counts does, so run r's logs are bit for
-    bit those of model(r), the FactorModel that its counts give.
+    are run r's raw counts and log factor weights, flat vectors over the
+    layout, and n[s, r] its record count, derived from the counts, since each
+    record holds one version of the first package.  Weights are the counts'
+    additive-smoothed normalized frequencies.  A fitted or loaded model has
+    one run, whose sides good and bad read (good_stats and bad_stats are the
+    same views); the sampler's lockstep runs share one model, which a step
+    refits in place (fold).
     """
 
-    def __init__(self, models: Sequence[FactorModel]):
-        """Stack models, which share a graph and a smoothing."""
-        first = models[0]
-        sides = ([m.good_stats for m in models], [m.bad_stats for m in models])
-        self._hold(first.graph, first.smoothing, first.good_stats.layout,
-                   np.array([[stats.counts for stats in side] for side in sides]),
-                   np.array([[stats.n for stats in side] for side in sides], dtype=np.int64),
-                   np.array([[m.good.log for m in models], [m.bad.log for m in models]]))
+    def __init__(self, graph: DependencyGraph, smoothing: float, counts: np.ndarray,
+                 layout: FactorLayout | None = None):
+        """The model whose tables are smoothed from counts, an int64 array
+        (side, run, cell) over layout (by default, graph's); RunError when
+        a run's side would round a weight to 0, run by run, good side first."""
+        self.graph, self.smoothing = graph, smoothing
+        self.layout = layout = layout or FactorLayout(graph.domain_sizes, graph.edges)
+        self.counts = counts
+        self.n = counts[..., :layout.offsets[1]].sum(axis=2)
+        _check_weights(self.n, smoothing, layout)
+        self.log = np.log(_smoothed(counts, self.n[..., None], smoothing, layout))
+        self.runs = np.arange(counts.shape[1])
+        self.priors = list(map(_success_prior, *self.n.tolist()))
 
-    @classmethod
-    def of_counts(cls, graph: DependencyGraph, smoothing: float, layout: FactorLayout,
-                  counts: np.ndarray, n: np.ndarray) -> "FactorStack":
-        """The stack whose run r has the counts counts[:, r] of n[:, r]
-        records, smoothed as fold smooths them; the weights are not checked."""
-        stack = cls.__new__(cls)
-        stack._hold(graph, smoothing, layout, counts, n,
-                    np.log(_smoothed(counts, n[..., None], smoothing, layout)))
-        return stack
+    def _one_run(self) -> None:
+        if self.runs.size != 1:
+            raise ValueError(f"a model of {self.runs.size} runs has no single side or prior")
 
-    def _hold(self, graph, smoothing, layout, counts, n, log) -> None:
-        self.graph, self.smoothing, self.layout = graph, smoothing, layout
-        self.counts, self.n, self.log = counts, n, log
-        self.runs = np.arange(n.shape[1])
-        self.priors = list(map(_success_prior, *n.tolist()))
+    good = good_stats = property(lambda self: FactorSide(self, 0))
+    bad = bad_stats = property(lambda self: FactorSide(self, 1))
 
-    def model(self, run: int) -> FactorModel:
-        """Run's model, its tables smoothed from its counts."""
-        good, bad = (SideStats(n=int(self.n[side, run]), counts=self.counts[side, run].copy(),
-                               layout=self.layout) for side in (0, 1))
-        return _from_counts(self.graph, self.smoothing, good, bad)
+    @property
+    def success_prior(self) -> float:
+        """Rule-of-succession estimate of the uniform-sample success rate."""
+        self._one_run()
+        return self.priors[0]
 
     def fold(self, cells: np.ndarray, sides: np.ndarray) -> None:
         """Add a record to each run, on its side in sides (0 for a build, 1
         for a failure); cells holds the records' rows as layout.cells gives
-        them, a line per factor and a column per run.  RunError, before any
-        change, when a run's new side would round a weight to 0."""
+        them, a line per factor and a column per run.  The counts' new
+        smoothed logs are bit for bit those of a model built from them.
+        RunError, before any change, when a run's new side would round a
+        weight to 0."""
         runs = self.runs
         n = self.n[sides, runs] + 1
-        for run, count in enumerate(n.tolist()):
-            try:
-                _check_weights(count, self.smoothing, self.layout)
-            except ValueError as exc:
-                raise RunError(run, str(exc)) from exc
+        _check_weights(n[None], self.smoothing, self.layout)
         self.counts[sides, runs, cells] += 1  # a run's cells lie in distinct factors
         self.n[sides, runs] = n
         self.log[sides, runs] = np.log(_smoothed(self.counts[sides, runs], n[:, None],
@@ -479,6 +287,152 @@ class FactorStack:
         return np.exp(total)
 
 
+class FactorSide:
+    """One side of a model of one run, read-only: its record count n, its
+    counts and log weights over the layout (views of the model's arrays as
+    they are), and its smoothed weights.  node_counts[i][v] counts records
+    with package i at version v, edge_counts[j][u, w] those with edge j's
+    pair (u, w); node_weights and edge_weights shape the weights alike."""
+
+    def __init__(self, model: FactorModel, side: int):
+        model._one_run()
+        self.layout = model.layout
+        self.n = int(model.n[side, 0])
+        self.counts, self.log = model.counts[side, 0], model.log[side, 0]
+        self.weights = _smoothed(self.counts, self.n, model.smoothing, self.layout)
+        for array in (self.counts, self.log, self.weights):
+            array.flags.writeable = False
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """Every factor's counts: packages in order, then edges."""
+        return self.layout.views(self.counts)
+
+    @cached_property
+    def _weight_factors(self) -> tuple[np.ndarray, ...]:
+        return self.layout.views(self.weights)
+
+    @property
+    def node_counts(self) -> tuple[np.ndarray, ...]:
+        return self.factors[:self.layout.n_nodes]
+
+    @property
+    def edge_counts(self) -> tuple[np.ndarray, ...]:
+        return self.factors[self.layout.n_nodes:]
+
+    @property
+    def node_weights(self) -> tuple[np.ndarray, ...]:
+        return self._weight_factors[:self.layout.n_nodes]
+
+    @property
+    def edge_weights(self) -> tuple[np.ndarray, ...]:
+        return self._weight_factors[self.layout.n_nodes:]
+
+
+def _tally(layout: FactorLayout, cells: np.ndarray, sides: np.ndarray, runs=0,
+           n_runs: int = 1) -> np.ndarray:
+    """The counts (side, run, cell) over layout of records whose rows' cells
+    layout.cells gives, a column per record, on sides (0 for a build, 1 for
+    a failure) and of runs (an index per record, or one for all of them)."""
+    where = (sides * n_runs + runs) * layout.size + cells
+    return np.bincount(where.ravel(), minlength=2 * n_runs * layout.size).reshape(
+        2, n_runs, layout.size)
+
+
+def _fitted(graph: DependencyGraph, smoothing: float, rows: np.ndarray, built: np.ndarray,
+            runs=0, n_runs: int = 1) -> FactorModel:
+    """The model of n_runs runs fitted to the records of the int matrix rows
+    (valid version indices, not checked) and their outcomes built, of runs
+    (an index per row, or one for all of them)."""
+    layout = FactorLayout(graph.domain_sizes, graph.edges)
+    sides = (~built).astype(np.intp)
+    return FactorModel(graph, smoothing, _tally(layout, layout.cells(rows), sides, runs, n_runs),
+                       layout)
+
+
+def fit(
+    history: Dataset | Iterable[BuildRecord], graph: DependencyGraph, smoothing: float = 1.0
+) -> FactorModel:
+    """Fit both factor tables from scratch.
+
+    A Dataset's rows and outcomes, checked when it was made, are read as
+    they are; it must be over graph (GraphError otherwise).  Any other
+    records are checked once, by check_rows.  An empty history yields
+    uniform factors on both sides and a success prior of one half.
+    """
+    _check_smoothing(smoothing)
+    if isinstance(history, Dataset):
+        if history.graph != graph:
+            raise GraphError("the dataset is over another graph")
+        return _fitted(graph, smoothing, history.rows, history.built)
+    records = list(history)
+    rows = check_rows(graph, [record.config for record in records])
+    built = np.array([bool(record.outcome) for record in records], dtype=bool)
+    return _fitted(graph, smoothing, rows, built)
+
+
+def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> FactorModel:
+    """A copy of a one-run model with row, an int vector of valid version
+    indices (not checked), and its outcome folded in; the model is left as
+    it was.  The result is cell-for-cell identical to a full refit on the
+    extended history.  The sampler folds its model in place instead; this
+    copying form is the reference its tests compare against."""
+    updated = FactorModel(model.graph, model.smoothing, model.counts.copy(), model.layout)
+    updated.fold(model.layout.cells(row[None]), np.array([0 if built else 1]))
+    return updated
+
+
+def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray,
+                   tables: np.ndarray | None = None,
+                   picks: np.ndarray | None = None) -> np.ndarray:
+    """Log of the unnormalized factor product of each row of matrix (valid
+    version indices, check_rows), or of its rows at the indices picks, under
+    each line of logs, a stack of log tables over layout: one line of row
+    sums per table.  A line may hold several tables end to end; tables then
+    gives each row summed the index of the one it is summed under (by
+    default, the first).  Picked rows are gathered a block at a time."""
+    n = matrix.shape[0] if picks is None else picks.size
+    out = np.empty((logs.shape[0], n))
+    step = _DENSITY_BLOCK // logs.shape[0]  # rows whose logs fill a block
+    for start in range(0, n, step):
+        rows = matrix[start:start + step] if picks is None else matrix[picks[start:start + step]]
+        cells = layout.cells(rows)
+        if tables is not None:
+            cells += tables[start:start + step] * layout.size
+        # np.take gathers from a flat vector faster than indexing it does.
+        lines = np.take(logs, cells, axis=1)
+        block = out[:, start:start + step]
+        # Factor by factor, not a sum over the factors' axis: see the module docstring.
+        block[:] = lines[:, 0]
+        for factor in range(1, lines.shape[1]):
+            block += lines[:, factor]
+    return out
+
+
+def _ei(ratio, prior):
+    """Expected improvement for a float or an array of bad/good density ratios.
+
+    Equals 1/prior at ratio 0, 1 at ratio 1, and decreases strictly as the
+    ratio grows.
+    """
+    return 1.0 / (prior + ratio * (1.0 - prior))
+
+
+def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
+    """Expected improvement of each row of matrix, from its bad/good density ratio."""
+    return model.expected_improvement(matrix)
+
+
+def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
+    """Product of raw good-side per-package frequencies for each row.
+
+    Frequencies are unsmoothed; with no good observations (or a version
+    never seen good) the product is zero.  The rows of matrix must hold
+    valid version indices (check_rows).
+    """
+    return model.crowd(matrix.T, [0])[0]
+
+
 def selection_scores(history: Dataset, start: int, strategy: str,
                      smoothing: float) -> np.ndarray:
     """The score under strategy, "bayesian" or "crowd", of each record of
@@ -487,8 +441,8 @@ def selection_scores(history: Dataset, start: int, strategy: str,
 
     A step's tables are the counts of the first start records plus a
     cumulative sum of the selected rows' cells, smoothed and logged as
-    FactorStack.fold does, so each score is bit for bit the one the run's
-    step would have computed.  A block of steps is one FactorStack, whose
+    FactorModel.fold does, so each score is bit for bit the one the run's
+    step would have computed.  A block of steps is one FactorModel, whose
     run i is step i's model, and its rows are scored in one call; the blocks
     keep the rebuilt tables small.
     """
@@ -496,8 +450,7 @@ def selection_scores(history: Dataset, start: int, strategy: str,
     layout = FactorLayout(graph.domain_sizes, graph.edges)
     sides = (~history.built).astype(np.intp)  # 0 for a build, 1 for a failure
     cells = layout.cells(rows)
-    counts = np.zeros((2, layout.size), dtype=np.int64)
-    np.add.at(counts, (sides[:start], cells[:, :start]), 1)
+    counts = _tally(layout, cells[:, :start], sides[:start])
     scores = np.empty(rows.shape[0] - start)
     width = max(1, _STEP_CELLS // layout.size)
     for a in range(start, rows.shape[0], width):
@@ -505,23 +458,20 @@ def selection_scores(history: Dataset, start: int, strategy: str,
         b = a + steps.size
         # Each step's record on its side, summed along the steps: the counts
         # after each step, less its own record: those before it.
-        added = np.zeros((2, steps.size, layout.size), dtype=np.int64)
-        added[sides[a:b], steps, cells[:, a:b]] = 1
+        added = _tally(layout, cells[:, a:b], sides[a:b], steps, steps.size)
         after = np.cumsum(added, axis=1)
-        after += counts[:, None]
-        before = np.subtract(after, added, out=added)
-        n = before[..., :layout.offsets[1]].sum(axis=2)  # each record holds one first version
-        stack = FactorStack.of_counts(graph, smoothing, layout, before, n)
+        after += counts
+        model = FactorModel(graph, smoothing, np.subtract(after, added, out=added), layout)
         if strategy == "bayesian":
-            scores[a - start:b - start] = stack.expected_improvement(rows[a:b], steps)
+            scores[a - start:b - start] = model.expected_improvement(rows[a:b], steps)
         else:
-            scores[a - start:b - start] = stack.crowd(rows[a:b].T, steps, each=True)
-        counts = after[:, -1]
+            scores[a - start:b - start] = model.crowd(rows[a:b].T, steps, each=True)
+        counts = after[:, -1:]
     return scores
 
 
 def _flat(layout: FactorLayout, log: np.ndarray) -> np.ndarray:
-    """Whether every factor of both sides of each run's logs, a stack's log
+    """Whether every factor of both sides of each run's logs, a model's log
     array, has one log weight for all its cells: a bool per run."""
     starts = layout.offsets[:-1]
     return (np.minimum.reduceat(log, starts, axis=2)
@@ -530,7 +480,7 @@ def _flat(layout: FactorLayout, log: np.ndarray) -> np.ndarray:
 
 class RatioIndex:
     """Bad/good log density ratio of each row of a fixed matrix under each
-    model of a FactorStack, for selection.
+    run of a FactorModel, for selection.
 
     Packages go in a topological order.  The level of package c carries c's
     factor and those of the edges from its parents.  Rows that agree on the
@@ -538,7 +488,7 @@ class RatioIndex:
     order.  A node holds one code into its level's table, which adds c's
     cells to those of its first parent's edge, plus one flat cell for each
     further parent.  Its sum is its parent node's plus those, so the trie is
-    summed from the models' tables at each selection, level by level, all
+    summed from the runs' tables at each selection, level by level, all
     runs at once.
 
     A level joins the trie while it has at most half as many nodes as there
@@ -565,11 +515,11 @@ class RatioIndex:
     read (selection_scores).
     """
 
-    def __init__(self, stack: FactorStack, rows: np.ndarray, open_rows: np.ndarray):
+    def __init__(self, model: FactorModel, rows: np.ndarray, open_rows: np.ndarray):
         """Index rows, an int matrix of distinct rows of valid version
-        indices, under each model of stack; the rows not set in a run's line
+        indices, under each run of model; the rows not set in a run's line
         of open_rows start closed for it."""
-        layout, graph = stack.layout, stack.graph
+        layout, graph = model.layout, model.graph
         runs = open_rows.shape[0]
         self.rows = rows
         self.n_open = int(np.count_nonzero(open_rows[0]))  # each run's, one count in lockstep
@@ -583,7 +533,7 @@ class RatioIndex:
         # Each part in its own method, so that its temporaries are gone
         # before the next part allocates.
         self._index_prefixes(layout, graph, rows, order, into, runs)
-        self._index_suffix(stack, rows, order[len(self._levels):], into)
+        self._index_suffix(model, rows, order[len(self._levels):], into)
         self._suffix[~open_rows] = np.inf
         self._lines = list(self._suffix)  # each run's suffix sums, a view
         self._log_ratio = np.empty((runs, rows.shape[0]))
@@ -636,7 +586,7 @@ class RatioIndex:
         self._levels = [(*level, scratch[:level[3].size].reshape(level[3].shape))
                         for level in self._levels]
 
-    def _index_suffix(self, stack, rows, packages, into) -> None:
+    def _index_suffix(self, model, rows, packages, into) -> None:
         """The suffix factors, those of packages, in flat order; each run's
         sum over them for each row; the inverted index over their cells: the
         rows holding flat cell v are order[bounds[v]:bounds[v + 1]].
@@ -646,15 +596,15 @@ class RatioIndex:
         its stable argsort.  No temporary spans the rows, which would raise
         the peak memory of runs over a whole space.
         """
-        layout, graph = stack.layout, stack.graph
+        layout, graph = model.layout, model.graph
         sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
         k = layout.n_nodes
         self._factors = np.array(sorted(f for c in packages
                                         for f in (c, *(f for f, _ in into[c]))), dtype=np.intp)
         self._smoothing_terms = np.concatenate((
-            np.full(self._factors.size, stack.smoothing),
-            stack.smoothing * layout.factor_sizes[self._factors]))
-        gap = stack.log[1] - stack.log[0]
+            np.full(self._factors.size, model.smoothing),
+            model.smoothing * layout.factor_sizes[self._factors]))
+        gap = model.log[1] - model.log[0]
         self._suffix = np.zeros((gap.shape[0], n))
         self._order = np.empty(self._factors.size * n, dtype=np.int32)
         per_cell = np.zeros(layout.size, dtype=np.int64)
@@ -682,11 +632,11 @@ class RatioIndex:
             line[row] = np.inf
         self.n_open -= 1
 
-    def add(self, stack: FactorStack, cells: np.ndarray, sides: np.ndarray) -> None:
+    def add(self, model: FactorModel, cells: np.ndarray, sides: np.ndarray) -> None:
         """Fold in a record per run, its row's cells and its side as
-        FactorStack.fold takes them, given the stack these ratios agree with
+        FactorModel.fold takes them, given the model these ratios agree with
         before the fold."""
-        runs, width = stack.runs, self._factors.size
+        runs, width = model.runs, self._factors.size
         own = cells[self._factors].T
         # A line per run: the smoothed counts of its row's suffix cells, then
         # its side's smoothed normalizer of each suffix factor.  Adding one
@@ -694,8 +644,8 @@ class RatioIndex:
         # goes to the rows holding it, and the normalizers' moves sum to the
         # shift of every row.
         held = np.empty((runs.size, 2 * width))
-        held[:, :width] = stack.counts[sides[:, None], runs[:, None], own]
-        held[:, width:] = stack.n[sides, runs][:, None]
+        held[:, :width] = model.counts[sides[:, None], runs[:, None], own]
+        held[:, width:] = model.n[sides, runs][:, None]
         held += self._smoothing_terms
         change = _SIGNS[sides][:, None] * (np.log(held + 1.0) - np.log(held))
         self._shift -= change[:, width:].sum(axis=1)
@@ -707,13 +657,13 @@ class RatioIndex:
             for cell, delta in zip(run_cells, deltas):
                 np.add.at(line, order[bounds[cell]:bounds[cell + 1]], delta)
 
-    def log_ratio(self, stack: FactorStack) -> np.ndarray:
-        """Each run's log ratio of each row, under the stack the adds have
+    def log_ratio(self, model: FactorModel) -> np.ndarray:
+        """Each run's log ratio of each row, under the model the adds have
         brought the index to, and +inf for a closed row: a line per run, up
         to float rounding the bad side's _log_densities less the good side's.
         The array is a buffer that the next call overwrites."""
         gap = self._gap
-        np.subtract(stack.log[1], stack.log[0], out=gap[:, :-1])
+        np.subtract(model.log[1], model.log[0], out=gap[:, :-1])
         table = gap.take(self._node_cells, axis=1)
         table += gap.take(self._edge_cells, axis=1)
         above = self._root
@@ -729,15 +679,15 @@ class RatioIndex:
         self._log_ratio += self._suffix
         return self._log_ratio
 
-    def near(self, stack: FactorStack) -> np.ndarray:
+    def near(self, model: FactorModel) -> np.ndarray:
         """Each run's open rows whose indexed score is within a relative
         _NEAR_TIE of its best, that of its open row with the least log ratio,
         as a mask with a line per run; the band is one limit on a run's log
         ratio, so a few more rows may pass.  The mask is a buffer that the
         next call overwrites."""
-        log_ratio = self.log_ratio(stack)
+        log_ratio = self.log_ratio(model)
         limits = []
-        for least, prior in zip(log_ratio.min(axis=1).tolist(), stack.priors):
+        for least, prior in zip(log_ratio.min(axis=1).tolist(), model.priors):
             top = _ei(math.exp(min(max(least, -_LOG_RATIO_CLAMP), _LOG_RATIO_CLAMP)), prior)
             # score >= top * (1 - tol)  <=>  ratio <= (1 / (top * (1 - tol)) - prior) / (1 - prior).
             # The limit exceeds the least ratio, so it lies above the lower
@@ -748,7 +698,7 @@ class RatioIndex:
             limits.append(limit if limit < _LOG_RATIO_CLAMP else sys.float_info.max)
         return np.less_equal(log_ratio, np.array(limits)[:, None], out=self._mask)
 
-    def best(self, stack: FactorStack) -> list[np.ndarray]:
+    def best(self, model: FactorModel) -> list[np.ndarray]:
         """Each run's open rows with the highest expected improvement, ascending.
 
         Every run needs an open row.  Only each run's exact maxima among the
@@ -757,12 +707,12 @@ class RatioIndex:
         otherwise each run's band is a call, so that wide bands take no more
         memory than one run's would.
         """
-        mask = self.near(stack)
+        mask = self.near(model)
         if mask.shape[0] == 1 or np.count_nonzero(mask) <= mask.shape[1]:
-            return self._settle(stack, mask, 0)
-        return [self._settle(stack, mask[run:run + 1], run)[0] for run in range(mask.shape[0])]
+            return self._settle(model, mask, 0)
+        return [self._settle(model, mask[run:run + 1], run)[0] for run in range(mask.shape[0])]
 
-    def _settle(self, stack: FactorStack, mask: np.ndarray, first: int) -> list[np.ndarray]:
+    def _settle(self, model: FactorModel, mask: np.ndarray, first: int) -> list[np.ndarray]:
         """best() of the runs from first on whose bands mask holds, a line
         per run.  A band holds every exact maximum, so a band of one row is
         its tie set.  When every factor of both sides of a run's model
@@ -770,16 +720,16 @@ class RatioIndex:
         same order and so scores exactly the same: a band of all its open
         rows is then its tie set too.  Only the other bands are rescored."""
         runs, rows = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        ends = runs.searchsorted(stack.runs[:mask.shape[0]], side="right").tolist()
+        ends = runs.searchsorted(model.runs[:mask.shape[0]], side="right").tolist()
         spans = list(zip([0, *ends[:-1]], ends))
         whole = [b - a > 1 and b - a == self.n_open for a, b in spans]
         flat = whole
         if any(whole):
-            flat = (_flat(stack.layout, stack.log[:, first:first + mask.shape[0]]) & whole).tolist()
+            flat = (_flat(model.layout, model.log[:, first:first + mask.shape[0]]) & whole).tolist()
         rescored = [b - a > 1 and not one for (a, b), one in zip(spans, flat)]
         if any(rescored):
             picked = np.repeat(rescored, np.diff([0, *ends]))
-            exact = stack.expected_improvement(self.rows, runs[picked] + first, rows[picked])
+            exact = model.expected_improvement(self.rows, runs[picked] + first, rows[picked])
         tied, at = [], 0
         for (a, b), rescore in zip(spans, rescored):
             if rescore:
@@ -793,7 +743,7 @@ class RatioIndex:
 
 def save_model(model: FactorModel, path: str) -> None:
     """Serialize counts, smoothing, and the graph; tables rebuild on load."""
-    def side_payload(stats: SideStats) -> dict:
+    def side_payload(stats: FactorSide) -> dict:
         return {
             "n": stats.n,
             "nodes": [c.tolist() for c in stats.node_counts],
@@ -853,12 +803,13 @@ def load_model(path: str) -> FactorModel:
     _check_smoothing(smoothing, "model smoothing")
     smoothing = float(smoothing)
     sizes = graph.domain_sizes
-    layout = FactorLayout(sizes, graph.edges)
 
-    def side_stats(side: str) -> SideStats:
+    def side_counts(side: str) -> np.ndarray:
         data = _field(payload, side, dict, "an object")
         where = f"{side}."
         n = _field(data, "n", int, "an integer", where)
+        if n >= 2**63:  # the model's record counts are int64 sums
+            raise ValueError(f"model {side}.n {n} is beyond int64 range")
         nodes = _field(data, "nodes", list, "a list", where)
         if len(nodes) != graph.n_packages:
             raise ValueError(
@@ -884,10 +835,9 @@ def load_model(path: str) -> FactorModel:
                 raise ValueError(f"model is missing counts for edge {key}")
             counts = _field(by_edge[key], "counts", list, "a list", f"{side}.edges[].")
             edges.append(_counts(counts, (sizes[p], sizes[c]), n, f"{side} edge {key}"))
-        counts = np.concatenate([c.ravel() for c in (*node_counts, *edges)])
-        return SideStats(n=n, counts=counts, layout=layout)
+        return np.concatenate([c.ravel() for c in (*node_counts, *edges)])
 
-    model = _from_counts(graph, smoothing, side_stats("good"), side_stats("bad"))
+    model = FactorModel(graph, smoothing, np.array([[side_counts("good")], [side_counts("bad")]]))
     prior = _field(payload, "success_prior", (int, float), "a number")
     if prior != model.success_prior:
         raise ValueError(

@@ -15,7 +15,7 @@ from buildtuner import (
     random_configuration,
     validate_graph,
 )
-from buildtuner.surrogate import FactorTable, _log_densities
+from buildtuner.surrogate import FactorSide, _log_densities
 
 
 def all_configurations(graph: DependencyGraph):
@@ -24,7 +24,7 @@ def all_configurations(graph: DependencyGraph):
     return itertools.product(*(range(len(domain)) for domain in graph.domains))
 
 
-def log_density_many(table: FactorTable, matrix):
+def log_density_many(table: FactorSide, matrix):
     """Log of the unnormalized factor product of each row of matrix under one
     side's table alone, summed as every score sums it (_log_densities)."""
     return _log_densities(table.layout, table.log[None], matrix)[0]

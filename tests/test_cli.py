@@ -177,7 +177,7 @@ class TestRunCommand:
         )
         assert code == 0
         model = load_model(str(model_path))
-        assert model.n_good + model.n_bad == 10
+        assert model.n.sum() == 10
 
     def test_byte_identical_reruns(self, capsys, workspace):
         argv = ["run", "--oracle", f"dataset:{workspace / 'data.jsonl'}",
@@ -776,6 +776,19 @@ class TestGenSyntheticCommand:
         from buildtuner import load_graph
 
         assert load_graph(str(tmp_path / "g.json")).domain_sizes == (2, 3, 4)
+
+    @pytest.mark.parametrize("versions", ["3,abc", "abc"])
+    def test_malformed_version_list_is_a_usage_error(self, capsys, tmp_path, versions):
+        code, _, err = _run(
+            ["gen-synthetic", "--packages", "3", "--versions", versions,
+             "--target-rate", "0.5",
+             "--out-graph", str(tmp_path / "g.json"),
+             "--out-rules", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        assert "argument --versions:" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_space_too_large_to_emit_writes_nothing(self, capsys, tmp_path):
         code, _, err = _run(

@@ -39,32 +39,39 @@ def brute_force_auprc(ranked):
     return area
 
 
+def auprc_of(ranked):
+    """auprc of a list of (score, outcome) pairs."""
+    return auprc([s for s, _ in ranked], [y for _, y in ranked])
+
+
 class TestAuprc:
     def test_frozen_true_false_true(self):
         ranked = [(0.9, True), (0.5, False), (0.1, True)]
-        assert auprc(ranked) == pytest.approx(0.8333333333333333, abs=1e-15)
+        assert auprc_of(ranked) == pytest.approx(0.8333333333333333, abs=1e-15)
 
     def test_perfect_ranking(self):
         ranked = [(0.9, True), (0.8, True), (0.2, False), (0.1, False)]
-        assert auprc(ranked) == pytest.approx(1.0, abs=0)
+        assert auprc_of(ranked) == pytest.approx(1.0, abs=0)
 
     def test_single_true_item(self):
-        assert auprc([(1.0, True)]) == pytest.approx(1.0)
-        assert auprc([(1.0, False), (0.5, True)]) == pytest.approx(0.5)
+        assert auprc_of([(1.0, True)]) == pytest.approx(1.0)
+        assert auprc_of([(1.0, False), (0.5, True)]) == pytest.approx(0.5)
 
     def test_all_true(self):
-        assert auprc([(0.5, True), (0.4, True), (0.3, True)]) == pytest.approx(1.0)
+        assert auprc_of([(0.5, True), (0.4, True), (0.3, True)]) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty ranking"):
-            auprc([])
+            auprc_of([])
+        with pytest.raises(ValueError, match="of 2 scores and 1 outcomes"):
+            auprc([0.9, 0.5], [True])
         with pytest.raises(ValueError, match="at least one true"):
-            auprc([(0.5, False)])
+            auprc_of([(0.5, False)])
         with pytest.raises(ValueError, match="not sorted"):
-            auprc([(0.1, True), (0.9, True)])
+            auprc_of([(0.1, True), (0.9, True)])
 
     def test_ties_in_scores_allowed(self):
-        assert auprc([(0.5, True), (0.5, False), (0.5, True)]) == pytest.approx(
+        assert auprc_of([(0.5, True), (0.5, False), (0.5, True)]) == pytest.approx(
             brute_force_auprc([(0.5, True), (0.5, False), (0.5, True)])
         )
 
@@ -77,7 +84,7 @@ class TestAuprc:
                 labels[int(rng.integers(n))] = True
             scores = np.sort(rng.random(n))[::-1]
             ranked = [(float(s), bool(y)) for s, y in zip(scores, labels)]
-            assert auprc(ranked) == pytest.approx(brute_force_auprc(ranked),
+            assert auprc_of(ranked) == pytest.approx(brute_force_auprc(ranked),
                                                   abs=1e-12)
 
     def test_sum_is_the_running_sum_in_list_order(self):
@@ -95,7 +102,7 @@ class TestAuprc:
                 if y:
                     seen += 1
                     area += (seen / k) / int(labels.sum())
-            assert auprc(ranked) == area
+            assert auprc_of(ranked) == area
 
     def test_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(55)
@@ -104,7 +111,7 @@ class TestAuprc:
         labels[0] = True
         base = [(float(s), bool(y)) for s, y in zip(scores, labels)]
         squashed = [(math.tanh(3 * s), y) for s, y in base]
-        assert auprc(base) == pytest.approx(auprc(squashed), abs=0)
+        assert auprc_of(base) == pytest.approx(auprc_of(squashed), abs=0)
 
 
 def _replay_dataset(n_records=60, good_fn=None, seed=10):
@@ -328,4 +335,4 @@ class TestAuprcExperiment:
         assert len(digested) < counts[counts > 1].sum()
         monkeypatch.undo()
         assert auprc_experiment(dataset, strategy, seed=2, selections=10,
-                                bootstrap_size=5) == auprc(ranked)
+                                bootstrap_size=5) == auprc_of(ranked)

@@ -38,7 +38,7 @@ from buildtuner.configspace import (
     random_configurations,
 )
 from buildtuner.sampler import TraceEntry
-from buildtuner.surrogate import FactorStack, RatioIndex, refit_incremental, selection_scores
+from buildtuner.surrogate import FactorModel, RatioIndex, refit_incremental, selection_scores
 from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
                      two_package_graph, wide_graph)
 
@@ -672,18 +672,18 @@ class TestIncrementalSelectionParity:
         seen = {"calls": 0, "largest": 0.0, "all_tied": False}
         best = RatioIndex.best
 
-        def checked(index, stack):
-            log_ratio = index.log_ratio(stack)
+        def checked(index, model):
+            log_ratio = index.log_ratio(model)
             open_rows = log_ratio < np.inf
             assert (np.count_nonzero(open_rows, axis=1) == index.n_open).all()
             for run_index, (line, open_line) in enumerate(zip(log_ratio, open_rows)):
-                model = stack.model(run_index)
-                scratch = (log_density_many(model.bad, index.rows)
-                           - log_density_many(model.good, index.rows))[open_line]
+                one = FactorModel(model.graph, model.smoothing, model.counts[:, [run_index]])
+                scratch = (log_density_many(one.bad, index.rows)
+                           - log_density_many(one.good, index.rows))[open_line]
                 np.testing.assert_allclose(line[open_line], scratch, rtol=0, atol=1e-9)
                 seen["largest"] = max(seen["largest"], float(np.abs(scratch).max()))
             seen["calls"] += 1
-            tied = best(index, stack)
+            tied = best(index, model)
             seen["all_tied"] |= any(t.size == index.n_open for t in tied)
             return tied
 
@@ -724,13 +724,13 @@ class TestIncrementalSelectionParity:
         graph, oracle = space(seed)
         history, trace, model, tie_sizes = _reference_run(oracle, graph, config)
         scored = []
-        crowd = FactorStack.crowd
+        crowd = FactorModel.crowd
 
-        def counted(stack, columns, runs, each=False):
+        def counted(model, columns, runs, each=False):
             scored.append(columns.shape[1])
-            return crowd(stack, columns, runs, each)
+            return crowd(model, columns, runs, each)
 
-        monkeypatch.setattr(FactorStack, "crowd", counted)
+        monkeypatch.setattr(FactorModel, "crowd", counted)
         result = run(oracle, graph, config)
         selecting = len(scored)  # the trace's scores are computed when it is read
         assert result.history.entries == history.entries
@@ -760,6 +760,21 @@ class TestLockstepRuns:
             _assert_same_model(result.model, alone.model)
         return results
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
+    def test_each_model_is_the_fit_of_its_history(self, runs, strategy):
+        """Each run's model, taken from the runs' one model, equals a fit of
+        its history from scratch bit for bit: counts, n, logs and weights."""
+        graph, oracle = _listed(6)
+        config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=30)
+        results = sampler.run_many(oracle, graph, [replace(config, seed=s) for s in range(runs)])
+        for result in results:
+            scratch = fit(result.history.dataset, graph, config.smoothing)
+            for a, b in ((result.model.counts, scratch.counts), (result.model.n, scratch.n),
+                         (result.model.log, scratch.log)):
+                assert a.shape[1] == 1 and a.dtype == b.dtype and np.array_equal(a, b)
+            _assert_same_model(result.model, scratch)
+
     @pytest.mark.parametrize("runs", [1, 3, 10])
     @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
     def test_budget_past_the_open_rows(self, runs, strategy):
@@ -784,9 +799,9 @@ class TestLockstepRuns:
         bands = []
         best = RatioIndex.best
 
-        def recorded(index, stack):
-            widths = np.count_nonzero(index.near(stack), axis=1).tolist()
-            tied = best(index, stack)
+        def recorded(index, model):
+            widths = np.count_nonzero(index.near(model), axis=1).tolist()
+            tied = best(index, model)
             bands.extend((width, index.n_open, t.size) for width, t in zip(widths, tied))
             return tied
 
@@ -857,8 +872,8 @@ class TestLockstepRuns:
         widest = []
         near = RatioIndex.near
 
-        def counted(index, stack):
-            mask = near(index, stack)
+        def counted(index, model):
+            mask = near(index, model)
             widest.append(int(np.count_nonzero(mask)))
             return mask
 
@@ -927,7 +942,7 @@ class TestOnReadScores:
         graph, oracle = _listed(5)
         config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=25, seed=2)
         whole = run(oracle, graph, config).scores
-        cells = FactorStack([fit([], graph)]).layout.size
+        cells = fit([], graph).layout.size
         monkeypatch.setattr(surrogate, "_STEP_CELLS", 3 * cells + 1)
         result = run(oracle, graph, config)
         assert result.scores == whole
@@ -951,13 +966,13 @@ class TestOnReadScores:
         sides weighs its cells alike: every band is all the open rows, and
         those tie exactly, so selection scores no row."""
         calls = []
-        score = FactorStack.expected_improvement
+        score = FactorModel.expected_improvement
 
-        def counted(stack, *args, **kwargs):
+        def counted(model, *args, **kwargs):
             calls.append(args)
-            return score(stack, *args, **kwargs)
+            return score(model, *args, **kwargs)
 
-        monkeypatch.setattr(FactorStack, "expected_improvement", counted)
+        monkeypatch.setattr(FactorModel, "expected_improvement", counted)
         graph, oracle = _planted(5)
         config = SamplerConfig(bootstrap_size=10, budget=15, smoothing=1e20)
         results = sampler.run_many(oracle, graph, [replace(config, seed=s) for s in range(runs)])
@@ -968,22 +983,22 @@ class TestOnReadScores:
 
     def test_one_row_bands_are_not_rescored(self, monkeypatch):
         """Replaying 500 listed rows, each of this run's 40 bands holds one
-        row, so selection makes no FactorStack.expected_improvement call;
+        row, so selection makes no FactorModel.expected_improvement call;
         reading the scores makes one, for all 40 selections."""
         widths, calls = [], []
-        near, score = RatioIndex.near, FactorStack.expected_improvement
+        near, score = RatioIndex.near, FactorModel.expected_improvement
 
-        def counted_near(index, stack):
-            mask = near(index, stack)
+        def counted_near(index, model):
+            mask = near(index, model)
             widths.append(int(np.count_nonzero(mask)))
             return mask
 
-        def counted(stack, *args, **kwargs):
+        def counted(model, *args, **kwargs):
             calls.append(args)
-            return score(stack, *args, **kwargs)
+            return score(model, *args, **kwargs)
 
         monkeypatch.setattr(RatioIndex, "near", counted_near)
-        monkeypatch.setattr(FactorStack, "expected_improvement", counted)
+        monkeypatch.setattr(FactorModel, "expected_improvement", counted)
         graph, oracle = _listed(3)
         result = run(oracle, graph, SamplerConfig(bootstrap_size=10, budget=40, seed=3))
         assert widths == [1] * 40

@@ -5,7 +5,6 @@ or with an independent direct-product density implemented inside this file.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -19,7 +18,6 @@ from buildtuner import (
     BuildRecord,
     Dataset,
     DependencyGraph,
-    FactorTable,
     crowd_score_many,
     expected_improvement_many,
     fit,
@@ -31,12 +29,12 @@ from buildtuner.configspace import (
     first_occurrences,
     full_space_matrix,
 )
-from buildtuner.surrogate import FactorStack, RatioIndex, refit_incremental
+from buildtuner.surrogate import FactorModel, FactorSide, RatioIndex, RunError, refit_incremental
 from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
                      two_package_graph, wide_graph)
 
 
-def direct_log_density(table: FactorTable, graph, config) -> float:
+def direct_log_density(table: FactorSide, graph, config) -> float:
     """Independent oracle: plain-Python product over node and edge factors."""
     total = 0.0
     for pkg, version in enumerate(config):
@@ -94,7 +92,7 @@ def test_success_prior_laplace():
     records = distinct_records(graph, 20, rng, lambda c: False)
     history = [BuildRecord(r.config, i < 5) for i, r in enumerate(records)]
     model = fit(history, graph, smoothing=1.0)
-    assert model.n_good == 5 and model.n_bad == 15
+    assert model.n.tolist() == [[5], [15]]
     assert model.success_prior == pytest.approx(6 / 22, abs=0)
 
 
@@ -190,11 +188,9 @@ class TestExpectedImprovement:
         matrix = full_space_matrix(graph)
         base = expected_improvement_many(model, matrix)
 
-        layout = model.good.layout
-        weights = model.good.weights.copy()
-        weights[layout.offsets[1]:layout.offsets[2]] *= 3.0
-        scaled_good = FactorTable(weights, np.log(weights), layout)
-        scaled_model = dataclasses.replace(model, good=scaled_good)
+        cells = slice(model.layout.offsets[1], model.layout.offsets[2])
+        scaled_model = FactorModel(graph, model.smoothing, model.counts.copy())
+        scaled_model.log[0, 0, cells] = np.log(model.good.weights[cells] * 3.0)
         scaled = expected_improvement_many(scaled_model, matrix)
         assert np.argsort(-base, kind="stable").tolist() == np.argsort(-scaled, kind="stable").tolist()
 
@@ -360,12 +356,62 @@ class TestOneScoringPath:
         score under their runs' models as the same rows gathered first."""
         graph = wide_graph(12, 2)
         records = distinct_records(graph, 30, np.random.default_rng(5), lambda c: c[1] == c[2])
-        stack = FactorStack([fit(records, graph), fit(records[:10], graph)])
+        model = FactorModel(graph, 1.0, np.concatenate(
+            [fit(records, graph).counts, fit(records[:10], graph).counts], axis=1))
         space = full_space_matrix(graph).astype(np.int64)
         picks = np.random.default_rng(6).integers(space.shape[0], size=5000)
         runs = picks % 2
-        np.testing.assert_array_equal(stack.expected_improvement(space, runs, picks),
-                                      stack.expected_improvement(space[picks], runs))
+        np.testing.assert_array_equal(model.expected_improvement(space, runs, picks),
+                                      model.expected_improvement(space[picks], runs))
+
+
+class TestModelArrays:
+    """One model class holds the counts and logs of R runs; a side is read
+    through a view of a one-run model."""
+
+    @staticmethod
+    def _two_runs():
+        """A model whose run 0 is fitted to 6 records and run 1 to the first 3."""
+        graph = chain_graph(3, 2)
+        records = distinct_records(graph, 6, np.random.default_rng(5), lambda c: c[0] == 0)
+        counts = np.concatenate([fit(records, graph).counts, fit(records[:3], graph).counts],
+                                axis=1)
+        return records, FactorModel(graph, 1.0, counts)
+
+    @pytest.mark.parametrize("name", ["good", "bad", "good_stats", "bad_stats",
+                                      "success_prior"])
+    def test_a_side_of_several_runs_raises(self, name):
+        _, model = self._two_runs()
+        with pytest.raises(ValueError, match="a model of 2 runs"):
+            getattr(model, name)
+
+    def test_n_is_derived_from_the_counts(self):
+        records, model = self._two_runs()
+        good = [sum(r.outcome for r in records), sum(r.outcome for r in records[:3])]
+        assert model.n.tolist() == [good, [6 - good[0], 3 - good[1]]]
+        assert model.priors == [(good[0] + 1) / 8, (good[1] + 1) / 5]
+
+    def test_a_side_is_read_only(self):
+        _, model = self._two_runs()
+        one = FactorModel(model.graph, 1.0, model.counts[:, [0]])
+        side = one.good
+        for array in (side.counts, side.log, side.weights, side.node_counts[0],
+                      side.edge_weights[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+        assert one.counts.flags.writeable and one.log.flags.writeable
+
+    def test_weight_check_names_the_first_run_and_the_good_side_first(self):
+        """Smoothing 1e-322 over 100 or more records rounds an unseen cell's
+        weight to 0: run 1's good side (200 records) is named before its bad
+        side (100) and before run 2."""
+        graph = chain_graph(2, 2)
+        counts = np.zeros((2, 3, 8), dtype=np.int64)
+        for side, run, n in ((0, 1, 200), (1, 1, 100), (0, 2, 300)):
+            counts[side, run, [0, 2, 4]] = n  # A at v1, B at v1, the edge's (v1, v1)
+        with pytest.raises(RunError, match="over 200 records") as caught:
+            FactorModel(graph, 1e-322, counts)
+        assert caught.value.run == 1
 
 
 class TestIncrementalRefit:
@@ -399,9 +445,12 @@ class TestIncrementalRefit:
         rng = np.random.default_rng(14)
         records = distinct_records(graph, 6, rng, lambda c: c[1] == 1)
         model = fit(records[:-1], graph)
+        before = [a.copy() for a in (model.counts, model.n, model.log)]
         updated = refit_incremental(model, np.array(records[-1].config), True)
-        assert updated.bad is model.bad
-        assert updated.good is not model.good
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((model.counts, model.n, model.log), before))
+        assert np.array_equal(updated.log[1], model.log[1])
+        assert not np.array_equal(updated.log[0], model.log[0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
@@ -504,51 +553,51 @@ def _selection_states(draw):
 def _indexed(graph, rows, records, start, smoothing, open_rows=None):
     """A RatioIndex over rows for one run, the ones open_rows leaves out
     closed (none by default), fitted on records[:start] and then updated one
-    record at a time, with the FactorStack it agrees with."""
-    stack = FactorStack([fit(records[:start], graph, smoothing)])
+    record at a time, with the model it agrees with."""
+    model = fit(records[:start], graph, smoothing)
     if open_rows is None:
         open_rows = np.ones(rows.shape[0], dtype=bool)
-    index = RatioIndex(stack, rows, open_rows[None])
+    index = RatioIndex(model, rows, open_rows[None])
     for record in records[start:]:
-        _fold(index, stack, record.config, record.outcome)
-    return index, stack
+        _fold(index, model, record.config, record.outcome)
+    return index, model
 
 
-def _fold(index, stack, config, built):
-    """Fold one record into a one-run index and its stack, as run does."""
-    cells = stack.layout.cells(np.array([config], dtype=np.int64))
+def _fold(index, model, config, built):
+    """Fold one record into a one-run index and its model, as run does."""
+    cells = model.layout.cells(np.array([config], dtype=np.int64))
     sides = np.array([0 if built else 1])
-    index.add(stack, cells, sides)
-    stack.fold(cells, sides)
+    index.add(model, cells, sides)
+    model.fold(cells, sides)
 
 
 def _from_scratch(model, rows):
     return log_density_many(model.bad, rows) - log_density_many(model.good, rows)
 
 
-def _ei_band(index, stack, open_rows, tol=1e-9):
+def _ei_band(index, model, open_rows, tol=1e-9):
     """Open rows whose incremental score is within tol of the best, computed
     as scores over every row: the band that RatioIndex.near must hold."""
-    (prior,) = stack.priors
-    ratio = np.exp(np.clip(index.log_ratio(stack)[0], -700.0, 700.0))
+    (prior,) = model.priors
+    ratio = np.exp(np.clip(index.log_ratio(model)[0], -700.0, 700.0))
     approx = np.where(open_rows, 1.0 / (prior + ratio * (1.0 - prior)), 0.0)
     return np.flatnonzero(approx >= approx.max() * (1.0 - tol))
 
 
-def _assert_best_is_exact(index, stack, open_rows):
+def _assert_best_is_exact(index, model, open_rows):
     """best() is the tie set of the from-scratch maximum over the open rows,
     in ascending order (the tie-break indexes into it), and near() holds the
     whole score band of open rows; return the tie set.  The score of a
     selection is checked by the sampler's on-read scoring tests."""
     assert index.n_open == np.count_nonzero(open_rows)
-    scratch = expected_improvement_many(stack.model(0), index.rows)
+    scratch = expected_improvement_many(model, index.rows)
     top = scratch[open_rows].max()
-    (tied,) = index.best(stack)
+    (tied,) = index.best(model)
     np.testing.assert_array_equal(tied, np.flatnonzero(open_rows & (scratch == top)))
     assert (np.diff(tied) > 0).all()
-    near = np.flatnonzero(index.near(stack)[0])
+    near = np.flatnonzero(index.near(model)[0])
     assert open_rows[near].all()
-    assert np.isin(_ei_band(index, stack, open_rows), near).all()
+    assert np.isin(_ei_band(index, model, open_rows), near).all()
     return tied
 
 
@@ -577,10 +626,10 @@ class TestRatioIndex:
         open_rows = rng.random(rows.shape[0]) < share_open
         open_rows[rng.integers(open_rows.size)] = True
         later = ~open_rows & (rng.random(rows.shape[0]) < 0.5)
-        index, stack = _indexed(graph, rows, records, start, smoothing, open_rows | later)
+        index, model = _indexed(graph, rows, records, start, smoothing, open_rows | later)
         for row in np.flatnonzero(later).tolist():
             index.close([row])
-        _assert_best_is_exact(index, stack, open_rows)
+        _assert_best_is_exact(index, model, open_rows)
 
     @pytest.mark.parametrize("which", ["all", "past-lower-clamp", "saturated",
                                        "past-upper-clamp"])
@@ -591,8 +640,8 @@ class TestRatioIndex:
         records = [BuildRecord((0,) * 13, True), BuildRecord((1,) * 13, False),
                    BuildRecord((0,) * 12 + (1,), True)]
         rows = full_space_matrix(graph).astype(np.int64)
-        index, stack = _indexed(graph, rows, records, 1, 1e-30)
-        log_ratio = index.log_ratio(stack)[0].copy()
+        index, model = _indexed(graph, rows, records, 1, 1e-30)
+        log_ratio = index.log_ratio(model)[0].copy()
         assert log_ratio.min() < -700 and log_ratio.max() > 700
         open_rows = {
             "all": np.ones(log_ratio.size, dtype=bool),
@@ -602,7 +651,7 @@ class TestRatioIndex:
         }[which]
         for row in np.flatnonzero(~open_rows).tolist():
             index.close([row])
-        tied = _assert_best_is_exact(index, stack, open_rows)
+        tied = _assert_best_is_exact(index, model, open_rows)
         if which != "all":
             # Every open row scores the same: the clamp or 1/prior in floats.
             assert tied.size == np.count_nonzero(open_rows) > 1
@@ -634,12 +683,12 @@ class TestRatioIndex:
             rows = drawn[first_occurrences(drawn)]
         records = [BuildRecord(tuple(row), bool(b))
                    for row, b in zip(rows[:30].tolist(), rng.random(30) < 0.3)]
-        index, stack = _indexed(graph, rows, records, 10, 1.0)
+        index, model = _indexed(graph, rows, records, 10, 1.0)
         depth = _trie_reference(graph, rows)
         assert len(index._levels) == depth == {"dense": 8, "dag": 5, "sparse": 5,
                                                "wide-domain": 2}[space]
-        np.testing.assert_allclose(index.log_ratio(stack)[0],
-                                   _from_scratch(stack.model(0), rows), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(index.log_ratio(model)[0],
+                                   _from_scratch(model, rows), rtol=0, atol=1e-9)
 
     def test_build_holds_one_copy_of_the_index(self):
         """Building the index over a 3^9-row space traces at most what it
@@ -652,12 +701,12 @@ class TestRatioIndex:
         rows = full_space_matrix(graph).astype(np.int64)
         records = distinct_records(graph, 40, np.random.default_rng(3),
                                    lambda c: c[0] == c[1])
-        stack = FactorStack([fit(records, graph)])
+        model = fit(records, graph)
         n_rows, n_factors = rows.shape[0], graph.n_packages + len(graph.edges)
         open_rows = np.ones((1, n_rows), dtype=bool)
         tracemalloc.start()
         try:
-            RatioIndex(stack, rows, open_rows)
+            RatioIndex(model, rows, open_rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -671,15 +720,15 @@ class TestRatioIndex:
         rows = full_space_matrix(graph).astype(np.int64)
         records = distinct_records(graph, 30, np.random.default_rng(4),
                                    lambda c: c[2] != c[3])
-        stack = FactorStack([fit(records[:20], graph)])
-        index = RatioIndex(stack, rows, np.ones((1, rows.shape[0]), dtype=bool))
-        index.best(stack)  # numpy's first calls may cache
+        model = fit(records[:20], graph)
+        index = RatioIndex(model, rows, np.ones((1, rows.shape[0]), dtype=bool))
+        index.best(model)  # numpy's first calls may cache
         tracemalloc.start()
         try:
             for record in records[20:]:
-                (tied,) = index.best(stack)
+                (tied,) = index.best(model)
                 index.close([int(tied[0])])
-                _fold(index, stack, record.config, record.outcome)
+                _fold(index, model, record.config, record.outcome)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -691,16 +740,16 @@ class TestRatioIndex:
         """After every update each open row's log ratio is the from-scratch
         one, and each row closed along the way reads +inf."""
         graph, rows, records, start, smoothing = space
-        index, stack = _indexed(graph, rows, records[:start], start, smoothing)
+        index, model = _indexed(graph, rows, records[:start], start, smoothing)
         closed = np.zeros(rows.shape[0], dtype=bool)
         for i in range(start, len(records)):
-            _fold(index, stack, records[i].config, records[i].outcome)
+            _fold(index, model, records[i].config, records[i].outcome)
             full = fit(records[:i + 1], graph, smoothing)
             if i % 2 and not closed.all():
                 shut = int(np.flatnonzero(~closed)[0])
                 index.close([shut])
                 closed[shut] = True
-            log_ratio = index.log_ratio(stack)[0]
+            log_ratio = index.log_ratio(model)[0]
             np.testing.assert_allclose(log_ratio[~closed], _from_scratch(full, rows)[~closed],
                                        rtol=0, atol=1e-9)
             assert (log_ratio[closed] == np.inf).all()
@@ -801,7 +850,7 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.graph == model.graph
         assert loaded.smoothing == model.smoothing
-        assert loaded.n_good == model.n_good and loaded.n_bad == model.n_bad
+        assert np.array_equal(loaded.n, model.n)
         matrix = full_space_matrix(graph)
         np.testing.assert_array_equal(
             expected_improvement_many(loaded, matrix), expected_improvement_many(model, matrix)
@@ -888,6 +937,22 @@ class TestPersistence:
             payload["good"]["n"] += 1
         with pytest.raises(ValueError, match="not the side's n"):
             self._load_edited(tmp_path, edit)
+
+    def test_rejects_a_side_of_2_63_records(self, tmp_path):
+        """Counts that each fit int64 but sum to 2**63 would wrap the int64
+        record count that the model derives from them."""
+        graph = chain_graph(3, 2)
+        records = [BuildRecord(c, True) for c in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))]
+        path = tmp_path / "model.json"
+        save_model(fit(records, graph), str(path))
+        payload = json.loads(path.read_text())
+        good = payload["good"]
+        good["n"] *= 2**61
+        for counts in [*good["nodes"], *(row for edge in good["edges"] for row in edge["counts"])]:
+            counts[:] = [c * 2**61 for c in counts]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"good.n {2**63} is beyond int64 range"):
+            load_model(str(path))
 
     def test_rejects_counts_for_an_edge_the_graph_lacks(self, tmp_path):
         def edit(payload):
