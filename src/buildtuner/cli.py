@@ -115,12 +115,16 @@ def _cmd_run(args) -> int:
 
 
 def _comma_list(kind):
-    """An argparse type: a comma list of kind values, blanks dropped."""
+    """An argparse type: a comma list of kind values, blanks dropped; a list
+    with no value is an error."""
     def parse(text: str) -> list:
         try:
-            return [kind(item.strip()) for item in text.split(",") if item.strip()]
+            values = [kind(item.strip()) for item in text.split(",") if item.strip()]
         except ValueError:
+            values = []
+        if not values:
             raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {kind.__name__}")
+        return values
     return parse
 
 

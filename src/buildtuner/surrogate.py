@@ -155,8 +155,6 @@ def _check_weights(n: np.ndarray, smoothing: float, layout: FactorLayout) -> Non
     one overflows its normalizer; the check computes in Python floats,
     which neither warn nor raise where the arrays would warn.
     """
-    if smoothing / (int(n.max()) + smoothing * layout.largest_factor) > 0:
-        return  # the weight falls as n grows, so no run's side rounds it to 0
     for run, counts in enumerate(n.T.tolist()):
         for count in counts:
             if not smoothing / (count + smoothing * layout.largest_factor) > 0:
@@ -419,7 +417,9 @@ def _ei(ratio, prior):
 
 
 def expected_improvement_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
-    """Expected improvement of each row of matrix, from its bad/good density ratio."""
+    """Expected improvement of each row of matrix, from its bad/good density
+    ratio; ValueError for a model of several runs."""
+    model._one_run()
     return model.expected_improvement(matrix)
 
 
@@ -428,8 +428,10 @@ def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
 
     Frequencies are unsmoothed; with no good observations (or a version
     never seen good) the product is zero.  The rows of matrix must hold
-    valid version indices (check_rows).
+    valid version indices (check_rows).  ValueError for a model of several
+    runs.
     """
+    model._one_run()
     return model.crowd(matrix.T, [0])[0]
 
 

@@ -230,10 +230,12 @@ class TestEvalCommand:
         (["--strategies", "bayesian,bayesian"], "--strategies"),
         (["--strategies", ","], "--strategies"),
         (["--sizes", "10,abc"], "--sizes"),
+        (["--sizes", ","], "--sizes"),
     ])
     def test_strategy_and_size_lists_are_usage_errors(self, capsys, workspace, flags, named):
-        """A strategy listed twice or none, or a size that is not an integer,
-        exits 1 naming the flag, and writes nothing."""
+        """A strategy listed twice or none, or a size list that is empty or
+        holds a value that is not an integer, exits 1 naming the flag, and
+        writes nothing."""
         out = workspace / "eval.csv"
         code, _, err = _run(["eval", "--data", str(workspace / "data.jsonl"), *flags,
                              "--reps", "1", "--bootstrap", "5", "--out", str(out)], capsys)
@@ -777,7 +779,7 @@ class TestGenSyntheticCommand:
 
         assert load_graph(str(tmp_path / "g.json")).domain_sizes == (2, 3, 4)
 
-    @pytest.mark.parametrize("versions", ["3,abc", "abc"])
+    @pytest.mark.parametrize("versions", ["3,abc", "abc", ","])
     def test_malformed_version_list_is_a_usage_error(self, capsys, tmp_path, versions):
         code, _, err = _run(
             ["gen-synthetic", "--packages", "3", "--versions", versions,
