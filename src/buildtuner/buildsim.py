@@ -592,7 +592,8 @@ def generate_benchmark(
     Rules are planted one at a time from a shuffled pool of version pairs
     until the measured rate falls within the relative tolerance band around
     the target; a pair that would overshoot the band is put back.  The rule
-    count is capped at rule_density times the pool size.  Raises
+    count is capped at rule_density times the pool size, rounded half to
+    even (Python's round), so density 0 plants no rule.  Raises
     BenchmarkError when (graph, pool, cap) cannot reach the band after
     _BENCHMARK_ATTEMPTS fresh graphs.
     """
@@ -619,7 +620,7 @@ def generate_benchmark(
             for w in range(sizes[c])
         ]
         order = rng.permutation(len(pool))
-        cap = max(1, round(rule_density * len(pool)))
+        cap = round(rule_density * len(pool))
         bad = np.zeros(matrix.shape[0], dtype=bool)
         chosen: list[tuple[str, str, str, str]] = []
         rate = 1.0

@@ -201,14 +201,17 @@ def _cmd_heatmap(args) -> int:
         if (parent, child) not in edges:
             raise ValueError(f"no edge {parent!r} -> {child!r} in the graph")
         edges = [(parent, child)]
+    names = [f"{parent}{analysis.EDGE_SEPARATOR}{child}.csv" for parent, child in edges]
+    for (parent, child), name in zip(edges, names):
+        if any(sep and sep in name for sep in (os.sep, os.altsep, "\0")):
+            raise ValueError(f"edge {parent!r} -> {child!r}: {name!r} is not one path component")
     matrices = [analysis.pair_compatibility(model, edge) for edge in edges]
     constraints = [pair.to_dict() for matrix in matrices
                    for pair in analysis.extract_constraints(matrix, threshold=args.threshold)]
     # Extracting every edge's constraints checks the threshold; nothing is
     # written until it has passed.
     os.makedirs(args.out_dir, exist_ok=True)
-    for (parent, child), matrix in zip(edges, matrices):
-        name = f"{parent}{analysis.EDGE_SEPARATOR}{child}.csv"
+    for name, matrix in zip(names, matrices):
         _write_text(os.path.join(args.out_dir, name), _csv_text(matrix.to_rows()))
     payload = {"threshold": args.threshold, "pairs": constraints}
     _write_text(os.path.join(args.out_dir, "constraints.json"), _json_text(payload))

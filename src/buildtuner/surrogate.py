@@ -38,7 +38,8 @@ prefix's partial sum in a prefix trie, summed afresh from the tables level
 by level; the factors below the trie keep each row's sum, updated in place
 by each observation.  The score falls strictly as the ratio grows, so the
 best open row is the one with the least log ratio, and no step
-exponentiates every row.
+exponentiates every row: a step rescores only the near-tie bands that can
+hold unequal exact scores, all runs' in one call.
 
 Selection returns tie sets only.  The score of each selection is computed
 on first read of a run's scores, by selection_scores, which rebuilds each
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,6 +111,7 @@ class FactorLayout:
         self.offsets = np.concatenate(([0], np.cumsum(self.factor_sizes)))
         self.size = int(self.offsets[-1])
         self.cell_sizes = np.repeat(self.factor_sizes, self.factor_sizes)
+        self.cell_starts = np.repeat(self.offsets[:-1], self.factor_sizes)
         self.n_nodes = len(sizes)
         self._parents = np.array([p for p, _ in edges], dtype=np.intp)
         self._children = np.array([c for _, c in edges], dtype=np.intp)
@@ -258,27 +259,19 @@ class FactorModel:
         ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
         return _ei(ratio, prior)
 
-    def crowd(self, columns: np.ndarray, runs, each: bool = False) -> np.ndarray:
+    def crowd(self, columns: np.ndarray, runs) -> np.ndarray:
         """Crowd score of every row whose versions columns holds, a line per
         package (a contiguous line gathers fastest), under each of runs'
-        models, from its good side's counts: a line per run.  With each, row
-        i is scored under the model of runs[i] alone, in one gather: one
-        line.  Either way a row's logs are summed in package order."""
+        models, from its good side's counts: a line per run.  A row's logs
+        are summed in package order."""
         k, n = self.layout.n_nodes, self.n[0, runs]
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(self.counts[0, runs, :self.layout.offsets[k]] / n[:, None])
         logs[n == 0] = -np.inf  # no good record: every product is 0
-        starts = self.layout.offsets[:k]
-        if each:  # row i's cells, in line i of the logs
-            lines = np.take(logs, columns + starts[:, None] + np.arange(n.size) * logs.shape[1])
-            total = lines[0]
-            for line in lines[1:]:
-                total += line
-            return np.exp(total)
         # Package by package, each version indexing the logs from its
         # package's first cell on: one gather of every package's cells at
         # once is slower over thousands of rows.
-        starts = starts.tolist()
+        starts = self.layout.offsets[:k].tolist()
         total = np.take(logs, columns[0], axis=1)
         for i in range(1, k):
             total += np.take(logs[:, starts[i]:], columns[i], axis=1)
@@ -294,37 +287,16 @@ class FactorSide:
 
     def __init__(self, model: FactorModel, side: int):
         model._one_run()
-        self.layout = model.layout
+        self.layout = layout = model.layout
         self.n = int(model.n[side, 0])
         self.counts, self.log = model.counts[side, 0], model.log[side, 0]
-        self.weights = _smoothed(self.counts, self.n, model.smoothing, self.layout)
+        self.weights = _smoothed(self.counts, self.n, model.smoothing, layout)
         for array in (self.counts, self.log, self.weights):
             array.flags.writeable = False
-
-    @cached_property
-    def factors(self) -> tuple[np.ndarray, ...]:
-        """Every factor's counts: packages in order, then edges."""
-        return self.layout.views(self.counts)
-
-    @cached_property
-    def _weight_factors(self) -> tuple[np.ndarray, ...]:
-        return self.layout.views(self.weights)
-
-    @property
-    def node_counts(self) -> tuple[np.ndarray, ...]:
-        return self.factors[:self.layout.n_nodes]
-
-    @property
-    def edge_counts(self) -> tuple[np.ndarray, ...]:
-        return self.factors[self.layout.n_nodes:]
-
-    @property
-    def node_weights(self) -> tuple[np.ndarray, ...]:
-        return self._weight_factors[:self.layout.n_nodes]
-
-    @property
-    def edge_weights(self) -> tuple[np.ndarray, ...]:
-        return self._weight_factors[self.layout.n_nodes:]
+        k, weights = layout.n_nodes, layout.views(self.weights)
+        self.factors = layout.views(self.counts)  # packages in order, then edges
+        self.node_counts, self.edge_counts = self.factors[:k], self.factors[k:]
+        self.node_weights, self.edge_weights = weights[:k], weights[k:]
 
 
 def _tally(layout: FactorLayout, cells: np.ndarray, sides: np.ndarray, runs=0,
@@ -444,9 +416,11 @@ def selection_scores(history: Dataset, start: int, strategy: str,
     A step's tables are the counts of the first start records plus a
     cumulative sum of the selected rows' cells, smoothed and logged as
     FactorModel.fold does, so each score is bit for bit the one the run's
-    step would have computed.  A block of steps is one FactorModel, whose
-    run i is step i's model, and its rows are scored in one call; the blocks
-    keep the rebuilt tables small.
+    step would have computed.  A block of W = max(1, _STEP_CELLS //
+    layout.size) steps is one FactorModel, whose run i is step i's model,
+    and its rows are scored in one call; the blocks keep the rebuilt tables
+    small.  Crowd scores every row of a block under every step's model,
+    W² scores, and keeps step i's score of row i.
     """
     graph, rows = history.graph, history.rows
     layout = FactorLayout(graph.domain_sizes, graph.edges)
@@ -467,7 +441,7 @@ def selection_scores(history: Dataset, start: int, strategy: str,
         if strategy == "bayesian":
             scores[a - start:b - start] = model.expected_improvement(rows[a:b], steps)
         else:
-            scores[a - start:b - start] = model.crowd(rows[a:b].T, steps, each=True)
+            scores[a - start:b - start] = np.diagonal(model.crowd(rows[a:b].T, steps))
         counts = after[:, -1:]
     return scores
 
@@ -475,9 +449,7 @@ def selection_scores(history: Dataset, start: int, strategy: str,
 def _flat(layout: FactorLayout, log: np.ndarray) -> np.ndarray:
     """Whether every factor of both sides of each run's logs, a model's log
     array, has one log weight for all its cells: a bool per run."""
-    starts = layout.offsets[:-1]
-    return (np.minimum.reduceat(log, starts, axis=2)
-            == np.maximum.reduceat(log, starts, axis=2)).all(axis=(0, 2))
+    return (log == log.take(layout.cell_starts, axis=2)).all(axis=(0, 2))
 
 
 class RatioIndex:
@@ -508,13 +480,14 @@ class RatioIndex:
     held at the trie's root.  The rows, the trie and the inverted index are
     the runs' common part.
 
-    A closed row's suffix sum is +inf, so a run's best open row is the one
-    with the least log ratio: the score falls as the ratio grows.  best()
-    turns each run's near-tie band of scores into a limit on the log ratio
-    once per step, and settles the open rows within it: only a band that can
-    hold rows of unequal exact scores is rescored.  Selection needs the tie
-    set alone; the score of a selection is computed when a run's scores are
-    read (selection_scores).
+    A closed row's suffix sum is +inf, so a run's open rows are those of
+    finite log ratio, and its best open row is the one with the least: the
+    score falls as the ratio grows.  best() turns each run's near-tie band
+    of scores into a limit on the log ratio once per step, and settles the
+    open rows within it: only a band that can hold rows of unequal exact
+    scores is rescored, every run's such band in one call.  Selection needs
+    the tie set alone; the score of a selection is computed when a run's
+    scores are read (selection_scores).
     """
 
     def __init__(self, model: FactorModel, rows: np.ndarray, open_rows: np.ndarray):
@@ -524,7 +497,6 @@ class RatioIndex:
         layout, graph = model.layout, model.graph
         runs = open_rows.shape[0]
         self.rows = rows
-        self.n_open = int(np.count_nonzero(open_rows[0]))  # each run's, one count in lockstep
         self._shift = np.zeros(runs)  # the suffix's normalizer changes, held by the root
         self._root = np.zeros((runs, 1))
         self._gap = np.zeros((runs, layout.size + 1))  # the last cell stands for no parent
@@ -629,10 +601,10 @@ class RatioIndex:
         self._bounds = [0, *np.cumsum(per_cell).tolist()]
 
     def close(self, rows: Sequence[int]) -> None:
-        """Close each run's open row at index rows[r]: it is no longer selected."""
+        """Close each run's open row at index rows[r]: its log ratio reads
+        +inf from now on, and it is no longer selected."""
         for line, row in zip(self._lines, rows):
             line[row] = np.inf
-        self.n_open -= 1
 
     def add(self, model: FactorModel, cells: np.ndarray, sides: np.ndarray) -> None:
         """Fold in a record per run, its row's cells and its side as
@@ -703,44 +675,27 @@ class RatioIndex:
     def best(self, model: FactorModel) -> list[np.ndarray]:
         """Each run's open rows with the highest expected improvement, ascending.
 
-        Every run needs an open row.  Only each run's exact maxima among the
-        near() rows are returned.  All runs' bands are settled in one call
-        while together they hold at most as many rows as the matrix, and
-        otherwise each run's band is a call, so that wide bands take no more
-        memory than one run's would.
+        Every run needs an open row.  A run's band, its line of near(),
+        holds every exact maximum, so a band of one row is its tie set.
+        When every factor of both sides of a run's model weighs its cells
+        alike, each open row sums the same logs in the same order and so
+        scores exactly the same: the band holds every open row, and is the
+        tie set too.  The other bands are rescored in one call, all runs'
+        rows at once, and each is cut back to its exact maxima.
         """
-        mask = self.near(model)
-        if mask.shape[0] == 1 or np.count_nonzero(mask) <= mask.shape[1]:
-            return self._settle(model, mask, 0)
-        return [self._settle(model, mask[run:run + 1], run)[0] for run in range(mask.shape[0])]
-
-    def _settle(self, model: FactorModel, mask: np.ndarray, first: int) -> list[np.ndarray]:
-        """best() of the runs from first on whose bands mask holds, a line
-        per run.  A band holds every exact maximum, so a band of one row is
-        its tie set.  When every factor of both sides of a run's model
-        weighs its cells alike, each of its rows sums the same logs in the
-        same order and so scores exactly the same: a band of all its open
-        rows is then its tie set too.  Only the other bands are rescored."""
-        runs, rows = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        ends = runs.searchsorted(model.runs[:mask.shape[0]], side="right").tolist()
-        spans = list(zip([0, *ends[:-1]], ends))
-        whole = [b - a > 1 and b - a == self.n_open for a, b in spans]
-        flat = whole
-        if any(whole):
-            flat = (_flat(model.layout, model.log[:, first:first + mask.shape[0]]) & whole).tolist()
-        rescored = [b - a > 1 and not one for (a, b), one in zip(spans, flat)]
+        bands = [np.flatnonzero(line) for line in self.near(model)]
+        rescored = [band.size > 1 for band in bands]
         if any(rescored):
-            picked = np.repeat(rescored, np.diff([0, *ends]))
-            exact = model.expected_improvement(self.rows, runs[picked] + first, rows[picked])
-        tied, at = [], 0
-        for (a, b), rescore in zip(spans, rescored):
-            if rescore:
-                scored = exact[at:at + b - a]
-                at += b - a
-                tied.append(rows[a:b][scored == scored.max()])
-            else:
-                tied.append(rows[a:b])
-        return tied
+            rescored = ~_flat(model.layout, model.log) & rescored
+        if any(rescored):
+            runs = np.flatnonzero(rescored).tolist()
+            sizes = [bands[run].size for run in runs]
+            exact = model.expected_improvement(self.rows, np.repeat(runs, sizes),
+                                               np.concatenate([bands[run] for run in runs]))
+            for run in runs:
+                scores, exact = exact[:bands[run].size], exact[bands[run].size:]
+                bands[run] = bands[run][scores == scores.max()]
+        return bands
 
 
 def save_model(model: FactorModel, path: str) -> None:

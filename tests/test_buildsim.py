@@ -1051,6 +1051,13 @@ class TestGenerateBenchmark:
         with pytest.raises(BenchmarkError):
             generate_benchmark(3, 2, rule_density=0.0, target_rate=0.05, seed=1)
 
+    def test_density_zero_plants_no_rule(self):
+        """A target below 1 needs a rule, which density 0 never plants."""
+        with pytest.raises(BenchmarkError):
+            generate_benchmark(5, 3, rule_density=0.0, target_rate=0.8, seed=1)
+        graph, rules = generate_benchmark(5, 3, rule_density=0.0, target_rate=1.0, seed=1)
+        assert rules.forbidden == frozenset()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="at least two"):
             generate_benchmark(1, 2, 0.5, 0.5, seed=0)

@@ -437,6 +437,22 @@ class TestHeatmapCommand:
         assert err.startswith("error: threshold 2.0 outside [0, 1]") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("root", ["../../esc", "nul\0root"])
+    def test_edge_file_outside_out_dir_exits_two(self, capsys, tmp_path, root):
+        """An edge whose file name is not one path component is refused
+        before the output directory or any file is made: ../../esc+d.csv
+        under out/deep would land beside out."""
+        graph = DependencyGraph(packages=(root, "d"), domains=(("v1", "v2"),) * 2,
+                                edges=((0, 1),), root=0)
+        save_model(fit([], graph), str(tmp_path / "model.json"))
+        out_dir = tmp_path / "out" / "deep"
+        code, out, err = _run(["heatmap", "--model", str(tmp_path / "model.json"),
+                               "--out-dir", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: edge {root!r} -> 'd': {root + '+d.csv'!r} is not one path component"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     def test_threshold_zero_no_pairs(self, capsys, workspace):
         out_dir = workspace / "zero"
         code, _, _ = _run(

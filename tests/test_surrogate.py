@@ -578,6 +578,36 @@ def _fold(index, model, config, built):
     model.fold(cells, sides)
 
 
+def _lockstep(graph, rows, histories, start, smoothing, open_rows):
+    """A RatioIndex over rows for one run per history, the rows each run's
+    line of open_rows leaves out closed, fitted on each history's first
+    start records and then updated a record per run at a time, with the
+    model of all runs it agrees with."""
+    counts = [fit(history[:start], graph, smoothing).counts for history in histories]
+    model = FactorModel(graph, smoothing, np.concatenate(counts, axis=1))
+    index = RatioIndex(model, rows, open_rows)
+    for step in zip(*(history[start:] for history in histories)):
+        cells = model.layout.cells(np.array([record.config for record in step], dtype=np.int64))
+        sides = np.array([0 if record.outcome else 1 for record in step])
+        index.add(model, cells, sides)
+        model.fold(cells, sides)
+    return index, model
+
+
+def _counted_scoring(monkeypatch):
+    """Record the rows of each FactorModel.expected_improvement call: picks
+    when given, else the matrix's row count."""
+    calls = []
+    score = FactorModel.expected_improvement
+
+    def counted(model, matrix, runs=None, picks=None):
+        calls.append(matrix.shape[0] if picks is None else picks.size)
+        return score(model, matrix, runs, picks)
+
+    monkeypatch.setattr(FactorModel, "expected_improvement", counted)
+    return calls
+
+
 def _from_scratch(model, rows):
     return log_density_many(model.bad, rows) - log_density_many(model.good, rows)
 
@@ -602,7 +632,7 @@ def _assert_best_is_exact(index, model, open_rows):
     in ascending order (the tie-break indexes into it), and near() holds the
     whole score band of open rows; return the tie set.  The score of a
     selection is checked by the sampler's on-read scoring tests."""
-    assert index.n_open == np.count_nonzero(open_rows)
+    np.testing.assert_array_equal(index.log_ratio(model)[0] == np.inf, ~open_rows)
     scratch = expected_improvement_many(_rebuilt(model), index.rows)
     top = scratch[open_rows].max()
     (tied,) = index.best(model)
@@ -668,6 +698,84 @@ class TestRatioIndex:
         if which != "all":
             # Every open row scores the same: the clamp or 1/prior in floats.
             assert tied.size == np.count_nonzero(open_rows) > 1
+
+    @staticmethod
+    def _lockstep_case(bands, runs):
+        """An index of runs lockstep runs, each with its own history and
+        open rows, and its model.  Narrow: 3^6 rows and smoothing 1e-2,
+        whose bands together hold fewer rows than the matrix.  Wide: 2^13
+        rows, smoothing 1e-12 and four failures a run, so that nearly every
+        row holds a cell never seen bad and each band holds most open rows:
+        the rows of two such cells or more tie at 1/prior, and those of one
+        score a little below it, inside the band."""
+        rng = np.random.default_rng(runs)
+        if bands == "narrow":
+            graph, smoothing, built, size = chain_graph(6, 3), 1e-2, lambda c: c[0] != c[1], 8
+        else:
+            graph, smoothing, built, size = wide_graph(12, 2), 1e-12, lambda c: False, 4
+        rows = full_space_matrix(graph).astype(np.int64)
+        histories = [distinct_records(graph, size, rng, built) for _ in range(runs)]
+        open_rows = rng.random((runs, rows.shape[0])) < 0.9
+        for history, line in zip(histories, open_rows):
+            line[[rows.tolist().index(list(record.config)) for record in history]] = False
+        index, model = _lockstep(graph, rows, histories, size // 2, smoothing, open_rows)
+        return index, model, open_rows
+
+    @pytest.mark.parametrize("runs", [2, 3])
+    @pytest.mark.parametrize("bands", ["narrow", "wide"])
+    def test_lockstep_best_is_each_runs_own(self, bands, runs, monkeypatch):
+        """Each run's tie set is the one a one-run index over its own model
+        gives, and the from-scratch maximum over its open rows, whether the
+        runs' bands together hold fewer rows than the matrix or more; the
+        bands wider than a row are rescored in one call."""
+        index, model, open_rows = self._lockstep_case(bands, runs)
+        widths = np.count_nonzero(index.near(model), axis=1)
+        assert (widths.sum() < index.rows.shape[0]) == (bands == "narrow")
+        calls = _counted_scoring(monkeypatch)
+        tied = index.best(model)
+        assert calls == ([int(widths[widths > 1].sum())] if (widths > 1).any() else [])
+        assert len(tied) == runs
+        for run, (line, mine) in enumerate(zip(open_rows, tied)):
+            one = FactorModel(model.graph, model.smoothing, model.counts[:, [run]].copy())
+            (alone,) = RatioIndex(one, index.rows, line[None]).best(one)
+            scratch = expected_improvement_many(one, index.rows)
+            np.testing.assert_array_equal(mine, alone)
+            np.testing.assert_array_equal(
+                mine, np.flatnonzero(line & (scratch == scratch[line].max())))
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("bands", ["flat", "one-row"])
+    def test_bands_not_rescored(self, bands, runs, monkeypatch):
+        """A step makes no expected_improvement call when every band wider
+        than a row is a flat model's, smoothing 1e20 swamping every count,
+        whose band and tie set are all the open rows; nor when every band
+        holds one row, as over 500 random rows of 3^12 each run's does."""
+        rng = np.random.default_rng(5)
+        graph = chain_graph(12, 3)
+        drawn = rng.integers(0, 3, size=(500, 12))
+        rows = drawn[first_occurrences(drawn)]
+        histories = [[BuildRecord(tuple(row), bool(built)) for row, built
+                      in zip(rows[rng.permutation(rows.shape[0])[:20]].tolist(),
+                             rng.random(20) < 0.4)] for _ in range(runs)]
+        open_rows = np.ones((runs, rows.shape[0]), dtype=bool)
+        smoothing = 1e20 if bands == "flat" else 1.0
+        index, model = _lockstep(graph, rows, histories, 12, smoothing, open_rows)
+        closes = np.array([rng.choice(rows.shape[0], 30, replace=False) for _ in range(runs)])
+        for step in closes.T.tolist():
+            index.close(step)
+        open_rows[np.arange(runs)[:, None], closes] = False
+        widths = np.count_nonzero(index.near(model), axis=1)
+        calls = _counted_scoring(monkeypatch)
+        tied = index.best(model)
+        assert calls == []
+        if bands == "flat":
+            assert (widths == np.count_nonzero(open_rows, axis=1)).all()
+            for line, mine in zip(open_rows, tied):
+                np.testing.assert_array_equal(mine, np.flatnonzero(line))
+        else:
+            assert (widths == 1).all()
+            for line, mine in zip(index.near(model), tied):
+                np.testing.assert_array_equal(mine, np.flatnonzero(line))
 
     @pytest.mark.parametrize("space", ["dense", "dag", "sparse", "wide-domain"])
     def test_trie_takes_the_levels_of_at_most_half_the_rows(self, space):
