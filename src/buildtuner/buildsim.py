@@ -593,7 +593,7 @@ def generate_benchmark(
     until the measured rate falls within the relative tolerance band around
     the target; a pair that would overshoot the band is put back.  The rule
     count is capped at rule_density times the pool size, rounded half to
-    even (Python's round), so density 0 plants no rule.  Raises
+    even (Python's round): a density under half a pair plants no rule.  Raises
     BenchmarkError when (graph, pool, cap) cannot reach the band after
     _BENCHMARK_ATTEMPTS fresh graphs.
     """

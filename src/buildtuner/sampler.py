@@ -292,11 +292,11 @@ class _Candidates:
             if strategy == "bayesian":
                 scored = model.expected_improvement(rows)[None]
             elif self.rows is None:
-                scored = model.crowd(rows.T, [0])
+                scored = model.crowd(rows.T)
             else:
                 stale = np.flatnonzero(self._stale)
                 if stale.size:
-                    self._crowd[stale] = model.crowd(self._columns, stale)
+                    self._crowd[stale] = model.crowd(self._columns, stale[:, None])
                     self._stale[:] = False
                 scored = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
             tied = [np.flatnonzero(line == best) for line, best in zip(scored, scored.max(axis=1))]

@@ -245,29 +245,42 @@ class FactorModel:
         self.priors = list(map(_success_prior, *self.n.tolist()))
 
     def expected_improvement(self, matrix: np.ndarray, runs: np.ndarray | None = None,
-                             picks: np.ndarray | None = None) -> np.ndarray:
+                             picks: np.ndarray | None = None,
+                             out: np.ndarray | None = None) -> np.ndarray:
         """Expected improvement of each row of matrix, or of its rows at the
         indices picks, under the model of its run, given by runs (by default,
-        run 0 for every row).  Both sides' logs are gathered at once and
-        summed in factor order, so each log density equals that of its
-        side's table alone bit for bit."""
-        if runs is None or self.runs.size == 1:  # one table: no offsets, one prior
-            runs, prior = None, self.priors[0]
-        else:
-            prior = np.take(self.priors, runs)
-        good, bad = _log_densities(self.layout, self.log.reshape(2, -1), matrix, runs, picks)
-        ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
-        return _ei(ratio, prior)
+        run 0 for every row), into the first entries of out if given.  The
+        rows go a block at a time, so that no other array spans them.  Both
+        sides' logs are gathered at once and summed in factor order, so each
+        log density equals that of its side's table alone bit for bit."""
+        n = matrix.shape[0] if picks is None else picks.size
+        out = np.empty(n) if out is None else out[:n]
+        one = runs is None or self.runs.size == 1  # one table: no offsets, one prior
+        step = _DENSITY_BLOCK // 2  # rows whose logs fill a block
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            rows = matrix[part] if picks is None else matrix[picks[part]]
+            good, bad = _log_densities(self.layout, self.log.reshape(2, -1), rows,
+                                       None if one else runs[part])
+            ratio = np.exp(np.clip(bad - good, -_LOG_RATIO_CLAMP, _LOG_RATIO_CLAMP))
+            out[part] = _ei(ratio, self.priors[0] if one else np.take(self.priors, runs[part]))
+        return out
 
-    def crowd(self, columns: np.ndarray, runs) -> np.ndarray:
+    def crowd(self, columns: np.ndarray, runs=0) -> np.ndarray:
         """Crowd score of every row whose versions columns holds, a line per
-        package (a contiguous line gathers fastest), under each of runs'
-        models, from its good side's counts: a line per run.  A row's logs
-        are summed in package order."""
-        k, n = self.layout.n_nodes, self.n[0, runs]
+        package (a contiguous line gathers fastest), from the good-side counts
+        of its run.  runs is one run or a column of runs, each scoring every
+        row in a line of its own, or a run per row, scored in one line.  A
+        row's logs are summed in package order."""
+        k, n = self.layout.n_nodes, self.n[0]
+        width = self.layout.offsets[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(self.counts[0, runs, :self.layout.offsets[k]] / n[:, None])
+            logs = np.log(self.counts[0, :, :width] / n[:, None])
         logs[n == 0] = -np.inf  # no good record: every product is 0
+        if np.ndim(runs) == 1:  # a run per row: its run's offset joins each version
+            logs, columns = logs.reshape(1, -1), columns + runs * width
+        else:  # a line per run
+            logs = logs[np.reshape(runs, -1)]
         # Package by package, each version indexing the logs from its
         # package's first cell on: one gather of every package's cells at
         # once is slower over thousands of rows.
@@ -352,31 +365,23 @@ def refit_incremental(model: FactorModel, row: np.ndarray, built: bool) -> Facto
     return updated
 
 
-def _log_densities(layout: FactorLayout, logs: np.ndarray, matrix: np.ndarray,
-                   tables: np.ndarray | None = None,
-                   picks: np.ndarray | None = None) -> np.ndarray:
-    """Log of the unnormalized factor product of each row of matrix (valid
-    version indices, check_rows), or of its rows at the indices picks, under
-    each line of logs, a stack of log tables over layout: one line of row
-    sums per table.  A line may hold several tables end to end; tables then
-    gives each row summed the index of the one it is summed under (by
-    default, the first).  Picked rows are gathered a block at a time."""
-    n = matrix.shape[0] if picks is None else picks.size
-    out = np.empty((logs.shape[0], n))
-    step = _DENSITY_BLOCK // logs.shape[0]  # rows whose logs fill a block
-    for start in range(0, n, step):
-        rows = matrix[start:start + step] if picks is None else matrix[picks[start:start + step]]
-        cells = layout.cells(rows)
-        if tables is not None:
-            cells += tables[start:start + step] * layout.size
-        # np.take gathers from a flat vector faster than indexing it does.
-        lines = np.take(logs, cells, axis=1)
-        block = out[:, start:start + step]
-        # Factor by factor, not a sum over the factors' axis: see the module docstring.
-        block[:] = lines[:, 0]
-        for factor in range(1, lines.shape[1]):
-            block += lines[:, factor]
-    return out
+def _log_densities(layout: FactorLayout, logs: np.ndarray, rows: np.ndarray,
+                   tables: np.ndarray | None = None) -> np.ndarray:
+    """Log of the unnormalized factor product of each of rows (valid version
+    indices, check_rows) under each line of logs, a stack of log tables over
+    layout: one line of row sums per table.  A line may hold several tables
+    end to end; tables then gives each row the index of the one it is summed
+    under (by default, the first)."""
+    cells = layout.cells(rows)
+    if tables is not None:
+        cells += tables * layout.size
+    # np.take gathers from a flat vector faster than indexing it does.
+    lines = np.take(logs, cells, axis=1)
+    # Factor by factor, not a sum over the factors' axis: see the module docstring.
+    total = lines[:, 0].copy()
+    for factor in range(1, lines.shape[1]):
+        total += lines[:, factor]
+    return total
 
 
 def _ei(ratio, prior):
@@ -404,7 +409,7 @@ def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
     runs.
     """
     model._one_run()
-    return model.crowd(matrix.T, [0])[0]
+    return model.crowd(matrix.T)[0]
 
 
 def selection_scores(history: Dataset, start: int, strategy: str,
@@ -418,9 +423,8 @@ def selection_scores(history: Dataset, start: int, strategy: str,
     FactorModel.fold does, so each score is bit for bit the one the run's
     step would have computed.  A block of W = max(1, _STEP_CELLS //
     layout.size) steps is one FactorModel, whose run i is step i's model,
-    and its rows are scored in one call; the blocks keep the rebuilt tables
-    small.  Crowd scores every row of a block under every step's model,
-    W² scores, and keeps step i's score of row i.
+    and its rows are scored in one call, row i under run i; the blocks keep
+    the rebuilt tables small.
     """
     graph, rows = history.graph, history.rows
     layout = FactorLayout(graph.domain_sizes, graph.edges)
@@ -441,7 +445,7 @@ def selection_scores(history: Dataset, start: int, strategy: str,
         if strategy == "bayesian":
             scores[a - start:b - start] = model.expected_improvement(rows[a:b], steps)
         else:
-            scores[a - start:b - start] = np.diagonal(model.crowd(rows[a:b].T, steps))
+            scores[a - start:b - start] = model.crowd(rows[a:b].T, steps)[0]
         counts = after[:, -1:]
     return scores
 
@@ -690,11 +694,16 @@ class RatioIndex:
         if any(rescored):
             runs = np.flatnonzero(rescored).tolist()
             sizes = [bands[run].size for run in runs]
-            exact = model.expected_improvement(self.rows, np.repeat(runs, sizes),
-                                               np.concatenate([bands[run] for run in runs]))
-            for run in runs:
-                scores, exact = exact[:bands[run].size], exact[bands[run].size:]
-                bands[run] = bands[run][scores == scores.max()]
+            # The rescored bands are held once, as the picks, and the scores
+            # go to the log ratios' buffer, spent once near() has read it.
+            picks = np.concatenate([bands[run] for run in runs])
+            bands = [None if rescore else band for band, rescore in zip(bands, rescored)]
+            exact = model.expected_improvement(self.rows, np.repeat(runs, sizes), picks,
+                                               self._log_ratio.ravel())
+            for run, size in zip(runs, sizes):
+                band, picks = picks[:size], picks[size:]
+                scores, exact = exact[:size], exact[size:]
+                bands[run] = band[scores == scores.max()]
         return bands
 
 

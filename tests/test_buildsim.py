@@ -1051,12 +1051,17 @@ class TestGenerateBenchmark:
         with pytest.raises(BenchmarkError):
             generate_benchmark(3, 2, rule_density=0.0, target_rate=0.05, seed=1)
 
-    def test_density_zero_plants_no_rule(self):
-        """A target below 1 needs a rule, which density 0 never plants."""
+    @pytest.mark.parametrize("density", [0.0, 0.013])
+    def test_density_zero_plants_no_rule(self, density):
+        """A target below 1 needs a rule, which a density under half a pair
+        never plants: 0.013 of a 5-package tree's 36 pairs rounds to 0
+        rules, where 0.014 rounds to 1."""
         with pytest.raises(BenchmarkError):
-            generate_benchmark(5, 3, rule_density=0.0, target_rate=0.8, seed=1)
-        graph, rules = generate_benchmark(5, 3, rule_density=0.0, target_rate=1.0, seed=1)
+            generate_benchmark(5, 3, rule_density=density, target_rate=0.8, seed=1)
+        graph, rules = generate_benchmark(5, 3, rule_density=density, target_rate=1.0, seed=1)
         assert rules.forbidden == frozenset()
+        graph, rules = generate_benchmark(5, 3, rule_density=0.014, target_rate=0.8, seed=1)
+        assert len(graph.edges) * 9 == 36 and len(rules.forbidden) == 1
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="at least two"):

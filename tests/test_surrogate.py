@@ -600,9 +600,9 @@ def _counted_scoring(monkeypatch):
     calls = []
     score = FactorModel.expected_improvement
 
-    def counted(model, matrix, runs=None, picks=None):
+    def counted(model, matrix, runs=None, picks=None, out=None):
         calls.append(matrix.shape[0] if picks is None else picks.size)
-        return score(model, matrix, runs, picks)
+        return score(model, matrix, runs, picks, out)
 
     monkeypatch.setattr(FactorModel, "expected_improvement", counted)
     return calls
@@ -776,6 +776,37 @@ class TestRatioIndex:
             assert (widths == 1).all()
             for line, mine in zip(index.near(model), tied):
                 np.testing.assert_array_equal(mine, np.flatnonzero(line))
+
+    def test_wide_rescored_bands_memory(self, monkeypatch):
+        """Over the 3^10 space, four failures a run and smoothing 1e-12 leave
+        each of 10 runs a band of nearly every row and a model that is not
+        flat, so one call rescores some 585,000 rows.  best() holds each band
+        row's pick and run while the call runs, and its pick and tie set
+        after it: 16 bytes a row.  The scores go to a buffer of the index,
+        and the call's gathers take a block of rows at a time, under 2 MiB."""
+        graph = chain_graph(10, 3)
+        rows = full_space_matrix(graph).astype(np.int64)
+        rng = np.random.default_rng(1)
+        counts = [fit(distinct_records(graph, 4, rng, lambda c: False), graph, 1e-12).counts
+                  for _ in range(10)]
+        model = FactorModel(graph, 1e-12, np.concatenate(counts, axis=1))
+        index = RatioIndex(model, rows, np.ones((10, rows.shape[0]), dtype=bool))
+        widths = np.count_nonzero(index.near(model), axis=1)
+        assert (widths > 0.98 * rows.shape[0]).all()
+        calls = _counted_scoring(monkeypatch)
+        index.best(model)  # numpy's first calls may cache
+        assert calls == [int(widths.sum())]
+        tracemalloc.start()
+        try:
+            tied = index.best(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * widths.sum() + (2 << 20)
+        for run in (0, 9):
+            scratch = expected_improvement_many(
+                FactorModel(graph, 1e-12, model.counts[:, [run]].copy()), rows)
+            np.testing.assert_array_equal(tied[run], np.flatnonzero(scratch == scratch.max()))
 
     @pytest.mark.parametrize("space", ["dense", "dag", "sparse", "wide-domain"])
     def test_trie_takes_the_levels_of_at_most_half_the_rows(self, space):
