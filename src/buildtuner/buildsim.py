@@ -91,7 +91,8 @@ class BuildDag:
     and version index, and ``edges`` gives every (unit, dependency) pair by
     rank, both intp vectors.  ``origins`` maps each distinct input
     configuration to the digest of its root unit, and is built from
-    ``origin_rows`` on first read.  Only build_dag makes one.
+    ``origin_rows``, the input rows and their roots' ranks, on first read.
+    Only build_dag makes one.
     """
 
     def __init__(self, digests: list[str], package: np.ndarray, version: np.ndarray,
@@ -101,8 +102,9 @@ class BuildDag:
 
     @cached_property
     def origins(self) -> dict[Configuration, str]:
-        rows, root_places, names = self._origin_rows
-        return dict(zip(map(tuple, rows.tolist()), map(names.__getitem__, root_places.tolist())))
+        rows, root_ranks = self._origin_rows
+        return dict(zip(map(tuple, rows.tolist()),
+                        map(self.digests.__getitem__, root_ranks.tolist())))
 
     @property
     def node_count(self) -> int:
@@ -216,7 +218,7 @@ def build_dag(configs: Iterable[Configuration], graph: DependencyGraph) -> Build
     return BuildDag(list(map(names.__getitem__, by_digest.tolist())),
                     np.concatenate(packages)[by_digest],
                     np.concatenate(versions).astype(np.intp)[by_digest], edges,
-                    (rows, start[graph.root] + ids[graph.root], names))
+                    (rows, rank[start[graph.root] + ids[graph.root]]))
 
 
 # Status codes of SimReport.codes: each status's place in NodeStatus.
@@ -234,16 +236,13 @@ class SimReport:
     ranked i as its place in ``NodeStatus`` (succeeded 0, failed 1,
     skipped 2).  Each attempt is one entry of the event columns, in the
     order attempts ended: the unit's rank, the worker, the start and the end
-    time; whether it built is ``codes[event_rank] == 0``.  Units are named
-    by digest only in to_dict and json_chunks.  Reports compare by
-    identity; compare their fields.
+    time; whether it built is ``codes[event_rank] == 0``.  The counts are
+    read from the codes, so a report cannot state counts its codes
+    contradict, and the makespan is the last attempt's end, 0.0 with no
+    attempt.  Units are named by digest only in to_dict and json_chunks.
+    Reports compare by identity; compare their fields.
     """
 
-    attempted: int
-    succeeded: int
-    failed: int
-    skipped: int
-    makespan: float
     digests: Sequence[str]
     codes: np.ndarray
     event_rank: np.ndarray
@@ -255,6 +254,12 @@ class SimReport:
         # json_chunks writes the units in this order, the order sort_keys gives.
         if sorted(self.digests) != list(self.digests):
             raise ValueError("report digests must be in ascending order")
+
+    succeeded = property(lambda self: int(np.count_nonzero(self.codes == _SUCCEEDED)))
+    failed = property(lambda self: int(np.count_nonzero(self.codes == _FAILED)))
+    skipped = property(lambda self: int(np.count_nonzero(self.codes == _SKIPPED)))
+    attempted = property(lambda self: self.succeeded + self.failed)
+    makespan = property(lambda self: float(self.event_end[-1]) if self.event_end.size else 0.0)
 
     def _counts(self) -> dict:
         return {
@@ -374,20 +379,8 @@ def simulate(
     rank = rank.astype(np.intp)
     codes = np.full(n, _SKIPPED, dtype=np.int8)
     codes[rank] = np.where(builds[rank], _SUCCEEDED, _FAILED)
-    succeeded = int(np.count_nonzero(builds[rank]))
-    return SimReport(
-        attempted=len(ended),
-        succeeded=succeeded,
-        failed=len(ended) - succeeded,
-        skipped=n - len(ended),
-        makespan=now,
-        digests=digests,
-        codes=codes,
-        event_rank=rank,
-        event_worker=worker.astype(np.intp),
-        event_start=begin,
-        event_end=end,
-    )
+    return SimReport(digests=digests, codes=codes, event_rank=rank,
+                     event_worker=worker.astype(np.intp), event_start=begin, event_end=end)
 
 
 _RULE_FIELDS = ("parent", "parent_version", "child", "child_version")

@@ -193,18 +193,20 @@ def _cmd_importance(args) -> int:
 def _cmd_heatmap(args) -> int:
     model = _fit_or_load_model(args)
     graph = model.graph
-    edges = [
-        (graph.packages[p], graph.packages[c]) for p, c in graph.edges
-    ]
+    edges = [(graph.packages[p], graph.packages[c]) for p, c in graph.edges]
+    # --edge selects by the name an edge's file takes; two edges may share
+    # one, and are refused below.
     if args.edge:
-        parent, _, child = args.edge.partition(analysis.EDGE_SEPARATOR)
-        if (parent, child) not in edges:
-            raise ValueError(f"no edge {parent!r} -> {child!r} in the graph")
-        edges = [(parent, child)]
+        edges = [(parent, child) for parent, child in edges
+                 if f"{parent}{analysis.EDGE_SEPARATOR}{child}" == args.edge]
+        if not edges:
+            raise ValueError(f"no edge {args.edge!r} in the graph")
     names = [f"{parent}{analysis.EDGE_SEPARATOR}{child}.csv" for parent, child in edges]
     for (parent, child), name in zip(edges, names):
         if any(sep and sep in name for sep in (os.sep, os.altsep, "\0")):
             raise ValueError(f"edge {parent!r} -> {child!r}: {name!r} is not one path component")
+        if names.count(name) > 1:
+            raise ValueError(f"edge {parent!r} -> {child!r}: another edge's file is {name!r} too")
     matrices = [analysis.pair_compatibility(model, edge) for edge in edges]
     constraints = [pair.to_dict() for matrix in matrices
                    for pair in analysis.extract_constraints(matrix, threshold=args.threshold)]
@@ -354,7 +356,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data")
     p.add_argument("--graph")
     p.add_argument("--smoothing", type=float, help="when fitting from --data (default 1.0)")
-    p.add_argument("--edge", help="restrict to one edge, e.g. root+dep01")
+    p.add_argument("--edge", help="restrict to the edge named parent+child, e.g. root+dep01")
     p.add_argument("--threshold", type=float, default=0.25)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_heatmap)

@@ -167,8 +167,6 @@ class DependencyGraph:
         if not isinstance(root_name, str):
             raise GraphError(f"root must be a package name, got {root_name!r}")
         index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise GraphError("duplicate package names")
         if root_name not in index:
             raise GraphError(f"root {root_name!r} is not a declared package")
         if not isinstance(raw_edges, list):
@@ -195,9 +193,10 @@ class DependencyGraph:
 def validate_graph(graph: DependencyGraph) -> None:
     """Check all structural invariants; raise GraphError at the first failure.
 
-    Checks run in a fixed order: root index, domains (empty, duplicates),
-    edges (dangling, self-edge), acyclicity (naming a cycle's lowest
-    package), reachability from the root (naming the lowest orphan).
+    Checks run in a fixed order: packages present, root index, domain
+    count, package names (duplicates), domains (empty, duplicates), edges
+    (dangling, self-edge), acyclicity (naming a cycle's lowest package),
+    reachability from the root (naming the lowest orphan).
     """
     n = graph.n_packages
     if n == 0:
@@ -206,6 +205,8 @@ def validate_graph(graph: DependencyGraph) -> None:
         raise GraphError(f"root index {graph.root} out of range")
     if len(graph.domains) != n:
         raise GraphError("domain list length does not match package count")
+    if len(set(graph.packages)) != n:
+        raise GraphError("duplicate package names")
     for i, domain in enumerate(graph.domains):
         if len(domain) == 0:
             raise GraphError(f"empty domain at package {i} ({graph.packages[i]!r})")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -228,20 +227,15 @@ def save_dataset(dataset: Dataset, path: str, graph_filename: str) -> None:
         fh.writelines(map("".join, zip(*columns)))
 
 
-def split_train_test(
-    dataset: Dataset, train_fraction: float, rng: np.random.Generator
-) -> tuple[Dataset, Dataset]:
-    """Disjoint split with |train| = round-half-up(fraction * N).
+def split_train_test(dataset: Dataset, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
+    """Disjoint split into halves, |train| = (N + 1) // 2.
 
     The partition is a seeded permutation; record order within each half
     follows the original dataset order.
     """
-    if not (0.0 <= train_fraction <= 1.0):
-        raise ValueError(f"train_fraction {train_fraction} outside [0, 1]")
     n = len(dataset)
-    n_train = int(math.floor(train_fraction * n + 0.5))
     order = rng.permutation(n)
-    train, test = np.sort(order[:n_train]), np.sort(order[n_train:])
+    train, test = np.sort(order[:(n + 1) // 2]), np.sort(order[(n + 1) // 2:])
     graph, rows, built = dataset.graph, dataset.rows, dataset.built
     return (Dataset._checked(graph, rows[train], built[train]),
             Dataset._checked(graph, rows[test], built[test]))

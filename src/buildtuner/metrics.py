@@ -174,7 +174,7 @@ def auprc_experiment(
     """
     config = SamplerConfig(strategy=strategy, bootstrap_size=bootstrap_size, budget=selections,
                            seed=seed, smoothing=smoothing)
-    train, test = split_train_test(dataset, 0.5, substream(seed, "split"))
+    train, test = split_train_test(dataset, substream(seed, "split"))
     if len(train) < selections + bootstrap_size:
         raise ValueError(
             f"training half of {len(train)} records cannot support "

@@ -217,13 +217,14 @@ class _Candidates:
     still open to it, or, for one run, uniform draws: one configuration per
     bootstrap draw and a fresh pool per selection.  Every run evaluates its
     bootstrap and then one row a step, so over fixed rows all runs have the
-    same number of rows open and run out at the same step.  Over fixed rows,
-    bayesian selection goes through a RatioIndex, built at the first
-    selection, told of each row that closes and updated by observe(); crowd
-    selection keeps each run's crowd score of every row, computed at the
-    first selection and again after each good record of the run; random
-    selection ties the open rows.  A fresh pool is selected from as fixed
-    rows, all open, scored from scratch.
+    same number of rows open and run out at the same step, once their
+    histories hold every row.  Over fixed rows, bayesian selection goes
+    through a RatioIndex, built at the first selection, told of each row
+    that closes and updated by observe(); crowd selection keeps each run's
+    crowd score of every row, computed at the first selection and again
+    after each good record of the run; random selection ties the open rows.
+    A fresh pool is selected from as fixed rows, all open, scored from
+    scratch.
     """
 
     def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig,
@@ -233,8 +234,6 @@ class _Candidates:
         self.config = config
         self.size = space_size(graph) if rows is None else rows.shape[0]
         self._open = None if rows is None else np.ones((runs, self.size), dtype=bool)
-        self._open_lines = [] if rows is None else list(self._open)  # views, one per run
-        self.n_open = self.size - config.bootstrap_size  # each run's, after the bootstrap
         self._ratios: RatioIndex | None = None
         # Over fixed rows, crowd selection keeps each run's scores of every
         # row, computed from the rows' columns, which gather fastest.
@@ -248,7 +247,7 @@ class _Candidates:
         if self.rows is None:
             return random_configurations(self.graph, rng, 1)[0]
         index = int(rng.integers(self.size))
-        self._open_lines[run][index] = False
+        self._open[run, index] = False
         return self.rows[index]
 
     def _pool(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
@@ -280,7 +279,7 @@ class _Candidates:
             if rows is None:
                 return None
             open_rows = np.ones((1, rows.shape[0]), dtype=bool)
-        elif self.n_open == 0:
+        elif len(histories[0]) == self.size:
             return None
         if strategy == "random":
             tied = [np.flatnonzero(line) for line in open_rows]
@@ -302,9 +301,8 @@ class _Candidates:
             tied = [np.flatnonzero(line == best) for line, best in zip(scored, scored.max(axis=1))]
         picks = [int(t[0] if t.size == 1 else t[rng.integers(t.size)])
                  for t, rng in zip(tied, rngs_tie)]
-        for line, pick in zip(self._open_lines, picks):
-            line[pick] = False
-        self.n_open -= 1
+        for run, pick in enumerate(picks):  # a pool's line is dropped after the step
+            open_rows[run, pick] = False
         if self._ratios is not None:
             self._ratios.close(picks)
         return rows[picks]

@@ -476,13 +476,13 @@ class RatioIndex:
     its rows' sums: a trie of every level ran about three times slower a
     step on 31,186 random rows of 61 packages.  The rows are distinct, so
     the last level never joins: a dense space leaves that one out, a sparse
-    replay most of them.  The factors of the levels
-    left out, the suffix, keep each row's sum up to date, a line per run.  A
-    new row gives one cell per factor a count, whose change goes to the rows
-    holding that cell, found through an inverted index over the suffix's
-    cells; the shift of every cell's normalizer is one amount for all rows,
-    held at the trie's root.  The rows, the trie and the inverted index are
-    the runs' common part.
+    replay most of them.  The factors of the levels left out, the suffix,
+    keep each row's sum up to date in one array, a line per run, which
+    close() and add() write in place.  A new row gives one cell per factor a
+    count, whose change goes to the rows holding that cell, found through an
+    inverted index over the suffix's cells; the shift of every cell's
+    normalizer is one amount for all rows, held in the trie's root.  The
+    rows, the trie and the inverted index are the runs' common part.
 
     A closed row's suffix sum is +inf, so a run's open rows are those of
     finite log ratio, and its best open row is the one with the least: the
@@ -501,8 +501,7 @@ class RatioIndex:
         layout, graph = model.layout, model.graph
         runs = open_rows.shape[0]
         self.rows = rows
-        self._shift = np.zeros(runs)  # the suffix's normalizer changes, held by the root
-        self._root = np.zeros((runs, 1))
+        self._root = np.zeros((runs, 1))  # the suffix's normalizer shift of each run
         self._gap = np.zeros((runs, layout.size + 1))  # the last cell stands for no parent
         into = [[] for _ in graph.packages]  # (edge factor, parent) of each package
         for e, (parent, child) in enumerate(graph.edges):
@@ -513,7 +512,6 @@ class RatioIndex:
         self._index_prefixes(layout, graph, rows, order, into, runs)
         self._index_suffix(model, rows, order[len(self._levels):], into)
         self._suffix[~open_rows] = np.inf
-        self._lines = list(self._suffix)  # each run's suffix sums, a view
         self._log_ratio = np.empty((runs, rows.shape[0]))
         self._mask = np.empty((runs, rows.shape[0]), dtype=bool)
 
@@ -607,7 +605,7 @@ class RatioIndex:
     def close(self, rows: Sequence[int]) -> None:
         """Close each run's open row at index rows[r]: its log ratio reads
         +inf from now on, and it is no longer selected."""
-        for line, row in zip(self._lines, rows):
+        for line, row in zip(self._suffix, rows):
             line[row] = np.inf
 
     def add(self, model: FactorModel, cells: np.ndarray, sides: np.ndarray) -> None:
@@ -626,11 +624,11 @@ class RatioIndex:
         held[:, width:] = model.n[sides, runs][:, None]
         held += self._smoothing_terms
         change = _SIGNS[sides][:, None] * (np.log(held + 1.0) - np.log(held))
-        self._shift -= change[:, width:].sum(axis=1)
+        self._root[:, 0] -= change[:, width:].sum(axis=1)
         # An add.at per run and cell, in factor order: one over the runs' and
         # cells' rows concatenated ran slower and allocates a copy of them.
         order, bounds = self._order, self._bounds
-        for line, run_cells, deltas in zip(self._lines, own.tolist(),
+        for line, run_cells, deltas in zip(self._suffix, own.tolist(),
                                            change[:, :width].tolist()):
             for cell, delta in zip(run_cells, deltas):
                 np.add.at(line, order[bounds[cell]:bounds[cell + 1]], delta)
@@ -645,7 +643,6 @@ class RatioIndex:
         table = gap.take(self._node_cells, axis=1)
         table += gap.take(self._edge_cells, axis=1)
         above = self._root
-        above[:, 0] = self._shift
         # mode="clip" lets take write into out without a buffer.
         for parent, code, extra, values, scratch in self._levels:
             above.take(parent, axis=1, out=values, mode="clip")

@@ -509,8 +509,11 @@ class TestStreamedReport:
     def test_equals_json_dumps(self, makespan):
         graph = chain_graph(3, 3)
         dag = build_dag(list(all_configurations(graph)), graph)
-        report = dataclasses.replace(simulate(dag, dag.version != 1, workers=2),
-                                     makespan=makespan)
+        report = simulate(dag, dag.version != 1, workers=2)
+        end = report.event_end.copy()
+        end[-1] = makespan
+        report = dataclasses.replace(report, event_end=end)
+        assert report.makespan == makespan
         assert "".join(report.json_chunks()) == _report_text(report)
 
     def test_empty_dag(self):
@@ -522,12 +525,22 @@ class TestStreamedReport:
     @staticmethod
     def _report(statuses: dict[str, NodeStatus]) -> SimReport:
         no_event = np.empty(0, dtype=np.intp)
-        return SimReport(attempted=4, succeeded=2, failed=2, skipped=3, makespan=2.5,
-                         digests=list(statuses),
+        return SimReport(digests=list(statuses),
                          codes=np.array([_STATUS.index(s) for s in statuses.values()],
                                         dtype=np.int8),
                          event_rank=no_event, event_worker=no_event,
                          event_start=np.empty(0), event_end=np.empty(0))
+
+    def test_counts_are_read_from_the_codes(self):
+        """A report states no count of its own: each is read from the codes,
+        and the makespan from the last event, 0.0 with none."""
+        report = self._report({"a": NodeStatus.SUCCEEDED, "b": NodeStatus.FAILED,
+                               "c": NodeStatus.SKIPPED, "d": NodeStatus.FAILED})
+        counts = {key: report.to_dict()[key] for key in
+                  ("nodes", "attempted", "succeeded", "failed", "skipped", "failed_or_skipped",
+                   "makespan")}
+        assert counts == {"nodes": 4, "attempted": 3, "succeeded": 1, "failed": 2,
+                          "skipped": 1, "failed_or_skipped": 3, "makespan": 0.0}
 
     def test_many_chunks_unsorted_and_escaped_keys(self, monkeypatch):
         """Keys given out of order are written in sorted order, though their

@@ -453,6 +453,39 @@ class TestHeatmapCommand:
             f"error: edge {root!r} -> 'd': {root + '+d.csv'!r} is not one path component"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    @staticmethod
+    def _model(tmp_path, packages, edges) -> str:
+        graph = DependencyGraph(packages=packages, domains=(("v1", "v2"),) * len(packages),
+                                edges=edges, root=0)
+        save_model(fit([], graph), str(tmp_path / "model.json"))
+        return str(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("edge", [[], ["--edge", "a+b+c"]])
+    def test_edge_files_that_collide_exit_two(self, capsys, tmp_path, edge):
+        """a+b -> c and a -> b+c both write a+b+c.csv: refused before the
+        output directory or any file is made, with --edge naming them or not."""
+        model = self._model(tmp_path, ("root", "a+b", "c", "a", "b+c"),
+                            ((0, 1), (0, 3), (1, 2), (3, 4)))
+        out_dir = tmp_path / "out"
+        code, out, err = _run(["heatmap", "--model", model, "--out-dir", str(out_dir), *edge],
+                              capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: edge 'a+b' -> 'c': another edge's file is 'a+b+c.csv' too"]
+        assert not out_dir.exists()
+
+    def test_edge_selected_by_its_whole_name(self, capsys, tmp_path):
+        """--edge x+y+z selects the edge x+y -> z; x -> y+z is no edge."""
+        model = self._model(tmp_path, ("root", "x+y", "z"), ((0, 1), (1, 2)))
+        out_dir = tmp_path / "out"
+        code, _, _ = _run(["heatmap", "--model", model, "--out-dir", str(out_dir),
+                           "--edge", "x+y+z"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["constraints.json", "x+y+z.csv"]
+        code, _, err = _run(["heatmap", "--model", model, "--out-dir", str(out_dir),
+                             "--edge", "x+z"], capsys)
+        assert code == 2 and err.splitlines() == ["error: no edge 'x+z' in the graph"]
+
     def test_threshold_zero_no_pairs(self, capsys, workspace):
         out_dir = workspace / "zero"
         code, _, _ = _run(

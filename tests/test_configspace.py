@@ -70,6 +70,20 @@ def test_duplicate_version_rejected():
         validate_graph(graph)
 
 
+def test_duplicate_package_name_rejected():
+    """Two packages of one name are refused by validate_graph itself, not
+    only when read from a dict: index_of would resolve both to the later."""
+    graph = DependencyGraph(
+        packages=("A", "A"), domains=(("v1",), ("v1",)), edges=((0, 1),), root=0
+    )
+    with pytest.raises(GraphError, match="duplicate package names"):
+        validate_graph(graph)
+    payload = {"root": "A", "edges": [["A", "B"]],
+               "packages": [{"name": name, "versions": ["v1"]} for name in ("A", "B", "A")]}
+    with pytest.raises(GraphError, match="duplicate package names"):
+        DependencyGraph.from_dict(payload)
+
+
 def test_unreachable_package_rejected():
     graph = DependencyGraph(
         packages=("A", "B", "C"),

@@ -288,15 +288,15 @@ class TestSplit:
 
     def test_sizes_round_half_up(self):
         dataset = self._dataset(5)
-        train, test = split_train_test(dataset, 0.5, np.random.default_rng(0))
+        train, test = split_train_test(dataset, np.random.default_rng(0))
         assert (len(train), len(test)) == (3, 2)
         one = Dataset(dataset.graph, dataset.records[:1])
-        train, test = split_train_test(one, 0.5, np.random.default_rng(0))
+        train, test = split_train_test(one, np.random.default_rng(0))
         assert (len(train), len(test)) == (1, 0)
 
     def test_partition_is_disjoint_and_complete(self):
         dataset = self._dataset()
-        train, test = split_train_test(dataset, 0.3, np.random.default_rng(3))
+        train, test = split_train_test(dataset, np.random.default_rng(3))
         assert len(train) + len(test) == len(dataset)
         def digests(part):
             return {config_digest(part.graph, r.config) for r in part}
@@ -305,40 +305,29 @@ class TestSplit:
 
     def test_same_seed_same_split(self):
         dataset = self._dataset()
-        a = split_train_test(dataset, 0.5, np.random.default_rng(9))
-        b = split_train_test(dataset, 0.5, np.random.default_rng(9))
+        a = split_train_test(dataset, np.random.default_rng(9))
+        b = split_train_test(dataset, np.random.default_rng(9))
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_different_seeds_differ(self):
         dataset = self._dataset()
-        a = split_train_test(dataset, 0.5, np.random.default_rng(1))
-        b = split_train_test(dataset, 0.5, np.random.default_rng(2))
+        a = split_train_test(dataset, np.random.default_rng(1))
+        b = split_train_test(dataset, np.random.default_rng(2))
         assert a[0] != b[0]
-
-    def test_extreme_fractions(self):
-        dataset = self._dataset()
-        train, test = split_train_test(dataset, 1.0, np.random.default_rng(0))
-        assert (len(train), len(test)) == (len(dataset), 0)
-        train, test = split_train_test(dataset, 0.0, np.random.default_rng(0))
-        assert (len(train), len(test)) == (0, len(dataset))
 
     def test_halves_are_row_takes_equal_to_datasets_built_from_scratch(self, monkeypatch):
         dataset = self._dataset()
         order = np.random.default_rng(4).permutation(len(dataset))
         fresh = [Dataset(dataset.graph, [dataset.records[i] for i in sorted(part)])
-                 for part in (order[:12], order[12:])]
+                 for part in (order[:20], order[20:])]
 
         def checked_again(*args):
             raise AssertionError("a split half was checked again")
 
         monkeypatch.setattr(Dataset, "__init__", checked_again)
-        halves = split_train_test(dataset, 0.3, np.random.default_rng(4))
+        halves = split_train_test(dataset, np.random.default_rng(4))
         assert list(halves) == fresh
         assert [half.records for half in halves] == [half.records for half in fresh]
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError, match="outside"):
-            split_train_test(self._dataset(), 1.5, np.random.default_rng(0))
 
 
 def test_dataset_oracle_replays_outcomes():

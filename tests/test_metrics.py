@@ -309,7 +309,7 @@ class TestAuprcExperiment:
         (score, outcome) pairs as digesting every record, and digests
         nothing else."""
         dataset = _replay_dataset(n_records=80, seed=4)
-        train, test = split_train_test(dataset, 0.5, substream(2, "split"))
+        train, test = split_train_test(dataset, substream(2, "split"))
         config = SamplerConfig(strategy=strategy, bootstrap_size=5, budget=10, seed=2)
         model = run(DatasetOracle(train), dataset.graph, config).model
         scores = score(model, np.asarray([r.config for r in test.records]))
