@@ -47,6 +47,9 @@ Configuration = tuple[int, ...]
 
 EXHAUSTIVE_LIMIT = 10**6
 
+_GRAPH_SHAPE = ("a graph is an object with 'root', 'packages' (a list of "
+                "{name, versions} objects) and 'edges'")
+
 
 class GraphError(ValueError):
     """A dependency graph or configuration violates a structural invariant."""
@@ -155,8 +158,10 @@ class DependencyGraph:
             domains = tuple(e["versions"] for e in entries)
             root_name = payload["root"]
             raw_edges = payload["edges"]
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"malformed graph payload: {exc}") from exc
+        except KeyError as exc:
+            raise GraphError(f"malformed graph payload: no {exc}; {_GRAPH_SHAPE}") from exc
+        except TypeError as exc:
+            raise GraphError(f"malformed graph payload: {_GRAPH_SHAPE}") from exc
         for name, labels in zip(names, domains):
             if not isinstance(name, str):
                 raise GraphError(f"package name must be a string, got {name!r}")
@@ -195,8 +200,9 @@ def validate_graph(graph: DependencyGraph) -> None:
 
     Checks run in a fixed order: packages present, root index, domain
     count, package names (duplicates), domains (empty, duplicates), edges
-    (dangling, self-edge), acyclicity (naming a cycle's lowest package),
-    reachability from the root (naming the lowest orphan).
+    (dangling, self-edge, then the lowest edge listed twice), acyclicity
+    (naming a cycle's lowest package), reachability from the root (naming
+    the lowest orphan).
     """
     n = graph.n_packages
     if n == 0:
@@ -219,6 +225,10 @@ def validate_graph(graph: DependencyGraph) -> None:
             raise GraphError(f"dangling edge ({parent}, {child})")
         if parent == child:
             raise GraphError(f"self-edge at package {parent}")
+    if len(set(graph.edges)) < len(graph.edges):
+        parent, child = min(edge for edge in graph.edges if graph.edges.count(edge) > 1)
+        raise GraphError(
+            f"duplicate edge {graph.packages[parent]!r} -> {graph.packages[child]!r}")
     left_out = set(range(n)).difference(graph.topological_order)
     if left_out:
         # Each package left out has a parent left out: walking up meets a cycle.

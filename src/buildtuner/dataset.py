@@ -8,14 +8,18 @@ them as its candidates, without a second check.  Digests identify
 configurations only in files, traces and messages.  On disk a dataset is
 JSONL: a header naming the graph file, then one record per line keyed by
 version labels.  save_dataset writes each line as joined entries of a few
-string tables built once; load_dataset parses and checks each line on its
-own, mapping labels through the graph's per-package indexes.
+string tables built once.  load_dataset reads lines in that form back
+through the writer's own fragments, one dict lookup a part; it parses any
+other line as JSON and checks it on its own, mapping labels through the
+graph's per-package indexes.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import os
+import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -26,7 +30,6 @@ from .configspace import (
     Configuration,
     DependencyGraph,
     GraphError,
-    _row_key,
     _row_keys,
     check_configuration,
     check_rows,
@@ -132,14 +135,63 @@ def _duplicate(graph: DependencyGraph, config: Configuration) -> str:
     return f"duplicate configuration with digest {config_digest(graph, config)}"
 
 
+def _line_parts(graph: DependencyGraph) -> tuple[list[int], list[list[str]]]:
+    """The package order and the parts of a record line as save_dataset
+    writes it, the bytes of json.dumps(record, sort_keys=True).
+
+    A line is one part of each position joined by ", ": '{"built": false'
+    or '{"built": true' (indexed by the outcome), then one '"name": "label"'
+    fragment per package in sorted-name order (indexed by the version), the
+    first behind '"versions": {' and the last followed by '}}'.
+    """
+    order = sorted(range(graph.n_packages), key=graph.packages.__getitem__)
+    parts = [[f'{{"built": {json.dumps(built)}' for built in (False, True)]]
+    parts += [[f"{json.dumps(graph.packages[i])}: {json.dumps(label)}"
+               for label in graph.domains[i]] for i in order]
+    parts[1] = ['"versions": {' + text for text in parts[1]]
+    parts[-1] = [text + "}}" for text in parts[-1]]
+    return order, parts
+
+
+def _read_written(graph: DependencyGraph, lines: list[str]) -> Dataset | None:
+    """The dataset of record lines all in the form save_dataset writes,
+    without a repeated configuration; None otherwise.
+
+    Each line splits at ", " into one part per position, each looked up in
+    that position's {part: index} dict.  A line that holds no other text
+    decodes, as JSON, to the record whose parts it joins.
+    """
+    order, parts = _line_parts(graph)
+    lookups = [{text: code for code, text in enumerate(texts)} for texts in parts]
+    width = len(lookups)
+    # A byte a code when every index fits one, an eighth of an int64 buffer.
+    codes = array("B" if max(graph.domain_sizes) <= 256 else "q")
+    try:
+        for line in lines:
+            fields = line.split(", ")
+            if len(fields) != width:
+                return None
+            codes.extend(map(dict.__getitem__, lookups, fields))
+    except KeyError:
+        return None
+    table = np.frombuffer(codes, dtype=codes.typecode).reshape(-1, width)
+    rows = np.empty((len(table), graph.n_packages), dtype=np.int64)
+    rows[:, order] = table[:, 1:]
+    if not first_occurrences(rows).all():
+        return None
+    return Dataset._checked(graph, rows, table[:, 0].astype(bool))
+
+
 def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
     """Load a JSONL dataset; the header's graph file resolves relative to it.
 
     Lines split on "\n" only (reading turns "\r\n" into "\n"), since JSON
-    strings may hold other line separators such as U+2028.  Each record is
-    parsed and checked on its own line, so an error names that line, and its
-    labels map to version indices through the graph's per-package indexes
-    (config_from_labels).
+    strings may hold other line separators such as U+2028.  When every
+    record line is in the form save_dataset writes, without a repeated
+    configuration, the lines are read through the writer's fragments
+    (_read_written).  Otherwise each record is parsed and checked on its
+    own line, so an error names that line, and its labels map to version
+    indices through the graph's per-package indexes (config_from_labels).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -160,6 +212,10 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
     if graph is None:
         graph_path = os.path.join(os.path.dirname(os.path.abspath(path)), header["graph"])
         graph = load_graph(graph_path)
+    # The final newline leaves an empty last line, which holds no record.
+    written = _read_written(graph, lines[1:-1] if lines[-1] == "" else lines[1:])
+    if written is not None:
+        return written
     records: dict[Configuration, bool] = {}  # in line order
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -189,20 +245,18 @@ def load_dataset(path: str, graph: DependencyGraph | None = None) -> Dataset:
 def save_dataset(dataset: Dataset, path: str, graph_filename: str) -> None:
     """Write JSONL with a header pointing at graph_filename (relative to path).
 
-    Each record line is the bytes of json.dumps(..., sort_keys=True).  A line
-    is a sequence of pieces in key order: the '{"built": ..., "versions": {'
-    prefix, one '"name": "label"' fragment per package (sorted by name, each
-    but the first behind ", "), then '}}' and the newline.  Consecutive
+    Each record line is the bytes of json.dumps(..., sort_keys=True): its
+    parts (_line_parts, the outcome's, then each package's in sorted-name
+    order) joined by ", ", then the newline.  A piece is a part with the
+    separator before it, or the newline after the last.  Consecutive
     pieces form groups whose joined strings are tabulated once, so a line
     joins one table entry per group, looked up by a mixed-radix code that
     numpy computes for every row at once.
     """
     graph = dataset.graph
-    order = sorted(range(graph.n_packages), key=graph.packages.__getitem__)
-    pieces = [[f'{{"built": {json.dumps(built)}, "versions": {{' for built in (False, True)]]
-    pieces += [[f"{', ' if k else ''}{json.dumps(graph.packages[i])}: {json.dumps(label)}"
-                for label in graph.domains[i]] for k, i in enumerate(order)]
-    pieces[-1] = [fragment + "}}\n" for fragment in pieces[-1]]
+    order, parts = _line_parts(graph)
+    pieces = [parts[0]] + [[", " + text for text in texts] for texts in parts[1:]]
+    pieces[-1] = [fragment + "\n" for fragment in pieces[-1]]
     indices = np.column_stack([dataset.built.astype(np.int64), dataset.rows[:, order]])
     limit = min(_TABLE_LIMIT, len(dataset))
     groups, size = [[0]], len(pieces[0])
@@ -243,11 +297,14 @@ def split_train_test(dataset: Dataset, rng: np.random.Generator) -> tuple[Datase
 
 class DatasetOracle:
     """Replay oracle: evaluates only configurations present in the dataset,
-    looked up by their row keys (configspace._row_key) in one dict."""
+    looked up by their row keys (configspace._row_keys) in one dict.  A
+    checked configuration's key is packed by struct, the same native int64
+    bytes without building an array."""
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
         self._built = dict(zip(_row_keys(dataset.rows), dataset.built.tolist()))
+        self._key = struct.Struct(f"{dataset.graph.n_packages}q").pack
 
     def candidate_configurations(self) -> Dataset:
         """The dataset itself: its rows are the candidates, already checked."""
@@ -256,7 +313,7 @@ class DatasetOracle:
     def evaluate(self, config: Configuration) -> bool:
         check_configuration(self._dataset.graph, config)
         try:
-            return self._built[_row_key(config)]
+            return self._built[self._key(*config)]
         except KeyError:
             digest = config_digest(self._dataset.graph, config)
             raise ValueError(f"configuration {digest} not present in the replay dataset") from None

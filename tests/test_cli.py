@@ -650,6 +650,20 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["simulate", "run", "summary"])
+    def test_graph_listing_an_edge_twice_exits_two(self, capsys, workspace, command):
+        payload = json.loads((workspace / "graph.json").read_text())
+        payload["edges"].append(payload["edges"][0])
+        (workspace / "graph.json").write_text(json.dumps(payload))
+        graph = ["--graph", str(workspace / "graph.json")]
+        argv = {"simulate": ["simulate", *graph, "--rules", str(workspace / "rules.json"),
+                             "--sample", "4"],
+                "run": ["run", "--oracle", f"synthetic:{workspace / 'rules.json'}", *graph,
+                        "--bootstrap", "2", "--budget", "2"],
+                "summary": ["summary", "--data", str(workspace / "data.jsonl")]}[command]
+        code, out, err = _run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: duplicate edge 'A' -> 'B'\n")
+
     @pytest.mark.parametrize("noise", ["0.05", False])
     def test_malformed_rules_exit_two(self, capsys, workspace, noise):
         payload = json.loads((workspace / "rules.json").read_text())

@@ -41,6 +41,7 @@ def test_valid_chain_passes():
         (((0, 0),), "self-edge at package 0"),
         (((0, 1), (1, 0)), "cycle"),
         (((0, 5),), "dangling edge"),
+        (((0, 1), (0, 1)), "duplicate edge 'A' -> 'B'"),
     ],
 )
 def test_bad_edges_rejected(edges, message):
@@ -496,6 +497,22 @@ def test_load_graph_rejects_bad_payloads(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(GraphError, match=match):
             load_graph(str(path))
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    "x",
+    {"root": "a", "packages": {"a": 1}, "edges": []},
+    {"root": "a", "packages": ["a", "b"], "edges": []},
+], ids=["list", "string", "dict-packages", "string-packages"])
+def test_graph_payload_of_the_wrong_shape_names_the_expected_shape(tmp_path, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GraphError) as excinfo:
+        load_graph(str(path))
+    assert str(excinfo.value) == (
+        "malformed graph payload: a graph is an object with 'root', 'packages' "
+        "(a list of {name, versions} objects) and 'edges'")
 
 
 def test_full_space_matrix_refuses_huge_spaces():

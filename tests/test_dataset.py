@@ -1,7 +1,9 @@
 """Dataset parsing, persistence, and splitting."""
 from __future__ import annotations
 
+import itertools
 import json
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from buildtuner import (
     space_size,
     split_train_test,
 )
+from buildtuner import dataset as dataset_module
 from buildtuner.configspace import first_occurrences, full_space_matrix, save_graph, validate_graph
 from helpers import (
     all_configurations,
@@ -238,6 +241,7 @@ def test_saved_bytes_equal_reference_on_any_labels(tmp_path_factory, space, outc
     path = tmp_path_factory.mktemp("save") / "data.jsonl"
     save_dataset(dataset, str(path), "graph.json")
     assert path.read_bytes() == _reference_dataset_bytes(dataset, "graph.json")
+    assert load_dataset(str(path), graph=graph) == dataset
 
 
 _EXOTIC_NAMES = ["zeta", 'q"uote', "back\\slash", "na\u00efve", "\u00c9mile", "a b", "\U0001f4e6"]
@@ -460,3 +464,85 @@ def test_fuzzed_dataset_loads_as_the_reference_loader(tmp_path_factory, data):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
     assert _load_outcome(load_dataset, path) == _load_outcome(reference_load_dataset, path)
+
+
+def _dumped_lines(dataset, versions_first=False, **options) -> list[str]:
+    """The header and one json.dumps(record, **options) line per record,
+    labels in declaration order."""
+    graph = dataset.graph
+    lines = [json.dumps({"format": 1, "graph": "graph.json"}, sort_keys=True)]
+    for config, built in zip(dataset.rows.tolist(), dataset.built.tolist()):
+        versions = {graph.packages[i]: graph.domains[i][v] for i, v in enumerate(config)}
+        record = {"versions": versions, "built": built} if versions_first else \
+            {"built": built, "versions": versions}
+        lines.append(json.dumps(record, **options))
+    return lines
+
+
+def _saved_lines(dataset) -> list[str]:
+    """The lines save_dataset writes, the final newline's empty line left out."""
+    return _dumped_lines(dataset, sort_keys=True)
+
+
+# Declared out of sorted order, so key order differs from declaration order.
+_PLAIN = _star_graph(["zlib", "cmake", "openssl"], [["v1", "v2"], ["3.1", "3.2", "4.0"], ["1"]])
+
+_VARIANTS = {
+    "compact": (_PLAIN, lambda d: _dumped_lines(d, sort_keys=True, separators=(",", ":"))),
+    "keys-out-of-order": (_PLAIN, lambda d: _dumped_lines(d, versions_first=True)),
+    "raw-non-ascii": (_star_graph(["zlib", "\u00e9tude"], [["1.0-\u00df", "2"], ["\u4e2d"]]),
+                      lambda d: _dumped_lines(d, sort_keys=True, ensure_ascii=False)),
+    "label-with-comma": (_star_graph(["zlib", "cmake"], [["1, lts", "2"], ["a", "b, c"]]),
+                         _saved_lines),
+    "name-with-comma": (_star_graph(["zlib", "gcc, g++"], [["1", "2"], ["a", "b"]]),
+                        _saved_lines),
+    "braces": (_star_graph(["zlib", "x}}"], [["1}}", "2"], ["}}", "b"]]), _saved_lines),
+    "one-package": (_star_graph(["solo"], [["v1", "v2", "v3"]]), _saved_lines),
+    "300-versions": (_star_graph(["zlib", "cmake"], [["1", "2"], [f"v{i}" for i in range(300)]]),
+                     _saved_lines),
+    "no-final-newline": (_PLAIN, _saved_lines),
+    "crlf": (_PLAIN, lambda d: [line + "\r" for line in _saved_lines(d)]),
+    "header-only": (_PLAIN, lambda d: _saved_lines(d)[:1]),
+    "repeated-row": (_PLAIN, lambda d: _saved_lines(d)[:5] + _saved_lines(d)[3:]),
+}
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_any_line_form_loads_as_the_reference_loader(tmp_path, variant):
+    """Lines in another form than save_dataset's, and written lines with a
+    repeated row, load as the per-line JSON loop loads them: the same
+    Dataset, or the same error for the same line."""
+    graph, lines = _VARIANTS[variant]
+    save_graph(graph, str(tmp_path / "graph.json"))
+    dataset = _labeled_space(graph, itertools.cycle([True, False, False]))
+    text = "".join(line + "\n" for line in lines(dataset))
+    if variant == "no-final-newline":
+        text = text[:-1]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = _load_outcome(load_dataset, str(path))
+    assert outcome == _load_outcome(reference_load_dataset, str(path))
+    if variant == "repeated-row":
+        assert outcome[0] is DatasetError and outcome[2] == 6
+    elif variant != "header-only":
+        assert outcome == dataset
+
+
+def test_lines_written_as_sorted_json_dumps_skip_the_json_parser(tmp_path, monkeypatch):
+    """Records written by json.dumps(record, sort_keys=True), as the replay
+    benchmark writes them, load with one json.loads call: the header's."""
+    graph = _star_graph(["zlib", "cmake", "openssl", "bzip2"], [["v1", "v2", "v3"]] * 4)
+    save_graph(graph, str(tmp_path / "graph.json"))
+    dataset = _labeled_space(graph, itertools.cycle([True, False]))
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in _saved_lines(dataset)), encoding="utf-8")
+    calls = []
+
+    def loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(dataset_module, "json", types.SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    assert load_dataset(str(path)) == dataset
+    assert calls == [_saved_lines(dataset)[0]]
