@@ -45,7 +45,8 @@ from .configspace import (
 )
 from .dataset import BuildRecord, Dataset
 from .rng import substream
-from .surrogate import FactorModel, RatioIndex, _check_smoothing, _fitted, selection_scores
+from .surrogate import (FactorModel, RatioIndex, _check_smoothing, _fitted, _crowd_prefixes,
+                        selection_scores)
 
 __all__ = [
     "STRATEGIES",
@@ -214,17 +215,18 @@ class _Candidates:
     one is chosen.
 
     Either a fixed matrix of distinct rows with a line per run of the rows
-    still open to it, or, for one run, uniform draws: one configuration per
-    bootstrap draw and a fresh pool per selection.  Every run evaluates its
-    bootstrap and then one row a step, so over fixed rows all runs have the
-    same number of rows open and run out at the same step, once their
+    already closed to it, or, for one run, uniform draws: one configuration
+    per bootstrap draw and a fresh pool per selection.  Every run evaluates
+    its bootstrap and then one row a step, so over fixed rows all runs have
+    the same number of rows open and run out at the same step, once their
     histories hold every row.  Over fixed rows, bayesian selection goes
-    through a RatioIndex, built at the first selection, told of each row
-    that closes and updated by observe(); crowd selection keeps each run's
-    crowd score of every row, computed at the first selection and again
-    after each good record of the run; random selection ties the open rows.
-    A fresh pool is selected from as fixed rows, all open, scored from
-    scratch.
+    through a RatioIndex, built at the first selection, which reads the
+    closed rows and sums the model as it stands; crowd selection keeps each
+    run's crowd score of every row, -1 on a closed row, summed through
+    prefix sums (_crowd_prefixes) at the first selection and again after each
+    good record of the run (observe()); random selection ties the open
+    rows.  A fresh pool is selected from as fixed rows, all open, scored
+    from scratch.
     """
 
     def __init__(self, graph: DependencyGraph, rows: np.ndarray | None, config: SamplerConfig,
@@ -233,13 +235,11 @@ class _Candidates:
         self.rows = rows
         self.config = config
         self.size = space_size(graph) if rows is None else rows.shape[0]
-        self._open = None if rows is None else np.ones((runs, self.size), dtype=bool)
+        self._closed = None if rows is None else np.zeros((runs, self.size), dtype=bool)
         self._ratios: RatioIndex | None = None
-        # Over fixed rows, crowd selection keeps each run's scores of every
-        # row, computed from the rows' columns, which gather fastest.
         keeps_crowd = rows is not None and config.strategy == "crowd"
         self._crowd = np.empty((runs, self.size)) if keeps_crowd else None
-        self._columns = np.ascontiguousarray(rows.T) if keeps_crowd else None
+        self._crowd_sums = None
         self._stale = np.ones(runs, dtype=bool)  # runs whose crowd scores need computing
 
     def draw(self, run: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,7 +247,7 @@ class _Candidates:
         if self.rows is None:
             return random_configurations(self.graph, rng, 1)[0]
         index = int(rng.integers(self.size))
-        self._open[run, index] = False
+        self._closed[run, index] = True
         return self.rows[index]
 
     def _pool(self, history: ObservationHistory, rng: np.random.Generator) -> np.ndarray | None:
@@ -273,48 +273,56 @@ class _Candidates:
         closes.  A tie set of one row is taken without a draw, which would
         consume nothing from the generator: Generator.integers(1) is 0."""
         strategy = self.config.strategy
-        rows, open_rows = self.rows, self._open
+        rows, closed = self.rows, self._closed
         if rows is None:
             rows = self._pool(histories[0], rng_pool)
             if rows is None:
                 return None
-            open_rows = np.ones((1, rows.shape[0]), dtype=bool)
+            closed = np.zeros((1, rows.shape[0]), dtype=bool)
         elif len(histories[0]) == self.size:
             return None
         if strategy == "random":
-            tied = [np.flatnonzero(line) for line in open_rows]
+            tied = [np.flatnonzero(~line) for line in closed]
         elif strategy == "bayesian" and self.rows is not None:
             if self._ratios is None:
-                self._ratios = RatioIndex(model, rows, open_rows)
+                self._ratios = RatioIndex(model, rows, closed)
             tied = self._ratios.best(model)
         else:  # bayesian over a pool, or crowd
             if strategy == "bayesian":
                 scored = model.expected_improvement(rows)[None]
             elif self.rows is None:
-                scored = model.crowd(rows.T)
+                scored = model.crowd(rows.T)[None]
             else:
-                stale = np.flatnonzero(self._stale)
-                if stale.size:
-                    self._crowd[stale] = model.crowd(self._columns, stale[:, None])
-                    self._stale[:] = False
-                scored = np.where(open_rows, self._crowd, -1.0)  # crowd scores are >= 0
+                scored = self._crowd_scores(model)
             tied = [np.flatnonzero(line == best) for line, best in zip(scored, scored.max(axis=1))]
         picks = [int(t[0] if t.size == 1 else t[rng.integers(t.size)])
                  for t, rng in zip(tied, rngs_tie)]
         for run, pick in enumerate(picks):  # a pool's line is dropped after the step
-            open_rows[run, pick] = False
-        if self._ratios is not None:
-            self._ratios.close(picks)
+            closed[run, pick] = True
+            if self._crowd is not None:
+                self._crowd[run, pick] = -1.0
         return rows[picks]
 
-    def observe(self, model: FactorModel, cells: np.ndarray, sides: np.ndarray) -> None:
-        """Fold each run's selected row and its outcome, as FactorModel.fold
-        takes them, into the index, given the model before them.  A good row
-        changes its run's crowd scores; a bad one does not."""
-        if self._ratios is not None:
-            self._ratios.add(model, cells, sides)
-        if self._crowd is not None:
-            self._stale |= sides == 0
+    def _crowd_scores(self, model: FactorModel) -> np.ndarray:
+        """Each run's crowd score of every fixed row, -1 on a row closed to
+        it (crowd scores are >= 0).  A stale run's line is summed afresh
+        through the prefix sums, which add as FactorModel.crowd does, so
+        each score is its score bit for bit."""
+        if self._crowd_sums is None:
+            self._crowd_sums = _crowd_prefixes(model.layout, self.rows)
+        logs = model.crowd_logs()
+        for run in np.flatnonzero(self._stale).tolist():
+            line = self._crowd[run:run + 1]
+            np.exp(self._crowd_sums.sums(logs[run:run + 1], line), out=line)
+            np.copyto(line, -1.0, where=self._closed[run:run + 1])
+        self._stale[:] = False
+        return self._crowd
+
+    def observe(self, sides: np.ndarray) -> None:
+        """Take each run's outcome side (0 for a build, 1 for a failure) of
+        its selected row: a good row changes its run's crowd scores; a bad
+        one does not."""
+        self._stale |= sides == 0
 
 
 def _candidate_rows(oracle: BuildOracle, graph: DependencyGraph,
@@ -416,10 +424,8 @@ def run_many(
         # Each run's outcome side: 0 for a build, 1 for a failure.
         sides = np.array([0 if _evaluate(oracle, history, row, f"iteration {t}") else 1
                           for history, row in zip(histories, chosen)])
-        # The chosen rows' cells serve both the index update and the refit.
-        cells = model.layout.cells(chosen)
-        source.observe(model, cells, sides)
-        model.fold(cells, sides)
+        source.observe(sides)
+        model.fold(model.layout.cells(chosen), sides)
 
     return [RunResult(history=history, config=c,
                       model=FactorModel(graph, c.smoothing, model.counts[:, [r]], model.layout))

@@ -34,12 +34,15 @@ its tables, and FactorSide reads one side of a one-run model.
 Over a fixed candidate matrix, a RatioIndex gives every row's log ratio
 under each run's model at each selection without summing each factor of
 each row again.  Rows that agree on their first packages share that
-prefix's partial sum in a prefix trie, summed afresh from the tables level
-by level; the factors below the trie keep each row's sum, updated in place
-by each observation.  The score falls strictly as the ratio grows, so the
-best open row is the one with the least log ratio, and no step
+prefix's partial sum in a prefix trie; below the trie each row keeps one
+code per package into a table of that package's terms.  Both are summed
+afresh from the model's tables at each selection, so an observation
+changes the model alone.  The score falls strictly as the ratio grows, so
+the best open row is the one with the least log ratio, and no step
 exponentiates every row: a step rescores only the near-tie bands that can
-hold unequal exact scores, all runs' in one call.
+hold unequal exact scores, all runs' in one call.  The sampler's crowd
+selection sums each run's crowd logs through the same prefix sums, in
+package order.
 
 Selection returns tie sets only.  The score of each selection is computed
 on first read of a run's scores, by selection_scores, which rebuilds each
@@ -84,17 +87,13 @@ _STEP_CELLS = 1 << 14
 
 # RatioIndex.best rescores from scratch every open row whose indexed score
 # is within this relative distance of the best.  Indexed log ratios differ
-# from a from-scratch sum by float rounding only, the trie's from summing in
-# another order and the suffix's from its in-place updates (far below 1e-9
-# over any run), and the score's relative change never exceeds the log
-# ratio's change, so every exact maximum is rescored.  best() turns the band
-# into a limit on the log ratio at twice this width, so that the rounding of
-# that conversion cannot leave out a row the band holds.
+# from a from-scratch sum by float rounding only, from adding the same terms
+# in another order (far below 1e-9), and the score's relative change never
+# exceeds the log ratio's change, so every exact maximum is rescored.
+# best() turns the band into a limit on the log ratio at twice this width,
+# so that the rounding of that conversion cannot leave out a row the band
+# holds.
 _NEAR_TIE = 1e-9
-
-# The sign of a record's change to the bad/good log ratio, by its side: the
-# good side is the denominator.
-_SIGNS = np.array([-1.0, 1.0])
 
 
 class FactorLayout:
@@ -266,28 +265,33 @@ class FactorModel:
             out[part] = _ei(ratio, self.priors[0] if one else np.take(self.priors, runs[part]))
         return out
 
+    def crowd_logs(self) -> np.ndarray:
+        """Each run's log good-side frequency, count / n, of each package's
+        versions, a line per run over the layout's package cells: -inf
+        throughout for a run with no good record, whose every product is 0."""
+        k, n = self.layout.n_nodes, self.n[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(self.counts[0, :, :self.layout.offsets[k]] / n[:, None])
+        logs[n == 0] = -np.inf
+        return logs
+
     def crowd(self, columns: np.ndarray, runs=0) -> np.ndarray:
         """Crowd score of every row whose versions columns holds, a line per
         package (a contiguous line gathers fastest), from the good-side counts
-        of its run.  runs is one run or a column of runs, each scoring every
-        row in a line of its own, or a run per row, scored in one line.  A
-        row's logs are summed in package order."""
-        k, n = self.layout.n_nodes, self.n[0]
-        width = self.layout.offsets[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(self.counts[0, :, :width] / n[:, None])
-        logs[n == 0] = -np.inf  # no good record: every product is 0
-        if np.ndim(runs) == 1:  # a run per row: its run's offset joins each version
-            logs, columns = logs.reshape(1, -1), columns + runs * width
-        else:  # a line per run
-            logs = logs[np.reshape(runs, -1)]
+        of its run: runs is one run for every row, or a run per row.  A row's
+        logs are summed in package order."""
+        logs = self.crowd_logs()
+        if np.ndim(runs):  # a run per row: its run's offset joins each version
+            logs, columns = logs.ravel(), columns + runs * logs.shape[1]
+        else:
+            logs = logs[runs]
         # Package by package, each version indexing the logs from its
         # package's first cell on: one gather of every package's cells at
         # once is slower over thousands of rows.
-        starts = self.layout.offsets[:k].tolist()
-        total = np.take(logs, columns[0], axis=1)
-        for i in range(1, k):
-            total += np.take(logs[:, starts[i]:], columns[i], axis=1)
+        starts = self.layout.offsets[:self.layout.n_nodes].tolist()
+        total = np.take(logs, columns[0])
+        for i in range(1, len(starts)):
+            total += np.take(logs[starts[i]:], columns[i])
         return np.exp(total)
 
 
@@ -409,7 +413,7 @@ def crowd_score_many(model: FactorModel, matrix: np.ndarray) -> np.ndarray:
     runs.
     """
     model._one_run()
-    return model.crowd(matrix.T)[0]
+    return model.crowd(matrix.T)
 
 
 def selection_scores(history: Dataset, start: int, strategy: str,
@@ -445,7 +449,7 @@ def selection_scores(history: Dataset, start: int, strategy: str,
         if strategy == "bayesian":
             scores[a - start:b - start] = model.expected_improvement(rows[a:b], steps)
         else:
-            scores[a - start:b - start] = model.crowd(rows[a:b].T, steps)[0]
+            scores[a - start:b - start] = model.crowd(rows[a:b].T, steps)
         counts = after[:, -1:]
     return scores
 
@@ -456,77 +460,59 @@ def _flat(layout: FactorLayout, log: np.ndarray) -> np.ndarray:
     return (log == log.take(layout.cell_starts, axis=2)).all(axis=(0, 2))
 
 
-class RatioIndex:
-    """Bad/good log density ratio of each row of a fixed matrix under each
-    run of a FactorModel, for selection.
+class _PrefixSums:
+    """Each row's sum, over a fixed matrix of distinct rows, of the values
+    of its cells in some factors, under each line of a values matrix (flat
+    vectors over the factors' cells), with the packages' terms added in a
+    given order.
 
-    Packages go in a topological order.  The level of package c carries c's
-    factor and those of the edges from its parents.  Rows that agree on the
-    first packages share a node of a prefix trie (Fredkin 1960) over that
-    order.  A node holds one code into its level's table, which adds c's
-    cells to those of its first parent's edge, plus one flat cell for each
-    further parent.  Its sum is its parent node's plus those, so the trie is
-    summed from the runs' tables at each selection, level by level, all
-    runs at once.
-
-    A level joins the trie while it has at most half as many nodes as there
-    are rows, and while the pairs (node above, version) it ranks span at most
-    four per row, which only domains of more than eight versions can break.
-    Past that, summing a level at every selection costs more than keeping
-    its rows' sums: a trie of every level ran about three times slower a
-    step on 31,186 random rows of 61 packages.  The rows are distinct, so
-    the last level never joins: a dense space leaves that one out, a sparse
-    replay most of them.  The factors of the levels left out, the suffix,
-    keep each row's sum up to date in one array, a line per run, which
-    close() and add() write in place.  A new row gives one cell per factor a
-    count, whose change goes to the rows holding that cell, found through an
-    inverted index over the suffix's cells; the shift of every cell's
-    normalizer is one amount for all rows, held in the trie's root.  The
-    rows, the trie and the inverted index are the runs' common part.
-
-    A closed row's suffix sum is +inf, so a run's open rows are those of
-    finite log ratio, and its best open row is the one with the least: the
-    score falls as the ratio grows.  best() turns each run's near-tie band
-    of scores into a limit on the log ratio once per step, and settles the
-    open rows within it: only a band that can hold rows of unequal exact
-    scores is rescored, every run's such band in one call.  Selection needs
-    the tie set alone; the score of a selection is computed when a run's
-    scores are read (selection_scores).
+    A package's level adds its own cell plus, when it has parents, its
+    first parent's edge cell, through one code into a level table of their
+    sums, and the edge cell of each further parent through one flat-cell
+    code into the table's copy of the values.  Rows that agree on the first
+    packages share a node of a prefix trie (Fredkin 1960) over the order,
+    whose sum is its parent node's plus its level's codes.  A level joins
+    the trie while it has at most half as many nodes as there are rows, and
+    while the pairs (node above, version) it ranks span at most four per
+    row, which only domains of more than eight versions can break: a trie of
+    every level ran about three times slower a step on 31,186 random rows of
+    61 packages.  The rows are distinct, so the last level never joins: a
+    dense space leaves that one out, a sparse replay most of them.  Each
+    level below the trie keeps each row's codes, whose terms a sum adds to
+    that of the row's node on the trie's last level, level by level.
     """
 
-    def __init__(self, model: FactorModel, rows: np.ndarray, open_rows: np.ndarray):
-        """Index rows, an int matrix of distinct rows of valid version
-        indices, under each run of model; the rows not set in a run's line
-        of open_rows start closed for it."""
-        layout, graph = model.layout, model.graph
-        runs = open_rows.shape[0]
-        self.rows = rows
-        self._root = np.zeros((runs, 1))  # the suffix's normalizer shift of each run
-        self._gap = np.zeros((runs, layout.size + 1))  # the last cell stands for no parent
-        into = [[] for _ in graph.packages]  # (edge factor, parent) of each package
-        for e, (parent, child) in enumerate(graph.edges):
-            into[child].append((layout.n_nodes + e, parent))
-        order = graph.topological_order
-        # Each part in its own method, so that its temporaries are gone
-        # before the next part allocates.
-        self._index_prefixes(layout, graph, rows, order, into, runs)
-        self._index_suffix(model, rows, order[len(self._levels):], into)
-        self._suffix[~open_rows] = np.inf
-        self._log_ratio = np.empty((runs, rows.shape[0]))
-        self._mask = np.empty((runs, rows.shape[0]), dtype=bool)
-
-    def _index_prefixes(self, layout, graph, rows, order, into, runs) -> None:
-        """The trie's levels, each a node's parent node, its code into the
-        level table and its further parents' cells, with a buffer for the
-        runs' sums; each row's node on the last level; the level tables'
-        cells."""
-        sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
+    def __init__(self, rows: np.ndarray, sizes: Sequence[int], offsets: Sequence[int],
+                 order: Sequence[int], into: Sequence[Sequence[tuple[int, int]]], runs: int):
+        """Sum over rows, an int matrix of distinct rows of valid version
+        indices, for runs lines of values at once.  Package i's version v is
+        cell offsets[i] + v of the values, and into[c] lists (edge factor,
+        parent) of each of c's parents, edge f's pair (u, v) being cell
+        offsets[f] + u * sizes[c] + v; offsets ends with the values' length."""
+        n = rows.shape[0]
+        # The table: each level's package cell plus its first parent's edge
+        # cell, for the packages with parents (the first `edged` entries),
+        # then each other package's cell, then the values as they are, for
+        # the flat-cell codes.
+        cells, edge_cells, bases = [], [], {}
+        for c in sorted(order, key=lambda c: not into[c]):
+            m, bases[c] = sizes[c], len(cells)
+            if into[c]:
+                f, p = into[c][0]
+                cells += [offsets[c] + w for _ in range(sizes[p]) for w in range(m)]
+                edge_cells += range(offsets[f], offsets[f + 1])
+            else:
+                cells += range(offsets[c], offsets[c] + m)
+        flat = len(cells)
+        self._cells = np.array([*cells, *range(offsets[-1])], dtype=np.intp)
+        self._edge_cells = np.array(edge_cells, dtype=np.intp)
+        self._table = np.empty((runs, self._cells.size))
+        self._edged = self._table[:, :len(edge_cells)]
         # Level by level, a row's node is the rank of (its node above, its
         # version) among the pairs present, so nodes stay in prefix order.
         # Each row's pair is made twice rather than held, which would raise
         # the build's peak memory.
-        node, count = np.zeros(n, dtype=np.intp), 1
-        self._levels, node_cells, edge_cells = [], [], []
+        node, count, levels = np.zeros(n, dtype=np.intp), 1, []
         for c in order:
             m = sizes[c]
             if count * m > 4 * n:
@@ -538,120 +524,117 @@ class RatioIndex:
                 break
             node = (np.cumsum(present) - 1)[node * m + rows[:, c]]
             pairs = np.flatnonzero(present)
-            extra = []
+            codes = []
             for f, p in into[c]:
-                # Each node's cell in edge f, from its version of p in any row it holds.
-                cells = np.empty(count, dtype=np.intp)
-                cells[node] = rows[:, p]
-                extra.append(offsets[f] + cells * m + pairs % m)
-            if extra:  # the first parent's edge joins c's cells in the level table
-                f, p = into[c][0]
-                code = extra.pop(0) + (len(node_cells) - offsets[f])
-                node_cells += [offsets[c] + w for _ in range(sizes[p]) for w in range(m)]
-                edge_cells += range(offsets[f], offsets[f + 1])
-            else:
-                code = pairs % m + len(node_cells)
-                node_cells += range(offsets[c], offsets[c] + m)
-                edge_cells += [layout.size] * m
-            self._levels.append((pairs // m, code, extra, np.empty((runs, count))))
+                # Each node's pair in edge f, from its version of p in any row it holds.
+                cell = np.empty(count, dtype=np.intp)
+                cell[node] = rows[:, p]
+                cell *= m
+                cell += pairs % m
+                # The first parent's pair indexes the level table, a further
+                # parent's the values' copy.
+                cell += offsets[f] + flat if codes else bases[c]
+                codes.append(cell)
+            if not codes:
+                codes.append(pairs % m + bases[c])
+            levels.append((pairs // m, codes, count))
         self._leaf = node
-        self._node_cells = np.array(node_cells, dtype=np.intp)
-        self._edge_cells = np.array(edge_cells, dtype=np.intp)
-        # One scratch buffer, viewed in each level's shape.
-        scratch = np.empty(max([0, *(level[3].size for level in self._levels)]))
-        self._levels = [(*level, scratch[:level[3].size].reshape(level[3].shape))
-                        for level in self._levels]
+        below = order[len(levels):]
+        self._codes = np.empty((sum(max(1, len(into[c])) for c in below), n), dtype=np.intp)
+        lines = iter(self._codes)
+        for c in below:
+            if not into[c]:
+                np.add(rows[:, c], bases[c], out=next(lines))
+            for i, (f, p) in enumerate(into[c]):
+                line = next(lines)
+                np.multiply(rows[:, p], sizes[c], out=line)
+                line += rows[:, c]
+                line += offsets[f] + flat if i else bases[c]
+        # Each level's sums, and one buffer for every gather, viewed in its shape.
+        self._root = np.zeros((runs, 1))
+        gathered = np.empty(runs * max([n if below else 0, *(level[2] for level in levels)]))
+        self._levels = [(parent, codes, np.empty((runs, count)),
+                         gathered[:runs * count].reshape(runs, count))
+                        for parent, codes, count in levels]
+        self._gathered = gathered[:runs * n].reshape(runs, n) if below else None
 
-    def _index_suffix(self, model, rows, packages, into) -> None:
-        """The suffix factors, those of packages, in flat order; each run's
-        sum over them for each row; the inverted index over their cells: the
-        rows holding flat cell v are order[bounds[v]:bounds[v + 1]].
+    def sums(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write each row's sum under each of the runs lines of values into
+        out, a C-contiguous float array with a line of rows per line of
+        values; return out.  From 0.0, a row's sum adds package by package
+        in the order its level table entry (the package's cell plus its
+        first parent's edge cell, summed first) and then each further
+        parent's edge cell: with no edge factors, its terms one by one."""
+        # mode="clip" lets take write into out without a buffer.
+        table = values.take(self._cells, axis=1, out=self._table, mode="clip")
+        self._edged += values.take(self._edge_cells, axis=1)
+        above = self._root
+        for parent, codes, sums, gathered in self._levels:
+            above.take(parent, axis=1, out=sums, mode="clip")
+            for code in codes:
+                sums += table.take(code, axis=1, out=gathered, mode="clip")
+            above = sums
+        above.take(self._leaf, axis=1, out=out, mode="clip")
+        # Level by level over all rows: blocks of rows that stay in cache
+        # ran slower, from the calls they add.
+        for code in self._codes:
+            out += table.take(code, axis=1, out=self._gathered, mode="clip")
+        return out
 
-        A factor goes through one line of local cells, filled a block of
-        rows at a time along with the sums, which then serves the counts and
-        its stable argsort.  No temporary spans the rows, which would raise
-        the peak memory of runs over a whole space.
-        """
+
+def _crowd_prefixes(layout: FactorLayout, rows: np.ndarray) -> _PrefixSums:
+    """Prefix sums over rows of one run's FactorModel.crowd_logs at a time:
+    the packages in their order, their node cells only, so that each sum
+    makes FactorModel.crowd's additions in its order, bit for bit."""
+    k = layout.n_nodes
+    return _PrefixSums(rows, layout.factor_sizes[:k].tolist(), layout.offsets[:k + 1].tolist(),
+                       range(k), [()] * k, 1)
+
+
+class RatioIndex:
+    """Bad/good log density ratio of each row of a fixed matrix under each
+    run of a FactorModel, for selection.
+
+    A row's log ratio sums, package by package in a topological order, the
+    bad-side logs less the good-side ones of the package's cell and of the
+    edge cells from its parents, through prefix sums over the rows
+    (_PrefixSums), summed afresh from the model's tables at each selection,
+    all runs at once.  An observation changes the model alone.  The rows,
+    the trie and the codes below it are the runs' common part.
+
+    The rows closed to a run are those set in its line of closed, a bool
+    array that its owner writes and the index reads as it stands at each
+    call: a closed row's log ratio is +inf, so a run's open rows are those
+    of finite log ratio, and its best open row is the one with the least:
+    the score falls as the ratio grows.  best() turns each run's near-tie
+    band of scores into a limit on the log ratio once per step, and settles
+    the open rows within it: only a band that can hold rows of unequal exact
+    scores is rescored, every run's such band in one call.  Selection needs
+    the tie set alone; the score of a selection is computed when a run's
+    scores are read (selection_scores).
+    """
+
+    def __init__(self, model: FactorModel, rows: np.ndarray, closed: np.ndarray):
+        """Index rows, an int matrix of distinct rows of valid version
+        indices, under each run of model, a run's rows closed where its line
+        of closed is set."""
         layout, graph = model.layout, model.graph
-        sizes, offsets, n = graph.domain_sizes, layout.offsets.tolist(), rows.shape[0]
-        k = layout.n_nodes
-        self._factors = np.array(sorted(f for c in packages
-                                        for f in (c, *(f for f, _ in into[c]))), dtype=np.intp)
-        self._smoothing_terms = np.concatenate((
-            np.full(self._factors.size, model.smoothing),
-            model.smoothing * layout.factor_sizes[self._factors]))
-        gap = model.log[1] - model.log[0]
-        self._suffix = np.zeros((gap.shape[0], n))
-        self._order = np.empty(self._factors.size * n, dtype=np.int32)
-        per_cell = np.zeros(layout.size, dtype=np.int64)
-        for at, f in enumerate(self._factors.tolist()):
-            a, b = offsets[f], offsets[f + 1]
-            local = np.empty(n, dtype=np.min_scalar_type(b - a - 1))
-            for start in range(0, n, _DENSITY_BLOCK):
-                block = rows[start:start + _DENSITY_BLOCK]
-                if f < k:
-                    cells = block[:, f]
-                else:
-                    parent, child = graph.edges[f - k]
-                    cells = block[:, parent] * sizes[child] + block[:, child]
-                local[start:start + _DENSITY_BLOCK] = cells
-                sums = self._suffix[:, start:start + _DENSITY_BLOCK]
-                sums += np.take(gap[:, a:b], cells, axis=1)
-            per_cell[a:b] = np.bincount(local, minlength=b - a)
-            # A stable sort of 8- or 16-bit keys is a radix sort.
-            self._order[at * n:(at + 1) * n] = np.argsort(local, kind="stable")
-        self._bounds = [0, *np.cumsum(per_cell).tolist()]
-
-    def close(self, rows: Sequence[int]) -> None:
-        """Close each run's open row at index rows[r]: its log ratio reads
-        +inf from now on, and it is no longer selected."""
-        for line, row in zip(self._suffix, rows):
-            line[row] = np.inf
-
-    def add(self, model: FactorModel, cells: np.ndarray, sides: np.ndarray) -> None:
-        """Fold in a record per run, its row's cells and its side as
-        FactorModel.fold takes them, given the model these ratios agree with
-        before the fold."""
-        runs, width = model.runs, self._factors.size
-        own = cells[self._factors].T
-        # A line per run: the smoothed counts of its row's suffix cells, then
-        # its side's smoothed normalizer of each suffix factor.  Adding one
-        # record moves the log of each by log(x + 1) - log(x): a cell's move
-        # goes to the rows holding it, and the normalizers' moves sum to the
-        # shift of every row.
-        held = np.empty((runs.size, 2 * width))
-        held[:, :width] = model.counts[sides[:, None], runs[:, None], own]
-        held[:, width:] = model.n[sides, runs][:, None]
-        held += self._smoothing_terms
-        change = _SIGNS[sides][:, None] * (np.log(held + 1.0) - np.log(held))
-        self._root[:, 0] -= change[:, width:].sum(axis=1)
-        # An add.at per run and cell, in factor order: one over the runs' and
-        # cells' rows concatenated ran slower and allocates a copy of them.
-        order, bounds = self._order, self._bounds
-        for line, run_cells, deltas in zip(self._suffix, own.tolist(),
-                                           change[:, :width].tolist()):
-            for cell, delta in zip(run_cells, deltas):
-                np.add.at(line, order[bounds[cell]:bounds[cell + 1]], delta)
+        into = [[] for _ in graph.packages]  # (edge factor, parent) of each package
+        for e, (parent, child) in enumerate(graph.edges):
+            into[child].append((layout.n_nodes + e, parent))
+        self.rows, self.closed = rows, closed
+        self._prefixes = _PrefixSums(rows, graph.domain_sizes, layout.offsets.tolist(),
+                                     graph.topological_order, into, closed.shape[0])
+        self._log_ratio = np.empty(closed.shape)
+        self._mask = np.empty(closed.shape, dtype=bool)
 
     def log_ratio(self, model: FactorModel) -> np.ndarray:
-        """Each run's log ratio of each row, under the model the adds have
-        brought the index to, and +inf for a closed row: a line per run, up
-        to float rounding the bad side's _log_densities less the good side's.
-        The array is a buffer that the next call overwrites."""
-        gap = self._gap
-        np.subtract(model.log[1], model.log[0], out=gap[:, :-1])
-        table = gap.take(self._node_cells, axis=1)
-        table += gap.take(self._edge_cells, axis=1)
-        above = self._root
-        # mode="clip" lets take write into out without a buffer.
-        for parent, code, extra, values, scratch in self._levels:
-            above.take(parent, axis=1, out=values, mode="clip")
-            values += table.take(code, axis=1, out=scratch, mode="clip")
-            for cells in extra:
-                values += gap.take(cells, axis=1, out=scratch, mode="clip")
-            above = values
-        above.take(self._leaf, axis=1, out=self._log_ratio, mode="clip")
-        self._log_ratio += self._suffix
+        """Each run's log ratio of each row under model, and +inf for a
+        closed row: a line per run, up to float rounding the bad side's
+        _log_densities less the good side's.  The array is a buffer that the
+        next call overwrites."""
+        self._prefixes.sums(model.log[1] - model.log[0], self._log_ratio)
+        np.copyto(self._log_ratio, np.inf, where=self.closed)
         return self._log_ratio
 
     def near(self, model: FactorModel) -> np.ndarray:

@@ -34,6 +34,7 @@ from buildtuner.buildsim import SyntheticOracle, enumerate_records
 from buildtuner.configspace import (
     GraphError,
     check_rows,
+    first_occurrences,
     full_space_matrix,
     random_configurations,
 )
@@ -727,13 +728,13 @@ class TestIncrementalSelectionParity:
         graph, oracle = space(seed)
         history, trace, model, tie_sizes = _reference_run(oracle, graph, config)
         scored = []
-        crowd = FactorModel.crowd
+        sums = surrogate._PrefixSums.sums
 
-        def counted(model, columns, runs):
-            scored.append(columns.shape[1])
-            return crowd(model, columns, runs)
+        def counted(prefixes, values, out):
+            scored.append(out.shape)
+            return sums(prefixes, values, out)
 
-        monkeypatch.setattr(FactorModel, "crowd", counted)
+        monkeypatch.setattr(surrogate._PrefixSums, "sums", counted)
         result = run(oracle, graph, config)
         selecting = len(scored)  # the trace's scores are computed when it is read
         assert result.history.entries == history.entries
@@ -818,6 +819,40 @@ class TestLockstepRuns:
         whole = [(band, tied) for band, n_open, tied in bands if band == n_open]
         if strategy == "bayesian":
             assert whole and all(band == tied for band, tied in whole)
+
+    @pytest.mark.parametrize("strategy", ["bayesian", "crowd"])
+    def test_sparse_replay_of_61_packages(self, strategy, monkeypatch):
+        """About 2,000 random rows of a 61-package graph: the trie holds a
+        few levels and some 55 lie below it, each a code per row.  Three
+        lockstep runs equal three one-run runs, and each selection's score
+        is the from-scratch maximum over the rows open to it; each bayesian
+        step's tie set is the from-scratch one too."""
+        graph, rules = generate_benchmark(61, 3, 0.5, 0.02, 1)
+        drawn = np.random.default_rng(1).integers(0, 3, size=(2000, 61))
+        rows = drawn[first_occurrences(drawn)]
+        oracle = DatasetOracle(Dataset._checked(graph, rows,
+                                                SyntheticOracle(graph, rules).outcomes(rows)))
+        below, best = [], RatioIndex.best
+
+        def checked(index, model):
+            tied = best(index, model)
+            for run, (line, mine) in enumerate(zip(index.closed, tied)):
+                one = FactorModel(graph, model.smoothing, model.counts[:, [run]])
+                scratch = np.where(line, -1.0, expected_improvement_many(one, rows))
+                np.testing.assert_array_equal(mine, np.flatnonzero(scratch == scratch.max()))
+            below.append(61 - len(index._prefixes._levels))
+            return tied
+
+        monkeypatch.setattr(RatioIndex, "best", checked)
+        config = SamplerConfig(strategy=strategy, bootstrap_size=10, budget=40)
+        results = self._assert_each_equals_its_run(
+            oracle, graph, [replace(config, seed=s) for s in range(3)])
+        for result in results:
+            TestOnReadScores._assert_scores_from_scratch(result, graph, rows)
+        if strategy == "bayesian":
+            assert len(below) == 4 * 40 and min(below) >= 50
+        else:
+            assert 61 - len(surrogate._crowd_prefixes(results[0].model.layout, rows)._levels) >= 50
 
     @pytest.mark.parametrize("strategy", ["bayesian", "crowd", "random"])
     def test_pool_mode_is_one_run(self, strategy):

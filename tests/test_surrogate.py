@@ -29,7 +29,8 @@ from buildtuner.configspace import (
     first_occurrences,
     full_space_matrix,
 )
-from buildtuner.surrogate import FactorModel, FactorSide, RatioIndex, RunError, refit_incremental
+from buildtuner.surrogate import (FactorModel, FactorSide, RatioIndex, RunError, _crowd_prefixes,
+                                  refit_incremental)
 from helpers import (all_configurations, chain_graph, distinct_records, log_density_many,
                      two_package_graph, wide_graph)
 
@@ -564,33 +565,29 @@ def _indexed(graph, rows, records, start, smoothing, open_rows=None):
     model = fit(records[:start], graph, smoothing)
     if open_rows is None:
         open_rows = np.ones(rows.shape[0], dtype=bool)
-    index = RatioIndex(model, rows, open_rows[None])
+    index = RatioIndex(model, rows, ~open_rows[None])
     for record in records[start:]:
-        _fold(index, model, record.config, record.outcome)
+        _fold(model, record.config, record.outcome)
     return index, model
 
 
-def _fold(index, model, config, built):
-    """Fold one record into a one-run index and its model, as run does."""
+def _fold(model, config, built):
+    """Fold one record into a one-run model, as run does."""
     cells = model.layout.cells(np.array([config], dtype=np.int64))
-    sides = np.array([0 if built else 1])
-    index.add(model, cells, sides)
-    model.fold(cells, sides)
+    model.fold(cells, np.array([0 if built else 1]))
 
 
 def _lockstep(graph, rows, histories, start, smoothing, open_rows):
     """A RatioIndex over rows for one run per history, the rows each run's
     line of open_rows leaves out closed, fitted on each history's first
-    start records and then updated a record per run at a time, with the
+    start records and then folded a record per run at a time, with the
     model of all runs it agrees with."""
     counts = [fit(history[:start], graph, smoothing).counts for history in histories]
     model = FactorModel(graph, smoothing, np.concatenate(counts, axis=1))
-    index = RatioIndex(model, rows, open_rows)
+    index = RatioIndex(model, rows, ~open_rows)
     for step in zip(*(history[start:] for history in histories)):
         cells = model.layout.cells(np.array([record.config for record in step], dtype=np.int64))
-        sides = np.array([0 if record.outcome else 1 for record in step])
-        index.add(model, cells, sides)
-        model.fold(cells, sides)
+        model.fold(cells, np.array([0 if record.outcome else 1 for record in step]))
     return index, model
 
 
@@ -670,8 +667,7 @@ class TestRatioIndex:
         open_rows[rng.integers(open_rows.size)] = True
         later = ~open_rows & (rng.random(rows.shape[0]) < 0.5)
         index, model = _indexed(graph, rows, records, start, smoothing, open_rows | later)
-        for row in np.flatnonzero(later).tolist():
-            index.close([row])
+        index.closed[0, later] = True
         _assert_best_is_exact(index, model, open_rows)
 
     @pytest.mark.parametrize("which", ["all", "past-lower-clamp", "saturated",
@@ -692,8 +688,7 @@ class TestRatioIndex:
             "saturated": (log_ratio > -700) & (log_ratio < -100),
             "past-upper-clamp": log_ratio > 710,  # where exp() overflows, too
         }[which]
-        for row in np.flatnonzero(~open_rows).tolist():
-            index.close([row])
+        index.closed[0] = ~open_rows
         tied = _assert_best_is_exact(index, model, open_rows)
         if which != "all":
             # Every open row scores the same: the clamp or 1/prior in floats.
@@ -737,7 +732,7 @@ class TestRatioIndex:
         assert len(tied) == runs
         for run, (line, mine) in enumerate(zip(open_rows, tied)):
             one = FactorModel(model.graph, model.smoothing, model.counts[:, [run]].copy())
-            (alone,) = RatioIndex(one, index.rows, line[None]).best(one)
+            (alone,) = RatioIndex(one, index.rows, ~line[None]).best(one)
             scratch = expected_improvement_many(one, index.rows)
             np.testing.assert_array_equal(mine, alone)
             np.testing.assert_array_equal(
@@ -761,8 +756,7 @@ class TestRatioIndex:
         smoothing = 1e20 if bands == "flat" else 1.0
         index, model = _lockstep(graph, rows, histories, 12, smoothing, open_rows)
         closes = np.array([rng.choice(rows.shape[0], 30, replace=False) for _ in range(runs)])
-        for step in closes.T.tolist():
-            index.close(step)
+        index.closed[np.arange(runs)[:, None], closes] = True
         open_rows[np.arange(runs)[:, None], closes] = False
         widths = np.count_nonzero(index.near(model), axis=1)
         calls = _counted_scoring(monkeypatch)
@@ -790,7 +784,7 @@ class TestRatioIndex:
         counts = [fit(distinct_records(graph, 4, rng, lambda c: False), graph, 1e-12).counts
                   for _ in range(10)]
         model = FactorModel(graph, 1e-12, np.concatenate(counts, axis=1))
-        index = RatioIndex(model, rows, np.ones((10, rows.shape[0]), dtype=bool))
+        index = RatioIndex(model, rows, np.zeros((10, rows.shape[0]), dtype=bool))
         widths = np.count_nonzero(index.near(model), axis=1)
         assert (widths > 0.98 * rows.shape[0]).all()
         calls = _counted_scoring(monkeypatch)
@@ -837,7 +831,7 @@ class TestRatioIndex:
                    for row, b in zip(rows[:30].tolist(), rng.random(30) < 0.3)]
         index, model = _indexed(graph, rows, records, 10, 1.0)
         depth = _trie_reference(graph, rows)
-        assert len(index._levels) == depth == {"dense": 8, "dag": 5, "sparse": 5,
+        assert len(index._prefixes._levels) == depth == {"dense": 8, "dag": 5, "sparse": 5,
                                                "wide-domain": 2}[space]
         np.testing.assert_allclose(index.log_ratio(model)[0],
                                    _from_scratch(_rebuilt(model), rows), rtol=0, atol=1e-9)
@@ -855,10 +849,10 @@ class TestRatioIndex:
                                    lambda c: c[0] == c[1])
         model = fit(records, graph)
         n_rows, n_factors = rows.shape[0], graph.n_packages + len(graph.edges)
-        open_rows = np.ones((1, n_rows), dtype=bool)
+        closed = np.zeros((1, n_rows), dtype=bool)
         tracemalloc.start()
         try:
-            RatioIndex(model, rows, open_rows)
+            RatioIndex(model, rows, closed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -873,14 +867,14 @@ class TestRatioIndex:
         records = distinct_records(graph, 30, np.random.default_rng(4),
                                    lambda c: c[2] != c[3])
         model = fit(records[:20], graph)
-        index = RatioIndex(model, rows, np.ones((1, rows.shape[0]), dtype=bool))
+        index = RatioIndex(model, rows, np.zeros((1, rows.shape[0]), dtype=bool))
         index.best(model)  # numpy's first calls may cache
         tracemalloc.start()
         try:
             for record in records[20:]:
                 (tied,) = index.best(model)
-                index.close([int(tied[0])])
-                _fold(index, model, record.config, record.outcome)
+                index.closed[0, tied[0]] = True
+                _fold(model, record.config, record.outcome)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -895,16 +889,120 @@ class TestRatioIndex:
         index, model = _indexed(graph, rows, records[:start], start, smoothing)
         closed = np.zeros(rows.shape[0], dtype=bool)
         for i in range(start, len(records)):
-            _fold(index, model, records[i].config, records[i].outcome)
+            _fold(model, records[i].config, records[i].outcome)
             full = fit(records[:i + 1], graph, smoothing)
             if i % 2 and not closed.all():
                 shut = int(np.flatnonzero(~closed)[0])
-                index.close([shut])
+                index.closed[0, shut] = True
                 closed[shut] = True
             log_ratio = index.log_ratio(model)[0]
             np.testing.assert_allclose(log_ratio[~closed], _from_scratch(full, rows)[~closed],
                                        rtol=0, atol=1e-9)
             assert (log_ratio[closed] == np.inf).all()
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_folded_index_reads_as_a_fresh_index(self, runs):
+        """An index that has seen k records folded into its model, and rows
+        closed along the way, reads bit for bit what an index built afresh
+        over the same model and closed rows reads: it holds no sums of its
+        own between calls."""
+        rng = np.random.default_rng(runs)
+        graph = chain_graph(8, 3)
+        rows = full_space_matrix(graph).astype(np.int64)
+        histories = [distinct_records(graph, 30, rng, lambda c: c[0] != c[1])
+                     for _ in range(runs)]
+        open_rows = np.ones((runs, rows.shape[0]), dtype=bool)
+        index, model = _lockstep(graph, rows, histories, 10, 1.0, open_rows)
+        index.log_ratio(model)  # sums the model of the first 10 records
+        for step in zip(*(history[10:] for history in histories)):
+            cells = model.layout.cells(np.array([r.config for r in step], dtype=np.int64))
+            model.fold(cells, np.array([0 if r.outcome else 1 for r in step]))
+            index.closed[np.arange(runs), rng.integers(rows.shape[0], size=runs)] = True
+            index.log_ratio(model)
+        fresh = RatioIndex(model, rows, index.closed.copy())
+        np.testing.assert_array_equal(index.log_ratio(model), fresh.log_ratio(model))
+        assert index.closed.any(axis=1).all()
+
+
+def _topological_not_package_order():
+    """Five packages whose only root is the last: no topological order is
+    the package order."""
+    return DependencyGraph(
+        packages=tuple(f"p{i}" for i in range(5)),
+        domains=(("a", "b", "c"),) * 5,
+        edges=((4, 0), (4, 2), (0, 1), (2, 3), (1, 3)),
+        root=4)
+
+
+class TestCrowdPrefixes:
+    """Crowd scores summed through the prefix sums, as the sampler sums each
+    stale run's, equal FactorModel.crowd's bit for bit."""
+
+    @staticmethod
+    def _assert_crowd_equal(model, rows):
+        """Each run's scores through the prefix sums, one run a call, equal
+        FactorModel.crowd over the rows' columns; return the prefix sums."""
+        prefixes = _crowd_prefixes(model.layout, rows)
+        logs = model.crowd_logs()
+        columns = np.ascontiguousarray(rows.T)
+        for run in range(model.runs.size):
+            line = np.empty((1, rows.shape[0]))
+            np.exp(prefixes.sums(logs[run:run + 1], line), out=line)
+            np.testing.assert_array_equal(line[0], model.crowd(columns, run))
+        return prefixes
+
+    @staticmethod
+    def _model(graph, histories):
+        return FactorModel(graph, 1.0, np.concatenate(
+            [fit(history, graph).counts for history in histories], axis=1))
+
+    def test_whole_space(self):
+        """The 3^8 space: seven levels in the trie and the last below it."""
+        graph = chain_graph(8, 3)
+        rng = np.random.default_rng(1)
+        rows = full_space_matrix(graph).astype(np.int64)
+        model = self._model(graph, [distinct_records(graph, 60, rng, lambda c: c[0] != c[1])
+                                    for _ in range(2)])
+        assert len(self._assert_crowd_equal(model, rows)._levels) == 7
+
+    def test_sparse_rows_cut_early(self):
+        """500 random rows of 3^12: five levels in the trie, seven below."""
+        graph = chain_graph(12, 3)
+        rng = np.random.default_rng(2)
+        drawn = rng.integers(0, 3, size=(500, 12))
+        rows = drawn[first_occurrences(drawn)]
+        model = self._model(graph, [distinct_records(graph, 80, rng, lambda c: c[2] != c[3])])
+        assert len(self._assert_crowd_equal(model, rows)._levels) == 5
+
+    def test_topological_order_is_not_package_order(self):
+        """Crowd sums in package order whatever the graph's order, and the
+        ratio index, which sums in a topological order, still agrees with
+        the from-scratch sums."""
+        graph = _topological_not_package_order()
+        assert list(graph.topological_order) != list(range(5))
+        rng = np.random.default_rng(3)
+        rows = full_space_matrix(graph).astype(np.int64)
+        records = distinct_records(graph, 40, rng, lambda c: c[4] != c[0])
+        model = self._model(graph, [records])
+        self._assert_crowd_equal(model, rows)
+        index = RatioIndex(model, rows, np.zeros((1, rows.shape[0]), dtype=bool))
+        np.testing.assert_allclose(index.log_ratio(model)[0], _from_scratch(model, rows),
+                                   rtol=0, atol=1e-9)
+
+    def test_run_without_a_good_record_and_versions_never_seen_good(self):
+        """A run with no good record scores every row 0; another's good
+        records never hold version 2 of the first package, so the rows that
+        do score 0 and the others do not."""
+        graph = chain_graph(6, 3)
+        rng = np.random.default_rng(4)
+        rows = full_space_matrix(graph).astype(np.int64)
+        bad = distinct_records(graph, 20, rng, lambda c: False)
+        good = distinct_records(graph, 60, rng, lambda c: c[0] != 2)
+        model = self._model(graph, [bad, good])
+        self._assert_crowd_equal(model, rows)
+        assert (model.crowd(rows.T, 0) == 0).all()
+        scores = model.crowd(rows.T, 1)
+        assert (scores[rows[:, 0] == 2] == 0).all() and (scores[rows[:, 0] != 2] > 0).any()
 
 
 # Unequal domains (3, 2, 4) so an edge table's row and column sizes differ.
